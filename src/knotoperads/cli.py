@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -64,6 +65,16 @@ def _emit(artifact: dict, output) -> None:
 def _status(passed: bool, label: str) -> int:
     print(f"{label}: {'PASS' if passed else 'FAIL'}", file=sys.stderr)
     return 0 if passed else 1
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of every tolerance option: a finite positive float.
+    A NaN tolerance would fail every comparison and read as a failed check."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"a tolerance must be finite and positive, got {text!r}")
+    return value
 
 
 def _worker_count(threads: int) -> int:
@@ -214,8 +225,17 @@ def _make_operad(name: str, degree: int):
 
 
 def _load_json(path) -> dict:
+    """The top-level JSON object of an input file; any other shape is bad
+    input (exit 2), as is nesting too deep for the decoder."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, "
+                         f"got {type(data).__name__}")
+    return data
 
 
 def cmd_geom_check(args) -> int:
@@ -241,6 +261,10 @@ def _parse_path(key: str) -> tuple:
 
 def cmd_geom_compose(args) -> int:
     data = _load_json(args.input)
+    if not isinstance(data.get("tree"), str):
+        raise ValueError("'tree' must be the text form of a tree")
+    if not isinstance(data.get("inputs"), dict):
+        raise ValueError("'inputs' must be an object keyed by vertex path")
     tree = trees.parse_tree(data["tree"])
     inputs = {_parse_path(k): geometry.SphereConfiguration.from_json_obj(v)
               for k, v in data["inputs"].items()}
@@ -360,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     ge = vsub.add_parser("geometry", help="membership, closure, naturality, "
                                           "and disk-comparison battery")
     ge.add_argument("--trials", type=int, default=200)
-    ge.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
+    ge.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
     ge.add_argument("--seed", type=int, default=0)
     ge.add_argument("--probes", type=int, default=20)
     ge.add_argument("--threads", type=int, default=0,
@@ -375,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc = gsub.add_parser("check", help="membership report for a "
                                        "configuration file")
     gc.add_argument("--input", required=True)
-    gc.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
+    gc.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
     gc.add_argument("--probes", type=int, default=20)
     gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--output", default=None)
@@ -386,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     gp.add_argument("--input", required=True,
                     help="JSON file with 'tree' text and 'inputs' keyed by "
                          "internal-vertex path, e.g. '' or '0,1'")
-    gp.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
+    gp.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
     gp.add_argument("--probes", type=int, default=20)
     gp.add_argument("--seed", type=int, default=0)
     gp.add_argument("--output", default=None)
@@ -401,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     gk.add_argument("--at", default=None,
                     help="explicit comma-separated times, overrides --times "
                          "(write --at=-0.5,0,0.5 when the first is negative)")
-    gk.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
+    gk.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
     gk.add_argument("--probes", type=int, default=20)
     gk.add_argument("--seed", type=int, default=0)
     gk.add_argument("--output", default=None)
@@ -414,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     gd.add_argument("--trials", type=int, default=100)
     gd.add_argument("--t-min", type=float, default=geometry.LIMIT_TIME,
                     dest="t_min")
-    gd.add_argument("--end-tol", type=float, default=1e-12, dest="end_tol")
-    gd.add_argument("--limit-tol", type=float, default=geometry.LIMIT_TOL,
+    gd.add_argument("--end-tol", type=_tolerance, default=1e-12, dest="end_tol")
+    gd.add_argument("--limit-tol", type=_tolerance, default=geometry.LIMIT_TOL,
                     dest="limit_tol")
     gd.add_argument("--seed", type=int, default=0)
     gd.add_argument("--threads", type=int, default=0)

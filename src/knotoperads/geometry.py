@@ -89,6 +89,50 @@ def _as_vector(x: Sequence[float], m: int, what: str) -> Vector:
     return t
 
 
+def _json_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _json_int(obj: dict, key: str) -> int:
+    v = obj.get(key)
+    if type(v) is not int:
+        raise ValueError(f"field {key!r} must be an integer, got {v!r}")
+    return v
+
+
+def _json_vector(x, what: str) -> list:
+    """A JSON list of finite numbers (a NaN would pass every tolerance test)."""
+    try:
+        ok = isinstance(x, list) and all(
+            type(c) in (int, float) and math.isfinite(c) for c in x)
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be a list of finite numbers")
+    return x
+
+
+def _json_vectors(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list of vectors")
+    return [_json_vector(v, f"{what}[{k}]") for k, v in enumerate(x)]
+
+
+def _json_pair_map(obj, what: str) -> dict:
+    """``{"i,j": vector}`` -> ``{(i, j): vector}``."""
+    out = {}
+    for key, val in _json_object(obj, what).items():
+        try:
+            i, j = (int(part) for part in key.split(","))
+        except ValueError:
+            raise ValueError(
+                f"{what} key {key!r} is not of the form 'i,j'") from None
+        out[(i, j)] = _json_vector(val, f"{what}[{key!r}]")
+    return out
+
+
 # -- configuration types ------------------------------------------------------
 
 
@@ -105,6 +149,9 @@ class SphereConfiguration:
                  tol: float = UNIT_NORM_TOL):
         if m < 1 or n < 0:
             raise ValueError(f"bad dimensions m={m}, n={n}")
+        if len(u) != n * (n - 1) // 2:  # before building the n^2 index set
+            raise ValueError(f"pair index mismatch: n={n} needs "
+                             f"{n * (n - 1) // 2} pairs, got {len(u)}")
         want = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         got = set(u)
         if got != want:
@@ -145,11 +192,9 @@ class SphereConfiguration:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SphereConfiguration":
-        u = {}
-        for key, val in obj["u"].items():
-            i, j = (int(part) for part in key.split(","))
-            u[(i, j)] = val
-        return SphereConfiguration(int(obj["m"]), int(obj["n"]), u)
+        obj = _json_object(obj, "sphere configuration")
+        u = _json_pair_map(obj.get("u"), "u")
+        return SphereConfiguration(_json_int(obj, "m"), _json_int(obj, "n"), u)
 
 
 class PointConfiguration:
@@ -218,14 +263,15 @@ class PointConfiguration:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "PointConfiguration":
+        obj = _json_object(obj, "point configuration")
+        points = _json_vectors(obj.get("points"), "points")
+        tangents = obj.get("tangents")
+        if tangents is not None:
+            tangents = _json_vectors(tangents, "tangents")
         dirs = None
         if "pair_directions" in obj:
-            dirs = {}
-            for key, val in obj["pair_directions"].items():
-                i, j = (int(part) for part in key.split(","))
-                dirs[(i, j)] = val
-        return PointConfiguration(int(obj["m"]), obj["points"],
-                                  obj.get("tangents"), dirs)
+            dirs = _json_pair_map(obj["pair_directions"], "pair_directions")
+        return PointConfiguration(_json_int(obj, "m"), points, tangents, dirs)
 
 
 class DiskConfiguration:

@@ -2,9 +2,13 @@
 
 C^{p,q} is the degree-q slice of the arity-p entries, and the differential
 is the alternating coface sum d = sum_{i=0}^{p+1} (-1)^i d^i -- the index
-range under which the complex squares to zero.  All linear algebra is
-exact: fraction-free elimination for ranks, Smith normal form with
-transformation certificates for torsion.
+range under which the complex squares to zero.  Each column is
+``poisson.coface_sum`` of one basis monomial: integer coefficients computed
+on monomials, with the element-level ``coface``/``circ`` kept as its test
+oracle.  The normalized complex drops monomials with a singleton block; the
+fact that makes this the exact codegeneracy kernel is proven once per level
+and process.  All linear algebra is exact: fraction-free elimination for
+ranks, Smith normal form with transformation certificates for torsion.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import poisson
 from .errors import BoundExceededError
@@ -270,19 +275,25 @@ class CochainComplex:
 def _level_monomials(n: int, p: int, normalized: bool):
     if not normalized:
         return list(poisson.basis(n, p))
-    _assert_codegeneracy_kernel_structure(n, p)
+    _assert_codegeneracy_kernel_structure(p)
     return [m for m in poisson.basis(n, p)
             if not any(len(w) == 1 for w in m)]
 
 
-def _assert_codegeneracy_kernel_structure(n: int, p: int) -> None:
+@lru_cache(maxsize=None)
+def _assert_codegeneracy_kernel_structure(p: int) -> None:
     """Justify reading the exact kernel of all codegeneracies off monomials.
 
     Each s^i must send every basis monomial to zero or to a single monomial
     with coefficient one, injectively on the nonzero part.  Under that
     structure a combination lies in every kernel iff it is supported on
     monomials killed by every s^i, so the intersection is computed exactly.
+
+    Neither the basis nor a codegeneracy reads the bracket degree, so the
+    proof depends on p alone and runs once per level and process (a failed
+    proof raises, is not cached, and so fails again on the next call).
     """
+    n = 2  # any bracket degree: the proof does not depend on it
     for i in range(1, p + 1):
         seen = set()
         for m in poisson.basis(n, p):
@@ -324,23 +335,16 @@ def build_complex(n: int, max_p: int, normalized: bool = True,
             mat = IntMatrix(len(basis.get((p + 1, q), ())), len(mons))
             tmap = idx.get(q, {})
             for j, m in enumerate(mons):
-                e = poisson.monomial_element(n, p, m)
-                total = poisson.zero(n, p + 1)
-                for i in range(p + 2):
-                    img = poisson.coface(i, e)
-                    total = total.add(img if i % 2 == 0 else img.scale(-1))
-                for tm, cv in total.terms.items():
+                for tm, cv in poisson.coface_sum(n, m).items():
                     if poisson.monomial_degree(tm, n) != q:
                         raise AssertionError("coface changed the degree")
-                    if cv.denominator != 1:
-                        raise AssertionError("non-integer differential entry")
                     if tm not in tmap:
                         if normalized:
                             raise ValueError(
                                 "differential leaves the normalized span at "
                                 f"p={p}, q={q}")
                         raise AssertionError("target monomial missing")
-                    mat.set(tmap[tm], j, int(cv))
+                    mat.set(tmap[tm], j, cv)
             diff[(p, q)] = mat
     return CochainComplex(n, max_p, normalized, basis, diff)
 

@@ -25,6 +25,10 @@ Path = tuple[int, ...]
 LEAF_TOKEN = "*"
 LEAF_JSON = "leaf"
 
+#: deepest vertex nesting parse_tree accepts, well inside the interpreter's
+#: recursion limit that the recursive tree walks below run under
+MAX_TREE_DEPTH = 256
+
 
 @dataclass(frozen=True)
 class RpTree:
@@ -157,31 +161,34 @@ def _format_node(node: tuple) -> str:
 def parse_tree(text: str) -> RpTree:
     """Parse the canonical text form: leaf ``*``, vertex ``( child ... )``.
 
-    The top level must be a parenthesized vertex (the root).
+    The top level must be a parenthesized vertex (the root).  Vertices may
+    nest at most :data:`MAX_TREE_DEPTH` deep, root included; deeper text
+    raises :class:`BoundExceededError`, since the tree operations recurse
+    along the depth.
     """
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse_node() -> tuple:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise ValueError(f"expected '(' at token {pos} of {text!r}")
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == LEAF_TOKEN:
-                children.append(())
-                pos += 1
+    stack: list[list] = []  # children collected so far, one list per open vertex
+    root = None
+    for pos, tok in enumerate(tokens):
+        if root is not None:
+            raise ValueError(f"trailing tokens in {text!r}")
+        if tok == "(":
+            if len(stack) == MAX_TREE_DEPTH:
+                raise BoundExceededError(
+                    f"tree nesting exceeds the depth bound {MAX_TREE_DEPTH}")
+            stack.append([])
+        elif stack and tok == ")":
+            node = tuple(stack.pop())
+            if stack:
+                stack[-1].append(node)
             else:
-                children.append(parse_node())
-        if pos >= len(tokens):
-            raise ValueError(f"unbalanced parentheses in {text!r}")
-        pos += 1  # consume ')'
-        return tuple(children)
-
-    root = parse_node()
-    if pos != len(tokens):
-        raise ValueError(f"trailing tokens in {text!r}")
+                root = node
+        elif stack and tok == LEAF_TOKEN:
+            stack[-1].append(())
+        else:
+            raise ValueError(f"expected '(' at token {pos} of {text!r}")
+    if root is None:
+        raise ValueError(f"unbalanced parentheses in {text!r}")
     return RpTree(root)
 
 

@@ -159,6 +159,22 @@ class TestGeomCheck:
         code, _, _ = run(capsys, "geom", "check", "--input", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        '{"m": 3, "n": 2, "u": [1, 2]}',    # pairs as a list
+        '[1]',                              # not an object
+        '{"m": 3, "n": 2, "u": {"1,2": [NaN, 0, 0]}}',
+        '{"m": 3, "points": [[0, 0, 0], 5]}',
+        '{"m": "3", "points": [[0, 0, 0]]}',
+        '{"m": 3, "n": 100000000, "u": {}}',
+        "[" * 100000 + "]" * 100000,
+    ])
+    def test_malformed_shape_is_bad_input(self, capsys, tmp_path, doc):
+        path = tmp_path / "shape.json"
+        path.write_text(doc)
+        code, _, err = run(capsys, "geom", "check", "--input", str(path))
+        assert code == 2
+        assert "error" in err
+
 
 class TestGeomCompose:
     def test_compose_two_level(self, capsys, tmp_path):
@@ -173,6 +189,17 @@ class TestGeomCompose:
         assert u["1,2"] == [0.0, 0.0, 1.0]
         assert u["1,3"] == [0.0, 0.0, 1.0]
         assert u["2,3"] == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("doc", [
+        {"tree": 5, "inputs": {}},
+        {"tree": "(* *)", "inputs": [1]},
+        {"tree": "(* *)", "inputs": {"": [1]}},
+    ])
+    def test_malformed_shape_is_bad_input(self, capsys, tmp_path, doc):
+        path = tmp_path / "comp.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "geom", "compose", "--input", str(path))
+        assert code == 2
 
     def test_bad_input_key(self, capsys, tmp_path):
         doc = {"tree": "(* *)", "inputs": {"2": {"m": 3, "n": 2,
@@ -206,6 +233,12 @@ class TestGeomKnotEval:
         code, _, _ = run(capsys, "geom", "knot-eval", "--times", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_tolerance_must_be_finite_positive(self, capsys, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["geom", "knot-eval", "--tol", tol])
+        assert exc.value.code == 2
+
 
 class TestGeomDisksCompare:
     def test_default_tree(self, capsys):
@@ -219,6 +252,19 @@ class TestGeomDisksCompare:
         code, _, _ = run(capsys, "geom", "disks-compare", "--tree",
                          "((* (* *)) *)", "--trials", "2")
         assert code == 2
+
+    def test_overdeep_tree_text_is_bound_exceeded(self, capsys):
+        deep = "(" * 2999 + "(* *)" + ")" * 2999
+        code, _, err = run(capsys, "geom", "disks-compare", "--tree", deep,
+                           "--trials", "2")
+        assert code == 3
+        assert "depth bound" in err
+
+    @pytest.mark.parametrize("flag", ["--end-tol", "--limit-tol"])
+    def test_nan_tolerance_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["geom", "disks-compare", flag, "nan"])
+        assert exc.value.code == 2
 
 
 class TestOutputs:

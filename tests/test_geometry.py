@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotoperads import geometry as G
 from knotoperads.operad_core import structure_map, structure_map_stepwise
@@ -100,6 +102,30 @@ class TestSphereConfiguration:
         s = G.random_sphere_configuration(rng, 4, 3)
         assert G.SphereConfiguration.from_json_obj(s.to_json_obj()) == s
         assert set(s.to_json_obj()) == {"m", "n", "u"}
+
+
+# JSON values as json.load returns them, biased towards the loaders' keys
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["1,2", "1,3", "2,3", "x"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["m", "n", "u", "points", "tangents",
+                         "pair_directions", "1,2", "1,3", "2,3", "0,5"]),
+        inner, max_size=5),
+    max_leaves=12)
+
+
+class TestJsonLoaderFuzz:
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(_JSON)
+    def test_loaders_accept_or_raise_value_error(self, obj):
+        for cls in (G.SphereConfiguration, G.PointConfiguration):
+            try:
+                cfg = cls.from_json_obj(obj)
+            except ValueError:
+                continue
+            assert cls.from_json_obj(cfg.to_json_obj()) == cfg
 
 
 class TestPointConfiguration:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotoperads import poisson
+from knotoperads import hochschild, poisson
 from knotoperads.errors import BoundExceededError
 from knotoperads.hochschild import (
     IntMatrix,
@@ -246,6 +246,35 @@ class TestBuildComplex:
         with pytest.raises(BoundExceededError):
             build_complex(2, 8)
         build_complex(2, 8, normalized=False, level_bound=8)
+
+    def test_leaving_normalized_span_raises(self, monkeypatch):
+        # d^{p+1} alone appends a singleton block, which no normalized
+        # basis monomial has
+        def top_coface_only(n, m):
+            return {m + ((poisson.monomial_arity(m) + 1,),): 1}
+
+        monkeypatch.setattr(poisson, "coface_sum", top_coface_only)
+        with pytest.raises(ValueError, match="normalized span"):
+            build_complex(2, 3)
+
+    def test_codegeneracy_proof_once_per_level(self, monkeypatch):
+        calls = []
+        real = poisson.codegeneracy
+
+        def counted(i, e):
+            calls.append(i)
+            return real(i, e)
+
+        monkeypatch.setattr(poisson, "codegeneracy", counted)
+        hochschild._assert_codegeneracy_kernel_structure.cache_clear()
+        build_complex(2, 5)
+        # the proof calls every s^i on every basis monomial of each level
+        assert len(calls) == sum(p * len(poisson.basis(2, p))
+                                 for p in range(6))
+        calls.clear()
+        build_complex(3, 5)
+        build_complex(2, 4)
+        assert calls == []
 
     def test_negative_max_p(self):
         with pytest.raises(ValueError):

@@ -25,6 +25,7 @@ from knotoperads.poisson import (
     circ,
     codegeneracy,
     coface,
+    coface_sum,
     element_from_json,
     element_to_json,
     element_to_text,
@@ -402,6 +403,43 @@ class TestCoface:
     def test_index_range(self):
         with pytest.raises(ValueError):
             coface(4, multiplication(2))
+
+
+def _circ_coface_sum(n, m):
+    """The alternating coface sum through coface/circ on the element of m."""
+    p = monomial_arity(m)
+    e = monomial_element(n, p, m)
+    total = zero(n, p + 1)
+    for i in range(p + 2):
+        img = coface(i, e)
+        total = total.add(img if i % 2 == 0 else img.scale(-1))
+    return total.terms
+
+
+class TestCofaceSum:
+    """coface_sum against the circ path, column by column; n = 2 and 3
+    cover both Koszul parities."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_circ_on_every_monomial_to_p5(self, n):
+        for p in range(6):
+            for m in basis(n, p):
+                got = coface_sum(n, m)
+                assert got == _circ_coface_sum(n, m), m
+                assert all(type(c) is int and c for c in got.values())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_circ_on_normalized_monomials_p6(self, n):
+        for m in basis(n, 6):
+            if all(len(w) > 1 for w in m):
+                assert coface_sum(n, m) == _circ_coface_sum(n, m), m
+
+    def test_hand_values(self):
+        # d(1) = x1 - x1 cancels; d(x1) = x1x2 - x1x2 + x1x2
+        assert coface_sum(2, ()) == {}
+        assert coface_sum(2, ((1,),)) == {((1,), (2,)): 1}
+        # the bracket is a cocycle: its four cofaces cancel term by term
+        assert coface_sum(2, ((1, 2),)) == {}
 
 
 # -- operad instance ------------------------------------------------------------------

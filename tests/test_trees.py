@@ -4,9 +4,12 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotoperads.errors import BoundExceededError
 from knotoperads.trees import (
+    MAX_TREE_DEPTH,
     RpTree,
     TreeMorphism,
     contract,
@@ -65,6 +68,32 @@ class TestTextForm:
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_tree(bad)
+
+    def test_depth_bound(self):
+        def nested(depth):
+            return "(" * (depth - 1) + "(* *)" + ")" * (depth - 1)
+
+        deepest = parse_tree(nested(MAX_TREE_DEPTH))
+        assert parse_tree(deepest.to_text()) == deepest
+        assert len(deepest.internal_edges()) == MAX_TREE_DEPTH - 1
+        for depth in (MAX_TREE_DEPTH + 1, 3000):
+            with pytest.raises(BoundExceededError):
+                parse_tree(nested(depth))
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(st.tuples(st.integers(0, 2 * MAX_TREE_DEPTH),
+                     st.text(alphabet="()* ", max_size=60)))
+    def test_fuzz_outcomes(self, wrapped):
+        # a random core inside k balanced parentheses, so that deep and
+        # well-formed texts both occur
+        k, core = wrapped
+        text = "(" * k + core + ")" * k
+        try:
+            tree = parse_tree(text)
+        except (ValueError, BoundExceededError):
+            return
+        assert parse_tree(tree.to_text()) == tree
 
     def test_corolla_text(self):
         assert corolla(0).to_text() == "()"
