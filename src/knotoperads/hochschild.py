@@ -7,8 +7,16 @@ range under which the complex squares to zero.  Each column is
 on monomials, with the element-level ``coface``/``circ`` kept as its test
 oracle.  The normalized complex drops monomials with a singleton block; the
 fact that makes this the exact codegeneracy kernel is proven once per level
-and process.  All linear algebra is exact: fraction-free elimination for
-ranks, Smith normal form with transformation certificates for torsion.
+and process.
+
+All linear algebra is exact.  ``eliminate_units`` pivots on the +-1 entries
+first (lowest Markowitz cost, unimodular steps), so A ~ diag(I_r, S) with a
+small leftover block S.  Ranks are r plus fraction-free (Bareiss) elimination
+on S; invariant factors are r ones plus the Smith normal form of S, checked
+against its transformation certificates.  Torsion of HH^{p,q} is read off
+the incoming differential alone, because the kernel of the outgoing one is
+saturated (see ``cohomology``).  The dense ``rank_int`` and
+``smith_normal_form`` stay the test oracle on whole matrices.
 """
 
 from __future__ import annotations
@@ -221,6 +229,88 @@ def smith_normal_form(dense: list[list[int]]) -> SmithForm:
     return SmithForm(factors, frz(U), frz(V), frz(Uinv), frz(Vinv))
 
 
+# -- sparse unit-pivot elimination -------------------------------------------------
+
+
+def eliminate_units(m: IntMatrix) -> tuple[int, list[list[int]]]:
+    """Eliminate on +-1 pivots: A ~ diag(I_r, S) by unimodular operations.
+
+    Returns r and the leftover block S, dense and without its zero rows and
+    columns.  Each step takes the unit entry of lowest Markowitz cost
+    (row count - 1) * (column count - 1), clears its row by column
+    operations (integral, since the pivot is its own inverse) and drops its
+    row and column; what is left of the other columns is the Schur
+    complement.  A matrix without a unit entry comes back whole.
+    """
+    cols = {c: dict(vec) for c, vec in enumerate(m.col) if vec}
+    rows: dict[int, set[int]] = {}
+    for c, vec in cols.items():
+        for r in vec:
+            rows.setdefault(r, set()).add(c)
+    units = 0
+    while True:
+        best = None
+        for c, vec in cols.items():
+            cc = len(vec) - 1
+            for r, v in vec.items():
+                if v == 1 or v == -1:
+                    cost = cc * (len(rows[r]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, r, c)
+                        if not cost:
+                            break
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        _, prow, pcol = best
+        pivot = cols.pop(pcol)
+        u = pivot.pop(prow)
+        for r in pivot:
+            rows[r].discard(pcol)
+        others = rows.pop(prow)
+        others.discard(pcol)
+        for c in others:
+            vec = cols[c]
+            f = vec.pop(prow) * u
+            for r, v in pivot.items():
+                nv = vec.get(r, 0) - f * v
+                if nv:
+                    if r not in vec:
+                        rows[r].add(c)
+                    vec[r] = nv
+                else:
+                    del vec[r]
+                    rows[r].discard(c)
+            if not vec:
+                del cols[c]
+        units += 1
+    live = sorted({r for vec in cols.values() for r in vec})
+    where = {r: i for i, r in enumerate(live)}
+    block = [[0] * len(cols) for _ in live]
+    for j, c in enumerate(sorted(cols)):
+        for r, v in cols[c].items():
+            block[where[r]][j] = v
+    return units, block
+
+
+def sparse_rank(m: IntMatrix) -> int:
+    """Rank over the rationals: the unit pivots plus Bareiss on the rest."""
+    units, block = eliminate_units(m)
+    return units + rank_int(block)
+
+
+def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
+    """Nonzero invariant factors: one per unit pivot, then the certified
+    Smith form of the leftover block."""
+    units, block = eliminate_units(m)
+    s = smith_normal_form(block)
+    if not snf_is_valid(block, s):
+        raise AssertionError("invalid Smith certificates for the leftover "
+                             "block")
+    return (1,) * units + s.factors
+
+
 def snf_is_valid(dense: list[list[int]], s: SmithForm) -> bool:
     """Exact certificate check: U A V diagonal, inverses multiply to I,
     factors positive in a divisibility chain."""
@@ -371,7 +461,8 @@ def check_d_squared(c: CochainComplex) -> CheckReport:
 # -- cohomology -------------------------------------------------------------------
 
 
-def _outgoing(c: CochainComplex, p: int, q: int) -> IntMatrix:
+def _differential(c: CochainComplex, p: int, q: int) -> IntMatrix:
+    """d: C^{p,q} -> C^{p+1,q}, the zero map where no matrix is stored."""
     mat = c.diff.get((p, q))
     if mat is None:
         mat = IntMatrix(c.dim(p + 1, q), c.dim(p, q))
@@ -384,64 +475,24 @@ def cohomology(c: CochainComplex, p: int, q: int,
 
     Returns an int for rational coefficients and (rank, torsion-tuple) for
     integral ones.  Needs both adjacent differentials, so p < max_p.
+
+    The rank is dim - rk d_out - rk d_in.  ker d_out is saturated, so
+    Z^dim / ker d_out is free and Z^dim / im d_in = ker/im + (a free
+    group); the torsion is therefore the invariant factors > 1 of d_in.
     """
     if not 0 <= p < c.max_p:
         raise ValueError(f"bidegree p={p} outside built range "
                          f"0..{c.max_p - 1}")
+    if coefficients not in ("rational", "integral"):
+        raise ValueError(f"unknown coefficients {coefficients!r}")
+    d_out, d_in = _differential(c, p, q), _differential(c, p - 1, q)
+    rank = c.dim(p, q) - sparse_rank(d_out)
     if coefficients == "rational":
-        dim = c.dim(p, q)
-        if dim == 0:
-            return 0
-        rank_out = rank_int(_outgoing(c, p, q).to_dense())
-        d_in = c.diff.get((p - 1, q)) if p else None
-        rank_in = rank_int(d_in.to_dense()) if d_in is not None else 0
-        return dim - rank_out - rank_in
-    if coefficients == "integral":
-        return _integral_cohomology(c, p, q)
-    raise ValueError(f"unknown coefficients {coefficients!r}")
-
-
-def _integral_cohomology(c: CochainComplex, p: int, q: int):
-    """Kernel-lattice method: kernel basis from the outgoing Smith form,
-    incoming images rewritten in that basis, torsion from a second Smith
-    form.  The kernel of an integer matrix is saturated, so the invariant
-    factors > 1 are exactly the torsion of ker/im."""
-    k = c.dim(p, q)
-    if k == 0:
-        return 0, ()
-    d_out = _outgoing(c, p, q)
-    if d_out.rows == 0:
-        kdim = k
-        kernel_coords = None  # kernel is the whole lattice, coords are raw
-    else:
-        s = smith_normal_form(d_out.to_dense())
-        if not snf_is_valid(d_out.to_dense(), s):
-            raise AssertionError("invalid Smith certificates for d_out")
-        r = len(s.factors)
-        kdim = k - r
-        kernel_coords = (s.Vinv, r)
-    d_in = c.diff.get((p - 1, q)) if p else None
-    gens = [d_in.column(j) for j in range(d_in.cols)] if d_in is not None \
-        else []
-    if not gens or kdim == 0:
-        return kdim, ()
-    if kernel_coords is None:
-        rows = [[w[i] for w in gens] for i in range(k)]
-    else:
-        vinv, r = kernel_coords
-        cols = []
-        for w in gens:
-            x = [sum(vinv[i][j] * w[j] for j in range(k)) for i in range(k)]
-            if any(x[:r]):
-                raise AssertionError("incoming image is not a cocycle")
-            cols.append(x[r:])
-        rows = [[col[i] for col in cols] for i in range(kdim)]
-    s2 = smith_normal_form(rows)
-    if not snf_is_valid(rows, s2):
-        raise AssertionError("invalid Smith certificates for the image")
-    rank = kdim - len(s2.factors)
-    torsion = tuple(f for f in s2.factors if f != 1)
-    return rank, torsion
+        return rank - sparse_rank(d_in)
+    if not d_out.compose(d_in).is_zero():
+        raise AssertionError("incoming image is not a cocycle")
+    factors = invariant_factors(d_in)
+    return rank - len(factors), tuple(f for f in factors if f != 1)
 
 
 # -- tables -----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import BoundExceededError
 from .operad_core import OperadInstance
 
 Word = tuple[int, ...]
@@ -508,10 +509,17 @@ def _tokenize(text: str) -> list[str]:
     return out
 
 
+#: deepest bracket nesting parse_element accepts; the parser and the
+#: normalization recurse along it, so this keeps them well inside the
+#: interpreter's recursion limit (nesting d needs d + 1 distinct variables)
+MAX_BRACKET_DEPTH = 64
+
+
 class _Parser:
     def __init__(self, tokens):
         self.toks = tokens
         self.pos = 0
+        self.depth = 0  # brackets open at the current token
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -534,10 +542,15 @@ class _Parser:
         t = self.peek()
         if t == "[":
             self.take()
+            if self.depth == MAX_BRACKET_DEPTH:
+                raise BoundExceededError("bracket nesting exceeds the depth "
+                                         f"bound {MAX_BRACKET_DEPTH}")
+            self.depth += 1
             left = self.slot()
             self.expect(",")
             right = self.slot()
             self.expect("]")
+            self.depth -= 1
             return ("b", left, right)
         if t == "1":  # the empty monomial
             self.take()
@@ -566,7 +579,11 @@ class _Parser:
                 c = Fraction(num)
                 if self.peek() == "/":
                     self.take()
-                    c = Fraction(num, int(self.take()))
+                    den = self.take()
+                    if den is None or not den.isdigit() or not int(den):
+                        raise ValueError("expected a positive integer "
+                                         f"denominator, got {den!r}")
+                    c = Fraction(num, int(den))
                 if self.peek() == "*":
                     self.take()
                 return sign * c
@@ -586,8 +603,10 @@ class _Parser:
 
 
 def parse_element(text: str, n: int, arity: int | None = None) -> PoissonElement:
-    """Parse `coeff*monomial` sums; brackets may nest arbitrarily and are
-    renormalized.  All terms must use the same variable range 1..k."""
+    """Parse `coeff*monomial` sums; brackets may nest up to
+    :data:`MAX_BRACKET_DEPTH` deep (deeper text raises
+    :class:`BoundExceededError`) and are renormalized.  All terms must use
+    the same variable range 1..k."""
     parser = _Parser(_tokenize(text))
     pieces = []
     while parser.peek() is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import reprlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -128,20 +129,46 @@ class RpTree:
 
     @staticmethod
     def from_json_obj(obj) -> "RpTree":
-        def conv(item, is_root: bool) -> tuple:
-            if item == LEAF_JSON:
-                if is_root:
-                    raise ValueError("the root vertex cannot be a leaf")
-                return ()
-            if not isinstance(item, dict) or set(item) != {"children"}:
-                raise ValueError(f"malformed tree JSON node: {item!r}")
-            return tuple(conv(c, False) for c in item["children"])
+        """Inverse of :meth:`to_json_obj`.  Vertices may nest at most
+        :data:`MAX_TREE_DEPTH` deep, as in :func:`parse_tree`; deeper input
+        raises :class:`BoundExceededError`."""
+        if obj == LEAF_JSON:
+            raise ValueError("the root vertex cannot be a leaf")
 
-        return RpTree(conv(obj, True))
+        def children(item):
+            if not isinstance(item, dict) or set(item) != {"children"} \
+                    or not isinstance(item["children"], (list, tuple)):
+                raise ValueError("malformed tree JSON node: "
+                                 f"{reprlib.repr(item)}")
+            return iter(item["children"])
+
+        end = object()
+        # one (unread children, converted children) pair per open vertex
+        stack = [(children(obj), [])]
+        while True:
+            pending, done = stack[-1]
+            item = next(pending, end)
+            if item is end:
+                stack.pop()
+                if not stack:
+                    return RpTree(tuple(done))
+                stack[-1][1].append(tuple(done))
+            elif item == LEAF_JSON:
+                done.append(())
+            elif len(stack) == MAX_TREE_DEPTH:
+                raise BoundExceededError(
+                    f"tree nesting exceeds the depth bound {MAX_TREE_DEPTH}")
+            else:
+                stack.append((children(item), []))
 
     @staticmethod
     def from_json(text: str) -> "RpTree":
-        return RpTree.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise BoundExceededError(
+                "tree JSON nested beyond the decoder's depth limit") from None
+        return RpTree.from_json_obj(obj)
 
 
 def _validate_node(node) -> None:

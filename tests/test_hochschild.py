@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotoperads import hochschild, poisson
 from knotoperads.errors import BoundExceededError
@@ -11,11 +13,14 @@ from knotoperads.hochschild import (
     build_complex,
     check_d_squared,
     cohomology,
+    eliminate_units,
     hh_table,
+    invariant_factors,
     matmul_int,
     rank_int,
     smith_normal_form,
     snf_is_valid,
+    sparse_rank,
 )
 
 
@@ -185,6 +190,72 @@ class TestIntMatrix:
         assert not m.is_zero()
 
 
+def _int_matrix(dense, cols=None):
+    m = IntMatrix(len(dense), len(dense[0]) if dense else cols or 0)
+    for r, row in enumerate(dense):
+        for c, v in enumerate(row):
+            m.set(r, c, v)
+    return m
+
+
+@st.composite
+def _small_matrices(draw):
+    """Small integer matrices, 0 x k and k x 0 included, with plenty of
+    non-unit entries."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, -6))
+    dense = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    return _int_matrix(dense, cols)
+
+
+class TestUnitElimination:
+    """eliminate_units against the dense oracles rank_int and
+    smith_normal_form on whole matrices."""
+
+    @staticmethod
+    def _assert_matches_oracle(m):
+        dense = m.to_dense()
+        assert sparse_rank(m) == rank_int(dense)
+        assert invariant_factors(m) == smith_normal_form(dense).factors
+        assert m.to_dense() == dense  # the input is left untouched
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_matches_oracle_on_complex(self, n, normalized):
+        c = build_complex(n, 6, normalized)
+        for (p, q), m in sorted(c.diff.items()):
+            self._assert_matches_oracle(m)
+
+    @settings(max_examples=300, deadline=None, database=None,
+              derandomize=True)
+    @given(_small_matrices())
+    def test_matches_oracle_on_small_matrices(self, m):
+        self._assert_matches_oracle(m)
+
+    @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0), (2, 4)])
+    def test_empty_and_zero(self, rows, cols):
+        m = IntMatrix(rows, cols)
+        assert eliminate_units(m) == (0, [])
+        assert sparse_rank(m) == 0 and invariant_factors(m) == ()
+
+    def test_no_unit_leaves_whole_matrix(self):
+        twos = [[2] * 4 for _ in range(3)]
+        assert eliminate_units(_int_matrix(twos)) == (0, twos)
+        assert invariant_factors(_int_matrix(twos)) == (2,)
+        a = [[2, 4], [6, 8]]
+        assert eliminate_units(_int_matrix(a)) == (0, a)
+        assert invariant_factors(_int_matrix(a)) == (2, 4)
+
+    def test_unit_pivot_leaves_schur_complement(self):
+        # pivot 1 at (0, 0): the block is [[5 - 2*3]] = [[-1]], also a unit
+        assert eliminate_units(_int_matrix([[1, 3], [2, 5]])) == (2, [])
+        # a torsion factor survives only in the leftover block
+        units, block = eliminate_units(_int_matrix([[1, 1, 0], [1, 3, 2]]))
+        assert units == 1 and block == [[2, 2]]
+        assert invariant_factors(_int_matrix([[1, 1, 0], [1, 3, 2]])) == \
+            (1, 2)
+
+
 # -- complex construction ----------------------------------------------------------
 
 
@@ -321,6 +392,27 @@ class TestCohomology:
         for p in range(5):
             for q in qs:
                 assert cohomology(cn, p, q) == cohomology(cf, p, q), (p, q)
+
+    @pytest.mark.parametrize("n,torsion", [
+        (2, {(6, 8): (2,)}),
+        (3, {(4, 6): (2,), (5, 9): (3,), (6, 9): (2,), (6, 12): (2,)}),
+    ])
+    def test_integral_torsion_to_p7(self, n, torsion):
+        t = hh_table(n, 7, "integral")
+        assert {(e.p, e.q): e.torsion for e in t.entries if e.torsion} == \
+            torsion
+
+    def test_incoming_image_not_a_cocycle_raises(self):
+        c = build_complex(2, 6)  # d: C^{4,6} -> C^{5,6} -> C^{6,6}
+        p, q = next((p, q) for (p, q), d_in in sorted(c.diff.items())
+                    if d_in.cols and (p + 1, q) in c.diff
+                    and not c.diff[(p + 1, q)].is_zero())
+        d_in, d_out = c.diff[(p, q)], c.diff[(p + 1, q)]
+        # adding 1 at row r of d_in adds column r of d_out to d_out d_in
+        r = next(r for r, col in enumerate(d_out.col) if col)
+        d_in.set(r, 0, d_in.col[0].get(r, 0) + 1)
+        with pytest.raises(AssertionError, match="not a cocycle"):
+            cohomology(c, p + 1, q, "integral")
 
     def test_out_of_range(self):
         c = build_complex(2, 3)

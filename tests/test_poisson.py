@@ -12,13 +12,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from knotoperads.errors import BoundExceededError
 from knotoperads.operad_core import (
     check_cosimplicial_identities,
     check_operad_axioms,
     cosimplicial_from_operad,
 )
 from knotoperads.poisson import (
+    MAX_BRACKET_DEPTH,
     PoissonElement,
     PoissonOperad,
     basis,
@@ -470,6 +474,42 @@ class TestOperadInstance:
 # -- text and JSON ----------------------------------------------------------------------
 
 
+_FUZZ_TOKENS = ("[", "]", ",", "+", "-", "*", "/", "x1", "x3", "x9", "0", "1",
+                "2")
+
+
+@st.composite
+def _element_texts(draw):
+    """Well-formed element text (random bracket/product trees over x1..xk,
+    random coefficients, zero denominators included), then one random token
+    edit, inside a bracket wrapping that is sometimes over the depth bound."""
+    def expr(letters):
+        if len(letters) == 1:
+            return letters[0]
+        cut = draw(st.integers(1, len(letters) - 1))
+        left, right = expr(letters[:cut]), expr(letters[cut:])
+        return draw(st.sampled_from((f"{left} {right}", f"[{left},{right}]")))
+
+    k = draw(st.integers(1, 4))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        num, den = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        coeff = draw(st.sampled_from(("", "-", f"{num}*", f"-{num}/{den}*")))
+        letters = draw(st.permutations([f"x{i}" for i in range(1, k + 1)]))
+        terms.append(coeff + expr(letters))
+    tokens = " + ".join(terms).replace("[", " [ ").replace("]", " ] ") \
+        .replace(",", " , ").split()
+    at = draw(st.integers(0, len(tokens)))
+    edit = draw(st.sampled_from(("none", "drop", "insert")))
+    if edit == "drop" and at < len(tokens):
+        del tokens[at]
+    elif edit == "insert":
+        tokens.insert(at, draw(st.sampled_from(_FUZZ_TOKENS)))
+    wrap = draw(st.sampled_from((0, 0, 0, MAX_BRACKET_DEPTH,
+                                 MAX_BRACKET_DEPTH + 1, 3000)))
+    return "[" * wrap + " ".join(tokens) + "]" * wrap
+
+
 class TestFormats:
     def test_monomial_text(self):
         e = PoissonElement(2, 5, {((1, 2), (3,), (4, 5)): Fraction(1)})
@@ -503,6 +543,35 @@ class TestFormats:
     def test_json_round_trip(self):
         e = parse_element("3/2*x1 x2 - [x1,x2]", 3)
         assert element_from_json(element_to_json(e)) == e
+
+    def test_bad_denominator_is_value_error(self):
+        for text in ("1/0*x1", "1/", "3/x1", "2/-1*x1"):
+            with pytest.raises(ValueError, match="denominator"):
+                parse_element(text, 2)
+
+    def test_depth_bound(self):
+        # left-nested brackets need one new variable per level and stay a
+        # single normal-form word
+        def left_nested(depth):
+            return "[" * depth + "x1," + ",".join(
+                f"x{i + 2}]" for i in range(depth))
+
+        e = parse_element(left_nested(MAX_BRACKET_DEPTH), 2)
+        assert e.arity == MAX_BRACKET_DEPTH + 1 and len(e.terms) == 1
+        for text in (left_nested(MAX_BRACKET_DEPTH + 1),
+                     "[" * 3000 + "x1,x2" + "]" * 3000):
+            with pytest.raises(BoundExceededError):
+                parse_element(text, 2)
+
+    @settings(max_examples=400, deadline=None, database=None,
+              derandomize=True)
+    @given(_element_texts(), st.sampled_from((2, 3)))
+    def test_fuzz_outcomes(self, text, n):
+        try:
+            e = parse_element(text, n)
+        except (ValueError, BoundExceededError):
+            return
+        assert parse_element(element_to_text(e), n, e.arity) == e
 
 
 class TestOddDegreeSigns:

@@ -113,6 +113,26 @@ class TestJsonForm:
         with pytest.raises(ValueError):
             RpTree.from_json_obj("leaf")
 
+    def test_rejects_malformed_nodes(self):
+        for obj in ([], {"children": [None]}, {"children": 5},
+                    {"children": ["leaf"], "extra": 1},
+                    {"children": ["leaf", "twig"]}):
+            with pytest.raises(ValueError):
+                RpTree.from_json_obj(obj)
+
+    def test_depth_bound(self):
+        def nested(depth):
+            return '{"children": [' * depth + "]}" * depth
+
+        t = RpTree.from_json(nested(MAX_TREE_DEPTH))
+        assert t == parse_tree("(" * MAX_TREE_DEPTH + ")" * MAX_TREE_DEPTH)
+        assert RpTree.from_json(t.to_json()) == t
+        with pytest.raises(BoundExceededError):
+            RpTree.from_json_obj(json.loads(nested(MAX_TREE_DEPTH + 1)))
+        for depth in (MAX_TREE_DEPTH + 1, 3000):
+            with pytest.raises(BoundExceededError):
+                RpTree.from_json(nested(depth))
+
 
 # -- structure queries ---------------------------------------------------------
 
