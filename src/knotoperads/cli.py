@@ -77,11 +77,13 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _worker_count(threads: int) -> int:
-    """--threads 0 means use the available parallelism."""
-    if threads < 0:
-        raise ValueError("--threads must be non-negative")
-    return threads if threads > 0 else (os.cpu_count() or 1)
+def _positive_int(text: str) -> int:
+    """argparse type of the trial and level counts: a run of zero trials
+    or levels checks nothing and must not read as a pass."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 # -- hh --------------------------------------------------------------------------
@@ -139,16 +141,15 @@ def _geometry_shapes() -> list:
 
 
 def _geometry_battery(trials: int, tol: float, seed: int, probes: int,
-                      threads, eps: float) -> dict:
+                      eps: float) -> dict:
     suites = []
     for m in (3, 4, 5):
         suites.append(geometry.membership_trials(
-            6, m, trials, seed=seed, tol=tol, probes=probes, threads=threads))
+            6, m, trials, seed=seed, tol=tol, probes=probes))
     for tree in _geometry_shapes():
         for m in (3, 4, 5):
             suites.append(geometry.closure_trials(
-                tree, m, trials, seed=seed, tol=tol, probes=probes,
-                threads=threads))
+                tree, m, trials, seed=seed, tol=tol, probes=probes))
     naturality = []
     for n in range(7):
         rep = geometry.check_insertion_naturality(
@@ -157,8 +158,7 @@ def _geometry_battery(trials: int, tol: float, seed: int, probes: int,
     disks = []
     for text in ("(* (* *))", "((* *) (* *))"):
         disks.append(geometry.disks_comparison_trials(
-            trees.parse_tree(text), 3, min(trials, 100), seed=seed,
-            threads=threads))
+            trees.parse_tree(text), 3, min(trials, 100), seed=seed))
     cosimp = geometry.check_sphere_cosimplicial(3, max_level=5, per_level=10,
                                                 seed=seed)
     passed = (all(s["passed"] for s in suites)
@@ -201,11 +201,9 @@ def cmd_verify(args) -> int:
         passed = rep.passed
     else:  # geometry
         params = {"trials": args.trials, "tol": args.tol, "seed": args.seed,
-                  "probes": args.probes, "threads": args.threads,
-                  "eps": args.eps}
+                  "probes": args.probes, "eps": args.eps}
         results = _geometry_battery(args.trials, args.tol, args.seed,
-                                    args.probes, _worker_count(args.threads),
-                                    args.eps)
+                                    args.probes, args.eps)
         passed = results["passed"]
     _emit(_artifact(f"verify {args.suite}", params, results), args.output)
     return _status(passed, f"verify {args.suite}")
@@ -310,12 +308,10 @@ def cmd_geom_disks_compare(args) -> int:
     tree = trees.parse_tree(args.tree)
     report = geometry.disks_comparison_trials(
         tree, args.dim, args.trials, seed=args.seed, end_tol=args.end_tol,
-        limit_tol=args.limit_tol, limit_time=args.t_min,
-        threads=_worker_count(args.threads))
+        limit_tol=args.limit_tol, limit_time=args.t_min)
     params = {"tree": args.tree, "dim": args.dim, "trials": args.trials,
               "t_min": args.t_min, "end_tol": args.end_tol,
-              "limit_tol": args.limit_tol, "seed": args.seed,
-              "threads": args.threads}
+              "limit_tol": args.limit_tol, "seed": args.seed}
     _emit(_artifact("geom disks-compare", params, report), args.output)
     return _status(report["passed"], "geom disks-compare")
 
@@ -376,19 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
                     default="poisson")
     cs.add_argument("--degree", type=int, default=2,
                     help="bracket degree, or ambient dimension for sphere")
-    cs.add_argument("--max-level", type=int, default=4, dest="max_level")
+    cs.add_argument("--max-level", type=_positive_int, default=4,
+                    dest="max_level")
     cs.add_argument("--seed", type=int, default=0)
     cs.add_argument("--output", default=None)
     cs.set_defaults(func=cmd_verify)
 
     ge = vsub.add_parser("geometry", help="membership, closure, naturality, "
                                           "and disk-comparison battery")
-    ge.add_argument("--trials", type=int, default=200)
+    ge.add_argument("--trials", type=_positive_int, default=200)
     ge.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
     ge.add_argument("--seed", type=int, default=0)
     ge.add_argument("--probes", type=int, default=20)
-    ge.add_argument("--threads", type=int, default=0,
-                    help="worker cap (0 = available parallelism)")
     ge.add_argument("--eps", type=float, default=geometry.DEFAULT_EPS)
     ge.add_argument("--output", default=None)
     ge.set_defaults(func=cmd_verify)
@@ -435,14 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
                                                "the two composites")
     gd.add_argument("--tree", default="(* (* *))")
     gd.add_argument("--dim", type=int, default=3)
-    gd.add_argument("--trials", type=int, default=100)
+    gd.add_argument("--trials", type=_positive_int, default=100)
     gd.add_argument("--t-min", type=float, default=geometry.LIMIT_TIME,
                     dest="t_min")
     gd.add_argument("--end-tol", type=_tolerance, default=1e-12, dest="end_tol")
     gd.add_argument("--limit-tol", type=_tolerance, default=geometry.LIMIT_TOL,
                     dest="limit_tol")
     gd.add_argument("--seed", type=int, default=0)
-    gd.add_argument("--threads", type=int, default=0)
     gd.add_argument("--output", default=None)
     gd.set_defaults(func=cmd_geom_disks_compare)
 

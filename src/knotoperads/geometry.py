@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -457,13 +456,14 @@ def _probe_pairs(m: int, probes: int, seed: int) -> tuple[np.ndarray, np.ndarray
     return v, w
 
 
-def _four_residuals(u_rows: np.ndarray, pair_index: dict,
-                    subsets: Sequence[tuple[int, ...]],
-                    v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Max |chain sum| per 4-subset over all probe pairs.
-
-    u_rows holds the canonical vectors u_ij (i < j) as rows; pair_index maps
-    (i, j) to its row.  Returns an array of shape (len(subsets),)."""
+def _four_residuals(s: SphereConfiguration, v: np.ndarray,
+                    w: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The 4-subsets of s and, per subset, the max |chain sum| over all
+    probe pairs (rows of v and w)."""
+    pairs = s.pairs()
+    pair_index = {pair: k for k, pair in enumerate(pairs)}
+    u_rows = np.array([s.u(i, j) for (i, j) in pairs])
+    subsets = list(itertools.combinations(range(1, s.n + 1), 4))
     gather = [[pair_index[(sub[a], sub[b])] for (a, b) in _PAIR_SLOTS]
               for sub in subsets]
     edges = u_rows[np.array(gather)]          # (S, 6, m)
@@ -476,7 +476,7 @@ def _four_residuals(u_rows: np.ndarray, pair_index: dict,
             total += term
         else:
             total -= term
-    return np.abs(total).max(axis=1)
+    return subsets, np.abs(total).max(axis=1)
 
 
 def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL,
@@ -488,11 +488,8 @@ def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL,
     unit pairs rather than expanded."""
     if s.n < 4:
         raise ValueError(f"need at least 4 points, have {s.n}")
-    pair_index = {pair: k for k, pair in enumerate(s.pairs())}
-    u_rows = np.array([s.u(i, j) for (i, j) in s.pairs()])
-    subsets = list(itertools.combinations(range(1, s.n + 1), 4))
     v, w = _probe_pairs(s.m, probes, seed)
-    residuals = _four_residuals(u_rows, pair_index, subsets, v, w)
+    subsets, residuals = _four_residuals(s, v, w)
     worst = float(residuals.max())
     return {"check": "four-consistent", "n": s.n, "m": s.m, "tol": tol,
             "probes": int(v.shape[0]), "seed": seed,
@@ -637,6 +634,12 @@ def check_sphere_cosimplicial(m: int, max_level: int = 6, per_level: int = 15,
 # -- random samplers ----------------------------------------------------------
 
 
+def _check_dimension(m: int) -> None:
+    """In R^0 all points coincide, so a separation-seeking sampler never ends."""
+    if m < 1:
+        raise ValueError(f"bad ambient dimension m={m}")
+
+
 def random_sphere_configuration(rng: np.random.Generator, n: int, m: int) -> SphereConfiguration:
     """Independent uniform unit vectors per pair (no membership conditions)."""
     u = {}
@@ -649,6 +652,7 @@ def random_sphere_configuration(rng: np.random.Generator, n: int, m: int) -> Sph
 def random_point_configuration(rng: np.random.Generator, n: int, m: int,
                                min_sep: float = 1e-3) -> PointConfiguration:
     """n points uniform in the cube, resampled until pairwise separated."""
+    _check_dimension(m)
     while True:
         pts = rng.uniform(-1.0, 1.0, size=(n, m))
         ok = all(np.linalg.norm(pts[a] - pts[b]) >= min_sep
@@ -659,6 +663,7 @@ def random_point_configuration(rng: np.random.Generator, n: int, m: int,
 
 def random_disk_configuration(rng: np.random.Generator, n: int, m: int) -> DiskConfiguration:
     """A valid disk configuration: random centers, radii shrunk to fit."""
+    _check_dimension(m)
     while True:
         pts = rng.uniform(-0.7, 0.7, size=(n, m))
         if np.linalg.norm(pts, axis=1).max() > 0.7:
@@ -685,13 +690,6 @@ def _trial_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _run_trials(trials: int, threads: int, one: Callable[[int], dict]) -> list[dict]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, range(trials)))
-    return [one(k) for k in range(trials)]
-
-
 def _aggregate_trials(name: str, outcomes: list[dict], extra: dict) -> dict:
     worst = max((o["max_residual"] for o in outcomes), default=0.0)
     failures = [o for o in outcomes if not o["passed"]]
@@ -703,58 +701,49 @@ def _aggregate_trials(name: str, outcomes: list[dict], extra: dict) -> dict:
     return report
 
 
-def membership_trials(n: int, m: int, trials: int, seed: int = 0,
-                      tol: float = DEFAULT_TOL, probes: int = 20,
-                      threads: int = 1) -> dict:
-    """Gauss-map images of random configurations pass both checks."""
-    if n < 3:
-        raise ValueError("membership trials need n >= 3")
+def _membership_suite(name: str, sample: Callable[[np.random.Generator],
+                                                  SphereConfiguration],
+                      m: int, trials: int, seed: int, tol: float, probes: int,
+                      extra: dict) -> dict:
+    """Both membership checks on sample(rng) for each trial's own stream,
+    in trial order, against one set of probe pairs for the whole suite."""
     v, w = _probe_pairs(m, probes, seed)
-    subsets = list(itertools.combinations(range(1, n + 1), 4))
-
-    def one(k: int) -> dict:
-        cfg = random_point_configuration(_trial_rng(seed, k), n, m)
-        s = gauss_map(cfg)
-        worst = check_three_dependent(s, tol)["max_residual"]
-        if subsets:
-            pair_index = {pair: idx for idx, pair in enumerate(s.pairs())}
-            u_rows = np.array([s.u(i, j) for (i, j) in s.pairs()])
-            worst = max(worst, float(
-                _four_residuals(u_rows, pair_index, subsets, v, w).max()))
-        return {"trial": k, "passed": worst <= tol, "max_residual": worst}
-
-    return _aggregate_trials("membership-trials", _run_trials(trials, threads, one),
-                             {"n": n, "m": m, "tol": tol, "seed": seed,
+    outcomes = []
+    for k in range(trials):
+        s = sample(_trial_rng(seed, k))
+        worst = check_three_dependent(s, tol)["max_residual"] if s.n >= 3 else 0.0
+        if s.n >= 4:
+            worst = max(worst, float(_four_residuals(s, v, w)[1].max()))
+        outcomes.append({"trial": k, "passed": worst <= tol, "max_residual": worst})
+    return _aggregate_trials(name, outcomes,
+                             {**extra, "m": m, "tol": tol, "seed": seed,
                               "probes": int(v.shape[0])})
 
 
+def membership_trials(n: int, m: int, trials: int, seed: int = 0,
+                      tol: float = DEFAULT_TOL, probes: int = 20) -> dict:
+    """Gauss-map images of random configurations pass both checks."""
+    if n < 3:
+        raise ValueError("membership trials need n >= 3")
+    return _membership_suite(
+        "membership-trials",
+        lambda rng: gauss_map(random_point_configuration(rng, n, m)),
+        m, trials, seed, tol, probes, {"n": n})
+
+
 def closure_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
-                   tol: float = DEFAULT_TOL, probes: int = 20,
-                   threads: int = 1) -> dict:
+                   tol: float = DEFAULT_TOL, probes: int = 20) -> dict:
     """Compositions of Gauss images along a tree still pass both checks."""
     internal = [p for p in tree.vertices() if not tree.is_leaf(p)]
-    leaves = tree.leaf_count
-    v, w = _probe_pairs(m, probes, seed)
-    subsets = list(itertools.combinations(range(1, leaves + 1), 4))
 
-    def one(k: int) -> dict:
-        rng = _trial_rng(seed, k)
+    def sample(rng: np.random.Generator) -> SphereConfiguration:
         inputs = {p: gauss_map(random_point_configuration(rng, len(tree.node_at(p)), m))
                   for p in internal}
-        s = kontsevich_compose(tree, inputs)
-        worst = 0.0
-        if s.n >= 3:
-            worst = check_three_dependent(s, tol)["max_residual"]
-        if subsets:
-            pair_index = {pair: idx for idx, pair in enumerate(s.pairs())}
-            u_rows = np.array([s.u(i, j) for (i, j) in s.pairs()])
-            worst = max(worst, float(
-                _four_residuals(u_rows, pair_index, subsets, v, w).max()))
-        return {"trial": k, "passed": worst <= tol, "max_residual": worst}
+        return kontsevich_compose(tree, inputs)
 
-    return _aggregate_trials("closure-trials", _run_trials(trials, threads, one),
-                             {"tree": tree.to_text(), "n": leaves, "m": m,
-                              "tol": tol, "seed": seed, "probes": int(v.shape[0])})
+    return _membership_suite("closure-trials", sample, m, trials, seed, tol,
+                             probes, {"tree": tree.to_text(),
+                                      "n": tree.leaf_count})
 
 
 # -- little disks --------------------------------------------------------------
@@ -862,8 +851,7 @@ def two_level_trees(max_leaves: int) -> list[RpTree]:
 
 def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
                             end_tol: float = 1e-12, limit_tol: float = LIMIT_TOL,
-                            limit_time: float = LIMIT_TIME,
-                            threads: int = 1) -> dict:
+                            limit_time: float = LIMIT_TIME) -> dict:
     """Both endpoint comparisons of the homotopy on random disk inputs:
     time 1 against gauss_map of the composition, time ~ 0 against the
     sphere-coordinate composition of the projected inputs."""
@@ -885,7 +873,7 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
                 "max_residual": max(end_gap / end_tol, limit_gap / limit_tol),
                 "end_gap": end_gap, "limit_gap": limit_gap}
 
-    outcomes = _run_trials(trials, threads, one)
+    outcomes = [one(k) for k in range(trials)]
     report = _aggregate_trials("disks-comparison", outcomes,
                                {"tree": tree.to_text(), "m": m, "seed": seed,
                                 "end_tol": end_tol, "limit_tol": limit_tol,

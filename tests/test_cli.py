@@ -114,11 +114,18 @@ class TestVerify:
         assert code1 == code2 == 0
         assert out1 == out2
 
-    def test_thread_count_does_not_change_results(self, capsys):
-        base = ["verify", "geometry", "--trials", "5", "--seed", "7"]
-        _, art1 = artifact(capsys, *base, "--threads", "1")
-        _, art2 = artifact(capsys, *base, "--threads", "4")
-        assert art1["results"] == art2["results"]
+    @pytest.mark.parametrize("argv", [
+        ["verify", "geometry", "--trials", "0"],
+        ["verify", "geometry", "--trials", "-3"],
+        ["geom", "disks-compare", "--trials", "0"],
+        ["geom", "disks-compare", "--trials", "-2"],
+        ["verify", "cosimplicial", "--max-level", "0"],
+    ])
+    def test_empty_run_is_usage_error(self, capsys, argv):
+        # zero trials or levels check nothing, so they must not report PASS
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 class TestGeomCheck:
@@ -260,6 +267,13 @@ class TestGeomDisksCompare:
         assert code == 3
         assert "depth bound" in err
 
+    def test_zero_dimension_is_bad_input(self, capsys):
+        # in R^0 every centre coincides, so no separated sample exists
+        code, _, err = run(capsys, "geom", "disks-compare", "--dim", "0",
+                           "--trials", "2")
+        assert code == 2
+        assert "dimension" in err
+
     @pytest.mark.parametrize("flag", ["--end-tol", "--limit-tol"])
     def test_nan_tolerance_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as exc:
@@ -284,9 +298,10 @@ class TestOutputs:
         assert (tmp_path / "rel.json").exists()
 
     def test_negative_threads_usage_error(self, capsys):
-        code, _, _ = run(capsys, "verify", "geometry", "--trials", "1",
-                         "--threads", "-2")
-        assert code == 2
+        # trials run serially: there is no --threads option to set
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "geometry", "--trials", "1", "--threads", "-2"])
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

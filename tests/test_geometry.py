@@ -720,10 +720,14 @@ class TestTrialRunners:
         assert rep["failed_trials"] == 5
         assert "first_failure" in rep
 
-    def test_threaded_results_identical(self):
-        seq = G.membership_trials(5, 3, trials=32, seed=37, threads=1)
-        par = G.membership_trials(5, 3, trials=32, seed=37, threads=4)
-        assert seq == par
+    def test_membership_is_closure_on_corolla(self):
+        # both samplers run through one driver on the same per-trial streams
+        for n, tol in ((5, 1e-9), (4, 1e-22)):
+            mem = G.membership_trials(n, 3, trials=12, seed=37, tol=tol)
+            clo = G.closure_trials(corolla(n), 3, trials=12, seed=37, tol=tol)
+            assert (mem.pop("check"), clo.pop("check"), clo.pop("tree")) == \
+                ("membership-trials", "closure-trials", corolla(n).to_text())
+            assert mem == clo
 
     def test_closure_trials_record_tree(self):
         t = parse_tree("((* *) * *)")
