@@ -24,6 +24,11 @@ from .errors import BoundExceededError
 
 OUTPUT_DIR_ENV = "KNOTOPERADS_OUTPUT_DIR"
 
+#: highest --max-level of ``verify s2-iso`` and ``verify cosimplicial``
+#: (exit 3 above); at the bound they take about 20 s and 33 s on 2 vCPUs
+MAX_S2_ISO_LEVEL = 16
+MAX_COSIMPLICIAL_LEVEL = 7
+
 
 # -- artifact plumbing -----------------------------------------------------------
 
@@ -175,6 +180,11 @@ def _geometry_battery(trials: int, tol: float, seed: int, probes: int,
 
 
 def cmd_verify(args) -> int:
+    bound = {"s2-iso": MAX_S2_ISO_LEVEL,
+             "cosimplicial": MAX_COSIMPLICIAL_LEVEL}.get(args.suite)
+    if bound is not None and args.max_level > bound:
+        raise BoundExceededError(f"--max-level {args.max_level} exceeds the "
+                                 f"level bound {bound}")
     if args.suite == "s2-iso":
         rep = pair_operad.check_s2_iso(args.max_level)
         params = {"max_level": args.max_level, "seed": None}

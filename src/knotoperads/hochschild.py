@@ -3,11 +3,11 @@
 C^{p,q} is the degree-q slice of the arity-p entries, and the differential
 is the alternating coface sum d = sum_{i=0}^{p+1} (-1)^i d^i -- the index
 range under which the complex squares to zero.  Each column is
-``poisson.coface_sum`` of one basis monomial: integer coefficients computed
-on monomials, with the element-level ``coface``/``circ`` kept as its test
-oracle.  The normalized complex drops monomials with a singleton block; the
-fact that makes this the exact codegeneracy kernel is proven once per level
-and process.
+``poisson.coface_sum`` of one basis monomial: integer coefficients from the
+monomial composition kernel ``poisson.circ_monomials``, tested against the
+expression normalizer.  The normalized complex drops monomials with a
+singleton block; the fact that makes this the exact codegeneracy kernel is
+proven once per level and process with ``poisson.codegeneracy_monomial``.
 
 All linear algebra is exact.  ``eliminate_units`` pivots on the +-1 entries
 first (lowest Markowitz cost, unimodular steps), so A ~ diag(I_r, S) with a
@@ -374,27 +374,28 @@ def _level_monomials(n: int, p: int, normalized: bool):
 def _assert_codegeneracy_kernel_structure(p: int) -> None:
     """Justify reading the exact kernel of all codegeneracies off monomials.
 
-    Each s^i must send every basis monomial to zero or to a single monomial
-    with coefficient one, injectively on the nonzero part.  Under that
-    structure a combination lies in every kernel iff it is supported on
-    monomials killed by every s^i, so the intersection is computed exactly.
+    ``poisson.codegeneracy_monomial`` sends a basis monomial to zero (None)
+    or to one monomial with coefficient one.  If every image is a basis
+    monomial of level p - 1 and each s^i is injective on the monomials it
+    does not kill, a combination lies in every kernel iff it is supported
+    on monomials killed by every s^i, so the intersection is exact.
 
     Neither the basis nor a codegeneracy reads the bracket degree, so the
     proof depends on p alone and runs once per level and process (a failed
     proof raises, is not cached, and so fails again on the next call).
     """
     n = 2  # any bracket degree: the proof does not depend on it
+    below = set(poisson.basis(n, max(p - 1, 0)))
     for i in range(1, p + 1):
         seen = set()
         for m in poisson.basis(n, p):
-            img = poisson.codegeneracy(i, poisson.monomial_element(n, p, m))
-            if img.is_zero():
+            img = poisson.codegeneracy_monomial(i, m)
+            if img is None:
                 continue
-            (tm, cv), = img.terms.items()
-            if cv != 1 or tm in seen:
+            if img in seen or img not in below:
                 raise AssertionError(f"codegeneracy {i} at p={p} is not a "
-                                     "partial bijection on monomials")
-            seen.add(tm)
+                                     "partial bijection onto basis monomials")
+            seen.add(img)
 
 
 def build_complex(n: int, max_p: int, normalized: bool = True,

@@ -333,7 +333,10 @@ def check_operad_axioms(op: OperadInstance, max_arity: int) -> CheckReport:
     relations run over basis triples of positive arities whose composite
     arity p+q+r-2 stays within max_arity.  Operads defining their own
     ``axiom_report`` (the opposite-category ones) are dispatched there.
+    A negative max_arity would check nothing and raises ``ValueError``.
     """
+    if max_arity < 0:
+        raise ValueError(f"max_arity must be non-negative, got {max_arity}")
     if hasattr(op, "axiom_report"):
         return op.axiom_report(max_arity)
     rep = CheckReport(f"operad-axioms[{op.name}]<={max_arity}")

@@ -7,10 +7,18 @@ first, and the blocks of a product are sorted by minimal variable.
 
 Conventions (the bracket rules are forced up to global convention; validated
 downstream by d^2 = 0, operad axioms, and the k! dimension count):
-    Leibniz       [a, bc] = [a,b] c + (-1)^((|a|+n+1)|b|) b [a,c]
+    Leibniz       [a, bc] = [a,b] c + (-1)^((|a|+n)|b|) b [a,c]
     antisymmetry  [a, b]  = -(-1)^((|a|+n)(|b|+n)) [b, a]
     Jacobi        [a,[b,c]] = [[a,b],c] + (-1)^((|a|+n)(|b|+n)) [b,[a,c]]
     Koszul        swapping adjacent product blocks costs (-1)^(|a||b|)
+
+Both structure maps are written once, on integer monomials:
+``circ_monomials`` and ``codegeneracy_monomial``.  ``circ``, ``coface`` and
+``codegeneracy`` are their (bi)linear extensions, with ``Fraction`` only in
+element coefficients, and ``coface_sum`` (a column of the ``hh``
+differential) sums the cofaces of one monomial through the same kernel.  The
+expression normalizer ``_expand`` serves ``normalize`` and ``parse_element``
+and is the tests' independent oracle for the kernel.
 
 Value encodings: a Lie word is a tuple of variable indices read left-normed,
 (a, b, c) meaning [[x_a, x_b], x_c]; a monomial is a tuple of words; an
@@ -25,7 +33,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+import functools
 
 from .errors import BoundExceededError
 from .operad_core import OperadInstance
@@ -34,12 +42,8 @@ Word = tuple[int, ...]
 Monomial = tuple[Word, ...]
 
 
-def word_degree(w: Word, n: int) -> int:
-    return (len(w) - 1) * n
-
-
 def monomial_degree(m: Monomial, n: int) -> int:
-    return sum(word_degree(w, n) for w in m)
+    return (monomial_arity(m) - len(m)) * n
 
 
 def monomial_arity(m: Monomial) -> int:
@@ -64,11 +68,6 @@ class PoissonElement:
     def degrees(self) -> set[int]:
         return {monomial_degree(m, self.n) for m in self.terms}
 
-    def homogeneous_part(self, q: int) -> "PoissonElement":
-        return PoissonElement(self.n, self.arity, {
-            m: c for m, c in self.terms.items()
-            if monomial_degree(m, self.n) == q})
-
     def add(self, other: "PoissonElement") -> "PoissonElement":
         if (self.n, self.arity) != (other.n, other.arity):
             raise ValueError("mismatched degree or arity")
@@ -80,12 +79,6 @@ class PoissonElement:
     def scale(self, c) -> "PoissonElement":
         return PoissonElement(self.n, self.arity,
                               {m: v * Fraction(c) for m, v in self.terms.items()})
-
-    def __add__(self, other):
-        return self.add(other)
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
 
     def to_text(self) -> str:
         return element_to_text(self)
@@ -107,7 +100,7 @@ def monomial_element(n: int, arity: int, m: Monomial, coeff=1) -> PoissonElement
 # -- normal-form rewriting -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _nf_pair(p: Word, q: Word, parity: int) -> tuple:
     """Normal form of [p, q] for normal words with min(p) < min(q).
 
@@ -133,23 +126,18 @@ def _bracket_words(p: Word, q: Word, n: int) -> dict[Word, int]:
 
 
 def _merge(m1: Monomial, m2: Monomial, n: int) -> tuple[Monomial, int]:
-    """Stable merge of two sorted monomials with Koszul crossing signs."""
-    sign, out = 1, []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        if m1[i][0] < m2[j][0]:
-            out.append(m1[i])
-            i += 1
-        else:
-            w = m2[j]
-            crossed = sum(word_degree(u, n) for u in m1[i:])
-            if (word_degree(w, n) * crossed) % 2:
-                sign = -sign
-            out.append(w)
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out), sign
+    """The product m1 m2 of two sorted monomials, sorted, with the Koszul
+    sign of each word of m2 moving left past words of m1.  Words hold
+    distinct letters, so sorting orders them by their minimal letter; only
+    words of odd degree (n odd, even length) contribute signs."""
+    sign = 1
+    if n % 2:
+        for w in m2:
+            if not len(w) % 2:
+                for u in m1:
+                    if u[0] > w[0] and not len(u) % 2:
+                        sign = -sign
+    return tuple(sorted(m1 + m2)), sign
 
 
 def _bracket_monomials(ma: Monomial, mb: Monomial, n: int) -> dict[Monomial, int]:
@@ -169,7 +157,7 @@ def _bracket_monomials(ma: Monomial, mb: Monomial, n: int) -> dict[Monomial, int
         mm, s = _merge(m, rest, n)
         out[mm] = out.get(mm, 0) + c * s
     # ad_ma is a derivation of degree |ma| + n for the product
-    s2 = -1 if ((monomial_degree(ma, n) + n) * word_degree(b[0], n)) % 2 else 1
+    s2 = -1 if ((monomial_degree(ma, n) + n) * monomial_degree(b, n)) % 2 else 1
     for m, c in _bracket_monomials(ma, rest, n).items():
         mm, s = _merge(b, m, n)
         out[mm] = out.get(mm, 0) + s2 * c * s
@@ -193,17 +181,31 @@ def _expr_vars(expr, seen: set) -> None:
         raise ValueError(f"malformed expression node: {expr!r}")
 
 
+#: most terms one expression may expand to in normalize and parse_element:
+#: an expression in k variables has at most k! terms at every stage, so all
+#: expressions in up to 7 variables fit (7! = 5040)
+MAX_EXPANDED_TERMS = 10_000
+
+
+def _check_expanded_size(terms: dict) -> None:
+    if len(terms) > MAX_EXPANDED_TERMS:
+        raise BoundExceededError("expression expands to more than "
+                                 f"{MAX_EXPANDED_TERMS} terms")
+
+
 def _expand(expr, n: int) -> dict[Monomial, Fraction]:
     if isinstance(expr, int):
         return {((expr,),): Fraction(1)}
     if expr[0] == "p":
         acc: dict[Monomial, Fraction] = {(): Fraction(1)}
         for sub in expr[1]:
+            factor = _expand(sub, n)
             nxt: dict[Monomial, Fraction] = {}
             for m1, c1 in acc.items():
-                for m2, c2 in _expand(sub, n).items():
+                for m2, c2 in factor.items():
                     mm, s = _merge(m1, m2, n)
                     nxt[mm] = nxt.get(mm, 0) + c1 * c2 * s
+                _check_expanded_size(nxt)
             acc = nxt
         return {m: c for m, c in acc.items() if c}
     ta, tb = _expand(expr[1], n), _expand(expr[2], n)
@@ -212,6 +214,7 @@ def _expand(expr, n: int) -> dict[Monomial, Fraction]:
         for mb, cb in tb.items():
             for m, s in _bracket_monomials(ma, mb, n).items():
                 out[m] = out.get(m, 0) + ca * cb * s
+        _check_expanded_size(out)
     return {m: c for m, c in out.items() if c}
 
 
@@ -231,82 +234,112 @@ def normalize(expr, n: int) -> PoissonElement:
 # -- operad structure ------------------------------------------------------------
 
 
-def _word_ast(w: Word):
-    ast = w[0]
-    for v in w[1:]:
-        ast = ("b", ast, v)
-    return ast
+def _subst_word(w: Word, t: int, sub: Monomial, n: int) -> dict[Monomial, int]:
+    """Normal form of the word w with its letter at index t replaced by the
+    product sub of normal words.  For t > 0 the head H = w[:t] holds min(w),
+    and each term of [H, B_1 ... B_s] brackets H into one B_j; that word
+    holds min(w) and moves to the front, for the Koszul sign of B_j passing
+    B_1 ... B_{j-1}.  Each later letter v then acts from the right as a
+    derivation of degree n, on A_j with the sign (-1)^(n |A_{j+1} ... A_r|).
+    [A_j, v] is A_j with v appended when v > min(A_j); else its words start
+    with v and move left past the blocks with larger minimal letters.  Only
+    degree parities matter: a length-k word is odd iff n is odd, k even."""
+    odd = n % 2
+    if t:
+        head, acc, before = w[:t], {}, 0
+        for j, bj in enumerate(sub):
+            odd_j = odd and not len(bj) % 2
+            rest = sub[:j] + sub[j + 1:]
+            for hw, c in _nf_pair(head, bj, odd):
+                acc[(hw,) + rest] = -c if odd_j and before else c
+            before ^= odd_j
+    else:
+        acc = {sub: 1}
+    for v in w[t + 1:]:
+        nxt: dict[Monomial, int] = {}
+        for m, c in acc.items():
+            for j in range(len(m) - 1, -1, -1):
+                a = m[j]
+                if v > a[0]:
+                    key = m[:j] + (a + (v,),) + m[j + 1:]
+                    nxt[key] = nxt.get(key, 0) + c
+                else:
+                    pos, passed = j, 0
+                    while pos and m[pos - 1][0] > v:
+                        pos -= 1
+                        passed ^= odd and not len(m[pos]) % 2
+                    for wb, x in _bracket_words(a, (v,), n).items():
+                        key = m[:pos] + (wb,) + m[pos:j] + m[j + 1:]
+                        if passed and not len(wb) % 2:
+                            x = -x
+                        nxt[key] = nxt.get(key, 0) + c * x
+                if odd and not len(a) % 2:
+                    c = -c  # the sign of the next j passes a
+        acc = {m: c for m, c in nxt.items() if c}
+    return acc
 
 
-def _relabel_word(w: Word, f) -> Word:
-    return tuple(f(v) for v in w)
-
-
-def _slot_left_degree(m: Monomial, i: int, n: int) -> int:
-    """Total degree standing left of variable i in monomial m.
-
-    A length-k word contributes its letters interleaved with k-1 bracket
-    symbols of degree n, so the letter at index t sits behind degree t*n;
-    earlier blocks contribute their full word degrees.
-    """
-    acc = 0
-    for w in m:
+def circ_monomials(ma: Monomial, i: int, mb: Monomial,
+                   n: int) -> dict[Monomial, int]:
+    """Partial composition ma o_i mb of normal-form monomials, with integer
+    coefficients: mb, raised by i - 1, replaces x_i, and the letters of ma
+    above i rise by arity(mb) - 1.  Only the word holding x_i changes
+    (:func:`_subst_word`); the blocks before it keep the smallest minimal
+    letters, and the blocks after it merge back with Koszul signs.  Moving
+    mb past the degree left of x_i (t brackets for index t in its word)
+    costs (-1)^(|mb| left)."""
+    for b, w in enumerate(ma):
         if i in w:
-            return acc + w.index(i) * n
-        acc += word_degree(w, n)
-    raise ValueError(f"variable {i} missing from monomial {m}")
+            break
+    kb, t = monomial_arity(mb), w.index(i)
+    left = monomial_degree(ma[:b], n) + t * n
+    sign = -1 if (left * monomial_degree(mb, n)) % 2 else 1
+    sub = tuple([tuple([v + i - 1 for v in u]) for u in mb])
+    up = tuple([tuple([v if v < i else v + kb - 1 for v in u]) for u in ma])
+    # distinct terms of the word merge to distinct monomials: no cancelling
+    out: dict[Monomial, int] = {}
+    for em, c in _subst_word(up[b], t, sub, n).items():
+        mm, s = _merge(up[:b] + em, up[b + 1:], n)
+        out[mm] = sign * s * c
+    return out
+
+
+def codegeneracy_monomial(i: int, m: Monomial) -> Monomial | None:
+    """Contract leaf i of one monomial: None when x_i sits inside a bracket,
+    else m without its singleton block (x_i), letters above i lowered by
+    one.  The result is a normal-form monomial with coefficient one."""
+    if (i,) not in m:
+        return None
+    return tuple(tuple(v if v < i else v - 1 for v in w)
+                 for w in m if w != (i,))
 
 
 def circ(a: PoissonElement, i: int, b: PoissonElement) -> PoissonElement:
-    """Partial composition: substitute b (relabeled upward by i-1) for x_i
-    in a (variables above i relabeled past b), then renormalize.
-
-    Moving a substituted term of odd degree past the material left of slot
-    i costs a sign, else composition would not commute with the rewrite
-    rules for odd n."""
+    """Partial composition: the bilinear extension of
+    :func:`circ_monomials`."""
     if not 1 <= i <= a.arity:
         raise ValueError(f"slot {i} out of range for arity {a.arity}")
     if a.n != b.n:
         raise ValueError("mismatched bracket degree")
-    n, kb = a.n, b.arity
-    out = zero(n, a.arity + kb - 1)
-    for mb, cb in b.terms.items():
-        db = monomial_degree(mb, n)
-        mb_shift = tuple(_relabel_word(w, lambda v: v + i - 1) for w in mb)
-        sub_ast = ("p", [_word_ast(w) for w in mb_shift])
-
-        # substitute and relabel in one pass: with kb = 0 the shift is
-        # downward and a staged relabel would collide with the slot
-        def leaf(v):
-            if v == i:
-                return sub_ast
-            return v if v < i else v + kb - 1
-
-        for ma, ca in a.terms.items():
-            sgn = -1 if (db * _slot_left_degree(ma, i, n)) % 2 else 1
-            blocks = []
-            for w in ma:
-                ast = leaf(w[0])
-                for v in w[1:]:
-                    ast = ("b", ast, leaf(v))
-                blocks.append(ast)
-            piece = PoissonElement(n, out.arity, _expand(("p", blocks), n))
-            out = out.add(piece.scale(ca * cb * sgn))
-    return out
+    out: dict[Monomial, Fraction] = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            c = ca * cb
+            for m, x in circ_monomials(ma, i, mb, a.n).items():
+                out[m] = out.get(m, 0) + c * x
+    return PoissonElement(a.n, a.arity + b.arity - 1, out)
 
 
 def codegeneracy(i: int, e: PoissonElement) -> PoissonElement:
-    """Contract leaf i: kill monomials with x_i inside a bracket, else drop
-    the singleton block and close the index gap."""
+    """Contract leaf i: the linear extension of
+    :func:`codegeneracy_monomial`."""
     if not 1 <= i <= e.arity:
         raise ValueError(f"leaf {i} out of range for arity {e.arity}")
     out: dict[Monomial, Fraction] = {}
     for m, c in e.terms.items():
-        if (i,) not in m:
-            continue
-        kept = tuple(_relabel_word(w, lambda v: v if v < i else v - 1)
-                     for w in m if w != (i,))
-        out[kept] = out.get(kept, 0) + c
+        kept = codegeneracy_monomial(i, m)
+        if kept is not None:
+            out[kept] = out.get(kept, 0) + c
     return PoissonElement(e.n, e.arity - 1, out)
 
 
@@ -331,58 +364,20 @@ def coface(i: int, e: PoissonElement) -> PoissonElement:
     raise ValueError(f"coface index {i} out of range for arity {e.arity}")
 
 
-def _split_word(w: Word, i: int, n: int) -> dict[Monomial, int]:
-    """Normal form of the word w with x_i replaced by the product
-    x_i x_{i+1} and every letter above i raised by one.
-
-    Every term is a product a b of two words, a holding the minimal letter
-    of w, so a b is sorted and each later letter v > min(a).  The letters
-    before x_i form a word P, and [P, x_i x_{i+1}] = [P, x_i] x_{i+1} +
-    x_i [P, x_{i+1}] since the product has degree zero.  Each later letter
-    then brackets on by [a b, v] = (-1)^(n|b|) [a, v] b + a [b, v], where
-    [a, v] is the word a with v appended."""
-    t = w.index(i)
-    up = tuple(v + 1 if v > i else v for v in w)
-    if t:
-        head = up[:t]
-        acc = {(head + (i,), (i + 1,)): 1, (head + (i + 1,), (i,)): 1}
-    else:
-        acc = {((i,), (i + 1,)): 1}
-    for v in up[t + 1:]:
-        nxt: dict[Monomial, int] = {}
-        for (a, b), c in acc.items():
-            key = (a + (v,), b)
-            sign = -1 if (n * word_degree(b, n)) % 2 else 1
-            nxt[key] = nxt.get(key, 0) + sign * c
-            for wb, x in _bracket_words(b, (v,), n).items():
-                nxt[(a, wb)] = nxt.get((a, wb), 0) + c * x
-        acc = {m: c for m, c in nxt.items() if c}
-    return acc
-
-
 def coface_sum(n: int, m: Monomial) -> dict[Monomial, int]:
     """The alternating coface sum  sum_{i=0}^{p+1} (-1)^i d^i(m)  of one
-    normal-form monomial m of arity p, with integer coefficients.
-
-    Agrees with summing :func:`coface` over the element of m (the test
-    oracle) without building it: d^0 prepends x1 and shifts every letter
-    up, d^{p+1} appends x_{p+1}, and an interior d^i rewrites only the
-    block holding x_i, whose two-word terms go back among the untouched,
-    relabelled blocks by a Koszul-signed merge."""
-    p = monomial_arity(m)
-    out: dict[Monomial, int] = {
-        ((1,),) + tuple(tuple(v + 1 for v in w) for w in m): 1}
-    last = m + ((p + 1,),)
-    out[last] = out.get(last, 0) + (-1 if p % 2 == 0 else 1)
-    for b, w in enumerate(m):
-        for i in w:
-            sign = -1 if i % 2 else 1
-            up = tuple(tuple(v + 1 if v > i else v for v in u) for u in m)
-            # blocks are sorted by minimal letter: the earlier blocks sit
-            # left of every split term, the later ones merge in with signs
-            for em, c in _split_word(w, i, n).items():
-                mm, s = _merge(up[:b] + em, up[b + 1:], n)
-                out[mm] = out.get(mm, 0) + sign * c * s
+    normal-form monomial m of arity p, with integer coefficients: the
+    cofaces of :func:`coface`, each taken by :func:`circ_monomials` on m
+    itself, without building an element."""
+    p, mu = monomial_arity(m), ((1,), (2,))
+    terms = [circ_monomials(mu, 2, m, n)]
+    terms += [circ_monomials(m, i, mu, n) for i in range(1, p + 1)]
+    terms.append(circ_monomials(mu, 1, m, n))
+    out: dict[Monomial, int] = {}
+    for i, img in enumerate(terms):
+        sign = -1 if i % 2 else 1
+        for mm, c in img.items():
+            out[mm] = out.get(mm, 0) + sign * c
     return {mm: c for mm, c in out.items() if c}
 
 
@@ -402,7 +397,7 @@ def _set_partitions(items: tuple) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def _basis_monomials(k: int) -> tuple:
     monos = []
     for part in _set_partitions(tuple(range(1, k + 1))):
@@ -608,31 +603,21 @@ def parse_element(text: str, n: int, arity: int | None = None) -> PoissonElement
     :class:`BoundExceededError`) and are renormalized.  All terms must use
     the same variable range 1..k."""
     parser = _Parser(_tokenize(text))
-    pieces = []
+    parts = []
     while parser.peek() is not None:
         c, ast = parser.term()
-        pieces.append((c, ast))
-    arities = set()
-    for c, ast in pieces:
         if ast is not None:
-            seen: set[int] = set()
-            _expr_vars(ast, seen)
-            arities.add(len(seen))
-            if seen != set(range(1, len(seen) + 1)):
-                raise ValueError(f"variables must be x1..xk, got {sorted(seen)}")
+            parts.append(normalize(ast, n).scale(c))
         elif c != 0:
             raise ValueError("a bare nonzero number is not a monomial")
+    arities = {e.arity for e in parts}
     if len(arities) > 1:
         raise ValueError(f"mixed arities in one element: {sorted(arities)}")
     k_vars = arities.pop() if arities else None
     if k_vars is not None and arity is not None and arity != k_vars:
         raise ValueError(f"declared arity {arity} but variables give {k_vars}")
     k = k_vars if k_vars is not None else (arity if arity is not None else 0)
-    out = zero(n, k)
-    for c, ast in pieces:
-        if ast is not None:
-            out = out.add(normalize(ast, n).scale(c))
-    return out
+    return functools.reduce(PoissonElement.add, parts, zero(n, k))
 
 
 def element_to_json_obj(e: PoissonElement) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from knotoperads import __version__, geometry
-from knotoperads.cli import main
+from knotoperads.cli import MAX_COSIMPLICIAL_LEVEL, MAX_S2_ISO_LEVEL, main
 
 
 def run(capsys, *argv):
@@ -126,6 +126,31 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("operad", ["choose-two", "poisson"])
+    def test_negative_arity_is_usage_error(self, capsys, operad):
+        code, out, err = run(capsys, "verify", "operad-axioms", "--operad",
+                             operad, "--max-arity", "-1")
+        assert code == 2
+        assert "non-negative" in err and out == ""
+        # arity 0 still checks the unit laws
+        code, art = artifact(capsys, "verify", "operad-axioms", "--operad",
+                             operad, "--max-arity", "0")
+        assert code == 0 and art["results"]["checks"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "s2-iso", "--max-level", str(MAX_S2_ISO_LEVEL + 1)],
+        ["verify", "s2-iso", "--max-level", "60"],
+        ["verify", "cosimplicial", "--max-level",
+         str(MAX_COSIMPLICIAL_LEVEL + 1)],
+        ["verify", "cosimplicial", "--operad", "sphere", "--degree", "3",
+         "--max-level", "40"],
+    ])
+    def test_level_bound_exceeded(self, capsys, argv):
+        # the bound is checked before any work, so these return at once
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert "level bound" in err and out == ""
 
 
 class TestGeomCheck:

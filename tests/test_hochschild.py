@@ -330,13 +330,13 @@ class TestBuildComplex:
 
     def test_codegeneracy_proof_once_per_level(self, monkeypatch):
         calls = []
-        real = poisson.codegeneracy
+        real = poisson.codegeneracy_monomial
 
-        def counted(i, e):
+        def counted(i, m):
             calls.append(i)
-            return real(i, e)
+            return real(i, m)
 
-        monkeypatch.setattr(poisson, "codegeneracy", counted)
+        monkeypatch.setattr(poisson, "codegeneracy_monomial", counted)
         hochschild._assert_codegeneracy_kernel_structure.cache_clear()
         build_complex(2, 5)
         # the proof calls every s^i on every basis monomial of each level
@@ -346,6 +346,23 @@ class TestBuildComplex:
         build_complex(3, 5)
         build_complex(2, 4)
         assert calls == []
+
+    @pytest.mark.parametrize("fake", [
+        # not injective: every image is the all-singleton monomial
+        lambda i, m: None if (i,) not in m else tuple(
+            (v,) for v in range(1, sum(map(len, m)))),
+        # not a basis monomial: every word of the image is reversed
+        lambda i, m, real=poisson.codegeneracy_monomial: None
+        if (i,) not in m else tuple(tuple(reversed(w)) for w in real(i, m)),
+    ], ids=["non-injective", "non-basis"])
+    def test_codegeneracy_proof_rejects_bad_images(self, monkeypatch, fake):
+        hochschild._assert_codegeneracy_kernel_structure.cache_clear()
+        monkeypatch.setattr(poisson, "codegeneracy_monomial", fake)
+        try:
+            with pytest.raises(AssertionError, match="partial bijection"):
+                build_complex(2, 3)
+        finally:
+            hochschild._assert_codegeneracy_kernel_structure.cache_clear()
 
     def test_negative_max_p(self):
         with pytest.raises(ValueError):

@@ -23,11 +23,14 @@ from knotoperads.operad_core import (
 )
 from knotoperads.poisson import (
     MAX_BRACKET_DEPTH,
+    MAX_EXPANDED_TERMS,
     PoissonElement,
     PoissonOperad,
     basis,
     circ,
+    circ_monomials,
     codegeneracy,
+    codegeneracy_monomial,
     coface,
     coface_sum,
     element_from_json,
@@ -118,16 +121,19 @@ def phi_element(e: PoissonElement) -> dict:
 
 def _subst_ast(ma, i, mb):
     """Composite of two monomials rebuilt from scratch as an expression."""
-    kb = max(v for w in mb for v in w)
+    kb = monomial_arity(mb)
     mb_shift = tuple(tuple(v + i - 1 for v in w) for w in mb)
-    ma_rel = tuple(tuple(v if v <= i else v + kb - 1 for v in w) for w in ma)
     sub = _mono_ast(mb_shift)
 
+    # substitute and relabel in one pass: with kb = 0 the shift is
+    # downward, and a staged relabel would collide with the slot
     def leaf(v):
-        return sub if v == i else v
+        if v == i:
+            return sub
+        return v if v < i else v + kb - 1
 
     blocks = []
-    for w in ma_rel:
+    for w in ma:
         ast = leaf(w[0])
         for v in w[1:]:
             ast = ("b", ast, leaf(v))
@@ -149,6 +155,12 @@ def _subst_sign(ma, i, mb, n):
         raise AssertionError(f"variable {i} not in {ma}")
     db = sum(n * (len(w) - 1) for w in mb)
     return -1 if (left * db) % 2 else 1
+
+
+def _expand_circ(ma, i, mb, n) -> dict:
+    """ma o_i mb through the expression normalizer, not the word kernel."""
+    want = normalize(_subst_ast(ma, i, mb), n)
+    return want.scale(_subst_sign(ma, i, mb, n)).terms
 
 
 def _rank_fractions(rows) -> int:
@@ -331,18 +343,33 @@ class TestCirc:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_substitution_oracle(self, n):
-        # rebuild the composite expression from scratch and normalize it,
-        # independently of circ's relabeling bookkeeping; moving an odd
+        # every basis pair and slot with composite arity <= 5, the arity-0
+        # input included: rebuild the composite expression from scratch and
+        # normalize it, independently of the word kernel; moving an odd
         # substituted term into its slot costs the infix-walk sign
+        for ka in range(1, 6):
+            for kb in range(6 - ka + 1):
+                for ma in basis(n, ka):
+                    a = monomial_element(n, ka, ma)
+                    for mb in basis(n, kb):
+                        b = monomial_element(n, kb, mb)
+                        for i in range(1, ka + 1):
+                            want = _expand_circ(ma, i, mb, n)
+                            got = circ_monomials(ma, i, mb, n)
+                            assert got == want, (ma, i, mb)
+                            assert all(type(c) is int for c in got.values())
+                            assert circ(a, i, b).terms == want
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_substitution_oracle_three_blocks_into_word(self, n):
+        # arity 6 is the first where a substituted block moves left past
+        # another odd one: x3 -> [x3,x4] x5 x6 in [[x1,x3],x2] puts x2
+        # after the substituted blocks and below their letters
         for ma in basis(n, 3):
-            for mb in basis(n, 2):
-                a = monomial_element(n, 3, ma)
-                b = monomial_element(n, 2, mb)
+            for mb in basis(n, 4):
                 for i in (1, 2, 3):
-                    got = circ(a, i, b)
-                    want = normalize(_subst_ast(ma, i, mb), n)
-                    want = want.scale(_subst_sign(ma, i, mb, n))
-                    assert got == want, (ma, i, mb)
+                    assert circ_monomials(ma, i, mb, n) == \
+                        _expand_circ(ma, i, mb, n), (ma, i, mb)
 
     def test_free_associative_oracle(self):
         # substituting a single bracket word keeps every product factor a
@@ -367,6 +394,14 @@ class TestCodegeneracy:
         assert codegeneracy(1, monomial_element(2, 2, ((1, 2),))).is_zero()
         e = monomial_element(2, 3, ((1, 3), (2,)))
         assert codegeneracy(2, e).terms == {((1, 2),): 1}
+
+    def test_monomial_values(self):
+        assert codegeneracy_monomial(1, ((1,), (2,))) == ((1,),)
+        assert codegeneracy_monomial(2, ((1,), (2,))) == ((1,),)
+        assert codegeneracy_monomial(1, ((1, 2),)) is None
+        assert codegeneracy_monomial(2, ((1, 3), (2,), (4, 5))) == \
+            ((1, 2), (3, 4))
+        assert codegeneracy_monomial(1, ((1,),)) == ()
 
     def test_degree_preserved(self):
         for n in (2, 3):
@@ -409,34 +444,39 @@ class TestCoface:
             coface(4, multiplication(2))
 
 
-def _circ_coface_sum(n, m):
-    """The alternating coface sum through coface/circ on the element of m."""
+def _expand_coface_sum(n, m):
+    """The alternating coface sum with each coface taken through the
+    expression normalizer: d^0 = mu o_2 m, d^{p+1} = mu o_1 m and
+    d^i = m o_i mu in between."""
     p = monomial_arity(m)
-    e = monomial_element(n, p, m)
-    total = zero(n, p + 1)
-    for i in range(p + 2):
-        img = coface(i, e)
-        total = total.add(img if i % 2 == 0 else img.scale(-1))
-    return total.terms
+    mu = ((1,), (2,))
+    images = [_expand_circ(mu, 2, m, n)]
+    images += [_expand_circ(m, i, mu, n) for i in range(1, p + 1)]
+    images.append(_expand_circ(mu, 1, m, n))
+    total = {}
+    for i, img in enumerate(images):
+        total = _acc(total, img, -1 if i % 2 else 1)
+    return total
 
 
 class TestCofaceSum:
-    """coface_sum against the circ path, column by column; n = 2 and 3
-    cover both Koszul parities."""
+    """coface_sum against cofaces composed through the expression normalizer
+    (_expand_circ), column by column; n = 2 and 3 cover both Koszul
+    parities."""
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_circ_on_every_monomial_to_p5(self, n):
         for p in range(6):
             for m in basis(n, p):
                 got = coface_sum(n, m)
-                assert got == _circ_coface_sum(n, m), m
+                assert got == _expand_coface_sum(n, m), m
                 assert all(type(c) is int and c for c in got.values())
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_circ_on_normalized_monomials_p6(self, n):
         for m in basis(n, 6):
             if all(len(w) > 1 for w in m):
-                assert coface_sum(n, m) == _circ_coface_sum(n, m), m
+                assert coface_sum(n, m) == _expand_coface_sum(n, m), m
 
     def test_hand_values(self):
         # d(1) = x1 - x1 cancels; d(x1) = x1x2 - x1x2 + x1x2
@@ -562,6 +602,19 @@ class TestFormats:
                      "[" * 3000 + "x1,x2" + "]" * 3000):
             with pytest.raises(BoundExceededError):
                 parse_element(text, 2)
+
+    def test_expanded_size_bound(self):
+        # a bracket of products nested d deep, in 2d + 1 variables, grows
+        # past MAX_EXPANDED_TERMS first at d = 6 (25,988 terms)
+        def nested(d, s=0):
+            inner = f"x{s + 3}" if d == 1 else nested(d - 1, s + 2)
+            return f"[x{s + 1} {inner},x{s + 2}]"
+
+        assert len(parse_element(nested(5), 2).terms) == 2612
+        assert 2612 <= MAX_EXPANDED_TERMS < 25988
+        for d in (6, 8):
+            with pytest.raises(BoundExceededError, match="terms"):
+                parse_element(nested(d), 2)
 
     @settings(max_examples=400, deadline=None, database=None,
               derandomize=True)
