@@ -25,7 +25,7 @@ from .errors import BoundExceededError
 OUTPUT_DIR_ENV = "KNOTOPERADS_OUTPUT_DIR"
 
 #: highest --max-level of ``verify s2-iso`` and ``verify cosimplicial``
-#: (exit 3 above); at the bound they take about 20 s and 33 s on 2 vCPUs
+#: (exit 3 above); at the bound each takes about 20 s on 2 vCPUs
 MAX_S2_ISO_LEVEL = 16
 MAX_COSIMPLICIAL_LEVEL = 7
 
