@@ -1,9 +1,10 @@
 """Command-line surface: cohomology tables, verification suites, geometry artifacts.
 
 Every run writes a single JSON artifact (stdout by default, or ``--output``)
-that embeds the tool version, the full parameter set including the seed, and
-the results, serialized with sorted keys so that identical run configurations
-produce byte-identical bytes.  Human-oriented one-liners go to stderr.
+that embeds the tool version, the full parameter set (with the seed of every
+seeded command), and the results, serialized with sorted keys so that
+identical run configurations produce byte-identical bytes.  Human-oriented
+one-liners go to stderr.
 
 Exit codes: 0 all checks passed, 1 a check failed (artifact still written),
 2 invalid usage or unreadable input, 3 resource bound exceeded.
@@ -145,16 +146,14 @@ def _geometry_shapes() -> list:
     return [trees.parse_tree(t) for t in texts]
 
 
-def _geometry_battery(trials: int, tol: float, seed: int, probes: int,
-                      eps: float) -> dict:
+def _geometry_battery(trials: int, tol: float, seed: int, eps: float) -> dict:
     suites = []
     for m in (3, 4, 5):
-        suites.append(geometry.membership_trials(
-            6, m, trials, seed=seed, tol=tol, probes=probes))
+        suites.append(geometry.membership_trials(6, m, trials, seed=seed, tol=tol))
     for tree in _geometry_shapes():
         for m in (3, 4, 5):
-            suites.append(geometry.closure_trials(
-                tree, m, trials, seed=seed, tol=tol, probes=probes))
+            suites.append(geometry.closure_trials(tree, m, trials, seed=seed,
+                                                  tol=tol))
     naturality = []
     for n in range(7):
         rep = geometry.check_insertion_naturality(
@@ -211,9 +210,8 @@ def cmd_verify(args) -> int:
         passed = rep.passed
     else:  # geometry
         params = {"trials": args.trials, "tol": args.tol, "seed": args.seed,
-                  "probes": args.probes, "eps": args.eps}
-        results = _geometry_battery(args.trials, args.tol, args.seed,
-                                    args.probes, args.eps)
+                  "eps": args.eps}
+        results = _geometry_battery(args.trials, args.tol, args.seed, args.eps)
         passed = results["passed"]
     _emit(_artifact(f"verify {args.suite}", params, results), args.output)
     return _status(passed, f"verify {args.suite}")
@@ -252,10 +250,8 @@ def cmd_geom_check(args) -> int:
         sphere = geometry.SphereConfiguration.from_json_obj(data)
     else:
         sphere = geometry.gauss_map(geometry.PointConfiguration.from_json_obj(data))
-    report = geometry.membership_report(sphere, tol=args.tol,
-                                        probes=args.probes, seed=args.seed)
-    params = {"input": os.path.basename(args.input), "tol": args.tol,
-              "probes": args.probes, "seed": args.seed}
+    report = geometry.membership_report(sphere, tol=args.tol)
+    params = {"input": os.path.basename(args.input), "tol": args.tol}
     results = {"configuration": sphere.to_json_obj(), "membership": report}
     _emit(_artifact("geom check", params, results), args.output)
     return _status(report["passed"], "geom check")
@@ -277,10 +273,8 @@ def cmd_geom_compose(args) -> int:
     inputs = {_parse_path(k): geometry.SphereConfiguration.from_json_obj(v)
               for k, v in data["inputs"].items()}
     composed = geometry.kontsevich_compose(tree, inputs)
-    report = geometry.membership_report(composed, tol=args.tol,
-                                        probes=args.probes, seed=args.seed)
-    params = {"input": os.path.basename(args.input), "tol": args.tol,
-              "probes": args.probes, "seed": args.seed}
+    report = geometry.membership_report(composed, tol=args.tol)
+    params = {"input": os.path.basename(args.input), "tol": args.tol}
     results = {"tree": tree.to_text(), "configuration": composed.to_json_obj(),
                "membership": report}
     _emit(_artifact("geom compose", params, results), args.output)
@@ -301,11 +295,10 @@ def cmd_geom_knot_eval(args) -> int:
         times = tuple(sorted(rng.uniform(-0.98, 0.98, args.times).tolist()))
     cfg = geometry.knot_eval(curve, times)
     sphere = geometry.gauss_map(cfg) if not cfg.pair_directions else None
-    report = (geometry.membership_report(sphere, tol=args.tol,
-                                         probes=args.probes, seed=args.seed)
+    report = (geometry.membership_report(sphere, tol=args.tol)
               if sphere is not None and cfg.n >= 3 else None)
     params = {"curve": args.curve, "times": len(times), "at": args.at,
-              "tol": args.tol, "probes": args.probes, "seed": args.seed}
+              "tol": args.tol, "seed": args.seed}
     results = {"times": list(times), "configuration": cfg.to_json_obj()}
     if report is not None:
         results["membership"] = report
@@ -393,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--trials", type=_positive_int, default=200)
     ge.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
     ge.add_argument("--seed", type=int, default=0)
-    ge.add_argument("--probes", type=int, default=20)
     ge.add_argument("--eps", type=float, default=geometry.DEFAULT_EPS)
     ge.add_argument("--output", default=None)
     ge.set_defaults(func=cmd_verify)
@@ -405,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "configuration file")
     gc.add_argument("--input", required=True)
     gc.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
-    gc.add_argument("--probes", type=int, default=20)
-    gc.add_argument("--seed", type=int, default=0)
     gc.add_argument("--output", default=None)
     gc.set_defaults(func=cmd_geom_check)
 
@@ -416,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON file with 'tree' text and 'inputs' keyed by "
                          "internal-vertex path, e.g. '' or '0,1'")
     gp.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
-    gp.add_argument("--probes", type=int, default=20)
-    gp.add_argument("--seed", type=int, default=0)
     gp.add_argument("--output", default=None)
     gp.set_defaults(func=cmd_geom_compose)
 
@@ -431,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="explicit comma-separated times, overrides --times "
                          "(write --at=-0.5,0,0.5 when the first is negative)")
     gk.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
-    gk.add_argument("--probes", type=int, default=20)
     gk.add_argument("--seed", type=int, default=0)
     gk.add_argument("--output", default=None)
     gk.set_defaults(func=cmd_geom_knot_eval)

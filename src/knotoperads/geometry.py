@@ -1,7 +1,8 @@
 """Floating-point configuration geometry on spheres.
 
 Gauss maps of point configurations, the three-dependence/four-consistency
-membership checks for compactified configurations, operad composition on
+membership checks for compactified configurations (four-consistency decided
+exactly from the coefficients of its identity), operad composition on
 sphere coordinates with its coface/codegeneracy maps, the little-disks
 comparison homotopy, the endpoint-stretching maps lambda/pi_k taking
 long-knot data to sphere configurations, and evaluation of sampled knots.
@@ -21,12 +22,14 @@ Conventions fixed here once and used throughout:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import BoundExceededError
 from .trees import RpTree, TreeMorphism, join_vertex
 from .operad_core import CheckReport, CosimplicialObject, OperadInstance, \
     check_cosimplicial_identities
@@ -310,10 +313,6 @@ class DiskConfiguration:
                 f"radii={self.radii!r})")
 
 
-def identity_disks(m: int) -> DiskConfiguration:
-    return DiskConfiguration(m, [(0.0,) * m], [1.0])
-
-
 # -- Gauss map ---------------------------------------------------------------
 
 
@@ -386,6 +385,8 @@ def check_three_dependent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
 
 _PAIR_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _SLOT_INDEX = {p: k for k, p in enumerate(_PAIR_SLOTS)}
+MAX_FOUR_DIM = 16             # C(m+2, 3)^2 = 666k coefficients per subset at 16
+_FOUR_BATCH_CELLS = 1 << 18   # array cells per batch of 4-subsets
 
 
 def _perm_parity(seq: Sequence[int]) -> int:
@@ -426,40 +427,59 @@ def complement_chain(seq: Sequence[int]) -> tuple[int, ...]:
     return (k, i, l, j)
 
 
-def _chain_terms() -> tuple:
-    terms = []
-    for seq in itertools.permutations(range(4)):
-        if seq[0] > seq[3]:
-            continue  # modulo reversal
-        comp = complement_chain(seq)
-        path_idx = tuple(_SLOT_INDEX[tuple(sorted((seq[t], seq[t + 1])))]
-                         for t in range(3))
-        comp_idx = tuple(_SLOT_INDEX[tuple(sorted((comp[t], comp[t + 1])))]
-                         for t in range(3))
-        terms.append((_perm_parity(seq), path_idx, comp_idx))
-    return tuple(terms)
+def _chain_terms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 12 chains use 12 distinct edge triples, and each complement is
+    again one of them: the triples' slots (3, 12), each chain's sign, and
+    the index of its complement's triple."""
+    def triple(seq: Sequence[int]) -> tuple[int, ...]:
+        return tuple(sorted(_SLOT_INDEX[tuple(sorted(seq[t:t + 2]))] for t in range(3)))
+
+    paths = [seq for seq in itertools.permutations(range(4))
+             if seq[0] < seq[3]]  # modulo reversal
+    triples = [triple(seq) for seq in paths]
+    return (np.array(triples).T, np.array([_perm_parity(seq) for seq in paths]),
+            np.array([triples.index(triple(complement_chain(seq))) for seq in paths]))
 
 
-_CHAIN_TERMS = _chain_terms()
+_CHAIN_SLOTS, _CHAIN_SIGNS, _COMPLEMENTS = _chain_terms()
 
 
-def _probe_pairs(m: int, probes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """All m^2 coordinate-basis pairs plus `probes` random unit pairs."""
-    eye = np.eye(m)
-    v_rows = [eye[a] for a in range(m) for _ in range(m)]
-    w_rows = [eye[b] for _ in range(m) for b in range(m)]
-    rng = np.random.default_rng(seed)
-    raw = rng.standard_normal((2 * probes, m))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    v = np.vstack([v_rows, raw[:probes]]) if probes else np.array(v_rows)
-    w = np.vstack([w_rows, raw[probes:]]) if probes else np.array(w_rows)
-    return v, w
+@functools.cache
+def _cubic_fold(m: int) -> np.ndarray:
+    """The 0/1 matrix (m^3, C(m+2, 3)) taking a flattened tensor T to the
+    coefficients of sum_ijk T_ijk v_i v_j v_k on the degree-3 monomials."""
+    column = {mono: k for k, mono in enumerate(
+        itertools.combinations_with_replacement(range(m), 3))}
+    fold = np.eye(len(column))[[column[tuple(sorted(ijk))]
+                                for ijk in itertools.product(range(m), repeat=3)]]
+    fold.flags.writeable = False
+    return fold
 
 
-def _four_residuals(s: SphereConfiguration, v: np.ndarray,
-                    w: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The 4-subsets of s and, per subset, the max |chain sum| over all
-    probe pairs (rows of v and w)."""
+def _four_coefficients(edges: np.ndarray) -> np.ndarray:
+    """The chain sums of 4-subsets with edge vectors ``edges`` (S, 6, m), in
+    _PAIR_SLOTS order, as coefficient matrices (S, K, K) on the monomials
+    v^alpha w^beta, |alpha| = |beta| = 3: C = sum_t sign_t F[t]^T F[comp_t],
+    where row k of F is the cubic form of chain triple k on the monomials."""
+    a, b, c = _CHAIN_SLOTS
+    cubes = edges[:, a, :, None, None] * edges[:, b, None, :, None] \
+        * edges[:, c, None, None, :]                                  # (S, 12, m, m, m)
+    forms = cubes.reshape(len(edges), 12, -1) @ _cubic_fold(edges.shape[2])
+    return np.swapaxes(forms * _CHAIN_SIGNS[:, None], 1, 2) @ forms[:, _COMPLEMENTS]
+
+
+def _four_residuals(s: SphereConfiguration) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The 4-subsets of s and, per subset, the l1 norm of the coefficients of
+    its chain sum P(v, w) (see _four_coefficients).
+
+    On unit vectors every monomial is at most 1 in absolute value, so the
+    residual bounds |P(v, w)| at every unit pair: it is at least as strict
+    as evaluating P at any set of pairs.  It is zero exactly when P vanishes
+    identically, that is, when the identity holds.  Dimensions above
+    MAX_FOUR_DIM raise BoundExceededError."""
+    if s.m > MAX_FOUR_DIM:
+        raise BoundExceededError(f"dimension {s.m} exceeds the four-consistency "
+                                 f"dimension bound {MAX_FOUR_DIM}")
     pairs = s.pairs()
     pair_index = {pair: k for k, pair in enumerate(pairs)}
     u_rows = np.array([s.u(i, j) for (i, j) in pairs])
@@ -467,42 +487,33 @@ def _four_residuals(s: SphereConfiguration, v: np.ndarray,
     gather = [[pair_index[(sub[a], sub[b])] for (a, b) in _PAIR_SLOTS]
               for sub in subsets]
     edges = u_rows[np.array(gather)]          # (S, 6, m)
-    a = edges @ v.T                           # (S, 6, P)
-    b = edges @ w.T
-    total = np.zeros((len(subsets), v.shape[0]))
-    for sign, (p0, p1, p2), (q0, q1, q2) in _CHAIN_TERMS:
-        term = a[:, p0] * a[:, p1] * a[:, p2] * b[:, q0] * b[:, q1] * b[:, q2]
-        if sign > 0:
-            total += term
-        else:
-            total -= term
-    return subsets, np.abs(total).max(axis=1)
+    step = max(1, _FOUR_BATCH_CELLS // (_cubic_fold(s.m).shape[1] ** 2 + 12 * s.m ** 3))
+    return subsets, np.concatenate([
+        np.abs(_four_coefficients(edges[lo:lo + step])).sum(axis=(1, 2))
+        for lo in range(0, len(subsets), step)])
 
 
-def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL,
-                          probes: int = 20, seed: int = 0) -> dict:
-    """Evaluate the signed chain/complement identity on every 4-subset.
+def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
+    """Decide the signed chain/complement identity on every 4-subset.
 
-    The identity is polynomial of bidegree (3, 3) in the probe pair (v, w);
-    it is sampled on all coordinate-basis pairs plus `probes` seeded random
-    unit pairs rather than expanded."""
+    The identity is a polynomial of bidegree (3, 3) in a pair of unit
+    vectors (v, w).  It is decided from its exact coefficients: a subset's
+    residual is their l1 norm, which bounds the chain sum at every unit pair
+    and is zero exactly when the identity holds (see _four_residuals)."""
     if s.n < 4:
         raise ValueError(f"need at least 4 points, have {s.n}")
-    v, w = _probe_pairs(s.m, probes, seed)
-    subsets, residuals = _four_residuals(s, v, w)
+    subsets, residuals = _four_residuals(s)
     worst = float(residuals.max())
     return {"check": "four-consistent", "n": s.n, "m": s.m, "tol": tol,
-            "probes": int(v.shape[0]), "seed": seed,
             "passed": worst <= tol, "max_residual": worst,
             "subsets": [{"subset": list(sub), "residual": float(r)}
                         for sub, r in zip(subsets, residuals)]}
 
 
-def membership_report(s: SphereConfiguration, tol: float = DEFAULT_TOL,
-                      probes: int = 20, seed: int = 0) -> dict:
+def membership_report(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
     """Both membership checks, skipping the ones below their arity."""
     three = check_three_dependent(s, tol) if s.n >= 3 else None
-    four = check_four_consistent(s, tol, probes, seed) if s.n >= 4 else None
+    four = check_four_consistent(s, tol) if s.n >= 4 else None
     passed = all(rep["passed"] for rep in (three, four) if rep is not None)
     worst = max((rep["max_residual"] for rep in (three, four)
                  if rep is not None), default=0.0)
@@ -703,36 +714,35 @@ def _aggregate_trials(name: str, outcomes: list[dict], extra: dict) -> dict:
 
 def _membership_suite(name: str, sample: Callable[[np.random.Generator],
                                                   SphereConfiguration],
-                      m: int, trials: int, seed: int, tol: float, probes: int,
+                      m: int, trials: int, seed: int, tol: float,
                       extra: dict) -> dict:
     """Both membership checks on sample(rng) for each trial's own stream,
-    in trial order, against one set of probe pairs for the whole suite."""
-    v, w = _probe_pairs(m, probes, seed)
+    in trial order; four-consistency is decided exactly, so the seed draws
+    nothing but the samples."""
     outcomes = []
     for k in range(trials):
         s = sample(_trial_rng(seed, k))
         worst = check_three_dependent(s, tol)["max_residual"] if s.n >= 3 else 0.0
         if s.n >= 4:
-            worst = max(worst, float(_four_residuals(s, v, w)[1].max()))
+            worst = max(worst, float(_four_residuals(s)[1].max()))
         outcomes.append({"trial": k, "passed": worst <= tol, "max_residual": worst})
     return _aggregate_trials(name, outcomes,
-                             {**extra, "m": m, "tol": tol, "seed": seed,
-                              "probes": int(v.shape[0])})
+                             {**extra, "m": m, "tol": tol, "seed": seed})
 
 
 def membership_trials(n: int, m: int, trials: int, seed: int = 0,
-                      tol: float = DEFAULT_TOL, probes: int = 20) -> dict:
+                      tol: float = DEFAULT_TOL) -> dict:
     """Gauss-map images of random configurations pass both checks."""
     if n < 3:
         raise ValueError("membership trials need n >= 3")
     return _membership_suite(
         "membership-trials",
         lambda rng: gauss_map(random_point_configuration(rng, n, m)),
-        m, trials, seed, tol, probes, {"n": n})
+        m, trials, seed, tol, {"n": n})
 
 
 def closure_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
-                   tol: float = DEFAULT_TOL, probes: int = 20) -> dict:
+                   tol: float = DEFAULT_TOL) -> dict:
     """Compositions of Gauss images along a tree still pass both checks."""
     internal = [p for p in tree.vertices() if not tree.is_leaf(p)]
 
@@ -742,8 +752,7 @@ def closure_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
         return kontsevich_compose(tree, inputs)
 
     return _membership_suite("closure-trials", sample, m, trials, seed, tol,
-                             probes, {"tree": tree.to_text(),
-                                      "n": tree.leaf_count})
+                             {"tree": tree.to_text(), "n": tree.leaf_count})
 
 
 # -- little disks --------------------------------------------------------------

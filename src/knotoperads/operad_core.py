@@ -265,19 +265,20 @@ def _arrows_from(c: CosimplicialObject, n: int, max_level: int):
             yield (f"s^{i}", n - 1, _sigma(n, i), c.codegeneracy(n, i))
 
 
-def _composite_table(c: CosimplicialObject, start: int, end: int,
+def _composite_table(c: CosimplicialObject, levels: list, start: int, end: int,
                      f1: Arrow, f2: Arrow) -> list:
     """Tabulate the two-step composite arrow start -> mid -> end.
 
-    Outputs are aligned with the keying level's element order, so elements
+    Outputs are aligned with the keying level's element order in ``levels``
+    (the element list of each level, built once per check), so elements
     need not be hashable.  This is the single point handling
     opposite-category composition: for a backward object the stored
     functions compose in reversed order, and the table runs over end-level
     elements.
     """
     if c.direction == "backward":
-        return [f1(f2(y)) for y in c.level_elements(end)]
-    return [f2(f1(x)) for x in c.level_elements(start)]
+        return [f1(f2(y)) for y in levels[end]]
+    return [f2(f1(x)) for x in levels[start]]
 
 
 def check_cosimplicial_identities(c: CosimplicialObject,
@@ -290,17 +291,17 @@ def check_cosimplicial_identities(c: CosimplicialObject,
     coface/coface, codegeneracy/codegeneracy, and mixed identities at once.
     """
     rep = CheckReport(f"cosimplicial-identities<={max_level}")
+    levels = [list(c.level_elements(n)) for n in range(max_level + 1)]
     groups: dict[tuple, list] = {}
     for n in range(max_level + 1):
         for lab1, mid, ord1, f1 in _arrows_from(c, n, max_level):
             for lab2, end, ord2, f2 in _arrows_from(c, mid, max_level):
                 ordc = tuple(ord2[v] for v in ord1)
-                table = _composite_table(c, n, end, f1, f2)
+                table = _composite_table(c, levels, n, end, f1, f2)
                 groups.setdefault((n, end, ordc), []).append(
                     (f"{lab2} {lab1}", table))
     for (n, end, ordc), items in groups.items():
-        key_level = end if c.direction == "backward" else n
-        inputs = list(c.level_elements(key_level))
+        inputs = levels[end if c.direction == "backward" else n]
         label0, table0 = items[0]
         for label, table in items[1:]:
             same = table == table0

@@ -127,6 +127,21 @@ class TestVerify:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "geometry", "--probes", "20"],
+        ["geom", "check", "--input", "cfg.json", "--probes", "20"],
+        ["geom", "compose", "--input", "comp.json", "--probes", "20"],
+        ["geom", "knot-eval", "--probes", "20"],
+        ["geom", "check", "--input", "cfg.json", "--seed", "0"],
+        ["geom", "compose", "--input", "comp.json", "--seed", "0"],
+    ])
+    def test_removed_probe_options_are_usage_errors(self, capsys, argv):
+        # four-consistency is decided exactly: nothing is left to sample
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     @pytest.mark.parametrize("operad", ["choose-two", "poisson"])
     def test_negative_arity_is_usage_error(self, capsys, operad):
         code, out, err = run(capsys, "verify", "operad-axioms", "--operad",
@@ -179,6 +194,17 @@ class TestGeomCheck:
         code, art = artifact(capsys, "geom", "check", "--input", str(path))
         assert code == 1
         assert not art["results"]["membership"]["passed"]
+
+    def test_dimension_bound_exceeded(self, capsys, tmp_path):
+        m = geometry.MAX_FOUR_DIM + 1
+        axis = [1.0] + [0.0] * (m - 1)
+        cfg = {"m": m, "n": 4, "u": {f"{i},{j}": axis for i in range(1, 5)
+                                     for j in range(i + 1, 5)}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, "geom", "check", "--input", str(path))
+        assert code == 3
+        assert "dimension bound" in err and out == ""
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "geom", "check", "--input",

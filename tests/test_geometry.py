@@ -43,6 +43,12 @@ def _naive_chain_sum(s, subset, v, w):
     return total / 2.0
 
 
+def _monomials(v):
+    """The degree-3 monomials of v, in combinations_with_replacement order."""
+    return np.array([v[i] * v[j] * v[k] for i, j, k in
+                     itertools.combinations_with_replacement(range(len(v)), 3)])
+
+
 def _fd_last_coordinate_rate(x, eps, h=1e-7):
     """Central difference of lambda's last coordinate along the axis."""
     up = list(x)
@@ -238,15 +244,30 @@ class TestFourConsistent:
 
     def test_against_naive_permutation_sum(self):
         # generic configuration: the sums are O(1), so this pins the sign
-        # conventions, not just the vanishing
+        # conventions, not just the vanishing.  The coefficient matrix,
+        # evaluated at all basis pairs and at random unit pairs, must equal
+        # the naive sum, and its l1 norm (the residual) must bound it.
         rng = np.random.default_rng(11)
-        s = G.random_sphere_configuration(rng, 5, 3)
-        rep = G.check_four_consistent(s, probes=0)
-        for entry in rep["subsets"]:
-            sub = tuple(entry["subset"])
-            naive = max(abs(_naive_chain_sum(s, sub, _basis(3, a), _basis(3, b)))
-                        for a in range(3) for b in range(3))
-            assert entry["residual"] == pytest.approx(naive, abs=1e-12)
+        for m in (3, 4):
+            s = G.random_sphere_configuration(rng, 5, m)
+            rep = G.check_four_consistent(s)
+            raw = rng.standard_normal((40, m))
+            unit_rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            pairs = [(_basis(m, a), _basis(m, b))
+                     for a in range(m) for b in range(m)]
+            pairs += [(tuple(v), tuple(w))
+                      for v, w in zip(unit_rows[:20], unit_rows[20:])]
+            for entry in rep["subsets"]:
+                sub = tuple(entry["subset"])
+                edges = [[s.u(sub[a], sub[b]) for a, b in G._PAIR_SLOTS]]
+                coeffs = G._four_coefficients(np.array(edges))[0]
+                assert np.abs(coeffs).sum() == pytest.approx(entry["residual"],
+                                                              rel=1e-12)
+                for v, w in pairs:
+                    naive = _naive_chain_sum(s, sub, v, w)
+                    exact = _monomials(v) @ coeffs @ _monomials(w)
+                    assert exact == pytest.approx(naive, abs=1e-12)
+                    assert entry["residual"] >= abs(naive)
 
     def test_gauss_images_pass(self):
         rng = np.random.default_rng(6)
@@ -254,7 +275,6 @@ class TestFourConsistent:
             s = G.gauss_map(G.random_point_configuration(rng, n, m))
             rep = G.check_four_consistent(s, tol=1e-9)
             assert rep["passed"], rep
-            assert rep["probes"] == m * m + 20
 
     def test_generic_configuration_fails(self):
         rng = np.random.default_rng(7)
