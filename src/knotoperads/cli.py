@@ -249,7 +249,9 @@ def cmd_geom_check(args) -> int:
     if "u" in data:
         sphere = geometry.SphereConfiguration.from_json_obj(data)
     else:
-        sphere = geometry.gauss_map(geometry.PointConfiguration.from_json_obj(data))
+        points = geometry.PointConfiguration.from_json_obj(data)
+        geometry.check_report_points(points.n)  # before the Gauss map's C(n, 2) pairs
+        sphere = geometry.gauss_map(points)
     report = geometry.membership_report(sphere, tol=args.tol)
     params = {"input": os.path.basename(args.input), "tol": args.tol}
     results = {"configuration": sphere.to_json_obj(), "membership": report}

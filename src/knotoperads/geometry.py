@@ -1,11 +1,17 @@
 """Floating-point configuration geometry on spheres.
 
 Gauss maps of point configurations, the three-dependence/four-consistency
-membership checks for compactified configurations (four-consistency decided
-exactly from the coefficients of its identity), operad composition on
+membership checks for compactified configurations, operad composition on
 sphere coordinates with its coface/codegeneracy maps, the little-disks
 comparison homotopy, the endpoint-stretching maps lambda/pi_k taking
 long-knot data to sphere configurations, and evaluation of sampled knots.
+
+The membership checks are two numpy kernels over stacks of vectors:
+three-dependence enumerates the candidate combinations of every 3-loop by
+support, with the scalar arithmetic of ``dot`` and ``norm`` so residuals
+are bit-identical to a per-loop enumeration, and four-consistency is
+decided exactly from the coefficients of its identity.  One configuration
+is a stack of one; trial suites stack a chunk of samples per pass.
 
 Conventions fixed here once and used throughout:
 
@@ -57,11 +63,17 @@ def north(m: int) -> Vector:
 
 
 def dot(a: Vector, b: Vector) -> float:
-    return sum(x * y for x, y in zip(a, b))
+    """The products added in index order from 0.0, the order the batched
+    membership kernels repeat (Python 3.12's sum() compensates, so a sum()
+    here would round differently there)."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def norm(a: Vector) -> float:
-    return math.sqrt(sum(x * x for x in a))
+    return math.sqrt(dot(a, a))
 
 
 def unit(v: Sequence[float]) -> Vector:
@@ -85,9 +97,12 @@ def unit(v: Sequence[float]) -> Vector:
 
 
 def _as_vector(x: Sequence[float], m: int, what: str) -> Vector:
+    """x as a tuple of m finite floats (a NaN would pass every tolerance test)."""
     t = tuple(float(c) for c in x)
     if len(t) != m:
         raise ValueError(f"{what} has dimension {len(t)}, expected {m}")
+    if not all(map(math.isfinite, t)):
+        raise ValueError(f"{what} has a non-finite coordinate")
     return t
 
 
@@ -328,51 +343,119 @@ def gauss_map(c: PointConfiguration) -> SphereConfiguration:
     return SphereConfiguration(c.m, c.n, u)
 
 
+# -- membership: batched kernels ----------------------------------------------
+
+# Both checks run on stacks of vectors gathered from pair rows: the u_ij,
+# i < j, of one or many configurations as an array (..., C(n, 2), m) in
+# pairs() order.  A single configuration is a stack of one; a trial suite
+# stacks a chunk of samples and decides them in one pass.
+
+#: most points a membership report covers (exit 3 above): it lists every
+#: 3-loop and 4-subset, C(32, 4) = 35,960 of them at the bound
+MAX_REPORT_POINTS = 32
+_TRIAL_CHUNK = 50             # trials a suite samples and decides together
+_LOOP_SIGNS = np.array([[1.0], [1.0], [-1.0]])   # (u_ij, u_jk, u_ik) -> u_ki = -u_ik
+
+
+def check_report_points(n: int) -> None:
+    """Raise BoundExceededError when a membership report on n points would
+    exceed MAX_REPORT_POINTS."""
+    if n > MAX_REPORT_POINTS:
+        raise BoundExceededError(f"{n} points exceed the membership report's "
+                                 f"point bound {MAX_REPORT_POINTS}")
+
+
+def _pair_rows(s: SphereConfiguration) -> np.ndarray:
+    """The coordinates u_ij, i < j, as rows (C(n, 2), m) in pairs() order."""
+    return np.array(list(s._u.values())).reshape(len(s._u), s.m)
+
+
+@functools.cache
+def _subset_rows(n: int, k: int) -> np.ndarray:
+    """Per k-subset of {1..n}, in combinations order, the pair-row indices
+    of its C(k, 2) pairs, also in combinations order: (C(n, k), C(k, 2))."""
+    row = {pair: r for r, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
+    out = np.array([[row[pair] for pair in itertools.combinations(sub, 2)]
+                    for sub in itertools.combinations(range(1, n + 1), k)], dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 # -- membership: three-dependence --------------------------------------------
 
 
-def _support_candidates(a: Vector, b: Vector, c: Vector, tol: float):
-    """Residuals of candidate non-negative vanishing combinations of three
-    unit vectors, by support: antipodal pairs (2-support) and the three
-    3-support solves with one coefficient normalized to 1."""
-    vecs = (a, b, c)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of coordinate-row stacks (m, L) -> (L,), summed from 0.0
+    coordinate by coordinate in the order dot sums them, so they are the
+    same floats dot returns (no einsum or matmul, whose order differs)."""
+    total = np.zeros(a.shape[1:])
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(a, a))
+
+
+def _three_residuals(loops: np.ndarray, tol: float) -> np.ndarray:
+    """Per loop of the stack loops (L, 3, m), the least norm of a candidate
+    non-negative vanishing combination of its three unit vectors.
+
+    The candidates are found by support: each pair's sum (antipodal pairs),
+    each pair's 2-support solve (min over alpha of |alpha v_p + v_q|, kept
+    when alpha >= -tol), and the three 3-support solves with one coefficient
+    normalized to 1 (kept when the pair's Gram determinant is at least 1e-14
+    and both solved coefficients are >= -tol).  Every loop computes every
+    candidate; np.where drops the ones a condition rules out, and the
+    arithmetic is that of dot and norm, so each residual is bit-identical to
+    the scalar enumeration."""
+    vecs = np.ascontiguousarray(np.moveaxis(loops, 0, -1))   # (3, m, L)
+    best = np.full(len(loops), np.inf)
     for p, q in itertools.combinations(range(3), 2):
-        yield norm(tuple(x + y for x, y in zip(vecs[p], vecs[q])))
-        # 2-support solve: min over alpha of |alpha v_p + v_q|
-        alpha = -dot(vecs[p], vecs[q])
-        if alpha >= -tol:
-            yield norm(tuple(alpha * x + y for x, y in zip(vecs[p], vecs[q])))
+        vp, vq = vecs[p], vecs[q]
+        best = np.minimum(best, _norms(vp + vq))
+        alpha = -_dots(vp, vq)
+        best = np.minimum(best, np.where(alpha >= -tol, _norms(alpha * vp + vq), np.inf))
     for pivot in range(3):
         p, q = [k for k in range(3) if k != pivot]
         vp, vq, vc = vecs[p], vecs[q], vecs[pivot]
-        gpp, gpq, gqq = dot(vp, vp), dot(vp, vq), dot(vq, vq)
+        gpp, gpq, gqq = _dots(vp, vp), _dots(vp, vq), _dots(vq, vq)
         det = gpp * gqq - gpq * gpq
-        if abs(det) < 1e-14:
-            continue  # parallel pair; the antipodal branch covers it
-        rp, rq = -dot(vp, vc), -dot(vq, vc)
+        # below 1e-14 the pair is parallel; the antipodal branch covers it
+        solvable = np.abs(det) >= 1e-14
+        det = np.where(solvable, det, 1.0)
+        rp, rq = -_dots(vp, vc), -_dots(vq, vc)
         alpha = (rp * gqq - rq * gpq) / det
         beta = (gpp * rq - gpq * rp) / det
-        if alpha >= -tol and beta >= -tol:
-            yield norm(tuple(alpha * x + beta * y + z
-                             for x, y, z in zip(vp, vq, vc)))
+        keep = solvable & (alpha >= -tol) & (beta >= -tol)
+        best = np.minimum(best, np.where(keep, _norms(alpha * vp + beta * vq + vc), np.inf))
+    return best
+
+
+def _loop_residuals(rows: np.ndarray, n: int, tol: float) -> np.ndarray:
+    """Three-dependence residuals (..., C(n, 3)) of the configurations with
+    pair rows (..., C(n, 2), m), one per loop (i, j, k) in combinations
+    order, on the vectors (u_ij, u_jk, u_ki)."""
+    loops = rows[..., _subset_rows(n, 3)[:, [0, 2, 1]], :] * _LOOP_SIGNS
+    return _three_residuals(loops.reshape(-1, 3, rows.shape[-1]),
+                            tol).reshape(loops.shape[:-2])
 
 
 def check_three_dependent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
     """For every 3-loop {ij, jk, ki}: is 0 a nontrivial non-negative
-    combination of u_ij, u_jk, u_ki?  Decided by support enumeration."""
+    combination of u_ij, u_jk, u_ki?  Decided by the batched kernel
+    _three_residuals on the configuration's loops, as a stack of one."""
     if s.n < 3:
         raise ValueError(f"need at least 3 points, have {s.n}")
-    loops = []
-    worst = 0.0
-    for i, j, k in itertools.combinations(range(1, s.n + 1), 3):
-        residual = min(_support_candidates(s.u(i, j), s.u(j, k), s.u(k, i), tol))
-        dependent = residual <= tol
-        worst = max(worst, residual)
-        loops.append({"loop": [i, j, k], "dependent": dependent,
-                      "residual": residual})
+    check_report_points(s.n)
+    residuals = _loop_residuals(_pair_rows(s), s.n, tol).tolist()
+    loops = [{"loop": list(loop), "dependent": r <= tol, "residual": r}
+             for loop, r in zip(itertools.combinations(range(1, s.n + 1), 3),
+                                residuals)]
     return {"check": "three-dependent", "n": s.n, "m": s.m, "tol": tol,
             "passed": all(entry["dependent"] for entry in loops),
-            "max_residual": worst, "loops": loops}
+            "max_residual": max(residuals), "loops": loops}
 
 
 # -- membership: four-consistency --------------------------------------------
@@ -386,7 +469,9 @@ def check_three_dependent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
 _PAIR_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _SLOT_INDEX = {p: k for k, p in enumerate(_PAIR_SLOTS)}
 MAX_FOUR_DIM = 16             # C(m+2, 3)^2 = 666k coefficients per subset at 16
-_FOUR_BATCH_CELLS = 1 << 18   # array cells per batch of 4-subsets
+# array cells per batch of 4-subsets: about one trial's worth at m = 5, so a
+# suite's stacked chunks peak no higher than per-trial calls did
+_FOUR_BATCH_CELLS = 1 << 15
 
 
 def _perm_parity(seq: Sequence[int]) -> int:
@@ -468,29 +553,31 @@ def _four_coefficients(edges: np.ndarray) -> np.ndarray:
     return np.swapaxes(forms * _CHAIN_SIGNS[:, None], 1, 2) @ forms[:, _COMPLEMENTS]
 
 
-def _four_residuals(s: SphereConfiguration) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """The 4-subsets of s and, per subset, the l1 norm of the coefficients of
-    its chain sum P(v, w) (see _four_coefficients).
+def _four_residuals(edges: np.ndarray) -> np.ndarray:
+    """Per 4-subset of the stack edges (S, 6, m), in _PAIR_SLOTS order, the
+    l1 norm of the coefficients of its chain sum P(v, w) (see
+    _four_coefficients), computed over batches of _FOUR_BATCH_CELLS.
 
     On unit vectors every monomial is at most 1 in absolute value, so the
     residual bounds |P(v, w)| at every unit pair: it is at least as strict
     as evaluating P at any set of pairs.  It is zero exactly when P vanishes
     identically, that is, when the identity holds.  Dimensions above
     MAX_FOUR_DIM raise BoundExceededError."""
-    if s.m > MAX_FOUR_DIM:
-        raise BoundExceededError(f"dimension {s.m} exceeds the four-consistency "
+    m = edges.shape[-1]
+    if m > MAX_FOUR_DIM:
+        raise BoundExceededError(f"dimension {m} exceeds the four-consistency "
                                  f"dimension bound {MAX_FOUR_DIM}")
-    pairs = s.pairs()
-    pair_index = {pair: k for k, pair in enumerate(pairs)}
-    u_rows = np.array([s.u(i, j) for (i, j) in pairs])
-    subsets = list(itertools.combinations(range(1, s.n + 1), 4))
-    gather = [[pair_index[(sub[a], sub[b])] for (a, b) in _PAIR_SLOTS]
-              for sub in subsets]
-    edges = u_rows[np.array(gather)]          # (S, 6, m)
-    step = max(1, _FOUR_BATCH_CELLS // (_cubic_fold(s.m).shape[1] ** 2 + 12 * s.m ** 3))
-    return subsets, np.concatenate([
+    step = max(1, _FOUR_BATCH_CELLS // (_cubic_fold(m).shape[1] ** 2 + 12 * m ** 3))
+    return np.concatenate([
         np.abs(_four_coefficients(edges[lo:lo + step])).sum(axis=(1, 2))
-        for lo in range(0, len(subsets), step)])
+        for lo in range(0, len(edges), step)])
+
+
+def _subset_residuals(rows: np.ndarray, n: int) -> np.ndarray:
+    """Four-consistency residuals (..., C(n, 4)) of the configurations with
+    pair rows (..., C(n, 2), m), one per 4-subset in combinations order."""
+    edges = rows[..., _subset_rows(n, 4), :]
+    return _four_residuals(edges.reshape(-1, 6, rows.shape[-1])).reshape(edges.shape[:-2])
 
 
 def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
@@ -502,12 +589,13 @@ def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
     and is zero exactly when the identity holds (see _four_residuals)."""
     if s.n < 4:
         raise ValueError(f"need at least 4 points, have {s.n}")
-    subsets, residuals = _four_residuals(s)
-    worst = float(residuals.max())
+    check_report_points(s.n)
+    residuals = _subset_residuals(_pair_rows(s), s.n).tolist()
+    worst = max(residuals)
     return {"check": "four-consistent", "n": s.n, "m": s.m, "tol": tol,
             "passed": worst <= tol, "max_residual": worst,
-            "subsets": [{"subset": list(sub), "residual": float(r)}
-                        for sub, r in zip(subsets, residuals)]}
+            "subsets": [{"subset": list(sub), "residual": r} for sub, r in
+                        zip(itertools.combinations(range(1, s.n + 1), 4), residuals)]}
 
 
 def membership_report(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
@@ -541,13 +629,16 @@ def kontsevich_compose(t: RpTree | TreeMorphism,
         if inputs[p].n != arity:
             raise ValueError(f"vertex {p!r} has arity {arity}, "
                              f"input has {inputs[p].n} points")
-    m = ms.pop()
-    leaves = tree.leaf_count
-    w = {}
-    for i, j in itertools.combinations(range(1, leaves + 1), 2):
-        v, a, b = join_vertex(tree, i, j)
-        w[(i, j)] = inputs[v].u(a, b)
-    return SphereConfiguration(m, leaves, w)
+    w = {pair: inputs[v].u(a, b) for pair, v, a, b in _join_table(tree)}
+    return SphereConfiguration(ms.pop(), tree.leaf_count, w)
+
+
+@functools.lru_cache(maxsize=128)
+def _join_table(tree: RpTree) -> tuple[tuple[tuple[int, int], tuple, int, int], ...]:
+    """((i, j), v, a, b) for every leaf pair i < j: the join vertex and child
+    slots of trees.join_vertex, computed once per tree."""
+    return tuple(((i, j),) + join_vertex(tree, i, j)
+                 for i, j in itertools.combinations(range(1, tree.leaf_count + 1), 2))
 
 
 class KontsevichOperad(OperadInstance):
@@ -717,15 +808,24 @@ def _membership_suite(name: str, sample: Callable[[np.random.Generator],
                       m: int, trials: int, seed: int, tol: float,
                       extra: dict) -> dict:
     """Both membership checks on sample(rng) for each trial's own stream,
-    in trial order; four-consistency is decided exactly, so the seed draws
-    nothing but the samples."""
+    in trial order.  Trials are sampled _TRIAL_CHUNK at a time; the chunk's
+    pair rows are stacked and all its loops and 4-subsets go through the
+    kernels in one pass, so a trial's outcome is the membership_report of
+    its sample and memory stays flat in the trial count.  Four-consistency
+    is decided exactly, so the seed draws nothing but the samples."""
     outcomes = []
-    for k in range(trials):
-        s = sample(_trial_rng(seed, k))
-        worst = check_three_dependent(s, tol)["max_residual"] if s.n >= 3 else 0.0
-        if s.n >= 4:
-            worst = max(worst, float(_four_residuals(s)[1].max()))
-        outcomes.append({"trial": k, "passed": worst <= tol, "max_residual": worst})
+    for lo in range(0, trials, _TRIAL_CHUNK):
+        ks = range(lo, min(trials, lo + _TRIAL_CHUNK))
+        chunk = [sample(_trial_rng(seed, k)) for k in ks]
+        n = chunk[0].n
+        rows = np.stack([_pair_rows(s) for s in chunk])    # (T, C(n, 2), m)
+        worst = np.zeros(len(chunk))
+        if n >= 3:
+            worst = np.maximum(worst, _loop_residuals(rows, n, tol).max(axis=1))
+        if n >= 4:
+            worst = np.maximum(worst, _subset_residuals(rows, n).max(axis=1))
+        outcomes += [{"trial": k, "passed": w <= tol, "max_residual": w}
+                     for k, w in zip(ks, worst.tolist())]
     return _aggregate_trials(name, outcomes,
                              {**extra, "m": m, "tol": tol, "seed": seed})
 

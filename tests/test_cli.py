@@ -206,6 +206,31 @@ class TestGeomCheck:
         assert code == 3
         assert "dimension bound" in err and out == ""
 
+    def test_point_bound(self, capsys, tmp_path):
+        # at the bound the report lists all C(32, 4) subsets; one more point
+        # exits 3 before the Gauss map or either check runs
+        bound = geometry.MAX_REPORT_POINTS
+        rng = np.random.default_rng(17)
+        for n in (bound, bound + 1):
+            path = tmp_path / f"points{n}.json"
+            path.write_text(json.dumps(
+                {"m": 3, "points": rng.uniform(-1, 1, (n, 3)).tolist()}))
+            out = tmp_path / f"report{n}.json"
+            code, _, err = run(capsys, "geom", "check", "--input", str(path),
+                               "--output", str(out))
+            if n == bound:
+                assert code == 0
+                report = json.loads(out.read_text())["results"]["membership"]
+                assert len(report["four_consistent"]["subsets"]) == 35960
+            else:
+                assert code == 3 and "point bound" in err
+                assert not out.exists()
+        s = geometry.random_sphere_configuration(rng, bound + 1, 3)
+        path = tmp_path / "sphere.json"
+        path.write_text(json.dumps(s.to_json_obj()))
+        code, out, err = run(capsys, "geom", "check", "--input", str(path))
+        assert code == 3 and "point bound" in err and out == ""
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "geom", "check", "--input",
                            str(tmp_path / "nope.json"))

@@ -2,10 +2,12 @@
 
 The membership checks are themselves the oracle for Gauss images and
 composites (closure under composition is the property being exercised);
-everything else is pinned against independent oracles written here: a
-naive 24-permutation chain sum
-for four-consistency, central finite differences for the endpoint-map
-derivative, and direct formula evaluation for the little disks.
+everything else is pinned against independent oracles written here: the
+scalar support enumeration that the batched three-dependence kernel must
+match bit for bit, a naive 24-permutation chain sum for four-consistency,
+per-trial membership reports for the batched trial suites, central finite
+differences for the endpoint-map derivative, and direct formula
+evaluation for the little disks.
 """
 
 import itertools
@@ -22,6 +24,42 @@ from knotoperads.trees import corolla, graft, parse_tree
 
 
 # -- independent oracles -------------------------------------------------------
+
+
+def _support_candidates(a, b, c, tol):
+    """Residuals of candidate non-negative vanishing combinations of three
+    unit vectors, by support: antipodal pairs (2-support) and the three
+    3-support solves with one coefficient normalized to 1.  The scalar
+    enumeration the batched kernel replaced; each loop's residual is the
+    min of its candidates."""
+    vecs = (a, b, c)
+    for p, q in itertools.combinations(range(3), 2):
+        yield G.norm(tuple(x + y for x, y in zip(vecs[p], vecs[q])))
+        # 2-support solve: min over alpha of |alpha v_p + v_q|
+        alpha = -G.dot(vecs[p], vecs[q])
+        if alpha >= -tol:
+            yield G.norm(tuple(alpha * x + y for x, y in zip(vecs[p], vecs[q])))
+    for pivot in range(3):
+        p, q = [k for k in range(3) if k != pivot]
+        vp, vq, vc = vecs[p], vecs[q], vecs[pivot]
+        gpp, gpq, gqq = G.dot(vp, vp), G.dot(vp, vq), G.dot(vq, vq)
+        det = gpp * gqq - gpq * gpq
+        if abs(det) < 1e-14:
+            continue  # parallel pair; the antipodal branch covers it
+        rp, rq = -G.dot(vp, vc), -G.dot(vq, vc)
+        alpha = (rp * gqq - rq * gpq) / det
+        beta = (gpp * rq - gpq * rp) / det
+        if alpha >= -tol and beta >= -tol:
+            yield G.norm(tuple(alpha * x + beta * y + z
+                               for x, y, z in zip(vp, vq, vc)))
+
+
+def _assert_kernel_matches_oracle(triples, tol):
+    """The batched residual of every loop (a, b, c) equals the min of its
+    scalar candidates to the bit."""
+    got = G._three_residuals(np.array(triples, dtype=float), tol).tolist()
+    want = [min(_support_candidates(*t, tol)) for t in triples]
+    assert [r.hex() for r in got] == [r.hex() for r in want]
 
 
 def _naive_chain_sum(s, subset, v, w):
@@ -103,6 +141,13 @@ class TestSphereConfiguration:
         with pytest.raises(ValueError, match="unit"):
             G.SphereConfiguration(3, 2, {(1, 2): (1.0, 1.0, 0.0)})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            G.SphereConfiguration(3, 3, {(1, 2): (bad, 0.0, 0.0),
+                                         (1, 3): (1.0, 0.0, 0.0),
+                                         (2, 3): (0.0, 1.0, 0.0)})
+
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
         s = G.random_sphere_configuration(rng, 4, 3)
@@ -149,6 +194,16 @@ class TestPointConfiguration:
             G.PointConfiguration(2, [(0, 0), (0, 0)],
                                  pair_directions={(2, 1): (1.0, 0.0)})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            G.PointConfiguration(2, [(0.0, bad), (1.0, 0.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            G.PointConfiguration(2, [(0.0, 0.0)], tangents=[(bad, 0.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            G.PointConfiguration(2, [(0.0, 0.0), (0.0, 0.0)],
+                                 pair_directions={(1, 2): (1.0, bad)})
+
     def test_json_round_trip(self):
         c = G.PointConfiguration(
             3, [(0, 0, 0.5), (0, 0, 0.5), (0.1, 0.2, 0.3)],
@@ -179,6 +234,12 @@ class TestGaussMap:
     def test_coincident_rejected(self):
         with pytest.raises(ValueError, match="coincide"):
             G.gauss_map(G.PointConfiguration(2, [(0, 0), (0, 0)]))
+
+    def test_overflowing_difference_rejected(self):
+        # finite points whose difference overflows: inf/inf would be a NaN
+        c = G.PointConfiguration(2, [(1e308, 1e308), (-1e308, -1e308)])
+        with pytest.raises(ValueError, match="non-finite"):
+            G.gauss_map(c)
 
     def test_random_image_is_four_consistent(self):
         rng = np.random.default_rng(4)
@@ -219,6 +280,55 @@ class TestThreeDependent:
         s = G.SphereConfiguration(3, 2, {(1, 2): _basis(3, 0)})
         with pytest.raises(ValueError):
             G.check_three_dependent(s)
+
+    def test_kernel_matches_support_oracle_on_samples(self):
+        # loops gathered here through the accessor, not the kernel's indexing
+        rng = np.random.default_rng(41)
+        samples = [G.gauss_map(G.random_point_configuration(rng, 6, m))
+                   for m in (2, 3, 5)]
+        samples += [G.random_sphere_configuration(rng, 6, m) for m in (2, 3, 4)]
+        for s in samples:
+            triples = [(s.u(i, j), s.u(j, k), s.u(k, i))
+                       for i, j, k in itertools.combinations(range(1, 7), 3)]
+            _assert_kernel_matches_oracle(triples, G.DEFAULT_TOL)
+            rep = G.check_three_dependent(s)
+            assert [e["residual"] for e in rep["loops"]] == \
+                [min(_support_candidates(*t, G.DEFAULT_TOL)) for t in triples]
+
+    @pytest.mark.parametrize("fixture", [
+        "antipodal", "parallel", "equal", "alpha-at-tol", "beta-at-tol",
+        "collinear"])
+    def test_kernel_matches_support_oracle_on_degenerate_loops(self, fixture):
+        # every ordering of the three vectors, so each special case reaches
+        # every pair slot and every pivot of the enumeration
+        tol = G.DEFAULT_TOL
+        a, b, c = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), G.unit((0.3, -0.5, 0.8))
+        if fixture == "antipodal":
+            a = G.unit((0.6, 0.0, 0.8))
+            b = tuple(-x for x in a)
+        elif fixture in ("parallel", "equal"):
+            b = (1.0, 1e-9, 0.0) if fixture == "parallel" else a
+            assert G.dot(a, a) * G.dot(b, b) - G.dot(a, b) ** 2 < 1e-14
+        elif fixture == "alpha-at-tol":
+            # the 2-support solve of (a, b) has alpha = -tol exactly
+            tol = 0.25
+            b = (tol, math.sqrt(1.0 - tol * tol), 0.0)
+            c = G.unit(tuple(x + y for x, y in zip(a, b)))
+        elif fixture == "beta-at-tol":
+            # the 3-support solve with pivot c, as the oracle computes it,
+            # has beta = -tol exactly
+            c = G.unit((-1.0, 0.001, -0.1))
+            tol = G.dot(b, c)   # -beta, since a and b are orthonormal
+            assert tol > 0
+        else:
+            s = G.gauss_map(G.PointConfiguration(
+                3, [(0.0, 0.0, 3.0), (0.0, 0.0, 2.0), (0.0, 0.0, -1.0)]))
+            a, b, c = s.u(1, 2), s.u(2, 3), s.u(3, 1)
+        if fixture.endswith("-at-tol"):
+            # the candidate on the boundary is the loop's least one
+            assert min(_support_candidates(a, b, c, tol)) < \
+                min(_support_candidates(a, b, c, math.nextafter(tol, 0.0)))
+        _assert_kernel_matches_oracle(list(itertools.permutations((a, b, c))), tol)
 
 
 class TestFourConsistent:
@@ -399,6 +509,8 @@ class TestDisks:
             G.DiskConfiguration(2, [(0.8, 0.0)], [0.5])
         with pytest.raises(ValueError, match="overlap"):
             G.DiskConfiguration(2, [(0.3, 0.0), (-0.3, 0.0)], [0.5, 0.5])
+        with pytest.raises(ValueError, match="non-finite"):
+            G.DiskConfiguration(2, [(math.nan, 0.0)], [0.5])
 
     def test_unit_case_translates_and_scales(self):
         child = G.DiskConfiguration(2, [(0.4, 0.0), (-0.4, 0.0)], [0.3, 0.3])
@@ -748,6 +860,51 @@ class TestTrialRunners:
             assert (mem.pop("check"), clo.pop("check"), clo.pop("tree")) == \
                 ("membership-trials", "closure-trials", corolla(n).to_text())
             assert mem == clo
+
+    @pytest.mark.parametrize("case", ["chunks", "one-trial", "failing",
+                                      "closure", "three-only", "no-checks"])
+    def test_suite_outcomes_match_membership_report(self, case, monkeypatch):
+        # each trial's batched outcome is the per-trial report of its sample
+        n, m, tol, trials = 6, 3, 1e-9, G._TRIAL_CHUNK + 7
+        tree = None
+        if case == "one-trial":
+            n, m, trials = 5, 5, 1
+        elif case == "failing":
+            n, tol, trials = 4, 1e-22, 12
+        elif case == "closure":
+            tree, m, trials = parse_tree("((* *) (* *) * *)"), 4, 20
+        elif case == "three-only":
+            n, m, trials = 3, 2, 20
+        elif case == "no-checks":
+            tree, trials = corolla(2), 5
+
+        def sample(rng):
+            if tree is None:
+                return G.gauss_map(G.random_point_configuration(rng, n, m))
+            return G.kontsevich_compose(tree, {
+                p: G.gauss_map(G.random_point_configuration(
+                    rng, len(tree.node_at(p)), m))
+                for p in tree.vertices() if not tree.is_leaf(p)})
+
+        seen = []
+        aggregate = G._aggregate_trials
+
+        def spy(name, outcomes, extra):
+            seen.append(outcomes)
+            return aggregate(name, outcomes, extra)
+
+        monkeypatch.setattr(G, "_aggregate_trials", spy)
+        got = G._membership_suite("suite", sample, m, trials, 42, tol, {})
+        want = []
+        for k in range(trials):
+            rep = G.membership_report(sample(G._trial_rng(42, k)), tol)
+            want.append({"trial": k, "passed": rep["passed"],
+                         "max_residual": rep["max_residual"]})
+        assert seen == [want]
+        assert got == aggregate("suite", want, {"m": m, "tol": tol, "seed": 42})
+        if case == "failing":
+            assert got["failed_trials"] == trials
+            assert got["first_failure"] == want[0]
 
     def test_closure_trials_record_tree(self):
         t = parse_tree("((* *) * *)")
