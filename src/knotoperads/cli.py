@@ -200,6 +200,7 @@ def cmd_verify(args) -> int:
         params = {"operad": args.operad, "degree": args.degree,
                   "max_level": args.max_level, "seed": args.seed}
         if args.operad == "sphere":
+            geometry.check_dimension_bound(args.degree)  # before sampling
             rep = geometry.check_sphere_cosimplicial(
                 args.degree, max_level=args.max_level, seed=args.seed)
         else:
@@ -290,9 +291,10 @@ def cmd_geom_knot_eval(args) -> int:
     curve = curve_cls()
     if args.at:
         times = tuple(float(t) for t in args.at.split(","))
-    else:
-        if args.times < 1:
-            raise ValueError("--times must be positive")
+    elif args.times < 1:
+        raise ValueError("--times must be positive")
+    geometry.check_report_points(len(times) if args.at else args.times)  # before any draw
+    if not args.at:
         rng = np.random.default_rng(args.seed)
         times = tuple(sorted(rng.uniform(-0.98, 0.98, args.times).tolist()))
     cfg = geometry.knot_eval(curve, times)
@@ -311,6 +313,7 @@ def cmd_geom_knot_eval(args) -> int:
 
 def cmd_geom_disks_compare(args) -> int:
     tree = trees.parse_tree(args.tree)
+    geometry.check_dimension_bound(args.dim)  # before sampling
     report = geometry.disks_comparison_trials(
         tree, args.dim, args.trials, seed=args.seed, end_tol=args.end_tol,
         limit_tol=args.limit_tol, limit_time=args.t_min)

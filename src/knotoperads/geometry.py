@@ -6,7 +6,12 @@ sphere coordinates with its coface/codegeneracy maps, the little-disks
 comparison homotopy, the endpoint-stretching maps lambda/pi_k taking
 long-knot data to sphere configurations, and evaluation of sampled knots.
 
-The membership checks are two numpy kernels over stacks of vectors:
+A sphere configuration is a point of (S^{m-1})^{B(n)}, B the choose-two
+operad: one array of rows u_ij, i < j.  Its composition, cofaces and
+codegeneracies are the maps B's pair functions induce, B's basepoint going
+to *_S, each one row gather through a table read off pair_operad.
+
+The membership checks are two numpy kernels over stacks of pair rows:
 three-dependence enumerates the candidate combinations of every 3-loop by
 support, with the scalar arithmetic of ``dot`` and ``norm`` so residuals
 are bit-identical to a per-loop enumeration, and four-consistency is
@@ -31,12 +36,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BoundExceededError
-from .trees import RpTree, TreeMorphism, join_vertex
+from .pair_operad import ChooseTwoOperad, b_elements, \
+    b_structure_map, b_tree_elements, pair_count
+from .trees import RpTree, TreeMorphism, graft
 from .operad_core import CheckReport, CosimplicialObject, OperadInstance, \
     check_cosimplicial_identities
 
@@ -74,6 +81,20 @@ def dot(a: Vector, b: Vector) -> float:
 
 def norm(a: Vector) -> float:
     return math.sqrt(dot(a, a))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of coordinate-row stacks (m, L) -> (L,), summed from 0.0
+    coordinate by coordinate in the order dot sums them, so they are the
+    same floats dot returns (no einsum or matmul, whose order differs)."""
+    total = np.zeros(a.shape[1:])
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(a, a))
 
 
 def unit(v: Sequence[float]) -> Vector:
@@ -154,64 +175,71 @@ def _json_pair_map(obj, what: str) -> dict:
 
 
 class SphereConfiguration:
-    """A point of (S^{m-1})^{n choose 2}: unit vectors u_ij for i < j.
+    """A point of (S^{m-1})^{n choose 2}: the read-only float64 array
+    ``rows`` (C(n, 2), m) of the u_ij, i < j, in combinations order.
 
-    The accessor extends anti-symmetrically, u_ji = -u_ij, so callers never
-    store both orientations.
-    """
+    Every construction validates the rows: shape, finiteness, and unit norm
+    within tol (summed in dot's order).  The accessor extends
+    anti-symmetrically, u_ji = -u_ij."""
 
-    __slots__ = ("m", "n", "_u")
+    __slots__ = ("m", "n", "rows")
 
-    def __init__(self, m: int, n: int, u: Mapping[tuple[int, int], Sequence[float]],
-                 tol: float = UNIT_NORM_TOL):
+    def __init__(self, m: int, n: int, rows, tol: float = UNIT_NORM_TOL):
         if m < 1 or n < 0:
             raise ValueError(f"bad dimensions m={m}, n={n}")
-        if len(u) != n * (n - 1) // 2:  # before building the n^2 index set
-            raise ValueError(f"pair index mismatch: n={n} needs "
-                             f"{n * (n - 1) // 2} pairs, got {len(u)}")
-        want = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-        got = set(u)
-        if got != want:
-            missing = sorted(want - got)[:3]
-            extra = sorted(got - want)[:3]
-            raise ValueError(f"pair index mismatch: missing {missing}, extra {extra}")
-        store = {}
-        for key in sorted(want):
-            vec = _as_vector(u[key], m, f"u{key}")
-            if abs(norm(vec) - 1.0) > tol:
-                raise ValueError(f"u{key} is not a unit vector: |v| = {norm(vec)}")
-            store[key] = vec
+        count = pair_count(n)
+        arr = np.array(rows, dtype=np.float64)
+        if arr.size == 0:  # an empty list carries no width
+            arr = arr.reshape(0, m)
+        if arr.shape != (count, m):
+            raise ValueError(f"rows have shape {arr.shape}, expected ({count}, {m}): "
+                             f"one unit vector in R^{m} per pair of {n} points")
+        with np.errstate(over="ignore"):      # a square past the float range is inf
+            norms = _norms(arr.T)
+        ok = np.abs(norms - 1.0) <= tol       # false on a NaN or an inf too
+        if not ok.all():
+            r = int(np.argmin(ok))
+            what = (f"is not a unit vector: |v| = {norms[r]}" if np.isfinite(arr[r]).all()
+                    else "has a non-finite coordinate")
+            raise ValueError(f"u{b_elements(n)[1 + r]} {what}")
+        arr.flags.writeable = False
         self.m = m
         self.n = n
-        self._u = store
+        self.rows = arr
 
     def u(self, i: int, j: int) -> Vector:
         if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
-        if i < j:
-            return self._u[(i, j)]
-        return tuple(-x for x in self._u[(j, i)])
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._u)
+        row = self.rows[b_elements(self.n).index((min(i, j), max(i, j))) - 1]
+        return tuple((row if i < j else -row).tolist())
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SphereConfiguration)
                 and self.m == other.m and self.n == other.n
-                and self._u == other._u)
+                and bool((self.rows == other.rows).all()))
 
     def __repr__(self) -> str:
-        return f"SphereConfiguration(m={self.m}, n={self.n}, u={self._u!r})"
+        return f"SphereConfiguration(m={self.m}, n={self.n}, rows={self.rows.tolist()!r})"
 
     def to_json_obj(self) -> dict:
         return {"m": self.m, "n": self.n,
-                "u": {f"{i},{j}": list(v) for (i, j), v in self._u.items()}}
+                "u": {f"{i},{j}": v for (i, j), v in
+                      zip(b_elements(self.n)[1:], self.rows.tolist())}}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "SphereConfiguration":
         obj = _json_object(obj, "sphere configuration")
         u = _json_pair_map(obj.get("u"), "u")
-        return SphereConfiguration(_json_int(obj, "m"), _json_int(obj, "n"), u)
+        m, n = _json_int(obj, "m"), _json_int(obj, "n")
+        if len(u) != pair_count(n):  # before building the n^2 index set
+            raise ValueError(f"pair index mismatch: n={n} needs "
+                             f"{pair_count(n)} pairs, got {len(u)}")
+        pairs = b_elements(n)[1:]
+        missing = [pair for pair in pairs if pair not in u]
+        if missing:  # as many pairs as keys, so as many extra keys
+            raise ValueError(f"pair index mismatch: missing {missing[:3]}, "
+                             f"extra {sorted(set(u) - set(pairs))[:3]}")
+        return SphereConfiguration(m, n, [u[pair] for pair in pairs])
 
 
 class PointConfiguration:
@@ -334,21 +362,21 @@ class DiskConfiguration:
 def gauss_map(c: PointConfiguration) -> SphereConfiguration:
     """u_ij = unit(x_i - x_j) for i < j.  Coincident points are an error here;
     diagonal data is the business of project_pi_k."""
-    u = {}
+    rows = []
     for i, j in itertools.combinations(range(1, c.n + 1), 2):
         diff = tuple(p - q for p, q in zip(c.points[i - 1], c.points[j - 1]))
         if not any(diff):
             raise ValueError(f"points {i} and {j} coincide")
-        u[(i, j)] = unit(diff)
-    return SphereConfiguration(c.m, c.n, u)
+        rows.append(unit(diff))
+    return SphereConfiguration(c.m, c.n, rows)
 
 
 # -- membership: batched kernels ----------------------------------------------
 
-# Both checks run on stacks of vectors gathered from pair rows: the u_ij,
-# i < j, of one or many configurations as an array (..., C(n, 2), m) in
-# pairs() order.  A single configuration is a stack of one; a trial suite
-# stacks a chunk of samples and decides them in one pass.
+# Both checks run on stacks of pair rows: the rows of one or many
+# configurations as an array (..., C(n, 2), m).  A single configuration is a
+# stack of one; a trial suite stacks a chunk of samples and decides them in
+# one pass.
 
 #: most points a membership report covers (exit 3 above): it lists every
 #: 3-loop and 4-subset, C(32, 4) = 35,960 of them at the bound
@@ -365,11 +393,6 @@ def check_report_points(n: int) -> None:
                                  f"point bound {MAX_REPORT_POINTS}")
 
 
-def _pair_rows(s: SphereConfiguration) -> np.ndarray:
-    """The coordinates u_ij, i < j, as rows (C(n, 2), m) in pairs() order."""
-    return np.array(list(s._u.values())).reshape(len(s._u), s.m)
-
-
 @functools.cache
 def _subset_rows(n: int, k: int) -> np.ndarray:
     """Per k-subset of {1..n}, in combinations order, the pair-row indices
@@ -382,20 +405,6 @@ def _subset_rows(n: int, k: int) -> np.ndarray:
 
 
 # -- membership: three-dependence --------------------------------------------
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of coordinate-row stacks (m, L) -> (L,), summed from 0.0
-    coordinate by coordinate in the order dot sums them, so they are the
-    same floats dot returns (no einsum or matmul, whose order differs)."""
-    total = np.zeros(a.shape[1:])
-    for x, y in zip(a, b):
-        total += x * y
-    return total
-
-
-def _norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dots(a, a))
 
 
 def _three_residuals(loops: np.ndarray, tol: float) -> np.ndarray:
@@ -449,7 +458,7 @@ def check_three_dependent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
     if s.n < 3:
         raise ValueError(f"need at least 3 points, have {s.n}")
     check_report_points(s.n)
-    residuals = _loop_residuals(_pair_rows(s), s.n, tol).tolist()
+    residuals = _loop_residuals(s.rows, s.n, tol).tolist()
     loops = [{"loop": list(loop), "dependent": r <= tol, "residual": r}
              for loop, r in zip(itertools.combinations(range(1, s.n + 1), 3),
                                 residuals)]
@@ -469,6 +478,9 @@ def check_three_dependent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
 _PAIR_SLOTS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _SLOT_INDEX = {p: k for k, p in enumerate(_PAIR_SLOTS)}
 MAX_FOUR_DIM = 16             # C(m+2, 3)^2 = 666k coefficients per subset at 16
+#: most coefficient cells, C(n, 4) * C(m+2, 3)^2, one configuration's
+#: four-consistency computes (exit 3 above): 32 points at m = 8 take 5 s
+MAX_FOUR_CELLS = 52 * 10 ** 7
 # array cells per batch of 4-subsets: about one trial's worth at m = 5, so a
 # suite's stacked chunks peak no higher than per-trial calls did
 _FOUR_BATCH_CELLS = 1 << 15
@@ -561,23 +573,34 @@ def _four_residuals(edges: np.ndarray) -> np.ndarray:
     On unit vectors every monomial is at most 1 in absolute value, so the
     residual bounds |P(v, w)| at every unit pair: it is at least as strict
     as evaluating P at any set of pairs.  It is zero exactly when P vanishes
-    identically, that is, when the identity holds.  Dimensions above
-    MAX_FOUR_DIM raise BoundExceededError."""
+    identically, that is, when the identity holds."""
     m = edges.shape[-1]
-    if m > MAX_FOUR_DIM:
-        raise BoundExceededError(f"dimension {m} exceeds the four-consistency "
-                                 f"dimension bound {MAX_FOUR_DIM}")
     step = max(1, _FOUR_BATCH_CELLS // (_cubic_fold(m).shape[1] ** 2 + 12 * m ** 3))
     return np.concatenate([
         np.abs(_four_coefficients(edges[lo:lo + step])).sum(axis=(1, 2))
         for lo in range(0, len(edges), step)])
 
 
+def check_dimension_bound(m: int) -> None:
+    """Raise BoundExceededError when m exceeds MAX_FOUR_DIM, the highest
+    ambient dimension in which four-consistency is decided."""
+    if m > MAX_FOUR_DIM:
+        raise BoundExceededError(f"dimension {m} exceeds the four-consistency "
+                                 f"dimension bound {MAX_FOUR_DIM}")
+
+
 def _subset_residuals(rows: np.ndarray, n: int) -> np.ndarray:
     """Four-consistency residuals (..., C(n, 4)) of the configurations with
     pair rows (..., C(n, 2), m), one per 4-subset in combinations order."""
+    m = rows.shape[-1]
+    check_dimension_bound(m)
+    cells = math.comb(n, 4) * math.comb(m + 2, 3) ** 2
+    if cells > MAX_FOUR_CELLS:
+        raise BoundExceededError(f"four-consistency on {n} points in R^{m} takes "
+                                 f"{cells} coefficient cells, above the work "
+                                 f"bound {MAX_FOUR_CELLS}")
     edges = rows[..., _subset_rows(n, 4), :]
-    return _four_residuals(edges.reshape(-1, 6, rows.shape[-1])).reshape(edges.shape[:-2])
+    return _four_residuals(edges.reshape(-1, 6, m)).reshape(edges.shape[:-2])
 
 
 def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
@@ -590,7 +613,7 @@ def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
     if s.n < 4:
         raise ValueError(f"need at least 4 points, have {s.n}")
     check_report_points(s.n)
-    residuals = _subset_residuals(_pair_rows(s), s.n).tolist()
+    residuals = _subset_residuals(s.rows, s.n).tolist()
     worst = max(residuals)
     return {"check": "four-consistent", "n": s.n, "m": s.m, "tol": tol,
             "passed": worst <= tol, "max_residual": worst,
@@ -599,9 +622,10 @@ def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
 
 
 def membership_report(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
-    """Both membership checks, skipping the ones below their arity."""
-    three = check_three_dependent(s, tol) if s.n >= 3 else None
+    """Both membership checks, skipping the ones below their arity; four
+    first, so that its bounds are checked before any work."""
     four = check_four_consistent(s, tol) if s.n >= 4 else None
+    three = check_three_dependent(s, tol) if s.n >= 3 else None
     passed = all(rep["passed"] for rep in (three, four) if rep is not None)
     worst = max((rep["max_residual"] for rep in (three, four)
                  if rep is not None), default=0.0)
@@ -612,33 +636,62 @@ def membership_report(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
 
 # -- operad composition on sphere coordinates ---------------------------------
 
+# Each structure map gathers rows through its pair function, written target to
+# source; the basepoint reads a *_S row appended to the rows (only cofaces do).
 
-def kontsevich_compose(t: RpTree | TreeMorphism,
-                       inputs: Mapping[tuple, SphereConfiguration]) -> SphereConfiguration:
-    """w_ij = u^v_{a,b} where v is the join vertex of leaves i and j and
-    (a, b) are the child slots of v the two leaves lie over."""
-    tree = t.source if isinstance(t, TreeMorphism) else t
-    internal = [p for p in tree.vertices() if not tree.is_leaf(p)]
+
+def _table(fn: dict, source: list, target: list) -> np.ndarray:
+    """The gather index of fn from target to source, listed basepoint first."""
+    row = {x: r for r, x in enumerate(source[1:] + source[:1])}
+    out = np.array([row[fn[x]] for x in target[1:]], dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=128)
+def _compose_table(tree: RpTree) -> tuple[tuple, np.ndarray]:
+    """The vertices of tree, whose input rows stacked in that order list
+    b_tree_elements(tree), and the gather index of b_structure_map(tree)."""
+    return tuple(tree.vertices()), _table(
+        b_structure_map(tree), b_tree_elements(tree), b_elements(tree.leaf_count))
+
+
+@functools.lru_cache(maxsize=256)
+def _coface_table(n: int, i: int) -> np.ndarray:
+    return _table(ChooseTwoOperad().coface_fn(n, i), b_elements(n), b_elements(n + 1))
+
+
+@functools.lru_cache(maxsize=256)
+def _codegeneracy_table(n: int, i: int) -> np.ndarray:
+    return _table(ChooseTwoOperad().codegeneracy_fn(n, i), b_elements(n), b_elements(n - 1))
+
+
+def _vertex_inputs(tree: RpTree, inputs: Mapping[tuple, object]) -> int:
+    """The common dimension of inputs, one per vertex of tree, of its arity."""
+    internal = tree.vertices()
     if set(inputs) != set(internal):
         raise ValueError(f"inputs must be keyed by the internal vertices {internal}")
-    ms = {cfg.m for cfg in inputs.values()}
+    ms = {x.m for x in inputs.values()}
     if len(ms) != 1:
         raise ValueError(f"mixed ambient dimensions {sorted(ms)}")
     for p in internal:
         arity = len(tree.node_at(p))
         if inputs[p].n != arity:
             raise ValueError(f"vertex {p!r} has arity {arity}, "
-                             f"input has {inputs[p].n} points")
-    w = {pair: inputs[v].u(a, b) for pair, v, a, b in _join_table(tree)}
-    return SphereConfiguration(ms.pop(), tree.leaf_count, w)
+                             f"its input has arity {inputs[p].n}")
+    return ms.pop()
 
 
-@functools.lru_cache(maxsize=128)
-def _join_table(tree: RpTree) -> tuple[tuple[tuple[int, int], tuple, int, int], ...]:
-    """((i, j), v, a, b) for every leaf pair i < j: the join vertex and child
-    slots of trees.join_vertex, computed once per tree."""
-    return tuple(((i, j),) + join_vertex(tree, i, j)
-                 for i, j in itertools.combinations(range(1, tree.leaf_count + 1), 2))
+def kontsevich_compose(t: RpTree | TreeMorphism,
+                       inputs: Mapping[tuple, SphereConfiguration]) -> SphereConfiguration:
+    """w_ij = u^v_{a,b}, where b_structure_map(tree) sends (i, j) to the
+    pair (a, b) of child slots at vertex v: the join vertex of leaves i and
+    j and the slots the two leaves lie over."""
+    tree = t.source if isinstance(t, TreeMorphism) else t
+    m = _vertex_inputs(tree, inputs)
+    internal, index = _compose_table(tree)
+    rows = np.concatenate([inputs[p].rows for p in internal])
+    return SphereConfiguration(m, tree.leaf_count, rows[index])
 
 
 class KontsevichOperad(OperadInstance):
@@ -661,63 +714,28 @@ class KontsevichOperad(OperadInstance):
              y: SphereConfiguration) -> SphereConfiguration:
         if not 1 <= i <= x.n:
             raise ValueError(f"slot {i} out of range for arity {x.n}")
-        from .trees import graft
-        mor = graft(x.n, i, y.n)
-        return kontsevich_compose(mor, {(): x, (i - 1,): y})
+        return kontsevich_compose(graft(x.n, i, y.n), {(): x, (i - 1,): y})
 
     def unit(self) -> SphereConfiguration:
-        return SphereConfiguration(self.m, 1, {})
+        return SphereConfiguration(self.m, 1, [])
 
     def codegeneracy(self, i: int, x: SphereConfiguration) -> SphereConfiguration:
         return kontsevich_codegeneracy(x, i)
 
 
 def kontsevich_coface(s: SphereConfiguration, i: int) -> SphereConfiguration:
-    """d^i: level n -> n+1.  Middle indices double point i with the new
-    mutual direction *_S; i = 0 / n+1 insert a new first/last point whose
-    coordinates with everything are *_S (the basepoint rule)."""
-    n, m = s.n, s.m
-    if not 0 <= i <= n + 1:
-        raise ValueError(f"coface index {i} out of range at level {n}")
-    base = south(m)
-    w = {}
-    if i == 0:
-        for a, b in itertools.combinations(range(1, n + 2), 2):
-            w[(a, b)] = base if a == 1 else s.u(a - 1, b - 1)
-    elif i == n + 1:
-        for a, b in itertools.combinations(range(1, n + 2), 2):
-            w[(a, b)] = base if b == n + 1 else s.u(a, b)
-    else:
-        def back(a: int) -> int:
-            return a if a <= i else a - 1
-        for a, b in itertools.combinations(range(1, n + 2), 2):
-            w[(a, b)] = base if (a, b) == (i, i + 1) else s.u(back(a), back(b))
-    return SphereConfiguration(m, n + 1, w)
+    """d^i: level n -> n+1, the map ChooseTwoOperad.coface_fn(n, i) induces.
+    Middle indices double point i with the new mutual direction *_S; i = 0 /
+    n+1 insert a new first/last point whose coordinates with everything are
+    *_S: the pairs that join at the grafted multiplication hit the basepoint."""
+    rows = np.concatenate([s.rows, [south(s.m)]])
+    return SphereConfiguration(s.m, s.n + 1, rows[_coface_table(s.n, i)])
 
 
 def kontsevich_codegeneracy(s: SphereConfiguration, i: int) -> SphereConfiguration:
-    """s^i: level n -> n-1, deleting point i and relabeling."""
-    n, m = s.n, s.m
-    if not 1 <= i <= n:
-        raise ValueError(f"codegeneracy index {i} out of range at level {n}")
-
-    def skip(a: int) -> int:
-        return a if a < i else a + 1
-
-    w = {}
-    for a, b in itertools.combinations(range(1, n), 2):
-        w[(a, b)] = s.u(skip(a), skip(b))
-    return SphereConfiguration(m, n - 1, w)
-
-
-def sphere_cosimplicial(samples: Callable[[int], list]) -> CosimplicialObject:
-    """The coface/codegeneracy maps packaged for the generic identity
-    checker, over caller-supplied sample configurations per level."""
-    return CosimplicialObject(
-        level_elements=samples,
-        coface=lambda n, i: lambda s: kontsevich_coface(s, i),
-        codegeneracy=lambda n, i: lambda s: kontsevich_codegeneracy(s, i),
-    )
+    """s^i: level n -> n-1, deleting point i and relabeling; the map
+    ChooseTwoOperad.codegeneracy_fn(n, i) induces."""
+    return SphereConfiguration(s.m, s.n - 1, s.rows[_codegeneracy_table(s.n, i)])
 
 
 def check_sphere_cosimplicial(m: int, max_level: int = 6, per_level: int = 15,
@@ -729,8 +747,9 @@ def check_sphere_cosimplicial(m: int, max_level: int = 6, per_level: int = 15,
     rng = np.random.default_rng(seed)
     cache = {n: [random_sphere_configuration(rng, n, m) for _ in range(per_level)]
              for n in range(max_level + 1)}
-    return check_cosimplicial_identities(sphere_cosimplicial(cache.__getitem__),
-                                         max_level)
+    return check_cosimplicial_identities(CosimplicialObject(
+        cache.__getitem__, lambda n, i: lambda s: kontsevich_coface(s, i),
+        lambda n, i: lambda s: kontsevich_codegeneracy(s, i)), max_level)
 
 
 # -- random samplers ----------------------------------------------------------
@@ -744,11 +763,8 @@ def _check_dimension(m: int) -> None:
 
 def random_sphere_configuration(rng: np.random.Generator, n: int, m: int) -> SphereConfiguration:
     """Independent uniform unit vectors per pair (no membership conditions)."""
-    u = {}
-    for pair in itertools.combinations(range(1, n + 1), 2):
-        raw = rng.standard_normal(m)
-        u[pair] = unit(tuple(raw))
-    return SphereConfiguration(m, n, u)
+    return SphereConfiguration(m, n, [unit(tuple(rng.standard_normal(m)))
+                                      for _ in range(pair_count(n))])
 
 
 def random_point_configuration(rng: np.random.Generator, n: int, m: int,
@@ -818,7 +834,7 @@ def _membership_suite(name: str, sample: Callable[[np.random.Generator],
         ks = range(lo, min(trials, lo + _TRIAL_CHUNK))
         chunk = [sample(_trial_rng(seed, k)) for k in ks]
         n = chunk[0].n
-        rows = np.stack([_pair_rows(s) for s in chunk])    # (T, C(n, 2), m)
+        rows = np.stack([s.rows for s in chunk])    # (T, C(n, 2), m)
         worst = np.zeros(len(chunk))
         if n >= 3:
             worst = np.maximum(worst, _loop_residuals(rows, n, tol).max(axis=1))
@@ -875,21 +891,6 @@ def _two_level_slots(tree: RpTree) -> list[tuple[int, tuple | None, int]]:
     return slots
 
 
-def _disk_inputs(tree: RpTree, inputs: Mapping[tuple, DiskConfiguration]) -> int:
-    internal = [p for p in tree.vertices() if not tree.is_leaf(p)]
-    if set(inputs) != set(internal):
-        raise ValueError(f"inputs must be keyed by the internal vertices {internal}")
-    ms = {d.m for d in inputs.values()}
-    if len(ms) != 1:
-        raise ValueError(f"mixed ambient dimensions {sorted(ms)}")
-    for p in internal:
-        arity = len(tree.node_at(p))
-        if inputs[p].n != arity:
-            raise ValueError(f"vertex {p!r} has arity {arity}, "
-                             f"input has {inputs[p].n} disks")
-    return ms.pop()
-
-
 def _homotopy_centers(tree: RpTree, inputs: Mapping[tuple, DiskConfiguration],
                       time: float) -> list[Vector]:
     root = inputs[()]
@@ -909,7 +910,7 @@ def disks_compose(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
                   tol: float = DEFAULT_TOL) -> DiskConfiguration:
     """y_j = x_{e(j)} + r_{e(j)} x'_{o(j)}, rho_j = r_{e(j)} r'_{o(j)};
     leaves directly under the root pass their root disk through."""
-    m = _disk_inputs(t, inputs)
+    m = _vertex_inputs(t, inputs)
     root = inputs[()]
     centers = _homotopy_centers(t, inputs, 1.0)
     radii = []
@@ -927,7 +928,7 @@ def disks_homotopy(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
     converges to kontsevich_compose of the centerwise projections."""
     if not 0.0 < time <= 1.0:
         raise ValueError(f"time {time} outside (0, 1]")
-    m = _disk_inputs(t, inputs)
+    m = _vertex_inputs(t, inputs)
     return gauss_map(PointConfiguration(m, _homotopy_centers(t, inputs, time)))
 
 
@@ -940,10 +941,7 @@ def sphere_distance(a: SphereConfiguration, b: SphereConfiguration) -> float:
     """Max over pairs of the euclidean distance between coordinates."""
     if (a.m, a.n) != (b.m, b.n):
         raise ValueError("configurations have different shapes")
-    worst = 0.0
-    for pair in a.pairs():
-        worst = max(worst, norm(tuple(x - y for x, y in zip(a.u(*pair), b.u(*pair)))))
-    return worst
+    return float(np.max(_norms((a.rows - b.rows).T), initial=0.0))
 
 
 def two_level_trees(max_leaves: int) -> list[RpTree]:
@@ -964,12 +962,10 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
     """Both endpoint comparisons of the homotopy on random disk inputs:
     time 1 against gauss_map of the composition, time ~ 0 against the
     sphere-coordinate composition of the projected inputs."""
-    internal = [p for p in tree.vertices() if not tree.is_leaf(p)]
-
     def one(k: int) -> dict:
         rng = _trial_rng(seed, k)
-        inputs = {p: random_disk_configuration(rng, len(tree.node_at(p)), m)
-                  for p in internal}
+        inputs = {p: random_disk_configuration(rng, tree.arity(p), m)
+                  for p in tree.vertices()}
         end_gap = sphere_distance(disks_homotopy(tree, inputs, 1.0),
                                   disk_projection(disks_compose(tree, inputs)))
         limit_gap = sphere_distance(
@@ -1054,7 +1050,7 @@ def project_pi_k(c: PointConfiguration, eps: float = DEFAULT_EPS) -> SphereConfi
     _check_eps(eps)
     m = c.m
     top, bottom = north(m), south(m)
-    w = {}
+    rows = []
     for i, j in itertools.combinations(range(1, c.n + 1), 2):
         xi, xj = c.points[i - 1], c.points[j - 1]
         if xi == xj:
@@ -1065,19 +1061,19 @@ def project_pi_k(c: PointConfiguration, eps: float = DEFAULT_EPS) -> SphereConfi
                 if g[-1] == 0.0:
                     raise ValueError(f"degenerate direction for pair ({i}, {j}) "
                                      "at an endpoint")
-                w[(i, j)] = (0.0,) * (m - 1) + (math.copysign(1.0, g[-1]),)
+                rows.append((0.0,) * (m - 1) + (math.copysign(1.0, g[-1]),))
             else:
                 factor = lambda_jacobian_factor(xi, eps)
-                w[(i, j)] = unit(g[:-1] + (factor * g[-1],))
+                rows.append(unit(g[:-1] + (factor * g[-1],)))
         elif xi == top or xj == bottom:
-            w[(i, j)] = south(m)
+            rows.append(south(m))
         elif xj == top or xi == bottom:
             raise ValueError(f"pair ({i}, {j}) has an endpoint out of order: "
                              "*_+ may only lead and *_- only trail")
         else:
             yi, yj = lambda_map(xi, eps), lambda_map(xj, eps)
-            w[(i, j)] = unit(tuple(a - b for a, b in zip(yj, yi)))
-    return SphereConfiguration(m, c.n, w)
+            rows.append(unit(tuple(a - b for a, b in zip(yj, yi))))
+    return SphereConfiguration(m, c.n, rows)
 
 
 # -- insertion maps on boundary data ------------------------------------------

@@ -167,6 +167,23 @@ class TestVerify:
         assert code == 3
         assert "level bound" in err and out == ""
 
+    def test_sphere_dimension_bound(self, capsys, tmp_path, monkeypatch):
+        # the ambient dimension is bounded before any configuration is drawn
+        bound = geometry.MAX_FOUR_DIM
+        out = tmp_path / "cos.json"
+        code, _, _ = run(capsys, "verify", "cosimplicial", "--operad", "sphere",
+                         "--degree", str(bound), "--max-level", "3",
+                         "--output", str(out))
+        assert code == 0 and out.exists()
+        monkeypatch.setattr(geometry, "random_sphere_configuration", None)
+        for dim in (bound + 1, 3000000000):
+            out = tmp_path / f"cos{dim}.json"
+            code, _, err = run(capsys, "verify", "cosimplicial", "--operad",
+                               "sphere", "--degree", str(dim), "--max-level", "3",
+                               "--output", str(out))
+            assert code == 3 and "dimension bound" in err
+            assert not out.exists()
+
 
 class TestGeomCheck:
     def test_point_configuration_file(self, capsys, tmp_path):
@@ -230,6 +247,31 @@ class TestGeomCheck:
         path.write_text(json.dumps(s.to_json_obj()))
         code, out, err = run(capsys, "geom", "check", "--input", str(path))
         assert code == 3 and "point bound" in err and out == ""
+
+    def test_four_work_bound(self, capsys, tmp_path, monkeypatch):
+        # C(n, 4) C(m+2, 3)^2 coefficient cells: at the bound the report is
+        # written; one cell more exits 3 before either check runs
+        s = geometry.random_sphere_configuration(np.random.default_rng(5), 5, 3)
+        path = tmp_path / "sphere.json"
+        path.write_text(json.dumps(s.to_json_obj()))
+        cells = 5 * 10 ** 2                   # C(5, 4) C(3 + 2, 3)^2
+        for bound, want in ((cells, 1), (cells - 1, 3)):
+            monkeypatch.setattr(geometry, "MAX_FOUR_CELLS", bound)
+            out = tmp_path / f"report{bound}.json"
+            code, _, err = run(capsys, "geom", "check", "--input", str(path),
+                               "--output", str(out))
+            assert code == want and out.exists() == (want == 1)
+        assert "work bound" in err
+        monkeypatch.undo()
+        # unpatched: 32 points in R^9 take 9.8e8 cells; in R^17 the
+        # dimension bound is named first
+        rng = np.random.default_rng(6)
+        for m, message in ((9, "work bound"), (17, "dimension bound")):
+            path = tmp_path / f"points{m}.json"
+            path.write_text(json.dumps(
+                {"m": m, "points": rng.uniform(-1, 1, (32, m)).tolist()}))
+            code, out, err = run(capsys, "geom", "check", "--input", str(path))
+            assert code == 3 and message in err and out == ""
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "geom", "check", "--input",
@@ -312,6 +354,24 @@ class TestGeomKnotEval:
         cfg = art["results"]["configuration"]
         assert cfg["pair_directions"]["2,3"] == [0.0, 0.0, -1.0]
 
+    def test_point_bound_before_evaluation(self, capsys, tmp_path, monkeypatch):
+        bound = geometry.MAX_REPORT_POINTS
+        out = tmp_path / "at-bound.json"
+        code, _, _ = run(capsys, "geom", "knot-eval", "--times", str(bound),
+                         "--output", str(out))
+        assert code == 0
+        assert len(json.loads(out.read_text())["results"]["times"]) == bound
+        # one more point exits 3 before any time is drawn or evaluated
+        monkeypatch.setattr(geometry, "knot_eval", None)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        at = "--at=" + ",".join(["0.5"] * (bound + 1))
+        for args in (["--times", str(bound + 1)], [at]):
+            out = tmp_path / "over.json"
+            code, _, err = run(capsys, "geom", "knot-eval", *args,
+                               "--output", str(out))
+            assert code == 3 and "point bound" in err
+            assert not out.exists()
+
     def test_zero_times_rejected(self, capsys):
         code, _, _ = run(capsys, "geom", "knot-eval", "--times", "0")
         assert code == 2
@@ -342,6 +402,26 @@ class TestGeomDisksCompare:
                            "--trials", "2")
         assert code == 3
         assert "depth bound" in err
+
+    def test_dimension_bound(self, capsys, tmp_path, monkeypatch):
+        # the rejection sampler rarely draws a center inside the 0.7-ball
+        # in high dimension, so the bound is exercised at a lowered value
+        monkeypatch.setattr(geometry, "MAX_FOUR_DIM", 4)
+        out = tmp_path / "at-bound.json"
+        code, _, _ = run(capsys, "geom", "disks-compare", "--dim", "4",
+                         "--trials", "2", "--output", str(out))
+        assert code == 0 and out.exists()
+        monkeypatch.setattr(geometry, "random_disk_configuration", None)
+        for dim in ("5", "3000000000"):
+            out = tmp_path / f"over{dim}.json"
+            code, _, err = run(capsys, "geom", "disks-compare", "--dim", dim,
+                               "--trials", "2", "--output", str(out))
+            assert code == 3 and "dimension bound" in err
+            assert not out.exists()
+        monkeypatch.undo()
+        code, _, err = run(capsys, "geom", "disks-compare", "--dim",
+                           str(geometry.MAX_FOUR_DIM + 1), "--trials", "2")
+        assert code == 3 and "dimension bound" in err
 
     def test_zero_dimension_is_bad_input(self, capsys):
         # in R^0 every centre coincides, so no separated sample exists

@@ -5,13 +5,16 @@ composites (closure under composition is the property being exercised);
 everything else is pinned against independent oracles written here: the
 scalar support enumeration that the batched three-dependence kernel must
 match bit for bit, a naive 24-permutation chain sum for four-consistency,
-per-trial membership reports for the batched trial suites, central finite
-differences for the endpoint-map derivative, and direct formula
-evaluation for the little disks.
+the pair-by-pair relabellings that the row gathers of composition, cofaces
+and codegeneracies must match bit for bit, per-trial membership reports
+for the batched trial suites, central finite differences for the
+endpoint-map derivative, and direct formula evaluation for the little
+disks.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knotoperads import geometry as G
+from knotoperads.errors import BoundExceededError
 from knotoperads.operad_core import structure_map, structure_map_stepwise
-from knotoperads.trees import corolla, graft, parse_tree
+from knotoperads.trees import TreeMorphism, corolla, enumerate_trees, graft, \
+    join_vertex, parse_tree
 
 
 # -- independent oracles -------------------------------------------------------
@@ -81,6 +86,63 @@ def _naive_chain_sum(s, subset, v, w):
     return total / 2.0
 
 
+def _from_pairs(m, n, w):
+    """A configuration from vectors keyed by pair, rows in combinations order."""
+    return G.SphereConfiguration(
+        m, n, [w[pair] for pair in itertools.combinations(range(1, n + 1), 2)])
+
+
+def _compose_oracle(t, inputs):
+    """w_ij = u^v_{a,b} where v is the join vertex of leaves i and j and
+    (a, b) are the child slots of v the two leaves lie over: the pair
+    bookkeeping the row gather replaced."""
+    tree = t.source if isinstance(t, TreeMorphism) else t
+    ms = {cfg.m for cfg in inputs.values()}
+    w = {}
+    for i, j in itertools.combinations(range(1, tree.leaf_count + 1), 2):
+        v, a, b = join_vertex(tree, i, j)
+        w[(i, j)] = inputs[v].u(a, b)
+    return _from_pairs(ms.pop(), tree.leaf_count, w)
+
+
+def _coface_oracle(s, i):
+    """d^i: level n -> n+1.  Middle indices double point i with the new
+    mutual direction *_S; i = 0 / n+1 insert a new first/last point whose
+    coordinates with everything are *_S (the basepoint rule)."""
+    n, m = s.n, s.m
+    base = G.south(m)
+    w = {}
+    if i == 0:
+        for a, b in itertools.combinations(range(1, n + 2), 2):
+            w[(a, b)] = base if a == 1 else s.u(a - 1, b - 1)
+    elif i == n + 1:
+        for a, b in itertools.combinations(range(1, n + 2), 2):
+            w[(a, b)] = base if b == n + 1 else s.u(a, b)
+    else:
+        def back(a):
+            return a if a <= i else a - 1
+        for a, b in itertools.combinations(range(1, n + 2), 2):
+            w[(a, b)] = base if (a, b) == (i, i + 1) else s.u(back(a), back(b))
+    return _from_pairs(m, n + 1, w)
+
+
+def _codegeneracy_oracle(s, i):
+    """s^i: level n -> n-1, deleting point i and relabeling."""
+    def skip(a):
+        return a if a < i else a + 1
+
+    w = {}
+    for a, b in itertools.combinations(range(1, s.n), 2):
+        w[(a, b)] = s.u(skip(a), skip(b))
+    return _from_pairs(s.m, s.n - 1, w)
+
+
+def _assert_same(got, want):
+    """Equal shapes and the same float bits in every row."""
+    assert (got.m, got.n) == (want.m, want.n)
+    assert got.rows.tobytes() == want.rows.tobytes()
+
+
 def _monomials(v):
     """The degree-3 monomials of v, in combinations_with_replacement order."""
     return np.array([v[i] * v[j] * v[k] for i, j, k in
@@ -125,28 +187,61 @@ class TestVectors:
 
 class TestSphereConfiguration:
     def test_accessor_antisymmetry(self):
-        s = G.SphereConfiguration(3, 2, {(1, 2): (0.6, 0.0, 0.8)})
+        s = G.SphereConfiguration(3, 2, [(0.6, 0.0, 0.8)])
         assert s.u(2, 1) == (-0.6, -0.0, -0.8)
+        s = G.random_sphere_configuration(np.random.default_rng(1), 5, 4)
+        for r, (i, j) in enumerate(itertools.combinations(range(1, 6), 2)):
+            assert s.u(i, j) == tuple(s.rows[r].tolist())
+            assert s.u(j, i) == tuple(-x for x in s.u(i, j))
 
     def test_bad_pairs(self):
+        # pair keys exist only at the JSON boundary
         with pytest.raises(ValueError, match="pair index mismatch"):
-            G.SphereConfiguration(3, 3, {(1, 2): (1.0, 0, 0)})
-        s = G.SphereConfiguration(3, 2, {(1, 2): (1.0, 0, 0)})
+            G.SphereConfiguration.from_json_obj(
+                {"m": 3, "n": 3, "u": {"1,2": [1.0, 0, 0]}})
+        with pytest.raises(ValueError, match=r"missing \[\(1, 2\)\]"):
+            G.SphereConfiguration.from_json_obj(
+                {"m": 3, "n": 2, "u": {"1,3": [1.0, 0, 0]}})
+        s = G.SphereConfiguration(3, 2, [(1.0, 0, 0)])
         with pytest.raises(ValueError):
             s.u(1, 1)
         with pytest.raises(ValueError):
             s.u(1, 3)
 
+    def test_row_shape_validated(self):
+        e1 = (1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="shape"):
+            G.SphereConfiguration(3, 3, [e1, e1])            # one row short
+        with pytest.raises(ValueError, match="shape"):
+            G.SphereConfiguration(3, 3, [e1] * 4)            # one row over
+        with pytest.raises(ValueError, match="shape"):
+            G.SphereConfiguration(3, 2, [(1.0, 0.0)])        # too narrow
+        with pytest.raises(ValueError, match="shape"):
+            G.SphereConfiguration(2, 2, [e1])                # too wide
+        assert G.SphereConfiguration(3, 1, []).rows.shape == (0, 3)
+
     def test_non_unit_rejected(self):
-        with pytest.raises(ValueError, match="unit"):
-            G.SphereConfiguration(3, 2, {(1, 2): (1.0, 1.0, 0.0)})
+        with pytest.raises(ValueError, match=r"u\(1, 3\) is not a unit vector"):
+            G.SphereConfiguration(3, 3, [(1.0, 0.0, 0.0), (1.0, 1.0, 0.0),
+                                         (0.0, 1.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")    # an overflowing square is no warning
+            with pytest.raises(ValueError, match=r"\|v\| = inf"):
+                G.SphereConfiguration(3, 2, [(1e200, 0.0, 0.0)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            G.SphereConfiguration(3, 3, {(1, 2): (bad, 0.0, 0.0),
-                                         (1, 3): (1.0, 0.0, 0.0),
-                                         (2, 3): (0.0, 1.0, 0.0)})
+        with pytest.raises(ValueError, match=r"u\(2, 3\) has a non-finite"):
+            G.SphereConfiguration(3, 3, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                         (bad, 0.0, 0.0)])
+
+    def test_rows_read_only(self):
+        given = np.array([[0.0, 0.0, 1.0]])
+        s = G.SphereConfiguration(3, 2, given)
+        with pytest.raises(ValueError, match="read-only"):
+            s.rows[0, 0] = 1.0
+        given[0, 2] = 5.0                     # the caller's array is copied
+        assert s.u(1, 2) == (0.0, 0.0, 1.0)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
@@ -255,7 +350,7 @@ class TestThreeDependent:
     def test_antipodal_pair(self):
         v = (1.0, 0.0, 0.0)
         # u12 = u23 = v and u31 = -v, i.e. u13 = v: combination (1, 0, 1)
-        s = G.SphereConfiguration(3, 3, {(1, 2): v, (1, 3): v, (2, 3): v})
+        s = G.SphereConfiguration(3, 3, [v, v, v])
         rep = G.check_three_dependent(s)
         assert rep["passed"] and rep["max_residual"] == 0.0
 
@@ -269,15 +364,14 @@ class TestThreeDependent:
 
     def test_independent_triple_not_dependent(self):
         # loop vectors e1, e2, e3: no non-negative combination vanishes
-        s = G.SphereConfiguration(3, 3, {(1, 2): _basis(3, 0),
-                                         (1, 3): (0.0, 0.0, -1.0),
-                                         (2, 3): _basis(3, 1)})
+        s = G.SphereConfiguration(3, 3, [_basis(3, 0), (0.0, 0.0, -1.0),
+                                         _basis(3, 1)])
         rep = G.check_three_dependent(s)
         assert not rep["passed"]
         assert rep["loops"][0]["residual"] > 0.5
 
     def test_small_arity_rejected(self):
-        s = G.SphereConfiguration(3, 2, {(1, 2): _basis(3, 0)})
+        s = G.SphereConfiguration(3, 2, [_basis(3, 0)])
         with pytest.raises(ValueError):
             G.check_three_dependent(s)
 
@@ -391,6 +485,23 @@ class TestFourConsistent:
         s = G.random_sphere_configuration(rng, 4, 3)
         assert not G.check_four_consistent(s)["passed"]
 
+    def test_work_bound(self, monkeypatch):
+        # at the bound the check runs; one coefficient cell over raises
+        # before any kernel does
+        s = G.random_sphere_configuration(np.random.default_rng(47), 5, 3)
+        cells = math.comb(5, 4) * math.comb(3 + 2, 3) ** 2
+        monkeypatch.setattr(G, "MAX_FOUR_CELLS", cells)
+        assert len(G.membership_report(s)["four_consistent"]["subsets"]) == 5
+
+        def kernel(*args):
+            raise AssertionError("a kernel ran past the work bound")
+
+        monkeypatch.setattr(G, "MAX_FOUR_CELLS", cells - 1)
+        monkeypatch.setattr(G, "_four_residuals", kernel)
+        monkeypatch.setattr(G, "_three_residuals", kernel)
+        with pytest.raises(BoundExceededError, match="work bound"):
+            G.membership_report(s)
+
     def test_small_arity_rejected(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
@@ -442,6 +553,22 @@ class TestKontsevichCompose:
         for order in itertools.permutations(tree.internal_edges()):
             assert structure_map_stepwise(op, tree, inputs, list(order)) == direct
 
+    def test_gather_matches_oracle_on_every_tree(self):
+        # every reduced tree with at most 6 leaves, and unary vertices, whose
+        # inputs carry no rows
+        rng = np.random.default_rng(45)
+        shapes = [t for k in range(7) for t in enumerate_trees(k)]
+        shapes += [parse_tree(text) for text in ("((* *))", "(* ((* * *)) (*))")]
+        for tree in shapes:
+            inputs = {p: G.random_sphere_configuration(rng, tree.arity(p), 4)
+                      for p in tree.vertices()}
+            _assert_same(G.kontsevich_compose(tree, inputs),
+                         _compose_oracle(tree, inputs))
+        mor = graft(3, 2, 2)
+        inputs = {(): G.random_sphere_configuration(rng, 3, 3),
+                  (1,): G.random_sphere_configuration(rng, 2, 3)}
+        _assert_same(G.kontsevich_compose(mor, inputs), _compose_oracle(mor, inputs))
+
     def test_input_validation(self):
         rng = np.random.default_rng(15)
         t = graft(2, 1, 2).source
@@ -484,6 +611,17 @@ class TestCofaces:
         assert d.u(2, 3) == G.south(3)
         assert d.u(1, 2) == s.u(1, 2) and d.u(1, 3) == s.u(1, 2)
         assert d.u(1, 4) == s.u(1, 3) and d.u(2, 4) == s.u(2, 3)
+
+    def test_gathers_match_oracles_at_every_level(self):
+        rng = np.random.default_rng(46)
+        for n in range(8):
+            for m in (1, 3):
+                s = G.random_sphere_configuration(rng, n, m)
+                for i in range(n + 2):
+                    _assert_same(G.kontsevich_coface(s, i), _coface_oracle(s, i))
+                for i in range(1, n + 1):
+                    _assert_same(G.kontsevich_codegeneracy(s, i),
+                                 _codegeneracy_oracle(s, i))
 
     def test_all_identities_exact(self):
         rep = G.check_sphere_cosimplicial(3, max_level=6, per_level=15, seed=20)
