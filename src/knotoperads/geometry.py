@@ -16,7 +16,8 @@ three-dependence enumerates the candidate combinations of every 3-loop by
 support, with the scalar arithmetic of ``dot`` and ``norm`` so residuals
 are bit-identical to a per-loop enumeration, and four-consistency is
 decided exactly from the coefficients of its identity.  One configuration
-is a stack of one; trial suites stack a chunk of samples per pass.
+is a stack of one; trial suites sample, Gauss-map and compose a chunk of
+trials per pass, each trial from its own stream.
 
 Conventions fixed here once and used throughout:
 
@@ -55,6 +56,7 @@ EPS_MAX = 1.0 / 6.0
 LIMIT_TIME = 1e-6            # disks homotopy time for the t -> 0 comparison
 LIMIT_TOL = 1e-4
 UNIT_NORM_TOL = 1e-6         # slack for unit vectors arriving from JSON
+MIN_SEP = 1e-3               # least distance between sampled points
 
 
 # -- vector helpers -----------------------------------------------------------
@@ -174,6 +176,20 @@ def _json_pair_map(obj, what: str) -> dict:
 # -- configuration types ------------------------------------------------------
 
 
+def _check_unit_rows(rows: np.ndarray, n: int, tol: float = UNIT_NORM_TOL) -> None:
+    """Raise ValueError naming the first pair whose row, in the stack of pair
+    rows (..., C(n, 2), m), is not finite or not a unit vector within tol
+    (its norm summed in dot's order)."""
+    with np.errstate(over="ignore"):      # a square past the float range is inf
+        norms = _norms(rows.T).T
+    ok = np.abs(norms - 1.0) <= tol       # false on a NaN or an inf too
+    if not ok.all():
+        bad = np.unravel_index(np.argmin(ok), ok.shape)
+        what = (f"is not a unit vector: |v| = {norms[bad]}" if np.isfinite(rows[bad]).all()
+                else "has a non-finite coordinate")
+        raise ValueError(f"u{b_elements(n)[1 + int(bad[-1])]} {what}")
+
+
 class SphereConfiguration:
     """A point of (S^{m-1})^{n choose 2}: the read-only float64 array
     ``rows`` (C(n, 2), m) of the u_ij, i < j, in combinations order.
@@ -194,14 +210,7 @@ class SphereConfiguration:
         if arr.shape != (count, m):
             raise ValueError(f"rows have shape {arr.shape}, expected ({count}, {m}): "
                              f"one unit vector in R^{m} per pair of {n} points")
-        with np.errstate(over="ignore"):      # a square past the float range is inf
-            norms = _norms(arr.T)
-        ok = np.abs(norms - 1.0) <= tol       # false on a NaN or an inf too
-        if not ok.all():
-            r = int(np.argmin(ok))
-            what = (f"is not a unit vector: |v| = {norms[r]}" if np.isfinite(arr[r]).all()
-                    else "has a non-finite coordinate")
-            raise ValueError(f"u{b_elements(n)[1 + r]} {what}")
+        _check_unit_rows(arr, n, tol)
         arr.flags.writeable = False
         self.m = m
         self.n = n
@@ -359,16 +368,48 @@ class DiskConfiguration:
 # -- Gauss map ---------------------------------------------------------------
 
 
+@functools.cache
+def _pair_points(n: int) -> np.ndarray:
+    """The 0-based points (i, j) of each pair i < j of n points, in
+    combinations order: (2, C(n, 2))."""
+    out = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2).T
+    out.flags.writeable = False
+    return out
+
+
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """unit of every row of the stack v (..., m), with unit's arithmetic: a
+    row with a single nonzero coordinate maps to that signed basis vector
+    exactly, any other row is divided by its norm summed in dot's order.
+    Where unit raises (a zero row, a norm that underflows) the row comes out
+    non-finite, for the unit-norm check to reject."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = v / _norms(v.T).T[..., None]
+    single = np.count_nonzero(v, axis=-1) == 1
+    if single.any():
+        s = v[single]
+        out[single] = np.where(s != 0.0, np.copysign(1.0, s), 0.0)
+    return out
+
+
+def _gauss_rows(points: np.ndarray) -> np.ndarray:
+    """The Gauss map of a stack of point sets (..., n, m): the pair rows
+    unit(x_i - x_j), i < j, as (..., C(n, 2), m).  Coincident points are an
+    error, named by the first such pair."""
+    a, b = _pair_points(points.shape[-2])
+    with np.errstate(over="ignore"):
+        diffs = points[..., a, :] - points[..., b, :]
+    coincide = ~diffs.any(axis=-1)
+    if coincide.any():
+        r = int(np.unravel_index(np.argmax(coincide), coincide.shape)[-1])
+        raise ValueError(f"points {a[r] + 1} and {b[r] + 1} coincide")
+    return _unit_rows(diffs)
+
+
 def gauss_map(c: PointConfiguration) -> SphereConfiguration:
     """u_ij = unit(x_i - x_j) for i < j.  Coincident points are an error here;
     diagonal data is the business of project_pi_k."""
-    rows = []
-    for i, j in itertools.combinations(range(1, c.n + 1), 2):
-        diff = tuple(p - q for p, q in zip(c.points[i - 1], c.points[j - 1]))
-        if not any(diff):
-            raise ValueError(f"points {i} and {j} coincide")
-        rows.append(unit(diff))
-    return SphereConfiguration(c.m, c.n, rows)
+    return SphereConfiguration(c.m, c.n, _gauss_rows(np.array(c.points).reshape(c.n, c.m)))
 
 
 # -- membership: batched kernels ----------------------------------------------
@@ -763,20 +804,53 @@ def _check_dimension(m: int) -> None:
 
 def random_sphere_configuration(rng: np.random.Generator, n: int, m: int) -> SphereConfiguration:
     """Independent uniform unit vectors per pair (no membership conditions)."""
-    return SphereConfiguration(m, n, [unit(tuple(rng.standard_normal(m)))
-                                      for _ in range(pair_count(n))])
+    return SphereConfiguration(m, n, _unit_rows(rng.standard_normal((pair_count(n), m))))
+
+
+def _sample_points(rng: np.random.Generator, n: int, m: int,
+                   min_sep: float = MIN_SEP) -> np.ndarray:
+    """The accepted draw (n, m) of n points uniform in the cube [-1, 1]^m,
+    redrawn until every pair is at least min_sep apart."""
+    _check_dimension(m)
+    a, b = _pair_points(n)
+    while True:
+        pts = rng.uniform(-1.0, 1.0, size=(n, m))
+        if (_norms((pts[a] - pts[b]).T) >= min_sep).all():
+            return pts
 
 
 def random_point_configuration(rng: np.random.Generator, n: int, m: int,
-                               min_sep: float = 1e-3) -> PointConfiguration:
+                               min_sep: float = MIN_SEP) -> PointConfiguration:
     """n points uniform in the cube, resampled until pairwise separated."""
-    _check_dimension(m)
-    while True:
-        pts = rng.uniform(-1.0, 1.0, size=(n, m))
-        ok = all(np.linalg.norm(pts[a] - pts[b]) >= min_sep
-                 for a, b in itertools.combinations(range(n), 2))
-        if ok:
-            return PointConfiguration(m, [tuple(row) for row in pts])
+    return PointConfiguration(m, _sample_points(rng, n, m, min_sep).tolist())
+
+
+#: most draws random_disk_configuration is expected to make for one vertex
+#: (exit 3 above): 19 centers in R^3 come just under it and take about 2 s
+MAX_DISK_DRAWS = 250_000
+
+
+def expected_disk_draws(k: int, m: int) -> float:
+    """q(m)^-k, the expected number of draws random_disk_configuration makes
+    for k centers in R^m (m >= 1): q(m) = pi^(m/2) / (Gamma(m/2 + 1) 2^m) is
+    the chance that a point uniform in the cube [-0.7, 0.7]^m lies in the
+    0.7-ball.  The rare separation redraws are not counted."""
+    try:
+        return math.exp(k * (math.lgamma(m / 2 + 1) + m * math.log(2.0)
+                             - m / 2 * math.log(math.pi)))
+    except OverflowError:
+        return math.inf
+
+
+def check_disk_draws(tree: RpTree, m: int) -> None:
+    """Raise BoundExceededError when a vertex of tree is expected to take
+    random_disk_configuration more than MAX_DISK_DRAWS draws in R^m."""
+    k = max(tree.arity(p) for p in tree.vertices())
+    draws = expected_disk_draws(k, m)
+    if draws > MAX_DISK_DRAWS:
+        raise BoundExceededError(f"a vertex of arity {k} in R^{m} is expected to "
+                                 f"take {draws:.3g} disk draws, above the draw "
+                                 f"bound {MAX_DISK_DRAWS}")
 
 
 def random_disk_configuration(rng: np.random.Generator, n: int, m: int) -> DiskConfiguration:
@@ -819,23 +893,23 @@ def _aggregate_trials(name: str, outcomes: list[dict], extra: dict) -> dict:
     return report
 
 
-def _membership_suite(name: str, sample: Callable[[np.random.Generator],
-                                                  SphereConfiguration],
-                      m: int, trials: int, seed: int, tol: float,
+def _membership_suite(name: str,
+                      sample: Callable[[list[np.random.Generator]], np.ndarray],
+                      n: int, m: int, trials: int, seed: int, tol: float,
                       extra: dict) -> dict:
-    """Both membership checks on sample(rng) for each trial's own stream,
-    in trial order.  Trials are sampled _TRIAL_CHUNK at a time; the chunk's
-    pair rows are stacked and all its loops and 4-subsets go through the
-    kernels in one pass, so a trial's outcome is the membership_report of
-    its sample and memory stays flat in the trial count.  Four-consistency
+    """Both membership checks on the sample of each trial's own stream, in
+    trial order.  Trials go _TRIAL_CHUNK at a time: sample(rngs) gives the
+    chunk's pair rows (T, C(n, 2), m), which get the unit-norm check of
+    every SphereConfiguration, then all their loops and 4-subsets go through
+    the kernels in one pass.  So a trial's outcome is the membership_report
+    of its sample, and memory stays flat in the trial count.  Four-consistency
     is decided exactly, so the seed draws nothing but the samples."""
     outcomes = []
     for lo in range(0, trials, _TRIAL_CHUNK):
         ks = range(lo, min(trials, lo + _TRIAL_CHUNK))
-        chunk = [sample(_trial_rng(seed, k)) for k in ks]
-        n = chunk[0].n
-        rows = np.stack([s.rows for s in chunk])    # (T, C(n, 2), m)
-        worst = np.zeros(len(chunk))
+        rows = sample([_trial_rng(seed, k) for k in ks])
+        _check_unit_rows(rows, n)
+        worst = np.zeros(len(ks))
         if n >= 3:
             worst = np.maximum(worst, _loop_residuals(rows, n, tol).max(axis=1))
         if n >= 4:
@@ -843,32 +917,40 @@ def _membership_suite(name: str, sample: Callable[[np.random.Generator],
         outcomes += [{"trial": k, "passed": w <= tol, "max_residual": w}
                      for k, w in zip(ks, worst.tolist())]
     return _aggregate_trials(name, outcomes,
-                             {**extra, "m": m, "tol": tol, "seed": seed})
+                             {**extra, "n": n, "m": m, "tol": tol, "seed": seed})
 
 
 def membership_trials(n: int, m: int, trials: int, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> dict:
-    """Gauss-map images of random configurations pass both checks."""
+    """Gauss-map images of random configurations pass both checks.  A
+    chunk's point draws are Gauss-mapped as one stack."""
     if n < 3:
         raise ValueError("membership trials need n >= 3")
-    return _membership_suite(
-        "membership-trials",
-        lambda rng: gauss_map(random_point_configuration(rng, n, m)),
-        m, trials, seed, tol, {"n": n})
+
+    def sample(rngs: list[np.random.Generator]) -> np.ndarray:
+        return _gauss_rows(np.stack([_sample_points(rng, n, m) for rng in rngs]))
+
+    return _membership_suite("membership-trials", sample, n, m, trials, seed, tol, {})
 
 
 def closure_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
                    tol: float = DEFAULT_TOL) -> dict:
-    """Compositions of Gauss images along a tree still pass both checks."""
-    internal = [p for p in tree.vertices() if not tree.is_leaf(p)]
+    """Compositions of Gauss images along a tree still pass both checks.
+    Each trial draws its vertices' points in _compose_table's vertex order;
+    each vertex's draws are Gauss-mapped as one stack, and one gather
+    through the table's index composes the chunk, as kontsevich_compose
+    does one configuration."""
+    internal, index = _compose_table(tree)
+    arities = [tree.arity(p) for p in internal]
 
-    def sample(rng: np.random.Generator) -> SphereConfiguration:
-        inputs = {p: gauss_map(random_point_configuration(rng, len(tree.node_at(p)), m))
-                  for p in internal}
-        return kontsevich_compose(tree, inputs)
+    def sample(rngs: list[np.random.Generator]) -> np.ndarray:
+        draws = [[_sample_points(rng, k, m) for k in arities] for rng in rngs]
+        rows = np.concatenate([_gauss_rows(np.stack(vertex)) for vertex in zip(*draws)],
+                              axis=1)
+        return rows[:, index]
 
-    return _membership_suite("closure-trials", sample, m, trials, seed, tol,
-                             {"tree": tree.to_text(), "n": tree.leaf_count})
+    return _membership_suite("closure-trials", sample, tree.leaf_count, m, trials,
+                             seed, tol, {"tree": tree.to_text()})
 
 
 # -- little disks --------------------------------------------------------------
@@ -961,7 +1043,11 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
                             limit_time: float = LIMIT_TIME) -> dict:
     """Both endpoint comparisons of the homotopy on random disk inputs:
     time 1 against gauss_map of the composition, time ~ 0 against the
-    sphere-coordinate composition of the projected inputs."""
+    sphere-coordinate composition of the projected inputs.  The disk
+    sampler's expected draws are bounded before anything is drawn."""
+    _check_dimension(m)
+    check_disk_draws(tree, m)
+
     def one(k: int) -> dict:
         rng = _trial_rng(seed, k)
         inputs = {p: random_disk_configuration(rng, tree.arity(p), m)

@@ -1,11 +1,12 @@
 """Exit-code contract and artifact reproducibility of the command line."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from knotoperads import __version__, geometry
+from knotoperads import __version__, cli, geometry
 from knotoperads.cli import MAX_COSIMPLICIAL_LEVEL, MAX_S2_ISO_LEVEL, main
 
 
@@ -107,6 +108,15 @@ class TestVerify:
         assert code == 1
         assert not art["results"]["passed"]
 
+    def test_geometry_battery_golden(self):
+        # the battery's bytes are pinned across Python and numpy versions:
+        # per-trial streams, the stacked Gauss map and the kernels must keep
+        # every float of the reference implementation
+        battery = cli._geometry_battery(20, 1e-9, 7, 0.125)
+        digest = hashlib.sha256(json.dumps(battery, sort_keys=True).encode()).hexdigest()
+        assert battery["passed"]
+        assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de"
+
     def test_same_config_byte_identical(self, capsys):
         args = ["verify", "geometry", "--trials", "5", "--seed", "42"]
         code1, out1, _ = run(capsys, *args)
@@ -196,6 +206,17 @@ class TestGeomCheck:
         assert code == 0
         assert art["results"]["membership"]["passed"]
         assert art["results"]["configuration"]["n"] == 4
+
+    def test_underflowing_difference_is_bad_input(self, capsys, tmp_path):
+        # the difference's norm underflows to zero: a non-finite row, exit 2
+        cfg = {"m": 2, "n": 2, "points": [[1e-200, 1e-200], [0, 0]]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(capsys, "geom", "check", "--input", str(path))
+        assert code == 2 and "non-finite" in err
+        # the same for two sample times 1e-300 apart on a curve
+        code, _, err = run(capsys, "geom", "knot-eval", "--at=0,1e-300,0.5")
+        assert code == 2 and "non-finite" in err
 
     def test_sphere_configuration_file(self, capsys, tmp_path):
         cfg = {"m": 3, "n": 2, "u": {"1,2": [0.0, 0.0, 1.0]}}
@@ -422,6 +443,19 @@ class TestGeomDisksCompare:
         code, _, err = run(capsys, "geom", "disks-compare", "--dim",
                            str(geometry.MAX_FOUR_DIM + 1), "--trials", "2")
         assert code == 3 and "dimension bound" in err
+
+    def test_draw_bound(self, capsys, tmp_path, monkeypatch):
+        # expected draws of the disk sampler: 19 centers in R^3 come under
+        # the bound, 20 exceed it, as does the default tree in R^16
+        assert geometry.expected_disk_draws(19, 3) <= geometry.MAX_DISK_DRAWS
+        monkeypatch.setattr(geometry, "random_disk_configuration", None)
+        for argv in (["--tree", "(" + "* " * 20 + ")", "--dim", "3"],
+                     ["--dim", str(geometry.MAX_FOUR_DIM)]):
+            out = tmp_path / "over.json"
+            code, _, err = run(capsys, "geom", "disks-compare", *argv,
+                               "--trials", "1", "--output", str(out))
+            assert code == 3 and "draw bound" in err
+            assert not out.exists()
 
     def test_zero_dimension_is_bad_input(self, capsys):
         # in R^0 every centre coincides, so no separated sample exists

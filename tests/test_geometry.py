@@ -137,6 +137,31 @@ def _codegeneracy_oracle(s, i):
     return _from_pairs(s.m, s.n - 1, w)
 
 
+def _unit_oracle(points):
+    """unit(x_i - x_j) for every pair i < j of each point set in the stack
+    points (..., n, m), in combinations order: the per-pair Gauss map the
+    stacked one replaced."""
+    pts = np.asarray(points)
+    out = [[G.unit(tuple(p - q for p, q in zip(cfg[i], cfg[j])))
+            for i, j in itertools.combinations(range(len(cfg)), 2)]
+           for cfg in pts.reshape(-1, *pts.shape[-2:]).tolist()]
+    return np.array(out).reshape(*pts.shape[:-2], -1, pts.shape[-1])
+
+
+def _hex(a):
+    return [x.hex() for x in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+def _old_point_draw(rng, n, m, min_sep=1e-3):
+    """The accepted draw of the per-pair rejection loop the vectorised
+    separation test replaced."""
+    while True:
+        pts = rng.uniform(-1.0, 1.0, size=(n, m))
+        if all(np.linalg.norm(pts[a] - pts[b]) >= min_sep
+               for a, b in itertools.combinations(range(n), 2)):
+            return pts
+
+
 def _assert_same(got, want):
     """Equal shapes and the same float bits in every row."""
     assert (got.m, got.n) == (want.m, want.n)
@@ -335,6 +360,64 @@ class TestGaussMap:
         c = G.PointConfiguration(2, [(1e308, 1e308), (-1e308, -1e308)])
         with pytest.raises(ValueError, match="non-finite"):
             G.gauss_map(c)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_rows_match_unit_bitwise(self, m):
+        rng = np.random.default_rng(100 + m)
+        pts = rng.uniform(-1.0, 1.0, size=(4, 6, m))
+        # equal coordinates make differences with one or few nonzeros
+        pts[0, 3] = pts[0, 1]
+        pts[0, 3, 0] = pts[0, 1, 0] + 0.5
+        pts[1, :, 1:] = 0.25
+        got = G._gauss_rows(pts)
+        assert got.shape == (4, 15, m)
+        assert _hex(got) == _hex(_unit_oracle(pts))
+
+    def test_axis_aligned_and_signed_zero_differences(self):
+        pts = [[(0.0, 2.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, 7.5),
+                (-0.0, 1.0, 0.5), (0.0, 0.2, 0.3)],
+               [(3.0, 0.0, -0.0), (-3.0, -0.0, 0.0), (1.0, 0.0, 0.0),
+                (1.0, 0.0, 2.0), (1.0, -5.0, 2.0)]]
+        got = G._gauss_rows(np.array(pts))
+        assert _hex(got) == _hex(_unit_oracle(pts))
+        # both signs of an exact basis vector, whose other coordinates are
+        # +0.0 even where the difference has -0.0; the division keeps -0.0
+        assert got[0, 0].tolist() == [0.0, 1.0, 0.0]
+        assert got[1, 7].tolist() == [0.0, 0.0, -1.0]
+        assert math.copysign(1.0, got[1, 0, 2]) == 1.0
+        assert math.copysign(1.0, got[0, 9, 0]) == -1.0
+
+    def test_overflowing_difference_rejected_without_warning(self):
+        pts = np.array([[1e308, 1e308], [-1e308, -1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = G._gauss_rows(pts)
+            assert not np.isfinite(rows).all()
+            with pytest.raises(ValueError, match=r"u\(1, 2\) has a non-finite"):
+                G._check_unit_rows(rows, 2)
+        # one overflowing coordinate alone is still a basis direction
+        assert G._gauss_rows(np.array([[1e308, 0.0], [-1e308, 0.0]])).tolist() == \
+            [[1.0, 0.0]]
+
+    def test_underflowing_difference_rejected(self):
+        # unit divides by a norm that underflows to 0.0 here (ZeroDivisionError)
+        c = G.PointConfiguration(2, [(1e-200, 1e-200), (0.0, 0.0)])
+        with pytest.raises(ValueError, match="non-finite"):
+            G.gauss_map(c)
+
+    def test_coincident_in_stack_named(self):
+        pts = np.random.default_rng(5).uniform(-1, 1, size=(3, 5, 2))
+        pts[1, 3] = pts[1, 1]
+        pts[2, 4] = pts[2, 0]
+        with pytest.raises(ValueError, match="^points 2 and 4 coincide$"):
+            G._gauss_rows(pts)
+        with pytest.raises(ValueError, match="^points 2 and 4 coincide$"):
+            G.gauss_map(G.PointConfiguration(2, pts[1].tolist()))
+
+    def test_small_point_sets(self):
+        for n in (0, 1):
+            assert G._gauss_rows(np.zeros((2, n, 3))).shape == (2, 0, 3)
+            assert G.gauss_map(G.PointConfiguration(3, [(0, 0, 1)] * n)).rows.shape == (0, 3)
 
     def test_random_image_is_four_consistent(self):
         rng = np.random.default_rng(4)
@@ -734,6 +817,34 @@ class TestDisks:
         assert rep["max_end_gap"] <= 1e-12
         assert rep["max_limit_gap"] <= 1e-4
 
+    def test_expected_draws(self):
+        # q(1) = 1, q(2) = pi/4, q(3) = pi/6: the ball's share of the cube
+        assert G.expected_disk_draws(7, 1) == pytest.approx(1.0)
+        assert G.expected_disk_draws(2, 2) == pytest.approx((4 / math.pi) ** 2)
+        assert G.expected_disk_draws(5, 3) == pytest.approx((6 / math.pi) ** 5)
+        assert G.expected_disk_draws(1, 3) == pytest.approx(
+            1 / np.mean(np.linalg.norm(np.random.default_rng(0).uniform(
+                -0.7, 0.7, size=(200_000, 3)), axis=1) <= 0.7), rel=0.01)
+        assert G.expected_disk_draws(10 ** 6, 16) == math.inf
+
+    def test_draw_bound(self, monkeypatch):
+        # the battery's disk suites (m = 3, arity 2) stay far below the bound
+        assert G.expected_disk_draws(2, 3) * 10 ** 4 < G.MAX_DISK_DRAWS
+        G.check_disk_draws(corolla(19), 3)
+        G.check_disk_draws(parse_tree("(* (* *))"), 10)
+        for tree, m in ((corolla(20), 3), (parse_tree("(* (* *))"), 11)):
+            with pytest.raises(BoundExceededError, match="draw bound"):
+                G.check_disk_draws(tree, m)
+        # at the bound the trials run; just over it nothing is sampled
+        tree = parse_tree("(* (* * *))")
+        bound = G.expected_disk_draws(3, 4)
+        monkeypatch.setattr(G, "MAX_DISK_DRAWS", bound)
+        assert G.disks_comparison_trials(tree, 4, 3, seed=5)["passed"]
+        monkeypatch.setattr(G, "MAX_DISK_DRAWS", math.nextafter(bound, 0.0))
+        monkeypatch.setattr(G, "random_disk_configuration", None)
+        with pytest.raises(BoundExceededError, match="arity 3 in R\\^4"):
+            G.disks_comparison_trials(tree, 4, 3, seed=5)
+
     def test_two_level_enumeration(self):
         texts = {t.to_text() for t in G.two_level_trees(2)}
         assert texts == {"(*)", "((*))", "((* *))", "(* *)",
@@ -1002,7 +1113,9 @@ class TestTrialRunners:
     @pytest.mark.parametrize("case", ["chunks", "one-trial", "failing",
                                       "closure", "three-only", "no-checks"])
     def test_suite_outcomes_match_membership_report(self, case, monkeypatch):
-        # each trial's batched outcome is the per-trial report of its sample
+        # each trial's chunked sample is, to the bit, the per-trial Gauss map
+        # (and composite) of its own stream, and its outcome is that
+        # sample's membership report
         n, m, tol, trials = 6, 3, 1e-9, G._TRIAL_CHUNK + 7
         tree = None
         if case == "one-trial":
@@ -1024,25 +1137,79 @@ class TestTrialRunners:
                     rng, len(tree.node_at(p)), m))
                 for p in tree.vertices() if not tree.is_leaf(p)})
 
-        seen = []
-        aggregate = G._aggregate_trials
+        seen, checked = [], []
+        aggregate, check = G._aggregate_trials, G._check_unit_rows
 
         def spy(name, outcomes, extra):
             seen.append(outcomes)
             return aggregate(name, outcomes, extra)
 
+        def check_spy(rows, *args):
+            checked.append(rows.copy())
+            return check(rows, *args)
+
         monkeypatch.setattr(G, "_aggregate_trials", spy)
-        got = G._membership_suite("suite", sample, m, trials, 42, tol, {})
-        want = []
+        monkeypatch.setattr(G, "_check_unit_rows", check_spy)
+        if tree is None:
+            got = G.membership_trials(n, m, trials, 42, tol)
+            extra = {"n": n}
+        else:
+            got = G.closure_trials(tree, m, trials, 42, tol)
+            extra = {"tree": tree.to_text(), "n": tree.leaf_count}
+        monkeypatch.setattr(G, "_check_unit_rows", check)
+        want, rows = [], []
         for k in range(trials):
-            rep = G.membership_report(sample(G._trial_rng(42, k)), tol)
+            s = sample(G._trial_rng(42, k))
+            rep = G.membership_report(s, tol)
+            rows.append(s.rows)
             want.append({"trial": k, "passed": rep["passed"],
                          "max_residual": rep["max_residual"]})
+        assert [len(c) for c in checked] == \
+            [len(range(trials)[lo:lo + G._TRIAL_CHUNK])
+             for lo in range(0, trials, G._TRIAL_CHUNK)]
+        assert np.concatenate(checked).tobytes() == np.stack(rows).tobytes()
         assert seen == [want]
-        assert got == aggregate("suite", want, {"m": m, "tol": tol, "seed": 42})
+        assert got == aggregate(got["check"], want,
+                                {**extra, "m": m, "tol": tol, "seed": 42})
         if case == "failing":
             assert got["failed_trials"] == trials
             assert got["first_failure"] == want[0]
+
+    @pytest.mark.parametrize("suite", ["membership", "closure"])
+    def test_suite_rows_pass_the_unit_check(self, suite, monkeypatch):
+        # finite points whose differences overflow give NaN rows, which the
+        # stacked unit-norm check rejects as any construction would
+        def overflowing(rng, n, m, min_sep=G.MIN_SEP):
+            return np.array([[(-1.0) ** i * 1e308] + [0.5 * i] * (m - 1)
+                             for i in range(n)])
+
+        monkeypatch.setattr(G, "_sample_points", overflowing)
+        with pytest.raises(ValueError, match="non-finite"):
+            if suite == "membership":
+                G.membership_trials(4, 3, 3, seed=1)
+            else:
+                G.closure_trials(parse_tree("((* *) * *)"), 3, 3, seed=1)
+
+    @pytest.mark.parametrize("n,m,min_sep", [(6, 3, 1e-3), (1, 2, 1e-3),
+                                             (0, 4, 1e-3), (5, 1, 0.2),
+                                             (6, 2, 0.5)])
+    def test_point_draws_match_per_pair_loop(self, n, m, min_sep):
+        # the last two reject most draws, so the redraw loop is exercised
+        for seed in range(5):
+            got = G._sample_points(np.random.default_rng(seed), n, m, min_sep)
+            want = _old_point_draw(np.random.default_rng(seed), n, m, min_sep)
+            assert got.shape == (n, m) and got.tobytes() == want.tobytes()
+            cfg = G.random_point_configuration(np.random.default_rng(seed), n, m, min_sep)
+            assert cfg.points == tuple(map(tuple, want.tolist()))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_sphere_sampler_matches_per_pair_units(self, m):
+        # one (C(n, 2), m) normal draw is the C(n, 2) draws of size m in turn
+        for n in (0, 2, 5):
+            got = G.random_sphere_configuration(np.random.default_rng(m), n, m)
+            rng = np.random.default_rng(m)
+            want = [G.unit(tuple(rng.standard_normal(m))) for _ in range(n * (n - 1) // 2)]
+            assert _hex(got.rows) == _hex(want)
 
     def test_closure_trials_record_tree(self):
         t = parse_tree("((* *) * *)")
