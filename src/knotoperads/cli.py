@@ -30,6 +30,16 @@ OUTPUT_DIR_ENV = "KNOTOPERADS_OUTPUT_DIR"
 MAX_S2_ISO_LEVEL = 16
 MAX_COSIMPLICIAL_LEVEL = 7
 
+#: highest --max-arity of ``verify operad-axioms``, for every operad (exit 3
+#: above); at the bound poisson takes 9-10 s (n = 2 and 3, 86 MiB peak) and
+#: choose-two 4.3 s on 2 vCPUs, and each arity costs about ten times the last
+MAX_OPERAD_ARITY = 7
+
+#: highest --trials of ``verify geometry`` and ``geom disks-compare`` (exit 3
+#: above); at the bound ``verify geometry`` takes 11 s and ``disks-compare``
+#: on its default tree 4 s on 2 vCPUs, both at a 40 MiB peak
+MAX_TRIALS = 5000
+
 
 # -- artifact plumbing -----------------------------------------------------------
 
@@ -68,6 +78,11 @@ def _emit(artifact: dict, output) -> None:
     _write_text(json.dumps(artifact, sort_keys=True, indent=2) + "\n", output)
 
 
+def _check_bound(option: str, value: int, bound: int, what: str) -> None:
+    if value > bound:
+        raise BoundExceededError(f"{option} {value} exceeds the {what} {bound}")
+
+
 def _status(passed: bool, label: str) -> int:
     print(f"{label}: {'PASS' if passed else 'FAIL'}", file=sys.stderr)
     return 0 if passed else 1
@@ -96,8 +111,7 @@ def _positive_int(text: str) -> int:
 
 
 def cmd_hh(args) -> int:
-    if args.degree < 2:
-        raise ValueError("--degree must be at least 2")
+    poisson.check_bracket_degree(args.degree)
     table = hochschild.hh_table(args.degree, args.max_p, args.coeff,
                                 normalized=args.normalized)
     params = {
@@ -179,11 +193,16 @@ def _geometry_battery(trials: int, tol: float, seed: int, eps: float) -> dict:
 
 
 def cmd_verify(args) -> int:
-    bound = {"s2-iso": MAX_S2_ISO_LEVEL,
-             "cosimplicial": MAX_COSIMPLICIAL_LEVEL}.get(args.suite)
-    if bound is not None and args.max_level > bound:
-        raise BoundExceededError(f"--max-level {args.max_level} exceeds the "
-                                 f"level bound {bound}")
+    if args.suite == "s2-iso":
+        _check_bound("--max-level", args.max_level, MAX_S2_ISO_LEVEL, "level bound")
+    elif args.suite == "cosimplicial":
+        _check_bound("--max-level", args.max_level, MAX_COSIMPLICIAL_LEVEL,
+                     "level bound")
+    elif args.suite == "operad-axioms":
+        _check_bound("--max-arity", args.max_arity, MAX_OPERAD_ARITY,
+                     "arity bound")
+    else:
+        _check_bound("--trials", args.trials, MAX_TRIALS, "trial bound")
     if args.suite == "s2-iso":
         rep = pair_operad.check_s2_iso(args.max_level)
         params = {"max_level": args.max_level, "seed": None}
@@ -314,6 +333,7 @@ def cmd_geom_knot_eval(args) -> int:
 def cmd_geom_disks_compare(args) -> int:
     tree = trees.parse_tree(args.tree)
     geometry.check_dimension_bound(args.dim)  # before sampling
+    _check_bound("--trials", args.trials, MAX_TRIALS, "trial bound")
     report = geometry.disks_comparison_trials(
         tree, args.dim, args.trials, seed=args.seed, end_tol=args.end_tol,
         limit_tol=args.limit_tol, limit_time=args.t_min)

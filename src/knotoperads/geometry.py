@@ -116,6 +116,8 @@ def unit(v: Sequence[float]) -> Vector:
         out[k] = math.copysign(1.0, v[k])
         return tuple(out)
     r = norm(tuple(v))
+    if r == 0.0:
+        raise ValueError("cannot normalize: the norm underflows to 0")
     return tuple(x / r for x in v)
 
 

@@ -11,6 +11,15 @@ leaf.  Some operads live in the opposite category of finite pointed sets;
 their structure maps are stored as honest functions in the target-to-source
 direction and flagged with ``direction = "backward"``.  The one place the
 resulting composition reversal is applied is :func:`_composite_table`.
+
+A linear operad may fill the optional hook ``coordinates(x)``, which maps an
+element to ``{basis key: exact coefficient}`` over its entry basis.  The
+checks then apply ``circ`` and the codegeneracies only to basis elements,
+once per basis input and arrow (or basis pair and slot), and extend those
+tables (bi)linearly with dict sums; every table entry still comes from the
+operad's own maps.  A failed check rebuilds its witness from the elements,
+so the report does not depend on which path ran.  Operads without the hook
+(``coordinates = None``) are checked on their elements.
 """
 
 from __future__ import annotations
@@ -71,10 +80,16 @@ class OperadInstance:
     contracts the i-th leaf (1-based) and is only needed for the
     cosimplicial object.  Backward (opposite-category) operads skip ``circ``
     and instead provide ``coface_fn``/``codegeneracy_fn`` lookup tables.
+
+    ``coordinates`` is the optional linear hook (see the module docstring):
+    a callable ``x -> {basis key: coefficient}`` under which every entry
+    element is one basis key with coefficient 1, keys being distinct across
+    arities, and ``circ`` and ``codegeneracy`` are (bi)linear.
     """
 
     name = "operad"
     direction = "forward"
+    coordinates = None
 
     def entry(self, n: int) -> list:
         raise NotImplementedError
@@ -200,13 +215,16 @@ class CosimplicialObject:
 
     With ``direction == "backward"`` the callables are the arrows' underlying
     functions written target-to-source (the object lives in the opposite
-    category of finite pointed sets).
+    category of finite pointed sets).  ``coordinates`` is the operad's
+    linear hook, when it has one: the levels are then basis vectors and the
+    arrows linear maps.
     """
 
     level_elements: Callable[[int], list]
     coface: Callable[[int, int], Arrow]
     codegeneracy: Callable[[int, int], Arrow]
     direction: str = "forward"
+    coordinates: Callable | None = None
 
 
 def cosimplicial_from_operad(op: OperadInstance) -> CosimplicialObject:
@@ -240,7 +258,8 @@ def cosimplicial_from_operad(op: OperadInstance) -> CosimplicialObject:
             raise ValueError(f"codegeneracy index {i} out of range at level {n}")
         return lambda x: op.codegeneracy(i, x)
 
-    return CosimplicialObject(op.entry, coface, codegeneracy)
+    return CosimplicialObject(op.entry, coface, codegeneracy,
+                              coordinates=op.coordinates)
 
 
 # ordinal maps underlying the arrows, as image tuples on {0..n}
@@ -265,20 +284,46 @@ def _arrows_from(c: CosimplicialObject, n: int, max_level: int):
             yield (f"s^{i}", n - 1, _sigma(n, i), c.codegeneracy(n, i))
 
 
-def _composite_table(c: CosimplicialObject, levels: list, start: int, end: int,
-                     f1: Arrow, f2: Arrow) -> list:
+def _basis_key(coordinates: Callable, x):
+    """The one basis key of a basis element x."""
+    coords = coordinates(x)
+    if len(coords) != 1 or next(iter(coords.values())) != 1:
+        raise ValueError(f"{x!r} is not a basis element")
+    return next(iter(coords))
+
+
+def _arrow_table(coordinates: Callable, inputs: list, f: Arrow) -> dict:
+    """{basis key of x: coordinates of f(x)} over the basis ``inputs``."""
+    return {_basis_key(coordinates, x): coordinates(f(x)) for x in inputs}
+
+
+def _apply(table: dict, col: dict) -> dict:
+    """The linear extension of a basis table, applied to a coordinate dict."""
+    out: dict = {}
+    for key, a in col.items():
+        for img, b in table[key].items():
+            out[img] = out.get(img, 0) + a * b
+    return {img: c for img, c in out.items() if c}
+
+
+def _composite_table(c: CosimplicialObject, inputs: list, f1: Arrow,
+                     f2: Arrow, tables: dict | None = None) -> list:
     """Tabulate the two-step composite arrow start -> mid -> end.
 
-    Outputs are aligned with the keying level's element order in ``levels``
-    (the element list of each level, built once per check), so elements
-    need not be hashable.  This is the single point handling
-    opposite-category composition: for a backward object the stored
-    functions compose in reversed order, and the table runs over end-level
-    elements.
+    Outputs are aligned with ``inputs``, the keying level's element list
+    (built once per check), so elements need not be hashable.  This is the
+    single point handling opposite-category composition: for a backward
+    object the stored functions compose in reversed order, and the table
+    runs over end-level elements.  With ``tables`` (the linear path, keyed
+    by arrow: see :func:`_arrow_table`) the composite is built column by
+    column from the two arrows' tables, in coordinates.
     """
     if c.direction == "backward":
-        return [f1(f2(y)) for y in levels[end]]
-    return [f2(f1(x)) for x in levels[start]]
+        return [f1(f2(y)) for y in inputs]
+    if tables is None:
+        return [f2(f1(x)) for x in inputs]
+    second = tables[f2]
+    return [_apply(second, col) for col in tables[f1].values()]
 
 
 def check_cosimplicial_identities(c: CosimplicialObject,
@@ -289,38 +334,52 @@ def check_cosimplicial_identities(c: CosimplicialObject,
     composites over the same ordinal map must tabulate identically, and
     identity ordinal maps must tabulate as the identity.  This covers the
     coface/coface, codegeneracy/codegeneracy, and mixed identities at once.
+    With the linear hook, every arrow is tabulated once on its level's basis
+    and the composites are compared in coordinates.
     """
     rep = CheckReport(f"cosimplicial-identities<={max_level}")
     levels = [list(c.level_elements(n)) for n in range(max_level + 1)]
+    arrows = [list(_arrows_from(c, n, max_level)) for n in range(max_level + 1)]
+    linear = c.coordinates is not None
+    tables = {f: _arrow_table(c.coordinates, levels[n], f)
+              for n in range(max_level + 1)
+              for _, _, _, f in arrows[n]} if linear else None
     groups: dict[tuple, list] = {}
     for n in range(max_level + 1):
-        for lab1, mid, ord1, f1 in _arrows_from(c, n, max_level):
-            for lab2, end, ord2, f2 in _arrows_from(c, mid, max_level):
+        for lab1, mid, ord1, f1 in arrows[n]:
+            for lab2, end, ord2, f2 in arrows[mid]:
                 ordc = tuple(ord2[v] for v in ord1)
-                table = _composite_table(c, levels, n, end, f1, f2)
+                keying = end if c.direction == "backward" else n
+                table = _composite_table(c, levels[keying], f1, f2, tables)
                 groups.setdefault((n, end, ordc), []).append(
-                    (f"{lab2} {lab1}", table))
+                    (f"{lab2} {lab1}", table, (f1, f2)))
     for (n, end, ordc), items in groups.items():
         inputs = levels[end if c.direction == "backward" else n]
-        label0, table0 = items[0]
-        for label, table in items[1:]:
+        label0, table0, maps0 = items[0]
+        for label, table, maps in items[1:]:
             same = table == table0
             rep.record(same, None if same else {
                 "level": n, "maps": [label0, label],
-                "witness": _first_diff(inputs, table0, table)})
+                "witness": _first_diff(c, inputs, table0, table, maps0, maps)})
         if n == end and ordc == tuple(range(n + 1)):
-            for label, table in items:
-                ok = table == inputs
+            ident = [c.coordinates(x) for x in inputs] if linear else inputs
+            for label, table, maps in items:
+                ok = table == ident
                 rep.record(ok, None if ok else {
                     "level": n, "maps": [label, "identity"],
-                    "witness": _first_diff(inputs, inputs, table)})
+                    "witness": _first_diff(c, inputs, ident, table, None, maps)})
     return rep
 
 
-def _first_diff(inputs: list, t0: list, t1: list):
+def _first_diff(c: CosimplicialObject, inputs: list, t0: list, t1: list,
+                maps0, maps1) -> dict | None:
+    """Input, got and want at the first place two tables differ, read off
+    the element maps; ``maps0`` None stands for the identity."""
     for x, a, b in zip(inputs, t0, t1):
         if a != b:
-            return {"input": repr(x), "got": repr(b), "want": repr(a)}
+            want = x if maps0 is None else _composite_table(c, [x], *maps0)[0]
+            got = _composite_table(c, [x], *maps1)[0]
+            return {"input": repr(x), "got": repr(got), "want": repr(want)}
     return None
 
 
@@ -334,6 +393,8 @@ def check_operad_axioms(op: OperadInstance, max_arity: int) -> CheckReport:
     relations run over basis triples of positive arities whose composite
     arity p+q+r-2 stays within max_arity.  Operads defining their own
     ``axiom_report`` (the opposite-category ones) are dispatched there.
+    With the linear hook every law is evaluated in coordinates, on a table
+    of ``op.circ`` over basis pairs built lazily during the check.
     A negative max_arity would check nothing and raises ``ValueError``.
     """
     if max_arity < 0:
@@ -341,43 +402,85 @@ def check_operad_axioms(op: OperadInstance, max_arity: int) -> CheckReport:
     if hasattr(op, "axiom_report"):
         return op.axiom_report(max_arity)
     rep = CheckReport(f"operad-axioms[{op.name}]<={max_arity}")
-    e = op.unit()
+    entries = [op.entry(n) for n in range(max_arity + 1)]
+    if op.coordinates is None:
+        circ, value = op.circ, _identity
+    else:
+        circ, value = _circ_table(op, entries), op.coordinates
+    e = value(op.unit())
     for n in range(max_arity + 1):
-        for x in op.entry(n):
-            rep.record(op.circ(e, 1, x) == x,
-                       {"law": "left-unit", "x": repr(x)})
+        for x in entries[n]:
+            vx = value(x)
+            ok = circ(e, 1, vx) == vx
+            rep.record(ok, None if ok else {"law": "left-unit", "x": repr(x)})
             for i in range(1, n + 1):
-                rep.record(op.circ(x, i, e) == x,
-                           {"law": "right-unit", "x": repr(x), "slot": i})
+                ok = circ(vx, i, e) == vx
+                rep.record(ok, None if ok else {
+                    "law": "right-unit", "x": repr(x), "slot": i})
     for p in range(1, max_arity + 1):
         for q in range(1, max_arity + 2 - p):
             for r in range(1, max_arity + 3 - p - q):
-                _check_triple(op, rep, p, q, r)
+                _check_triple(op, rep, entries, circ, value, p, q, r)
     return rep
 
 
-def _check_triple(op: OperadInstance, rep: CheckReport,
-                  p: int, q: int, r: int) -> None:
-    for x in op.entry(p):
-        for y in op.entry(q):
-            for z in op.entry(r):
+def _identity(x):
+    return x
+
+
+def _circ_table(op: OperadInstance, entries: list) -> Callable:
+    """Partial composition in coordinates: the bilinear extension of
+    ``op.circ`` on basis pairs, each pair and slot composed once."""
+    coordinates = op.coordinates
+    basis = {_basis_key(coordinates, x): x
+             for x in [op.unit()] + [x for ent in entries for x in ent]}
+    table: dict = {}
+
+    def circ(u: dict, i: int, v: dict) -> dict:
+        out: dict = {}
+        for a, ca in u.items():
+            for b, cb in v.items():
+                img = table.get((a, i, b))
+                if img is None:
+                    img = table[a, i, b] = coordinates(
+                        op.circ(basis[a], i, basis[b]))
+                c = ca * cb
+                for m, x in img.items():
+                    out[m] = out.get(m, 0) + c * x
+        return {m: c for m, c in out.items() if c}
+
+    return circ
+
+
+def _negate(v):
+    return {m: -c for m, c in v.items()} if isinstance(v, dict) else v.scale(-1)
+
+
+def _check_triple(op: OperadInstance, rep: CheckReport, entries: list,
+                  circ: Callable, value: Callable, p: int, q: int, r: int) -> None:
+    for x in entries[p]:
+        vx = value(x)
+        for y in entries[q]:
+            vy = value(y)
+            for z in entries[r]:
+                vz = value(z)
+                # the two insertion orders of the parallel law transpose y
+                # past z, which costs a sign when both are odd
+                odd = p > 1 and (op.degree(y) * op.degree(z)) % 2
                 for i in range(1, p + 1):
-                    xy = op.circ(x, i, y)
+                    xy = circ(vx, i, vy)
                     for j in range(1, q + 1):
                         # sequential: plug z inside the grafted y
-                        lhs = op.circ(xy, i + j - 1, z)
-                        rhs = op.circ(x, i, op.circ(y, j, z))
-                        rep.record(lhs == rhs, {
+                        ok = (circ(xy, i + j - 1, vz)
+                              == circ(vx, i, circ(vy, j, vz)))
+                        rep.record(ok, None if ok else {
                             "law": "sequential", "x": repr(x), "y": repr(y),
                             "z": repr(z), "i": i, "j": j})
                     for k in range(i + 1, p + 1):
-                        # parallel: graft y and z at disjoint slots; the
-                        # two insertion orders transpose y past z, which
-                        # costs a sign when both are odd
-                        lhs = op.circ(xy, k + q - 1, z)
-                        rhs = op.circ(op.circ(x, k, z), i, y)
-                        if (op.degree(y) * op.degree(z)) % 2:
-                            rhs = rhs.scale(-1)
-                        rep.record(lhs == rhs, {
+                        # parallel: graft y and z at disjoint slots
+                        lhs = circ(xy, k + q - 1, vz)
+                        rhs = circ(circ(vx, k, vz), i, vy)
+                        ok = lhs == (_negate(rhs) if odd else rhs)
+                        rep.record(ok, None if ok else {
                             "law": "parallel", "x": repr(x), "y": repr(y),
                             "z": repr(z), "i": i, "k": k})

@@ -20,6 +20,12 @@ differential) sums the cofaces of one monomial through the same kernel.  The
 expression normalizer ``_expand`` serves ``normalize`` and ``parse_element``
 and is the tests' independent oracle for the kernel.
 
+``PoissonOperad`` fills the linear hook ``coordinates`` of
+:mod:`knotoperads.operad_core` with an element's terms (integral
+coefficients as ``int``), so the operad-axiom and cosimplicial checks call
+``circ`` and ``codegeneracy`` once per basis input and compare integer
+tables.  The bracket degree is at least 2 (:func:`check_bracket_degree`).
+
 Value encodings: a Lie word is a tuple of variable indices read left-normed,
 (a, b, c) meaning [[x_a, x_b], x_c]; a monomial is a tuple of words; an
 expression is an int (variable index), ("p", [subexpressions]) for a
@@ -314,11 +320,6 @@ def codegeneracy_monomial(i: int, m: Monomial) -> Monomial | None:
                  for w in m if w != (i,))
 
 
-# the operad checks compose the same basis monomials over and over (1,025
-# distinct of 15,790 calls at cosimplicial level 6); circ only reads these
-_circ_memo = functools.lru_cache(maxsize=None)(circ_monomials)
-
-
 def circ(a: PoissonElement, i: int, b: PoissonElement) -> PoissonElement:
     """Partial composition: the bilinear extension of
     :func:`circ_monomials`."""
@@ -330,7 +331,7 @@ def circ(a: PoissonElement, i: int, b: PoissonElement) -> PoissonElement:
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             c = ca * cb
-            for m, x in _circ_memo(ma, i, mb, a.n).items():
+            for m, x in circ_monomials(ma, i, mb, a.n).items():
                 out[m] = out.get(m, 0) + c * x
     return PoissonElement(a.n, a.arity + b.arity - 1, out)
 
@@ -423,12 +424,27 @@ def basis(n: int, k: int) -> list:
     return list(_basis_monomials(k))
 
 
+def check_bracket_degree(n: int) -> None:
+    """The bracket degrees this module serves: n >= 2."""
+    if n < 2:
+        raise ValueError(f"the bracket degree must be at least 2, got {n}")
+
+
 class PoissonOperad(OperadInstance):
-    """Basis-driven operad instance at a fixed bracket degree."""
+    """Basis-driven operad instance at a fixed bracket degree n >= 2.
+
+    It fills the linear hook of :mod:`knotoperads.operad_core`:
+    ``coordinates(e)`` is ``e.terms``, keyed by normal-form monomial, with
+    integral coefficients as ``int``."""
 
     def __init__(self, n: int):
+        check_bracket_degree(n)
         self.n = n
         self.name = f"poisson[n={n}]"
+
+    def coordinates(self, e: PoissonElement) -> dict:
+        return {m: c.numerator if c.denominator == 1 else c
+                for m, c in e.terms.items()}
 
     def entry(self, k: int) -> list:
         return [monomial_element(self.n, k, m) for m in basis(self.n, k)]

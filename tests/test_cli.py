@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 
 from knotoperads import __version__, cli, geometry
-from knotoperads.cli import MAX_COSIMPLICIAL_LEVEL, MAX_S2_ISO_LEVEL, main
+from knotoperads.cli import (MAX_COSIMPLICIAL_LEVEL, MAX_OPERAD_ARITY,
+                              MAX_S2_ISO_LEVEL, main)
 
 
 def run(capsys, *argv):
@@ -193,6 +195,64 @@ class TestVerify:
                                "--output", str(out))
             assert code == 3 and "dimension bound" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("operad", ["choose-two", "associative", "poisson"])
+    def test_arity_bound(self, capsys, tmp_path, monkeypatch, operad):
+        # checked before any work, for every operad: past it nothing is
+        # built and the command returns at once
+        out = tmp_path / "ax.json"
+        start = time.monotonic()
+        code, _, err = run(capsys, "verify", "operad-axioms", "--operad", operad,
+                           "--max-arity", str(MAX_OPERAD_ARITY + 1),
+                           "--output", str(out))
+        assert code == 3 and "arity bound" in err
+        assert not out.exists() and time.monotonic() - start < 1.0
+        # the bound case itself runs (bound lowered: arity 7 takes seconds)
+        monkeypatch.setattr(cli, "MAX_OPERAD_ARITY", 3)
+        code, _, _ = run(capsys, "verify", "operad-axioms", "--operad", operad,
+                         "--max-arity", "3", "--output", str(out))
+        assert code == 0 and out.exists()
+        code, _, _ = run(capsys, "verify", "operad-axioms", "--operad", operad,
+                         "--max-arity", "4")
+        assert code == 3
+
+    @pytest.mark.parametrize("degree", ["0", "-3", "1"])
+    @pytest.mark.parametrize("suite", [["operad-axioms", "--max-arity", "3"],
+                                       ["cosimplicial", "--max-level", "3"]])
+    def test_poisson_degree_domain(self, capsys, tmp_path, suite, degree):
+        # the same domain as hh: a bracket degree below 2 is bad input
+        out = tmp_path / "bad.json"
+        code, _, err = run(capsys, "verify", suite[0], "--operad", "poisson",
+                           "--degree", degree, *suite[1:], "--output", str(out))
+        assert code == 2 and "bracket degree must be at least 2" in err
+        assert not out.exists()
+        code, _, err = run(capsys, "hh", "--degree", degree)
+        assert code == 2 and "bracket degree must be at least 2" in err
+
+    def test_sphere_degree_is_a_dimension(self, capsys):
+        # for the sphere operad --degree is the ambient dimension, and R^1
+        # is a valid one
+        code, art = artifact(capsys, "verify", "cosimplicial", "--operad",
+                             "sphere", "--degree", "1", "--max-level", "3")
+        assert code == 0 and art["results"]["passed"]
+
+    @pytest.mark.parametrize("argv", [["verify", "geometry"],
+                                      ["geom", "disks-compare"]])
+    def test_trial_bound(self, capsys, tmp_path, monkeypatch, argv):
+        out = tmp_path / "trials.json"
+        runners = ["membership_trials", "closure_trials", "disks_comparison_trials"]
+        for name in runners:
+            monkeypatch.setattr(geometry, name, None)  # never reached
+        code, _, err = run(capsys, *argv, "--trials", str(cli.MAX_TRIALS + 1),
+                           "--output", str(out))
+        assert code == 3 and "trial bound" in err and not out.exists()
+        monkeypatch.undo()
+        # the bound case runs (bound lowered, so that no test runs long)
+        monkeypatch.setattr(cli, "MAX_TRIALS", 2)
+        code, _, _ = run(capsys, *argv, "--trials", "2", "--output", str(out))
+        assert code == 0 and out.exists()
+        code, _, err = run(capsys, *argv, "--trials", "3")
+        assert code == 3 and "trial bound" in err
 
 
 class TestGeomCheck:

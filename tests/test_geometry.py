@@ -205,6 +205,14 @@ class TestVectors:
         with pytest.raises(ValueError):
             G.unit((0.0, 0.0))
 
+    def test_unit_underflowing_norm_rejected(self):
+        # two nonzero coordinates whose squares underflow: the norm is 0.0
+        for v in [(1e-200, 1e-200), (-1e-200, 0.0, 5e-324)]:
+            with pytest.raises(ValueError, match="underflows"):
+                G.unit(v)
+        # a single tiny coordinate is still the exact basis vector
+        assert G.unit((0.0, -5e-324)) == (0.0, -1.0)
+
     def test_poles(self):
         assert G.south(4) == (0.0, 0.0, 0.0, -1.0)
         assert G.north(2) == (0.0, 1.0)

@@ -9,6 +9,7 @@ from knotoperads.operad_core import (
     CheckReport,
     CosimplicialObject,
     OperadInstance,
+    _composite_table,
     check_cosimplicial_identities,
     check_operad_axioms,
     cosimplicial_from_operad,
@@ -179,3 +180,26 @@ class TestCosimplicial:
         )
         rep = check_cosimplicial_identities(broken, max_level=3)
         assert not rep.passed
+
+    def test_linear_composite_drops_cancelled_terms(self):
+        # arrow tables in coordinates: f1(x) = a + b, f2(a) = z, f2(b) = -z,
+        # so f2 f1 (x) = 0 and must compare equal to the zero vector
+        def f1(v):
+            raise AssertionError("the linear path reads only the tables")
+
+        def f2(v):
+            raise AssertionError("the linear path reads only the tables")
+
+        lin = CosimplicialObject(None, None, None, coordinates=lambda v: v)
+        tables = {f1: {"x": {"a": 1, "b": 1}},
+                  f2: {"a": {"z": 1}, "b": {"z": -1}}}
+        assert _composite_table(lin, [{"x": 1}], f1, f2, tables) == [{}]
+
+    def test_linear_levels_must_be_basis_elements(self):
+        lin = CosimplicialObject(
+            level_elements=lambda n: [{"e": 2}],
+            coface=lambda n, i: (lambda v: v),
+            codegeneracy=lambda n, i: (lambda v: v),
+            coordinates=lambda v: v)
+        with pytest.raises(ValueError, match="not a basis element"):
+            check_cosimplicial_identities(lin, max_level=2)

@@ -501,6 +501,18 @@ class TestOperadInstance:
         rep = check_cosimplicial_identities(cos, max_level=3)
         assert rep.passed, rep.failures[:2]
 
+    @pytest.mark.parametrize("n", [-3, 0, 1])
+    def test_degree_domain(self, n):
+        with pytest.raises(ValueError, match="at least 2"):
+            PoissonOperad(n)
+
+    def test_coordinates(self):
+        op = PoissonOperad(2)
+        e = parse_element("2*x1 x2 - 1/3*[x1,x2]", 2)
+        coords = op.coordinates(e)
+        assert coords == {((1,), (2,)): 2, ((1, 2),): Fraction(-1, 3)}
+        assert type(coords[((1,), (2,))]) is int
+
     def test_normalized_monomials_degree_bound(self):
         # no singleton block forces every block size >= 2, so
         # q = (k - blocks) n >= k n / 2
@@ -659,3 +671,93 @@ class TestOddDegreeSigns:
         assert coface(3, coface(1, x)) == coface(1, coface(2, x))
         assert coface(4, coface(1, x)) == coface(1, coface(3, x))
         assert coface(2, coface(2, x)) == coface(3, coface(2, x))
+
+
+# -- the linear checking path against the element path ------------------------------
+
+
+class FlippedPoisson(PoissonOperad):
+    """Compositions into a binary operation's first slot carry the wrong sign
+    (the benchmark's negative control); only ``circ`` is overridden."""
+
+    def circ(self, a, i, b):
+        out = super().circ(a, i, b)
+        return out.scale(-1) if i == 1 and a.arity == 2 else out
+
+
+class BrokenCodegeneracy(PoissonOperad):
+    """Contracting the first leaf at arity 3 flips the sign."""
+
+    def codegeneracy(self, i, e):
+        out = super().codegeneracy(i, e)
+        return out.scale(-1) if i == 1 and e.arity == 3 else out
+
+
+def _element_path(op):
+    """The same operad with the linear hook switched off."""
+    op.coordinates = None
+    return op
+
+
+def _both_paths(cls, n, check, bound):
+    """(linear, element) reports of one check on a fresh operad each."""
+    reports = []
+    for op in (cls(n), _element_path(cls(n))):
+        if check == "axioms":
+            reports.append(check_operad_axioms(op, bound))
+        else:
+            reports.append(check_cosimplicial_identities(
+                cosimplicial_from_operad(op), bound))
+    return reports
+
+
+class TestLinearPath:
+    @pytest.mark.parametrize("bound", [0, 1, 2, 5])
+    @pytest.mark.parametrize("check", ["axioms", "cosimplicial"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_element_path(self, n, check, bound):
+        fast, slow = _both_paths(PoissonOperad, n, check, bound)
+        assert (fast.checks, fast.passed, fast.failures) == \
+            (slow.checks, slow.passed, slow.failures)
+        assert fast.passed and (fast.checks > 0 or bound < 2)
+
+    @pytest.mark.parametrize("cls, checks", [
+        (FlippedPoisson, ["axioms", "cosimplicial"]),
+        (BrokenCodegeneracy, ["cosimplicial"]),
+    ])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_broken_maps_fail_with_element_witnesses(self, cls, checks, n):
+        assert cls(n).coordinates is not None  # the linear path runs
+        for check in checks:
+            fast, slow = _both_paths(cls, n, check, 4)
+            assert not fast.passed and fast.failures
+            # the witnesses are read off the elements, byte for byte
+            assert fast.to_json() == slow.to_json()
+
+    def test_circ_tabulated_once_per_basis_pair(self):
+        calls = []
+
+        class Spy(PoissonOperad):
+            def circ(self, a, i, b):
+                calls.append((tuple(a.terms), i, tuple(b.terms),
+                              set(a.terms.values()) | set(b.terms.values())))
+                return super().circ(a, i, b)
+
+        assert check_operad_axioms(Spy(3), 4).checks == 1026
+        assert len({c[:3] for c in calls}) == len(calls)
+        assert all(len(a) == len(b) == 1 and coeffs == {1}
+                   for a, _, b, coeffs in calls)
+
+    def test_arrows_tabulated_once_per_basis_element(self):
+        calls = []
+
+        class Spy(PoissonOperad):
+            def codegeneracy(self, i, e):
+                calls.append((i, tuple(e.terms)))
+                return super().codegeneracy(i, e)
+
+        check_cosimplicial_identities(cosimplicial_from_operad(Spy(2)), 5)
+        # s^i at level p for 1 <= i <= p <= 5, once on each of the p! basis
+        # monomials
+        assert len(calls) == len(set(calls)) == \
+            sum(p * len(basis(2, p)) for p in range(1, 6))
