@@ -11,19 +11,19 @@ operad: one array of rows u_ij, i < j.  Its composition, cofaces and
 codegeneracies are the maps B's pair functions induce, B's basepoint going
 to *_S, each one row gather through a table read off pair_operad.
 
-The membership checks are two numpy kernels over stacks of pair rows:
-three-dependence enumerates the candidate combinations of every 3-loop by
-support, with the scalar arithmetic of ``dot`` and ``norm`` so residuals
-are bit-identical to a per-loop enumeration, and four-consistency is
-decided exactly from the coefficients of its identity.  One configuration
-is a stack of one; trial suites sample, Gauss-map and compose a chunk of
-trials per pass, each trial from its own stream.
+All arithmetic runs on numpy stacks of rows, (..., m): one configuration is
+a stack of one, and the trial suites stack a chunk of trials and decide them
+in one pass, each trial drawn from its own stream.  Three-dependence
+enumerates the candidate combinations of every 3-loop by support, and
+four-consistency is decided exactly from the coefficients of its identity.
 
 Conventions fixed here once and used throughout:
 
-- vectors are tuples of floats; ``unit`` normalizes axis-aligned vectors
-  exactly (sign flip only), which is what makes the bookkeeping identities
-  (cosimplicial, naturality) hold to the bit;
+- a norm sums the squares in coordinate order from 0.0 (``_dots``), and
+  ``_unit_rows`` normalizes axis-aligned rows exactly (sign flip only),
+  which is what makes the bookkeeping identities (cosimplicial, naturality)
+  hold to the bit; point and disk configurations keep their coordinates as
+  tuples of floats, and are stacked into arrays to be computed on;
 - membership-side Gauss map is u_ij = u(x_i - x_j) for i < j, anti-symmetry
   extends the accessor;
 - boundary data (knot samples, pi_k outputs) uses forward directions
@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -71,24 +71,11 @@ def north(m: int) -> Vector:
     return (0.0,) * (m - 1) + (1.0,)
 
 
-def dot(a: Vector, b: Vector) -> float:
-    """The products added in index order from 0.0, the order the batched
-    membership kernels repeat (Python 3.12's sum() compensates, so a sum()
-    here would round differently there)."""
-    total = 0.0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
-
-
-def norm(a: Vector) -> float:
-    return math.sqrt(dot(a, a))
-
-
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of coordinate-row stacks (m, L) -> (L,), summed from 0.0
-    coordinate by coordinate in the order dot sums them, so they are the
-    same floats dot returns (no einsum or matmul, whose order differs)."""
+    """Dot products of coordinate-row stacks (m, ...) -> (...), summed from
+    0.0 coordinate by coordinate in index order, so every stack shape gives
+    the same floats (no einsum or matmul, whose order differs, and no sum(),
+    which compensates on Python 3.12)."""
     total = np.zeros(a.shape[1:])
     for x, y in zip(a, b):
         total += x * y
@@ -99,26 +86,10 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(a, a))
 
 
-def unit(v: Sequence[float]) -> Vector:
-    """v/|v|, with axis-aligned vectors normalized exactly.
-
-    A vector with a single nonzero coordinate maps to the corresponding
-    signed basis vector with no rounding; the exact identities of the
-    insertion maps rely on this (u of a scaled basepoint must be the
-    basepoint itself, not a 1-ulp neighbour).
-    """
-    nz = [k for k, x in enumerate(v) if x != 0.0]
-    if not nz:
-        raise ValueError("cannot normalize the zero vector")
-    if len(nz) == 1:
-        k = nz[0]
-        out = [0.0] * len(v)
-        out[k] = math.copysign(1.0, v[k])
-        return tuple(out)
-    r = norm(tuple(v))
-    if r == 0.0:
-        raise ValueError("cannot normalize: the norm underflows to 0")
-    return tuple(x / r for x in v)
+def _norm(v: Sequence[float]) -> float:
+    """The norm of one vector, a stack of one for _norms."""
+    with np.errstate(over="ignore"):      # a square past the float range is inf
+        return float(_norms(np.asarray(v, dtype=np.float64)))
 
 
 def _as_vector(x: Sequence[float], m: int, what: str) -> Vector:
@@ -180,8 +151,7 @@ def _json_pair_map(obj, what: str) -> dict:
 
 def _check_unit_rows(rows: np.ndarray, n: int, tol: float = UNIT_NORM_TOL) -> None:
     """Raise ValueError naming the first pair whose row, in the stack of pair
-    rows (..., C(n, 2), m), is not finite or not a unit vector within tol
-    (its norm summed in dot's order)."""
+    rows (..., C(n, 2), m), is not finite or not a unit vector within tol."""
     with np.errstate(over="ignore"):      # a square past the float range is inf
         norms = _norms(rows.T).T
     ok = np.abs(norms - 1.0) <= tol       # false on a NaN or an inf too
@@ -197,7 +167,7 @@ class SphereConfiguration:
     ``rows`` (C(n, 2), m) of the u_ij, i < j, in combinations order.
 
     Every construction validates the rows: shape, finiteness, and unit norm
-    within tol (summed in dot's order).  The accessor extends
+    within tol.  The accessor extends
     anti-symmetrically, u_ji = -u_ij."""
 
     __slots__ = ("m", "n", "rows")
@@ -277,7 +247,7 @@ class PointConfiguration:
             vecs = tuple(_as_vector(t, m, f"tangent {k + 1}")
                          for k, t in enumerate(tangents))
             for k, t in enumerate(vecs):
-                if abs(norm(t) - 1.0) > UNIT_NORM_TOL:
+                if abs(_norm(t) - 1.0) > UNIT_NORM_TOL:
                     raise ValueError(f"tangent {k + 1} is not a unit vector")
             self.tangents = vecs
         dirs = {}
@@ -287,7 +257,7 @@ class PointConfiguration:
             if self.points[i - 1] != self.points[j - 1]:
                 raise ValueError(f"pair ({i}, {j}) has a direction but distinct points")
             vec = _as_vector(g, m, f"direction ({i}, {j})")
-            if abs(norm(vec) - 1.0) > UNIT_NORM_TOL:
+            if abs(_norm(vec) - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"direction ({i}, {j}) is not a unit vector")
             dirs[(i, j)] = vec
         self.pair_directions = dirs
@@ -330,6 +300,26 @@ class PointConfiguration:
         return PointConfiguration(_json_int(obj, "m"), points, tangents, dirs)
 
 
+def _check_disks(centers: np.ndarray, radii: np.ndarray, tol: float) -> None:
+    """Raise ValueError on the first configuration of the stack, centers
+    (T, n, m) and radii (T, n), with a radius outside (0, 1] or a ball
+    leaving the unit ball by more than tol, checked disk by disk, or else
+    with two balls overlapping by more than tol."""
+    a, b = _pair_points(radii.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        disk = np.where((0.0 < radii) & (radii <= 1.0),
+                        2 * (_norms(centers.T).T + radii > 1.0 + tol), 1)
+        pair = _norms((centers[:, a] - centers[:, b]).T).T < radii[:, a] + radii[:, b] - tol
+    t = int(np.argmax(disk.any(axis=1) | pair.any(axis=1)))
+    if disk[t].any():
+        k = int(np.argmax(disk[t] > 0))
+        raise ValueError(f"radius {k + 1} = {float(radii[t, k])} outside (0, 1]"
+                         if disk[t, k] == 1 else f"ball {k + 1} leaves the unit ball")
+    if pair[t].any():
+        r = int(np.argmax(pair[t]))
+        raise ValueError(f"balls {a[r] + 1} and {b[r] + 1} overlap")
+
+
 class DiskConfiguration:
     """Disjoint round balls B(x_i, r_i) inside the unit ball of R^m."""
 
@@ -343,15 +333,8 @@ class DiskConfiguration:
         self.centers = tuple(_as_vector(c, m, f"center {k + 1}")
                              for k, c in enumerate(centers))
         self.radii = tuple(float(r) for r in radii)
-        for k, r in enumerate(self.radii):
-            if not 0.0 < r <= 1.0:
-                raise ValueError(f"radius {k + 1} = {r} outside (0, 1]")
-            if norm(self.centers[k]) + r > 1.0 + tol:
-                raise ValueError(f"ball {k + 1} leaves the unit ball")
-        for a, b in itertools.combinations(range(len(self.radii)), 2):
-            gap = norm(tuple(p - q for p, q in zip(self.centers[a], self.centers[b])))
-            if gap < self.radii[a] + self.radii[b] - tol:
-                raise ValueError(f"balls {a + 1} and {b + 1} overlap")
+        _check_disks(np.array(self.centers).reshape(1, -1, m),
+                     np.array(self.radii).reshape(1, -1), tol)
 
     @property
     def n(self) -> int:
@@ -380,11 +363,10 @@ def _pair_points(n: int) -> np.ndarray:
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
-    """unit of every row of the stack v (..., m), with unit's arithmetic: a
-    row with a single nonzero coordinate maps to that signed basis vector
-    exactly, any other row is divided by its norm summed in dot's order.
-    Where unit raises (a zero row, a norm that underflows) the row comes out
-    non-finite, for the unit-norm check to reject."""
+    """Every row of the stack v (..., m) made a unit vector: a row with a
+    single nonzero coordinate maps to that signed basis vector exactly, any
+    other row is divided by its norm.  A zero row, or one whose norm
+    underflows, comes out non-finite, for the unit-norm check to reject."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = v / _norms(v.T).T[..., None]
     single = np.count_nonzero(v, axis=-1) == 1
@@ -394,11 +376,12 @@ def _unit_rows(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauss_rows(points: np.ndarray) -> np.ndarray:
+def _gauss_rows(points: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarray:
     """The Gauss map of a stack of point sets (..., n, m): the pair rows
-    unit(x_i - x_j), i < j, as (..., C(n, 2), m).  Coincident points are an
-    error, named by the first such pair."""
-    a, b = _pair_points(points.shape[-2])
+    unit(x_i - x_j), i < j, as (..., C(n, 2), m), or over the pairs (2, P)
+    of 0-based points given.  Coincident points are an error, named by the
+    first such pair."""
+    a, b = _pair_points(points.shape[-2]) if pairs is None else pairs
     with np.errstate(over="ignore"):
         diffs = points[..., a, :] - points[..., b, :]
     coincide = ~diffs.any(axis=-1)
@@ -460,8 +443,8 @@ def _three_residuals(loops: np.ndarray, tol: float) -> np.ndarray:
     normalized to 1 (kept when the pair's Gram determinant is at least 1e-14
     and both solved coefficients are >= -tol).  Every loop computes every
     candidate; np.where drops the ones a condition rules out, and the
-    arithmetic is that of dot and norm, so each residual is bit-identical to
-    the scalar enumeration."""
+    arithmetic is that of _dots and _norms, so each residual is bit-identical
+    to the scalar enumeration."""
     vecs = np.ascontiguousarray(np.moveaxis(loops, 0, -1))   # (3, m, L)
     best = np.full(len(loops), np.inf)
     for p, q in itertools.combinations(range(3), 2):
@@ -857,6 +840,11 @@ def check_disk_draws(tree: RpTree, m: int) -> None:
 
 def random_disk_configuration(rng: np.random.Generator, n: int, m: int) -> DiskConfiguration:
     """A valid disk configuration: random centers, radii shrunk to fit."""
+    return DiskConfiguration(m, *_draw_disks(rng, n, m))
+
+
+def _draw_disks(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, list]:
+    """The centers (n, m) and radii of random_disk_configuration's draw."""
     _check_dimension(m)
     while True:
         pts = rng.uniform(-0.7, 0.7, size=(n, m))
@@ -873,7 +861,7 @@ def random_disk_configuration(rng: np.random.Generator, n: int, m: int) -> DiskC
             if n > 1:
                 room = min(room, sep / 2.0)
             radii.append(room * float(rng.uniform(0.3, 0.95)))
-        return DiskConfiguration(m, [tuple(row) for row in pts], radii)
+        return pts, radii
 
 
 # -- Monte Carlo trial batches -------------------------------------------------
@@ -882,6 +870,13 @@ def random_disk_configuration(rng: np.random.Generator, n: int, m: int) -> DiskC
 def _trial_rng(seed: int, index: int) -> np.random.Generator:
     """Splittable per-trial stream: identical results in any execution order."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _chunks(trials: int) -> list[range]:
+    """The trial indices, _TRIAL_CHUNK at a time: a suite decides a chunk in
+    one pass, so its memory stays flat in the trial count."""
+    return [range(lo, min(trials, lo + _TRIAL_CHUNK))
+            for lo in range(0, trials, _TRIAL_CHUNK)]
 
 
 def _aggregate_trials(name: str, outcomes: list[dict], extra: dict) -> dict:
@@ -895,21 +890,50 @@ def _aggregate_trials(name: str, outcomes: list[dict], extra: dict) -> dict:
     return report
 
 
-def _membership_suite(name: str,
-                      sample: Callable[[list[np.random.Generator]], np.ndarray],
-                      n: int, m: int, trials: int, seed: int, tol: float,
-                      extra: dict) -> dict:
-    """Both membership checks on the sample of each trial's own stream, in
-    trial order.  Trials go _TRIAL_CHUNK at a time: sample(rngs) gives the
-    chunk's pair rows (T, C(n, 2), m), which get the unit-norm check of
-    every SphereConfiguration, then all their loops and 4-subsets go through
-    the kernels in one pass.  So a trial's outcome is the membership_report
-    of its sample, and memory stays flat in the trial count.  Four-consistency
-    is decided exactly, so the seed draws nothing but the samples."""
+@functools.lru_cache(maxsize=128)
+def _vertex_pairs(arities: tuple[int, ...]) -> np.ndarray:
+    """The pairs (2, P) of 0-based points that lie at one vertex, vertex
+    after vertex, when the points of vertices of the given arities are listed
+    in that order: the rows of b_tree_elements past its basepoint."""
+    offsets = itertools.accumulate(arities, initial=0)
+    out = np.concatenate([_pair_points(k) + o for k, o in zip(arities, offsets)], axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _draw_points(seed: int, ks: range, arities: tuple[int, ...], m: int,
+                 min_sep: float) -> np.ndarray:
+    """The points (T, sum(arities), m) the trials ks draw vertex after vertex
+    through _sample_points, from _trial_rng(seed, k).  One uniform draw per
+    trial gives them when every vertex's first draw is separated: numpy fills
+    it from the stream as it fills the vertices' draws in turn.  The trials
+    one separation test over the chunk rejects are drawn again vertex by
+    vertex from a fresh stream."""
+    _check_dimension(m)
+    pts = np.stack([_trial_rng(seed, k).uniform(-1.0, 1.0, size=(sum(arities), m))
+                    for k in ks])
+    a, b = _vertex_pairs(arities)
+    apart = (_norms((pts[:, a] - pts[:, b]).T) >= min_sep).all(axis=0)
+    for t in np.flatnonzero(~apart).tolist():
+        rng = _trial_rng(seed, ks[t])
+        pts[t] = np.concatenate([_sample_points(rng, k, m, min_sep) for k in arities])
+    return pts
+
+
+def _membership_suite(name: str, arities: tuple[int, ...], index, n: int, m: int,
+                      trials: int, seed: int, tol: float, extra: dict) -> dict:
+    """Both membership checks, in trial order, on the sample of each trial's
+    own stream: the Gauss images of its points at vertices of the given
+    arities (see _draw_points), gathered through index into n-point rows.
+    Trials go a chunk at a time: the chunk's rows (T, C(n, 2), m) get the
+    unit-norm check of every SphereConfiguration, then all their loops and
+    4-subsets go through the kernels in one pass.  So a trial's outcome is
+    the membership_report of its sample.  Four-consistency is decided
+    exactly, so the seed draws nothing but the samples."""
     outcomes = []
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        ks = range(lo, min(trials, lo + _TRIAL_CHUNK))
-        rows = sample([_trial_rng(seed, k) for k in ks])
+    for ks in _chunks(trials):
+        pts = _draw_points(seed, ks, arities, m, MIN_SEP)
+        rows = _gauss_rows(pts, _vertex_pairs(arities))[:, index]
         _check_unit_rows(rows, n)
         worst = np.zeros(len(ks))
         if n >= 3:
@@ -924,84 +948,82 @@ def _membership_suite(name: str,
 
 def membership_trials(n: int, m: int, trials: int, seed: int = 0,
                       tol: float = DEFAULT_TOL) -> dict:
-    """Gauss-map images of random configurations pass both checks.  A
-    chunk's point draws are Gauss-mapped as one stack."""
+    """Gauss-map images of random configurations pass both checks."""
     if n < 3:
         raise ValueError("membership trials need n >= 3")
-
-    def sample(rngs: list[np.random.Generator]) -> np.ndarray:
-        return _gauss_rows(np.stack([_sample_points(rng, n, m) for rng in rngs]))
-
-    return _membership_suite("membership-trials", sample, n, m, trials, seed, tol, {})
+    return _membership_suite("membership-trials", (n,), slice(None), n, m, trials,
+                             seed, tol, {})
 
 
 def closure_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
                    tol: float = DEFAULT_TOL) -> dict:
     """Compositions of Gauss images along a tree still pass both checks.
-    Each trial draws its vertices' points in _compose_table's vertex order;
-    each vertex's draws are Gauss-mapped as one stack, and one gather
-    through the table's index composes the chunk, as kontsevich_compose
-    does one configuration."""
+    Each trial draws its vertices' points in _compose_table's vertex order,
+    and one gather through the table's index composes a chunk's Gauss
+    images, as kontsevich_compose does one configuration's."""
     internal, index = _compose_table(tree)
-    arities = [tree.arity(p) for p in internal]
-
-    def sample(rngs: list[np.random.Generator]) -> np.ndarray:
-        draws = [[_sample_points(rng, k, m) for k in arities] for rng in rngs]
-        rows = np.concatenate([_gauss_rows(np.stack(vertex)) for vertex in zip(*draws)],
-                              axis=1)
-        return rows[:, index]
-
-    return _membership_suite("closure-trials", sample, tree.leaf_count, m, trials,
-                             seed, tol, {"tree": tree.to_text()})
+    return _membership_suite("closure-trials", tuple(map(tree.arity, internal)), index,
+                             tree.leaf_count, m, trials, seed, tol,
+                             {"tree": tree.to_text()})
 
 
 # -- little disks --------------------------------------------------------------
 
+# The disk maps run on stacks of a tree's vertex disks: centers (T, k, m) and
+# radii (T, k), the vertices' disks listed in _compose_table's vertex order.
 
-def _two_level_slots(tree: RpTree) -> list[tuple[int, tuple | None, int]]:
-    """Leaf descriptors (root slot e, child vertex path or None, slot o) in
-    planar order, for a root-plus-one-level tree."""
-    slots = []
-    for c, child in enumerate(tree.root):
-        if child == ():
-            slots.append((c + 1, None, 0))
-            continue
-        for o, grand in enumerate(child):
-            if grand != ():
-                raise ValueError("tree is deeper than root-plus-one-level")
-            slots.append((c + 1, (c,), o + 1))
-    if not slots:
+
+@functools.lru_cache(maxsize=128)
+def _disk_table(tree: RpTree) -> tuple[np.ndarray, np.ndarray]:
+    """Per leaf j of a root-plus-one-level tree, in planar order, the stack
+    index of its root disk e(j) and of its disk o(j) at the child vertex,
+    which for a leaf right under the root is its root disk."""
+    internal, _ = _compose_table(tree)
+    offset = dict(zip(internal, itertools.accumulate(map(tree.arity, internal), initial=0)))
+    outer, inner = [], []
+    for e, child in enumerate(tree.root):
+        if any(child):
+            raise ValueError("tree is deeper than root-plus-one-level")
+        outer += [offset[()] + e] * max(1, len(child))
+        inner += [offset[(e,)] + o for o in range(len(child))] if child else outer[-1:]
+    if not outer:
         raise ValueError("the empty tree has no disks to compose")
-    return slots
+    return np.array(outer), np.array(inner)
 
 
-def _homotopy_centers(tree: RpTree, inputs: Mapping[tuple, DiskConfiguration],
-                      time: float) -> list[Vector]:
-    root = inputs[()]
-    centers = []
-    for e, vpath, o in _two_level_slots(tree):
-        x, r = root.centers[e - 1], root.radii[e - 1]
-        if vpath is None:
-            centers.append(x)
-        else:
-            child = inputs[vpath]
-            y = child.centers[o - 1]
-            centers.append(tuple(xc + time * r * yc for xc, yc in zip(x, y)))
-    return centers
+def _disk_stack(draws: Sequence[Sequence[tuple]], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centers and radii of T lists of vertex disks, (centers, radii) each."""
+    centers = np.array([[c for cs, _ in ds for c in cs] for ds in draws])
+    radii = np.array([[r for _, rs in ds for r in rs] for ds in draws])
+    return centers.reshape(len(draws), -1, m), radii.reshape(len(draws), -1)
+
+
+def _slid_disks(tree: RpTree, inputs, time: float) -> tuple[np.ndarray, np.ndarray]:
+    """The leaf centers y_j(time) = x_e + time r_e x'_o (T, n, m) and radii
+    r_e r'_o (T, n) of a root-plus-one-level tree, on the stack (centers,
+    radii) of its vertex disks or, as a stack of one, on its inputs keyed by
+    vertex; a leaf right under the root keeps its root disk."""
+    if isinstance(inputs, Mapping):
+        m = _vertex_inputs(tree, inputs)
+        inputs = _disk_stack([[(inputs[p].centers, inputs[p].radii)
+                               for p in _compose_table(tree)[0]]], m)
+    (centers, radii), (outer, inner) = inputs, _disk_table(tree)
+    x, r, through = centers[:, outer], radii[:, outer], (outer == inner)[:, None]
+    return (np.where(through, x, x + (time * r)[..., None] * centers[:, inner]),
+            np.where(through[:, 0], r, r * radii[:, inner]))
+
+
+def _check_time(time: float) -> None:
+    if not 0.0 < time <= 1.0:
+        raise ValueError(f"time {time} outside (0, 1]")
 
 
 def disks_compose(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
                   tol: float = DEFAULT_TOL) -> DiskConfiguration:
     """y_j = x_{e(j)} + r_{e(j)} x'_{o(j)}, rho_j = r_{e(j)} r'_{o(j)};
     leaves directly under the root pass their root disk through."""
-    m = _vertex_inputs(t, inputs)
-    root = inputs[()]
-    centers = _homotopy_centers(t, inputs, 1.0)
-    radii = []
-    for e, vpath, o in _two_level_slots(t):
-        r = root.radii[e - 1]
-        radii.append(r if vpath is None else r * inputs[vpath].radii[o - 1])
-    return DiskConfiguration(m, centers, radii, tol)
+    centers, radii = _slid_disks(t, inputs, 1.0)
+    return DiskConfiguration(centers.shape[-1], centers[0].tolist(), radii[0].tolist(), tol)
 
 
 def disks_homotopy(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
@@ -1010,10 +1032,9 @@ def disks_homotopy(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
 
     At time 1 this is gauss_map of the composed disks; as time -> 0 it
     converges to kontsevich_compose of the centerwise projections."""
-    if not 0.0 < time <= 1.0:
-        raise ValueError(f"time {time} outside (0, 1]")
-    m = _vertex_inputs(t, inputs)
-    return gauss_map(PointConfiguration(m, _homotopy_centers(t, inputs, time)))
+    _check_time(time)
+    centers, _ = _slid_disks(t, inputs, time)
+    return SphereConfiguration(centers.shape[-1], t.leaf_count, _gauss_rows(centers)[0])
 
 
 def disk_projection(d: DiskConfiguration) -> SphereConfiguration:
@@ -1021,11 +1042,17 @@ def disk_projection(d: DiskConfiguration) -> SphereConfiguration:
     return gauss_map(PointConfiguration(d.m, d.centers))
 
 
+def _sphere_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per configuration of two stacks of pair rows (T, P, m), the max over
+    pairs of the euclidean distance between coordinates: (T,)."""
+    return np.max(_norms((a - b).T), axis=0, initial=0.0)
+
+
 def sphere_distance(a: SphereConfiguration, b: SphereConfiguration) -> float:
     """Max over pairs of the euclidean distance between coordinates."""
     if (a.m, a.n) != (b.m, b.n):
         raise ValueError("configurations have different shapes")
-    return float(np.max(_norms((a.rows - b.rows).T), initial=0.0))
+    return float(_sphere_distances(a.rows[None], b.rows[None])[0])
 
 
 def two_level_trees(max_leaves: int) -> list[RpTree]:
@@ -1046,27 +1073,33 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
     """Both endpoint comparisons of the homotopy on random disk inputs:
     time 1 against gauss_map of the composition, time ~ 0 against the
     sphere-coordinate composition of the projected inputs.  The disk
-    sampler's expected draws are bounded before anything is drawn."""
+    sampler's expected draws are bounded before anything is drawn.  Each
+    trial draws its vertices' disks in _compose_table's vertex order, and a
+    chunk's maps run on the chunk's stack, as on a stack of one."""
     _check_dimension(m)
     check_disk_draws(tree, m)
-
-    def one(k: int) -> dict:
-        rng = _trial_rng(seed, k)
-        inputs = {p: random_disk_configuration(rng, tree.arity(p), m)
-                  for p in tree.vertices()}
-        end_gap = sphere_distance(disks_homotopy(tree, inputs, 1.0),
-                                  disk_projection(disks_compose(tree, inputs)))
-        limit_gap = sphere_distance(
-            disks_homotopy(tree, inputs, limit_time),
-            kontsevich_compose(tree, {p: disk_projection(d)
-                                      for p, d in inputs.items()}))
-        passed = end_gap <= end_tol and limit_gap <= limit_tol
+    _check_time(limit_time)
+    internal, index = _compose_table(tree)
+    arities = tuple(map(tree.arity, internal))
+    outcomes = []
+    for ks in _chunks(trials):
+        disks = _disk_stack([[_draw_disks(rng, a, m) for a in arities]
+                             for rng in (_trial_rng(seed, k) for k in ks)], m)
+        for lo, k in zip(itertools.accumulate(arities, initial=0), arities):
+            _check_disks(disks[0][:, lo:lo + k], disks[1][:, lo:lo + k], DEFAULT_TOL)
+        composed = _slid_disks(tree, disks, 1.0)
+        _check_disks(*composed, DEFAULT_TOL)
+        rows = [_gauss_rows(_slid_disks(tree, disks, 1.0)[0]), _gauss_rows(composed[0]),
+                _gauss_rows(_slid_disks(tree, disks, limit_time)[0]),
+                _gauss_rows(disks[0], _vertex_pairs(arities))[:, index]]
+        for r in rows:
+            _check_unit_rows(r, tree.leaf_count)
+        gaps = zip(_sphere_distances(*rows[:2]).tolist(), _sphere_distances(*rows[2:]).tolist())
         # the aggregate residual is the worse tolerance ratio (dimensionless)
-        return {"trial": k, "passed": passed,
-                "max_residual": max(end_gap / end_tol, limit_gap / limit_tol),
-                "end_gap": end_gap, "limit_gap": limit_gap}
-
-    outcomes = [one(k) for k in range(trials)]
+        outcomes += [{"trial": k, "passed": end_gap <= end_tol and limit_gap <= limit_tol,
+                      "max_residual": max(end_gap / end_tol, limit_gap / limit_tol),
+                      "end_gap": end_gap, "limit_gap": limit_gap}
+                     for k, (end_gap, limit_gap) in zip(ks, gaps)]
     report = _aggregate_trials("disks-comparison", outcomes,
                                {"tree": tree.to_text(), "m": m, "seed": seed,
                                 "end_tol": end_tol, "limit_tol": limit_tol,
@@ -1078,10 +1111,26 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
 
 # -- endpoint maps -------------------------------------------------------------
 
+# The maps run on stacks of points (..., m) and return, beside their values,
+# an error code per point or pair: 0, or the index of its message here.
 
-def _pole_distance(x: Vector, sign: float) -> float:
-    pole = (0.0,) * (len(x) - 1) + (sign,)
-    return norm(tuple(a - b for a, b in zip(x, pole)))
+_ERRORS = (None,
+           "no differential at the marked endpoints",
+           "point inside an endpoint shell is off-axis",
+           "lambda_map is undefined at the marked endpoints",
+           "coincident pair ({i}, {j}) carries no direction",
+           "degenerate direction for pair ({i}, {j}) at an endpoint",
+           "pair ({i}, {j}) has an endpoint out of order: "
+           "*_+ may only lead and *_- only trail")
+
+
+def _raise_first(codes: np.ndarray, pairs: np.ndarray | None = None) -> None:
+    """Raise the error of the first nonzero code of the stack codes, naming
+    its pair by the 0-based points pairs (2, P) when the codes are per pair."""
+    if codes.any():
+        at = np.unravel_index(np.argmax(codes != 0), codes.shape)
+        i, j = (None, None) if pairs is None else pairs[:, at[-1]] + 1
+        raise ValueError(_ERRORS[codes[at]].format(i=i, j=j))
 
 
 def _check_eps(eps: float) -> None:
@@ -1089,19 +1138,36 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1/6], got {eps}")
 
 
+def _lambda_rows(x: np.ndarray, eps: float, tol: float = DEFAULT_TOL):
+    """lambda of every point of the stack x (..., m) with its error codes,
+    and lambda's last-coordinate stretch rate there (see
+    lambda_jacobian_factor) with its error codes.  Neither is defined at an
+    endpoint, nor the rate off the axis inside a shell."""
+    v = np.array(x, dtype=np.float64)
+    factor, undefined = np.ones(v.shape[:-1]), np.zeros(v.shape[:-1], dtype=bool)
+    done, codes = undefined.copy(), np.zeros(v.shape[:-1], dtype=np.intp)
+    off_axis = (np.abs(v[..., :-1]) > tol).any(axis=-1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for sign in (-1.0, 1.0):  # lambda = lambda_+ after lambda_-
+            d = _norms((v - sign * np.array(north(v.shape[-1]))).T).T  # v is x where not done
+            at_pole, shell = d == 0.0, (d < eps) & (d != 0.0)
+            undefined |= at_pole
+            codes = np.where(done, codes, np.where(at_pole, 1, 2 * (shell & off_axis)))
+            factor = np.where(shell & ~done, eps / (d * d), factor)
+            done |= at_pole | shell
+            v[..., -1] = np.where(shell, eps * v[..., -1] / np.where(shell, d, 1.0),
+                                  v[..., -1])
+    return v, 3 * undefined, factor, codes
+
+
 def lambda_map(x: Sequence[float], eps: float = DEFAULT_EPS) -> Vector:
     """Stretch the last coordinate near each endpoint: within distance eps of
     *_+ or *_-, the last coordinate a_m becomes eps a_m / d(a); elsewhere the
     map is the identity.  The two shells are disjoint because eps <= 1/6."""
     _check_eps(eps)
-    v = tuple(float(c) for c in x)
-    for sign in (-1.0, 1.0):  # lambda = lambda_+ after lambda_-
-        d = _pole_distance(v, sign)
-        if d == 0.0:
-            raise ValueError("lambda_map is undefined at the marked endpoints")
-        if d < eps:
-            v = v[:-1] + (eps * v[-1] / d,)
-    return v
+    v, codes, _, _ = _lambda_rows(np.array([x], dtype=np.float64), eps)
+    _raise_first(codes)
+    return tuple(v[0].tolist())
 
 
 def lambda_jacobian_factor(x: Sequence[float], eps: float = DEFAULT_EPS,
@@ -1113,16 +1179,51 @@ def lambda_jacobian_factor(x: Sequence[float], eps: float = DEFAULT_EPS,
     with d the distance to that endpoint; off-axis shell points violate the
     boundary-collinearity precondition and are rejected."""
     _check_eps(eps)
-    v = tuple(float(c) for c in x)
-    for sign in (-1.0, 1.0):
-        d = _pole_distance(v, sign)
-        if d == 0.0:
-            raise ValueError("no differential at the marked endpoints")
-        if d < eps:
-            if any(abs(c) > tol for c in v[:-1]):
-                raise ValueError("point inside an endpoint shell is off-axis")
-            return eps / (d * d)
-    return 1.0
+    _, _, factor, codes = _lambda_rows(np.array([x], dtype=np.float64), eps, tol)
+    _raise_first(codes)
+    return float(factor[0])
+
+
+def _boundary_stack(configs: Sequence[PointConfiguration]):
+    """The points (T, n, m), pair directions (T, C(n, 2), m) and direction
+    mask (T, C(n, 2)) of boundary configurations of one shape; a pair with
+    no direction reads 0."""
+    n, m = configs[0].n, configs[0].m
+    points = np.array([c.points for c in configs], dtype=np.float64)
+    dirs = np.zeros((len(configs), pair_count(n), m))
+    has = np.zeros(dirs.shape[:2], dtype=bool)
+    for t, c in enumerate(configs):
+        for pair, g in c.pair_directions.items():
+            r = b_elements(n).index(pair) - 1
+            dirs[t, r], has[t, r] = g, True
+    return points.reshape(len(configs), n, m), dirs, has
+
+
+def _pi_rows(points: np.ndarray, dirs: np.ndarray, has: np.ndarray,
+             eps: float) -> np.ndarray:
+    """The rows (T, C(n, 2), m) of project_pi_k on a stack of boundary
+    configurations (see _boundary_stack), or the error of the first pair,
+    in the first configuration, that has one."""
+    m = points.shape[-1]
+    pairs = a, b = _pair_points(points.shape[1])
+    top = (points == north(m)).all(axis=-1)
+    bottom = (points == south(m)).all(axis=-1)
+    same = (points[:, a] == points[:, b]).all(axis=-1)
+    ends = same & (top | bottom)[:, a]
+    rule = ~same & (top[:, a] | bottom[:, b])
+    wrong = ~same & ~rule & (top[:, b] | bottom[:, a])
+    lam, lam_codes, factor, jac_codes = _lambda_rows(points, eps)
+    pushed = dirs.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        pushed[..., -1] *= factor[:, a]
+        rows = _unit_rows(np.where(same[..., None], pushed, lam[:, b] - lam[:, a]))
+    rows[..., :-1] = np.where(ends[..., None], 0.0, rows[..., :-1])
+    rows[..., -1] = np.where(ends, np.copysign(1.0, dirs[..., -1]), rows[..., -1])
+    rows = np.where(rule[..., None], south(m), rows)
+    _raise_first(np.select(
+        [same & ~has, ends & (dirs[..., -1] == 0.0), same & ~ends, wrong, ~same & ~rule],
+        [4, 5, jac_codes[:, a], 6, np.maximum(lam_codes[:, a], lam_codes[:, b])]), pairs)
+    return rows
 
 
 def project_pi_k(c: PointConfiguration, eps: float = DEFAULT_EPS) -> SphereConfiguration:
@@ -1134,76 +1235,57 @@ def project_pi_k(c: PointConfiguration, eps: float = DEFAULT_EPS) -> SphereConfi
     coincident pairs, the stored direction pushed through the differential
     of lambda (a positive rescale of the last coordinate, renormalized) —
     at an endpoint the rescale diverges and the limit keeps only the last
-    coordinate's sign."""
+    coordinate's sign.  A stack of one for _pi_rows."""
     _check_eps(eps)
-    m = c.m
-    top, bottom = north(m), south(m)
-    rows = []
-    for i, j in itertools.combinations(range(1, c.n + 1), 2):
-        xi, xj = c.points[i - 1], c.points[j - 1]
-        if xi == xj:
-            g = c.pair_directions.get((i, j))
-            if g is None:
-                raise ValueError(f"coincident pair ({i}, {j}) carries no direction")
-            if xi == top or xi == bottom:
-                if g[-1] == 0.0:
-                    raise ValueError(f"degenerate direction for pair ({i}, {j}) "
-                                     "at an endpoint")
-                rows.append((0.0,) * (m - 1) + (math.copysign(1.0, g[-1]),))
-            else:
-                factor = lambda_jacobian_factor(xi, eps)
-                rows.append(unit(g[:-1] + (factor * g[-1],)))
-        elif xi == top or xj == bottom:
-            rows.append(south(m))
-        elif xj == top or xi == bottom:
-            raise ValueError(f"pair ({i}, {j}) has an endpoint out of order: "
-                             "*_+ may only lead and *_- only trail")
-        else:
-            yi, yj = lambda_map(xi, eps), lambda_map(xj, eps)
-            rows.append(unit(tuple(a - b for a, b in zip(yj, yi))))
-    return SphereConfiguration(m, c.n, rows)
+    return SphereConfiguration(c.m, c.n, _pi_rows(*_boundary_stack([c]), eps)[0])
 
 
 # -- insertion maps on boundary data ------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _insertion_tables(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather indices of e^i on n points listed with *_+ and *_- after
+    them (rows n and n + 1), and on their C(n, 2) pairs listed with one more
+    row: the pairs of two copies of a point, or with an inserted endpoint,
+    read that last row."""
+    rows = list(range(n))
+    points = [n] + rows if i == 0 else rows + [n + 1] if i == n + 1 else \
+        rows[:i] + [i - 1] + rows[i:]
+    row = {pair: r for r, pair in enumerate(itertools.combinations(rows, 2))}
+    return np.array(points), np.array(
+        [row.get((points[a], points[b]), len(row))
+         for a, b in itertools.combinations(range(n + 1), 2)], dtype=np.intp)
+
+
+def _insert_stack(points: np.ndarray, dirs: np.ndarray, has: np.ndarray, i: int):
+    """e^i on a stack of boundary configurations (see _boundary_stack): the
+    points gather through _insertion_tables, and so do the pair directions,
+    a new coincident pair reading *_S."""
+    t, n, m = points.shape
+    point_index, pair_index = _insertion_tables(n, i)
+    return (np.concatenate([points, np.broadcast_to([north(m), south(m)], (t, 2, m))],
+                           axis=1)[:, point_index],
+            np.concatenate([dirs, np.broadcast_to(south(m), (t, 1, m))], axis=1)[:, pair_index],
+            np.concatenate([has, np.ones((t, 1), dtype=bool)], axis=1)[:, pair_index])
+
+
 def insertion_e(c: PointConfiguration, i: int) -> PointConfiguration:
     """e^i doubles point i with new mutual direction *_S (1 <= i <= n); e^0
     and e^{n+1} plant a copy of the corresponding marked endpoint at the
-    matching end of the configuration.  Indices relabel by sigma_i."""
+    matching end of the configuration.  Indices relabel by sigma_i.  A stack
+    of one for _insert_stack; tangents are inserted as points are, *_S at
+    the ends."""
     n, m = c.n, c.m
     if not 0 <= i <= n + 1:
         raise ValueError(f"insertion index {i} out of range for n={n}")
-    base = south(m)
-    if i == 0 or i == n + 1:
-        endpoint = north(m) if i == 0 else south(m)
-        at = 0 if i == 0 else n
-        points = c.points[:at] + (endpoint,) + c.points[at:]
-        tangents = None if c.tangents is None else \
-            c.tangents[:at] + (base,) + c.tangents[at:]
-        shift = (lambda a: a + 1) if i == 0 else (lambda a: a)
-        dirs = {(shift(a), shift(b)): g for (a, b), g in c.pair_directions.items()}
-        new_idx = 1 if i == 0 else n + 1
-        for k, p in enumerate(points, start=1):
-            if k != new_idx and p == endpoint:
-                dirs[(min(k, new_idx), max(k, new_idx))] = base
-        return PointConfiguration(m, points, tangents, dirs)
-    points = c.points[:i] + (c.points[i - 1],) + c.points[i:]
-    tangents = None if c.tangents is None else \
-        c.tangents[:i] + (c.tangents[i - 1],) + c.tangents[i:]
-
-    def h(a: int) -> int:
-        return a if a <= i else a + 1
-
-    dirs = {}
-    for (a, b), g in c.pair_directions.items():
-        dirs[(h(a), h(b))] = g
-        if a == i:                       # the duplicate shares i's coincidences
-            dirs[(i + 1, h(b))] = g
-        if b == i:
-            dirs[(a, i + 1)] = g
-    dirs[(i, i + 1)] = base
-    return PointConfiguration(m, points, tangents, dirs)
+    points, dirs, has = (x[0] for x in _insert_stack(*_boundary_stack([c]), i))
+    tangents = None if c.tangents is None else np.concatenate(
+        [np.reshape(c.tangents, (n, m)), [south(m)] * 2])[_insertion_tables(n, i)[0]]
+    a, b = _pair_points(n + 1).tolist()
+    keep = np.flatnonzero(has & (points[a] == points[b]).all(axis=-1)).tolist()
+    return PointConfiguration(m, points, tangents,
+                              {(a[r] + 1, b[r] + 1): dirs[r] for r in keep})
 
 
 def delete_point(c: PointConfiguration, i: int) -> PointConfiguration:
@@ -1232,13 +1314,13 @@ def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
     lead = int(rng.integers(0, 2)) if n >= 2 else 0
     trail = int(rng.integers(0, 2)) if n - lead >= 2 else 0
     k = n - lead - trail
-    pts: list[Vector] = []
+    poles = np.array([top, bottom])
+    pts: list = []
     while len(pts) < k:
-        cand = tuple(rng.uniform(-1.0, 1.0, size=m))
-        if (_pole_distance(cand, 1.0) < eps * 1.5
-                or _pole_distance(cand, -1.0) < eps * 1.5):
+        cand = rng.uniform(-1.0, 1.0, size=m)
+        if (_norms((cand - poles).T) < eps * 1.5).any():
             continue
-        if any(norm(tuple(a - b for a, b in zip(cand, p))) < 1e-3 for p in pts):
+        if pts and (_norms((cand - np.array(pts)).T) < 1e-3).any():
             continue
         pts.append(cand)
     dirs = {}
@@ -1246,7 +1328,7 @@ def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
         # duplicate one interior point; the pair needs a direction
         which = int(rng.integers(0, k - 1))
         pts[which + 1] = pts[which]
-        dirs[(lead + which + 1, lead + which + 2)] = unit(tuple(rng.standard_normal(m)))
+        dirs[(lead + which + 1, lead + which + 2)] = _unit_rows(rng.standard_normal((1, m)))[0]
     elif k >= 1 and rng.random() < 0.3:
         # an on-axis near-endpoint coincident pair takes the rescale path
         sign = 1.0 if rng.random() < 0.5 else -1.0
@@ -1254,7 +1336,7 @@ def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
         pts[0] = axis
         if k >= 2:
             pts[1] = axis
-            dirs[(lead + 1, lead + 2)] = unit(tuple(rng.standard_normal(m)))
+            dirs[(lead + 1, lead + 2)] = _unit_rows(rng.standard_normal((1, m)))[0]
     points = (top,) * lead + tuple(pts) + (bottom,) * trail
     for a in range(1, lead + 1):
         for b in range(a + 1, lead + 1):
@@ -1262,22 +1344,33 @@ def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
     for a in range(n - trail + 1, n + 1):
         for b in range(a + 1, n + 1):
             dirs[(a, b)] = south(m)
-    tangents = tuple(unit(tuple(rng.standard_normal(m))) for _ in range(n))
+    tangents = _unit_rows(rng.standard_normal((n, m)))
     return PointConfiguration(m, points, tangents, dirs)
 
 
 def check_insertion_naturality(n: int, m: int, trials: int, seed: int = 0,
                                eps: float = DEFAULT_EPS) -> CheckReport:
-    """pi_k(e^i(c)) == d^i(pi_k(c)), exactly, for 0 <= i <= n+1."""
+    """pi_k(e^i(c)) == d^i(pi_k(c)), exactly, for 0 <= i <= n+1.  Each trial
+    draws its configuration from its own stream; a chunk's configurations
+    are stacked, and both sides are evaluated on the stack for every i."""
+    _check_eps(eps)
     rep = CheckReport(f"insertion-naturality[n={n},m={m}]")
-    for k in range(trials):
-        c = random_boundary_configuration(_trial_rng(seed, k), n, m, eps)
-        base = project_pi_k(c, eps)
+    for ks in _chunks(trials):
+        configs = [random_boundary_configuration(_trial_rng(seed, k), n, m, eps)
+                   for k in ks]
+        stack = _boundary_stack(configs)
+        base = _pi_rows(*stack, eps)
+        _check_unit_rows(base, n)
+        base = np.concatenate([base, np.broadcast_to(south(m), (len(ks), 1, m))], axis=1)
+        same = []
         for i in range(n + 2):
-            lhs = project_pi_k(insertion_e(c, i), eps)
-            rhs = kontsevich_coface(base, i)
-            rep.record(lhs == rhs, None if lhs == rhs else
-                       {"trial": k, "index": i, "config": c.to_json_obj()})
+            lhs = _pi_rows(*_insert_stack(*stack, i), eps)
+            _check_unit_rows(lhs, n + 1)
+            same.append((lhs == base[:, _coface_table(n, i)]).all(axis=(1, 2)).tolist())
+        for t, (k, c) in enumerate(zip(ks, configs)):
+            for i in range(n + 2):
+                rep.record(same[i][t], None if same[i][t] else
+                           {"trial": k, "index": i, "config": c.to_json_obj()})
     return rep
 
 
@@ -1353,7 +1446,7 @@ def knot_eval(curve, times: Sequence[float]) -> PointConfiguration:
         if not any(d):
             raise ValueError(f"zero derivative at t={t}")
         points.append(tuple(float(c) for c in curve.value(t)))
-        tangents.append(unit(d))
+        tangents.append(tuple(_unit_rows(np.array([d]))[0].tolist()))
     m = len(points[0]) if points else getattr(curve, "m", 3)
     dirs = {}
     for a, b in itertools.combinations(range(len(ts)), 2):

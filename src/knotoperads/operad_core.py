@@ -335,7 +335,8 @@ def check_cosimplicial_identities(c: CosimplicialObject,
     identity ordinal maps must tabulate as the identity.  This covers the
     coface/coface, codegeneracy/codegeneracy, and mixed identities at once.
     With the linear hook, every arrow is tabulated once on its level's basis
-    and the composites are compared in coordinates.
+    and the composites are compared in coordinates.  Each composite is
+    compared as it arrives, so only one table per group is held.
     """
     rep = CheckReport(f"cosimplicial-identities<={max_level}")
     levels = [list(c.level_elements(n)) for n in range(max_level + 1)]
@@ -344,30 +345,38 @@ def check_cosimplicial_identities(c: CosimplicialObject,
     tables = {f: _arrow_table(c.coordinates, levels[n], f)
               for n in range(max_level + 1)
               for _, _, _, f in arrows[n]} if linear else None
-    groups: dict[tuple, list] = {}
+    # per group: its first composite and label, the identity's table where
+    # the ordinal map is one (else None), and the (ok, witness) records of the
+    # later composites against the first and of all against the identity,
+    # which are recorded group by group once every composite has arrived
+    groups: dict[tuple, tuple] = {}
     for n in range(max_level + 1):
         for lab1, mid, ord1, f1 in arrows[n]:
             for lab2, end, ord2, f2 in arrows[mid]:
                 ordc = tuple(ord2[v] for v in ord1)
-                keying = end if c.direction == "backward" else n
-                table = _composite_table(c, levels[keying], f1, f2, tables)
-                groups.setdefault((n, end, ordc), []).append(
-                    (f"{lab2} {lab1}", table, (f1, f2)))
-    for (n, end, ordc), items in groups.items():
-        inputs = levels[end if c.direction == "backward" else n]
-        label0, table0, maps0 = items[0]
-        for label, table, maps in items[1:]:
-            same = table == table0
-            rep.record(same, None if same else {
-                "level": n, "maps": [label0, label],
-                "witness": _first_diff(c, inputs, table0, table, maps0, maps)})
-        if n == end and ordc == tuple(range(n + 1)):
-            ident = [c.coordinates(x) for x in inputs] if linear else inputs
-            for label, table, maps in items:
-                ok = table == ident
-                rep.record(ok, None if ok else {
-                    "level": n, "maps": [label, "identity"],
-                    "witness": _first_diff(c, inputs, ident, table, None, maps)})
+                inputs = levels[end if c.direction == "backward" else n]
+                label, maps = f"{lab2} {lab1}", (f1, f2)
+                table = _composite_table(c, inputs, f1, f2, tables)
+                key = (n, end, ordc)
+                if key not in groups:
+                    ident = None
+                    if n == end and ordc == tuple(range(n + 1)):
+                        ident = [c.coordinates(x) for x in inputs] if linear else inputs
+                    groups[key] = (label, table, maps, ident, [], [])
+                label0, table0, maps0, ident, same, identity = groups[key]
+                if table is not table0:
+                    ok = table == table0
+                    same.append((ok, None if ok else {
+                        "level": n, "maps": [label0, label],
+                        "witness": _first_diff(c, inputs, table0, table, maps0, maps)}))
+                if ident is not None:
+                    ok = table == ident
+                    identity.append((ok, None if ok else {
+                        "level": n, "maps": [label, "identity"],
+                        "witness": _first_diff(c, inputs, ident, table, None, maps)}))
+    for *_, same, identity in groups.values():
+        for ok, witness in same + identity:
+            rep.record(ok, witness)
     return rep
 
 

@@ -119,6 +119,29 @@ class TestVerify:
         assert battery["passed"]
         assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de"
 
+    def test_geometry_battery_golden_across_chunks(self):
+        # 120 trials cross the 50-trial chunk boundary twice in every
+        # membership and closure suite, and once in each disk suite
+        battery = cli._geometry_battery(120, 1e-9, 7, 0.125)
+        digest = hashlib.sha256(json.dumps(battery, sort_keys=True).encode()).hexdigest()
+        assert battery["passed"]
+        assert digest == "35ae34a73836fbaa70ea71dc2cf8bc1f865786f82c8821655127c8aa8ede4611"
+
+    def test_geometry_progress_goes_to_stderr_only(self, capsys, tmp_path):
+        args = ["verify", "geometry", "--trials", "20", "--seed", "7"]
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        assert [line.split(" done (")[0] for line in err.splitlines()[:-1]] == [
+            f"verify geometry: {section}" for section in
+            ("membership and closure", "naturality", "disks", "cosimplicial")]
+        assert "verify geometry:" not in out and " done (" not in out
+        results = json.loads(out)["results"]
+        digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+        assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de"
+        path = tmp_path / "battery.json"
+        assert main(args + ["--output", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == out
+
     def test_same_config_byte_identical(self, capsys):
         args = ["verify", "geometry", "--trials", "5", "--seed", "42"]
         code1, out1, _ = run(capsys, *args)

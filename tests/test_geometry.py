@@ -6,12 +6,15 @@ everything else is pinned against independent oracles written here: the
 scalar support enumeration that the batched three-dependence kernel must
 match bit for bit, a naive 24-permutation chain sum for four-consistency,
 the pair-by-pair relabellings that the row gathers of composition, cofaces
-and codegeneracies must match bit for bit, per-trial membership reports
-for the batched trial suites, central finite differences for the
-endpoint-map derivative, and direct formula evaluation for the little
-disks.
+and codegeneracies must match bit for bit, the scalar vector arithmetic
+(unit, dot, norm) and the per-configuration endpoint maps, insertions and
+disk maps that the stacked kernels must match bit for bit, per-trial
+membership reports and per-vertex draws for the batched trial suites,
+central finite differences for the endpoint-map derivative, and direct
+formula evaluation for the little disks.
 """
 
+import hashlib
 import itertools
 import math
 import warnings
@@ -23,12 +26,48 @@ from hypothesis import strategies as st
 
 from knotoperads import geometry as G
 from knotoperads.errors import BoundExceededError
-from knotoperads.operad_core import structure_map, structure_map_stepwise
+from knotoperads.operad_core import CheckReport, structure_map, structure_map_stepwise
 from knotoperads.trees import TreeMorphism, corolla, enumerate_trees, graft, \
     join_vertex, parse_tree
 
 
 # -- independent oracles -------------------------------------------------------
+
+
+def _dot(a, b):
+    """The products added in index order from 0.0, the order _dots repeats
+    (Python 3.12's sum() compensates, so a sum() here would round
+    differently there)."""
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _norm(a):
+    return math.sqrt(_dot(a, a))
+
+
+def _unit(v):
+    """v/|v|, with axis-aligned vectors normalized exactly: the scalar
+    arithmetic _unit_rows repeats row by row."""
+    nz = [k for k, x in enumerate(v) if x != 0.0]
+    if not nz:
+        raise ValueError("cannot normalize the zero vector")
+    if len(nz) == 1:
+        k = nz[0]
+        out = [0.0] * len(v)
+        out[k] = math.copysign(1.0, v[k])
+        return tuple(out)
+    r = _norm(tuple(v))
+    if r == 0.0:
+        raise ValueError("cannot normalize: the norm underflows to 0")
+    return tuple(x / r for x in v)
+
+
+def _unit_row(v):
+    """_unit_rows on one vector, as a tuple."""
+    return tuple(G._unit_rows(np.array([v], dtype=float))[0].tolist())
 
 
 def _support_candidates(a, b, c, tol):
@@ -39,23 +78,23 @@ def _support_candidates(a, b, c, tol):
     min of its candidates."""
     vecs = (a, b, c)
     for p, q in itertools.combinations(range(3), 2):
-        yield G.norm(tuple(x + y for x, y in zip(vecs[p], vecs[q])))
+        yield _norm(tuple(x + y for x, y in zip(vecs[p], vecs[q])))
         # 2-support solve: min over alpha of |alpha v_p + v_q|
-        alpha = -G.dot(vecs[p], vecs[q])
+        alpha = -_dot(vecs[p], vecs[q])
         if alpha >= -tol:
-            yield G.norm(tuple(alpha * x + y for x, y in zip(vecs[p], vecs[q])))
+            yield _norm(tuple(alpha * x + y for x, y in zip(vecs[p], vecs[q])))
     for pivot in range(3):
         p, q = [k for k in range(3) if k != pivot]
         vp, vq, vc = vecs[p], vecs[q], vecs[pivot]
-        gpp, gpq, gqq = G.dot(vp, vp), G.dot(vp, vq), G.dot(vq, vq)
+        gpp, gpq, gqq = _dot(vp, vp), _dot(vp, vq), _dot(vq, vq)
         det = gpp * gqq - gpq * gpq
         if abs(det) < 1e-14:
             continue  # parallel pair; the antipodal branch covers it
-        rp, rq = -G.dot(vp, vc), -G.dot(vq, vc)
+        rp, rq = -_dot(vp, vc), -_dot(vq, vc)
         alpha = (rp * gqq - rq * gpq) / det
         beta = (gpp * rq - gpq * rp) / det
         if alpha >= -tol and beta >= -tol:
-            yield G.norm(tuple(alpha * x + beta * y + z
+            yield _norm(tuple(alpha * x + beta * y + z
                                for x, y, z in zip(vp, vq, vc)))
 
 
@@ -80,8 +119,8 @@ def _naive_chain_sum(s, subset, v, w):
         sign = -1.0 if inv % 2 else 1.0
         path = {tuple(sorted((seq[k], seq[k + 1]))) for k in range(3)}
         comp = set(itertools.combinations(sorted(subset), 2)) - path
-        pv = math.prod(G.dot(s.u(*e), v) for e in sorted(path))
-        pw = math.prod(G.dot(s.u(*e), w) for e in sorted(comp))
+        pv = math.prod(_dot(s.u(*e), v) for e in sorted(path))
+        pw = math.prod(_dot(s.u(*e), w) for e in sorted(comp))
         total += sign * pv * pw
     return total / 2.0
 
@@ -142,7 +181,7 @@ def _unit_oracle(points):
     points (..., n, m), in combinations order: the per-pair Gauss map the
     stacked one replaced."""
     pts = np.asarray(points)
-    out = [[G.unit(tuple(p - q for p, q in zip(cfg[i], cfg[j])))
+    out = [[_unit(tuple(p - q for p, q in zip(cfg[i], cfg[j])))
             for i, j in itertools.combinations(range(len(cfg)), 2)]
            for cfg in pts.reshape(-1, *pts.shape[-2:]).tolist()]
     return np.array(out).reshape(*pts.shape[:-2], -1, pts.shape[-1])
@@ -166,6 +205,196 @@ def _assert_same(got, want):
     """Equal shapes and the same float bits in every row."""
     assert (got.m, got.n) == (want.m, want.n)
     assert got.rows.tobytes() == want.rows.tobytes()
+
+
+def _pole_distance(x, sign):
+    return _norm(tuple(a - b for a, b in zip(x, (0.0,) * (len(x) - 1) + (sign,))))
+
+
+def _lambda_oracle(x, eps=G.DEFAULT_EPS):
+    """lambda point by point: the scalar body the stacked kernel replaced."""
+    v = tuple(float(c) for c in x)
+    for sign in (-1.0, 1.0):
+        d = _pole_distance(v, sign)
+        if d == 0.0:
+            raise ValueError("lambda_map is undefined at the marked endpoints")
+        if d < eps:
+            v = v[:-1] + (eps * v[-1] / d,)
+    return v
+
+
+def _jacobian_oracle(x, eps=G.DEFAULT_EPS, tol=G.DEFAULT_TOL):
+    v = tuple(float(c) for c in x)
+    for sign in (-1.0, 1.0):
+        d = _pole_distance(v, sign)
+        if d == 0.0:
+            raise ValueError("no differential at the marked endpoints")
+        if d < eps:
+            if any(abs(c) > tol for c in v[:-1]):
+                raise ValueError("point inside an endpoint shell is off-axis")
+            return eps / (d * d)
+    return 1.0
+
+
+def _project_oracle(c, eps=G.DEFAULT_EPS):
+    """project_pi_k pair by pair, as rows (C(n, 2), m)."""
+    m = c.m
+    top, bottom = G.north(m), G.south(m)
+    rows = []
+    for i, j in itertools.combinations(range(1, c.n + 1), 2):
+        xi, xj = c.points[i - 1], c.points[j - 1]
+        if xi == xj:
+            g = c.pair_directions.get((i, j))
+            if g is None:
+                raise ValueError(f"coincident pair ({i}, {j}) carries no direction")
+            if xi == top or xi == bottom:
+                if g[-1] == 0.0:
+                    raise ValueError(f"degenerate direction for pair ({i}, {j}) "
+                                     "at an endpoint")
+                rows.append((0.0,) * (m - 1) + (math.copysign(1.0, g[-1]),))
+            else:
+                rows.append(_unit(g[:-1] + (_jacobian_oracle(xi, eps) * g[-1],)))
+        elif xi == top or xj == bottom:
+            rows.append(bottom)
+        elif xj == top or xi == bottom:
+            raise ValueError(f"pair ({i}, {j}) has an endpoint out of order")
+        else:
+            yi, yj = _lambda_oracle(xi, eps), _lambda_oracle(xj, eps)
+            rows.append(_unit(tuple(a - b for a, b in zip(yj, yi))))
+    return np.array(rows).reshape(-1, m)
+
+
+def _projection_branches(c, eps=G.DEFAULT_EPS):
+    """Which of project_pi_k's cases the pairs of c take."""
+    top, bottom = G.north(c.m), G.south(c.m)
+    out = set()
+    for xi, xj in itertools.combinations(c.points, 2):
+        if xi == xj:
+            out.add("endpoint pair" if xi in (top, bottom) else
+                    "shell pair" if _jacobian_oracle(xi, eps) != 1.0 else "interior pair")
+        elif xi == top or xj == bottom:
+            out.add("endpoint rule")
+        else:
+            out.add("shell point" if _lambda_oracle(xi, eps) != xi
+                    or _lambda_oracle(xj, eps) != xj else "generic")
+    return out
+
+
+def _insertion_oracle(c, i):
+    """e^i by relabeling the pair-direction dictionary."""
+    n, m = c.n, c.m
+    base = G.south(m)
+    if i == 0 or i == n + 1:
+        endpoint = G.north(m) if i == 0 else G.south(m)
+        at = 0 if i == 0 else n
+        points = c.points[:at] + (endpoint,) + c.points[at:]
+        tangents = None if c.tangents is None else \
+            c.tangents[:at] + (base,) + c.tangents[at:]
+        shift = (lambda a: a + 1) if i == 0 else (lambda a: a)
+        dirs = {(shift(a), shift(b)): g for (a, b), g in c.pair_directions.items()}
+        new_idx = 1 if i == 0 else n + 1
+        for k, p in enumerate(points, start=1):
+            if k != new_idx and p == endpoint:
+                dirs[(min(k, new_idx), max(k, new_idx))] = base
+        return G.PointConfiguration(m, points, tangents, dirs)
+    points = c.points[:i] + (c.points[i - 1],) + c.points[i:]
+    tangents = None if c.tangents is None else \
+        c.tangents[:i] + (c.tangents[i - 1],) + c.tangents[i:]
+
+    def h(a):
+        return a if a <= i else a + 1
+
+    dirs = {}
+    for (a, b), g in c.pair_directions.items():
+        dirs[(h(a), h(b))] = g
+        if a == i:
+            dirs[(i + 1, h(b))] = g
+        if b == i:
+            dirs[(a, i + 1)] = g
+    dirs[(i, i + 1)] = base
+    return G.PointConfiguration(m, points, tangents, dirs)
+
+
+def _naturality_oracle(n, m, trials, seed, eps=G.DEFAULT_EPS):
+    """The per-configuration naturality loop, in trial-major order."""
+    rep = CheckReport(f"insertion-naturality[n={n},m={m}]")
+    for k in range(trials):
+        c = G.random_boundary_configuration(G._trial_rng(seed, k), n, m, eps)
+        base = G.SphereConfiguration(m, n, _project_oracle(c, eps))
+        for i in range(n + 2):
+            ok = np.array_equal(_project_oracle(_insertion_oracle(c, i), eps),
+                                G.kontsevich_coface(base, i).rows)
+            rep.record(ok, None if ok else {"trial": k, "index": i, "config": c.to_json_obj()})
+    return rep
+
+
+def _two_level_slots(tree):
+    """Leaf descriptors (root slot e, child vertex path or None, slot o)."""
+    slots = []
+    for c, child in enumerate(tree.root):
+        if child == ():
+            slots.append((c + 1, None, 0))
+        for o, grand in enumerate(child):
+            assert grand == ()
+            slots.append((c + 1, (c,), o + 1))
+    return slots
+
+
+def _centers_oracle(tree, inputs, time):
+    """The slid centers x_e + time r_e x'_o leaf by leaf."""
+    root = inputs[()]
+    centers = []
+    for e, vpath, o in _two_level_slots(tree):
+        x, r = root.centers[e - 1], root.radii[e - 1]
+        if vpath is None:
+            centers.append(x)
+        else:
+            y = inputs[vpath].centers[o - 1]
+            centers.append(tuple(xc + time * r * yc for xc, yc in zip(x, y)))
+    return centers
+
+
+def _disks_compose_oracle(tree, inputs):
+    root = inputs[()]
+    radii = [root.radii[e - 1] if vpath is None else root.radii[e - 1] * inputs[vpath].radii[o - 1]
+             for e, vpath, o in _two_level_slots(tree)]
+    return G.DiskConfiguration(root.m, _centers_oracle(tree, inputs, 1.0), radii)
+
+
+def _projection_oracle(m, centers):
+    return G.SphereConfiguration(m, len(centers), _unit_oracle(
+        np.array(centers, dtype=float).reshape(len(centers), m)))
+
+
+def _distance_oracle(a, b):
+    return max((_norm(tuple(x - y for x, y in zip(u, v)))
+                for u, v in zip(a.rows.tolist(), b.rows.tolist())), default=0.0)
+
+
+def _disk_gaps_oracle(tree, m, seed, k, limit_time=G.LIMIT_TIME):
+    """One trial of the disk comparison, configuration by configuration."""
+    rng = G._trial_rng(seed, k)
+    inputs = {p: G.random_disk_configuration(rng, tree.arity(p), m) for p in tree.vertices()}
+    at_one = _projection_oracle(m, _centers_oracle(tree, inputs, 1.0))
+    composed = _projection_oracle(m, _disks_compose_oracle(tree, inputs).centers)
+    at_limit = _projection_oracle(m, _centers_oracle(tree, inputs, limit_time))
+    limit = _compose_oracle(tree, {p: _projection_oracle(m, d.centers)
+                                   for p, d in inputs.items()})
+    return _distance_oracle(at_one, composed), _distance_oracle(at_limit, limit)
+
+
+def _suite_outcomes(monkeypatch, run):
+    """The per-trial outcomes a suite hands to _aggregate_trials."""
+    seen, aggregate = [], G._aggregate_trials
+
+    def spy(name, outcomes, extra):
+        seen.append(outcomes)
+        return aggregate(name, outcomes, extra)
+
+    monkeypatch.setattr(G, "_aggregate_trials", spy)
+    run()
+    monkeypatch.setattr(G, "_aggregate_trials", aggregate)
+    return seen.pop()
 
 
 def _monomials(v):
@@ -192,26 +421,33 @@ def _basis(m, k):
 
 class TestVectors:
     def test_unit_axis_exact(self):
-        # single-nonzero vectors must normalize with zero rounding
-        assert G.unit((0.0, -3.7, 0.0)) == (0.0, -1.0, 0.0)
-        assert G.unit((2.5,)) == (1.0,)
+        # single-nonzero rows must normalize with zero rounding
+        assert _unit_row((0.0, -3.7, 0.0)) == (0.0, -1.0, 0.0)
+        assert _unit_row((2.5,)) == (1.0,)
 
     def test_unit_generic(self):
-        v = G.unit((1.0, 2.0, 2.0))
-        assert abs(G.norm(v) - 1.0) < 1e-15
+        v = _unit_row((1.0, 2.0, 2.0))
+        assert abs(_norm(v) - 1.0) < 1e-15
         assert v[0] == pytest.approx(1 / 3)
+        assert v == _unit((1.0, 2.0, 2.0))
 
     def test_unit_zero_rejected(self):
+        # where the scalar unit raises, the row is non-finite, which no
+        # configuration accepts
         with pytest.raises(ValueError):
-            G.unit((0.0, 0.0))
+            _unit((0.0, 0.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            G.SphereConfiguration(2, 2, [_unit_row((0.0, 0.0))])
 
     def test_unit_underflowing_norm_rejected(self):
         # two nonzero coordinates whose squares underflow: the norm is 0.0
         for v in [(1e-200, 1e-200), (-1e-200, 0.0, 5e-324)]:
             with pytest.raises(ValueError, match="underflows"):
-                G.unit(v)
+                _unit(v)
+            with pytest.raises(ValueError, match="non-finite"):
+                G.SphereConfiguration(len(v), 2, [_unit_row(v)])
         # a single tiny coordinate is still the exact basis vector
-        assert G.unit((0.0, -5e-324)) == (0.0, -1.0)
+        assert _unit_row((0.0, -5e-324)) == (0.0, -1.0)
 
     def test_poles(self):
         assert G.south(4) == (0.0, 0.0, 0.0, -1.0)
@@ -487,23 +723,23 @@ class TestThreeDependent:
         # every ordering of the three vectors, so each special case reaches
         # every pair slot and every pivot of the enumeration
         tol = G.DEFAULT_TOL
-        a, b, c = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), G.unit((0.3, -0.5, 0.8))
+        a, b, c = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), _unit((0.3, -0.5, 0.8))
         if fixture == "antipodal":
-            a = G.unit((0.6, 0.0, 0.8))
+            a = _unit((0.6, 0.0, 0.8))
             b = tuple(-x for x in a)
         elif fixture in ("parallel", "equal"):
             b = (1.0, 1e-9, 0.0) if fixture == "parallel" else a
-            assert G.dot(a, a) * G.dot(b, b) - G.dot(a, b) ** 2 < 1e-14
+            assert _dot(a, a) * _dot(b, b) - _dot(a, b) ** 2 < 1e-14
         elif fixture == "alpha-at-tol":
             # the 2-support solve of (a, b) has alpha = -tol exactly
             tol = 0.25
             b = (tol, math.sqrt(1.0 - tol * tol), 0.0)
-            c = G.unit(tuple(x + y for x, y in zip(a, b)))
+            c = _unit(tuple(x + y for x, y in zip(a, b)))
         elif fixture == "beta-at-tol":
             # the 3-support solve with pivot c, as the oracle computes it,
             # has beta = -tol exactly
-            c = G.unit((-1.0, 0.001, -0.1))
-            tol = G.dot(b, c)   # -beta, since a and b are orthonormal
+            c = _unit((-1.0, 0.001, -0.1))
+            tol = _dot(b, c)   # -beta, since a and b are orthonormal
             assert tol > 0
         else:
             s = G.gauss_map(G.PointConfiguration(
@@ -825,6 +1061,45 @@ class TestDisks:
         assert rep["max_end_gap"] <= 1e-12
         assert rep["max_limit_gap"] <= 1e-4
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_maps_match_oracles(self, m):
+        rng = np.random.default_rng(42 + m)
+        for t in G.two_level_trees(4):
+            inputs = {p: G.random_disk_configuration(rng, t.arity(p), m) for p in t.vertices()}
+            assert G.disks_compose(t, inputs) == _disks_compose_oracle(t, inputs)
+            for time in (1.0, 0.3, 1e-6):
+                _assert_same(G.disks_homotopy(t, inputs, time),
+                             _projection_oracle(m, _centers_oracle(t, inputs, time)))
+
+    @pytest.mark.parametrize("text,m", [("(* (* *))", 3), ("((* *) (* *))", 3),
+                                        ("((* * *) *)", 4), ("(*)", 3)])
+    def test_comparison_trials_match_per_trial_oracle(self, text, m, monkeypatch):
+        tree, trials = parse_tree(text), G._TRIAL_CHUNK + 3
+        outcomes = _suite_outcomes(
+            monkeypatch, lambda: G.disks_comparison_trials(tree, m, trials, seed=9))
+        assert [(o["trial"], o["end_gap"], o["limit_gap"]) for o in outcomes] == \
+            [(k, *_disk_gaps_oracle(tree, m, 9, k)) for k in range(trials)]
+
+    def test_comparison_trials_check_their_composites(self, monkeypatch):
+        # every trial's composite disks are checked as disks_compose checks
+        # its output, on the stack of the chunk
+        tree, checked, check = parse_tree("((* *) (* * *))"), [], G._check_disks
+        monkeypatch.setattr(G, "_check_disks", lambda c, r, tol: checked.append((c, r)))
+        G.disks_comparison_trials(tree, 3, G._TRIAL_CHUNK + 3, seed=10)
+        monkeypatch.setattr(G, "_check_disks", check)
+        composites = [(c, r) for c, r in checked if c.shape[1] == tree.leaf_count]
+        want = []
+        for k in range(G._TRIAL_CHUNK + 3):
+            rng = G._trial_rng(10, k)
+            inputs = {p: G.random_disk_configuration(rng, tree.arity(p), 3)
+                      for p in tree.vertices()}
+            want.append(_disks_compose_oracle(tree, inputs))
+        assert [len(c) for c, _ in composites] == [G._TRIAL_CHUNK, 3]
+        assert np.concatenate([c for c, _ in composites]).tolist() == \
+            [list(map(list, d.centers)) for d in want]
+        assert np.concatenate([r for _, r in composites]).tolist() == \
+            [list(d.radii) for d in want]
+
     def test_expected_draws(self):
         # q(1) = 1, q(2) = pi/4, q(3) = pi/6: the ball's share of the cube
         assert G.expected_disk_draws(7, 1) == pytest.approx(1.0)
@@ -849,7 +1124,7 @@ class TestDisks:
         monkeypatch.setattr(G, "MAX_DISK_DRAWS", bound)
         assert G.disks_comparison_trials(tree, 4, 3, seed=5)["passed"]
         monkeypatch.setattr(G, "MAX_DISK_DRAWS", math.nextafter(bound, 0.0))
-        monkeypatch.setattr(G, "random_disk_configuration", None)
+        monkeypatch.setattr(G, "_draw_disks", None)
         with pytest.raises(BoundExceededError, match="arity 3 in R\\^4"):
             G.disks_comparison_trials(tree, 4, 3, seed=5)
 
@@ -886,7 +1161,7 @@ class TestLambdaMap:
 
     def test_shell_continuity(self):
         eps = 0.125
-        direction = G.unit((0.3, -0.5, 0.8))
+        direction = _unit((0.3, -0.5, 0.8))
         for delta in (1e-10, 1e-12):
             inner = tuple(p + (eps - delta) * d
                           for p, d in zip((0, 0, 1.0), direction))
@@ -905,6 +1180,19 @@ class TestLambdaMap:
             G.lambda_map((0.0, 0.0, -1.0))
 
 
+    def test_matches_oracle_bitwise(self):
+        rng = np.random.default_rng(41)
+        eps = 0.125
+        pts = [tuple(rng.uniform(-1.0, 1.0, size=3)) for _ in range(50)]
+        pts += [(0.0, 0.0, s * (1.0 - eps * f)) for s in (1.0, -1.0) for f in (0.01, 0.5, 0.99)]
+        pts += [tuple(p + 0.1 * eps * d for p, d in zip((0.0, 0.0, s), rng.standard_normal(3)))
+                for s in (1.0, -1.0) for _ in range(10)]
+        assert [G.lambda_map(x, eps) for x in pts] == [_lambda_oracle(x, eps) for x in pts]
+        stacked, codes, _, _ = G._lambda_rows(np.array(pts), eps)
+        assert not codes.any()
+        assert _hex(stacked) == _hex([_lambda_oracle(x, eps) for x in pts])
+
+
 class TestJacobianFactor:
     def test_matches_finite_difference(self):
         eps = 0.125
@@ -919,6 +1207,19 @@ class TestJacobianFactor:
     def test_off_axis_shell_rejected(self):
         with pytest.raises(ValueError, match="off-axis"):
             G.lambda_jacobian_factor((0.01, 0.0, 0.95))
+
+    def test_matches_oracle(self):
+        eps = 0.125
+        for x in [(0.1, 0.4, -0.2), (0.0, 0.0, 0.95), (0.0, -0.0, -0.99), (0.0, 0.0, 0.875),
+                  (1e-12, 0.0, 0.9), (5e-9, 0.0, 0.95), (0.01, 0.0, 0.95), (0.0, 0.0, 1.0),
+                  (0.0, 0.0, -1.0)]:
+            try:
+                want = _jacobian_oracle(x, eps)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    G.lambda_jacobian_factor(x, eps)
+            else:
+                assert G.lambda_jacobian_factor(x, eps).hex() == want.hex()
 
 
 class TestProjectPiK:
@@ -945,24 +1246,24 @@ class TestProjectPiK:
         for d in (1e-2, 1e-4, 1e-6):
             c = G.PointConfiguration(3, [(d, 0.0, 1.0 - 2 * d), other])
             v = G.project_pi_k(c).u(1, 2)
-            gaps.append(G.norm(tuple(a - b for a, b in zip(v, G.south(3)))))
+            gaps.append(_norm(tuple(a - b for a, b in zip(v, G.south(3)))))
         assert gaps[-1] <= 1e-4
         assert gaps == sorted(gaps, reverse=True)
 
     def test_coincident_interior_pair(self):
-        g = G.unit((0.3, -0.4, 0.8))
+        g = _unit((0.3, -0.4, 0.8))
         c = G.PointConfiguration(3, [(0.1, 0.2, 0.3)] * 2,
                                  pair_directions={(1, 2): g})
         # far from the shells the differential is the identity
-        assert G.project_pi_k(c).u(1, 2) == G.unit(g)
+        assert G.project_pi_k(c).u(1, 2) == _unit(g)
 
     def test_coincident_shell_pair_rescales(self):
         eps = 0.125
         d = eps / 2
-        g = G.unit((0.3, -0.4, 0.8))
+        g = _unit((0.3, -0.4, 0.8))
         c = G.PointConfiguration(3, [(0.0, 0.0, 1 - d)] * 2,
                                  pair_directions={(1, 2): g})
-        want = G.unit((g[0], g[1], (eps / d ** 2) * g[2]))
+        want = _unit((g[0], g[1], (eps / d ** 2) * g[2]))
         assert G.project_pi_k(c, eps).u(1, 2) == want
 
     def test_error_cases(self):
@@ -975,6 +1276,41 @@ class TestProjectPiK:
             G.project_pi_k(G.PointConfiguration(
                 3, [(0.0, 0.0, 1.0)] * 2,
                 pair_directions={(1, 2): (1.0, 0.0, 0.0)}))
+
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("n", range(7))
+    def test_stacked_projection_matches_oracle(self, n, m):
+        # a stack of boundary samples and of each of their insertions, which
+        # add leading *_+ and trailing *_- copies, gives every configuration's
+        # oracle rows to the bit
+        rng = np.random.default_rng(50 + 10 * n + m)
+        configs = [G.random_boundary_configuration(rng, n, m) for _ in range(30)]
+        branches = set()
+        for stack in [configs] + [[G.insertion_e(c, i) for c in configs]
+                                  for i in range(n + 2)]:
+            got = G._pi_rows(*G._boundary_stack(stack), G.DEFAULT_EPS)
+            want = [_project_oracle(c) for c in stack]
+            assert _hex(got) == _hex(want)
+            assert [_hex(G.project_pi_k(c).rows) for c in stack[:3]] == \
+                [_hex(w) for w in want[:3]]
+            branches.update(*map(_projection_branches, stack))
+        if n >= 4:
+            assert branches == {"endpoint pair", "endpoint rule", "shell pair",
+                                "interior pair", "shell point", "generic"}
+
+    def test_stacked_errors_name_the_first_pair(self):
+        # the first configuration, then the first pair, that has an error
+        # raises it, as the per-configuration loop would
+        good = G.PointConfiguration(3, [(0.1, 0.2, 0.3), (0.3, 0.2, 0.1), (0.0, 0.0, -1.0)])
+        bad = G.PointConfiguration(3, [(0.1, 0.2, 0.3), (0.0, 0.0, 1.0), (0.1, 0.2, 0.3)])
+        with pytest.raises(ValueError, match=r"pair \(1, 2\) has an endpoint out of order"):
+            G._pi_rows(*G._boundary_stack([good, bad, good]), G.DEFAULT_EPS)
+        with pytest.raises(ValueError, match=r"pair \(1, 2\) has an endpoint out of order"):
+            _project_oracle(bad)
+        with pytest.raises(ValueError, match=r"pair \(1, 3\) carries no direction"):
+            G.project_pi_k(G.PointConfiguration(3, [(0.1, 0.2, 0.3), (0.2, 0.2, 0.2),
+                                                    (0.1, 0.2, 0.3), (0.0, 0.0, 1.0)]))
 
 
 # -- insertions and naturality ----------------------------------------------------
@@ -1006,6 +1342,36 @@ class TestInsertion:
     def test_naturality_other_dimension(self):
         rep = G.check_insertion_naturality(4, 4, trials=10, seed=33)
         assert rep.passed
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_insertion_matches_oracle(self, m):
+        rng = np.random.default_rng(35 + m)
+        for n in range(7):
+            for _ in range(8):
+                c = G.random_boundary_configuration(rng, n, m)
+                for i in range(n + 2):
+                    got, want = G.insertion_e(c, i), _insertion_oracle(c, i)
+                    assert got == want and got.to_json_obj() == want.to_json_obj()
+
+    @pytest.mark.parametrize("n,m,trials", [(0, 3, 5), (3, 3, 25), (5, 4, 25),
+                                            (6, 3, G._TRIAL_CHUNK + 3)])
+    def test_naturality_matches_per_configuration_loop(self, n, m, trials):
+        got = G.check_insertion_naturality(n, m, trials, seed=36)
+        assert got.to_json() == _naturality_oracle(n, m, trials, 36).to_json()
+        assert got.passed and got.checks == trials * (n + 2)
+
+    def test_wrong_coface_gives_the_reference_witnesses(self, monkeypatch):
+        # a coface shifted by one index fails from n = 2 on; the stacked check
+        # records the failures and witnesses of the per-configuration loop,
+        # pinned by their digest
+        orig = G._coface_table
+        monkeypatch.setattr(G, "_coface_table", lambda n, i: orig(n, (i + 1) % (n + 2)))
+        reps = [G.check_insertion_naturality(n, m, trials=25, seed=32)
+                for n, m in ((2, 3), (3, 3), (4, 4), (6, 3))]
+        assert all(not rep.passed for rep in reps)
+        assert reps[0].to_json() == _naturality_oracle(2, 3, 25, 32).to_json()
+        digest = hashlib.sha256("\n".join(rep.to_json() for rep in reps).encode()).hexdigest()
+        assert digest == "61db3d812d23da3c2e897028eb0b76fac3f52c0e3b12a7b1d299cc02341261bc"
 
     def test_index_range(self):
         c = self._sample(34)
@@ -1079,8 +1445,8 @@ class TestKnotEval:
         tr = G.LongTrefoil()
         assert tr.value(-1.0) == (0.0, -0.0, 1.0)
         assert tr.value(1.0) == (-0.0, -0.0, -1.0)
-        assert G.unit(tr.derivative(-1.0)) == (0.0, 0.0, -1.0)
-        assert G.unit(tr.derivative(1.0)) == (0.0, 0.0, -1.0)
+        assert _unit(tr.derivative(-1.0)) == (0.0, 0.0, -1.0)
+        assert _unit(tr.derivative(1.0)) == (0.0, 0.0, -1.0)
         ts = np.linspace(-1.0, 1.0, 4001)
         vals = np.array([tr.value(t) for t in ts])
         ders = np.array([tr.derivative(t) for t in ts])
@@ -1187,16 +1553,46 @@ class TestTrialRunners:
     def test_suite_rows_pass_the_unit_check(self, suite, monkeypatch):
         # finite points whose differences overflow give NaN rows, which the
         # stacked unit-norm check rejects as any construction would
-        def overflowing(rng, n, m, min_sep=G.MIN_SEP):
-            return np.array([[(-1.0) ** i * 1e308] + [0.5 * i] * (m - 1)
-                             for i in range(n)])
+        def overflowing(seed, ks, arities, m, min_sep):
+            return np.array([[[(-1.0) ** i * 1e308] + [0.5 * i] * (m - 1)
+                              for i in range(sum(arities))] for _ in ks])
 
-        monkeypatch.setattr(G, "_sample_points", overflowing)
+        monkeypatch.setattr(G, "_draw_points", overflowing)
         with pytest.raises(ValueError, match="non-finite"):
             if suite == "membership":
                 G.membership_trials(4, 3, 3, seed=1)
             else:
                 G.closure_trials(parse_tree("((* *) * *)"), 3, 3, seed=1)
+
+    @pytest.mark.parametrize("text,m", [("(* * * *)", 3), ("((* *) * *)", 4),
+                                        ("((* *) (* *) * *)", 3), ("(* (* * *))", 4)])
+    def test_redraw_fallback_matches_per_vertex_draws(self, text, m, monkeypatch):
+        # a wide separation rejects many one-draw samples; those trials are
+        # drawn again vertex by vertex, so every trial's points are those of
+        # per-vertex draws on a fresh stream, and its outcome is the
+        # membership report of their composite
+        tree, min_sep, seed, trials = parse_tree(text), 0.5, 5, 2 * G._TRIAL_CHUNK + 3
+        internal, _ = G._compose_table(tree)
+        arities = tuple(tree.arity(p) for p in internal)
+        draws = [[G._sample_points(rng, k, m, min_sep) for k in arities]
+                 for rng in (G._trial_rng(seed, k) for k in range(trials))]
+        got = np.concatenate([G._draw_points(seed, ks, arities, m, min_sep)
+                              for ks in G._chunks(trials)])
+        assert got.tobytes() == np.stack([np.concatenate(d) for d in draws]).tobytes()
+        first = [G._trial_rng(seed, k).uniform(-1.0, 1.0, size=got.shape[1:])
+                 for k in range(trials)]
+        redrawn = [f.tobytes() != g.tobytes() for f, g in zip(first, got)]
+        assert any(redrawn) and not all(redrawn)
+        monkeypatch.setattr(G, "MIN_SEP", min_sep)
+        outcomes = _suite_outcomes(
+            monkeypatch, lambda: G.closure_trials(tree, m, trials, seed=seed))
+        want = []
+        for k, d in enumerate(draws):
+            rep = G.membership_report(G.kontsevich_compose(tree, {
+                p: G.gauss_map(G.PointConfiguration(m, pts)) for p, pts in zip(internal, d)}))
+            want.append({"trial": k, "passed": rep["passed"],
+                         "max_residual": rep["max_residual"]})
+        assert outcomes == want
 
     @pytest.mark.parametrize("n,m,min_sep", [(6, 3, 1e-3), (1, 2, 1e-3),
                                              (0, 4, 1e-3), (5, 1, 0.2),
@@ -1216,7 +1612,7 @@ class TestTrialRunners:
         for n in (0, 2, 5):
             got = G.random_sphere_configuration(np.random.default_rng(m), n, m)
             rng = np.random.default_rng(m)
-            want = [G.unit(tuple(rng.standard_normal(m))) for _ in range(n * (n - 1) // 2)]
+            want = [_unit(tuple(rng.standard_normal(m))) for _ in range(n * (n - 1) // 2)]
             assert _hex(got.rows) == _hex(want)
 
     def test_closure_trials_record_tree(self):
