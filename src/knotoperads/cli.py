@@ -162,8 +162,9 @@ def _geometry_shapes() -> list:
 
 
 def _geometry_battery(trials: int, tol: float, seed: int, eps: float) -> dict:
-    """The four sections of ``verify geometry``, each reporting its end on
-    stderr with the seconds spent so far."""
+    """The four sections of ``verify geometry``.  Each membership and closure
+    suite, and each later section, reports its end on stderr with the
+    seconds spent so far."""
     started = time.perf_counter()
 
     def progress(section: str) -> None:
@@ -173,11 +174,12 @@ def _geometry_battery(trials: int, tol: float, seed: int, eps: float) -> dict:
     suites = []
     for m in (3, 4, 5):
         suites.append(geometry.membership_trials(6, m, trials, seed=seed, tol=tol))
+        progress(f"membership n=6 m={m}")
     for tree in _geometry_shapes():
         for m in (3, 4, 5):
             suites.append(geometry.closure_trials(tree, m, trials, seed=seed,
                                                   tol=tol))
-    progress("membership and closure")
+            progress(f"closure {tree.to_text()} m={m}")
     naturality = []
     for n in range(7):
         rep = geometry.check_insertion_naturality(

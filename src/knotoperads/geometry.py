@@ -22,8 +22,8 @@ Conventions fixed here once and used throughout:
 - a norm sums the squares in coordinate order from 0.0 (``_dots``), and
   ``_unit_rows`` normalizes axis-aligned rows exactly (sign flip only),
   which is what makes the bookkeeping identities (cosimplicial, naturality)
-  hold to the bit; point and disk configurations keep their coordinates as
-  tuples of floats, and are stacked into arrays to be computed on;
+  hold to the bit; point and disk configurations are read-only row arrays
+  too, validated in one pass, which the kernels stack as they are;
 - membership-side Gauss map is u_ij = u(x_i - x_j) for i < j, anti-symmetry
   extends the accessor;
 - boundary data (knot samples, pi_k outputs) uses forward directions
@@ -48,8 +48,6 @@ from .trees import RpTree, TreeMorphism, graft
 from .operad_core import CheckReport, CosimplicialObject, OperadInstance, \
     check_cosimplicial_identities
 
-Vector = tuple[float, ...]
-
 DEFAULT_TOL = 1e-9
 DEFAULT_EPS = 0.125          # endpoint shell width, must stay <= 1/6
 EPS_MAX = 1.0 / 6.0
@@ -62,13 +60,20 @@ MIN_SEP = 1e-3               # least distance between sampled points
 # -- vector helpers -----------------------------------------------------------
 
 
-def south(m: int) -> Vector:
-    """The sphere basepoint *_S (also the lower cube endpoint *_-)."""
-    return (0.0,) * (m - 1) + (-1.0,)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def north(m: int) -> Vector:
-    return (0.0,) * (m - 1) + (1.0,)
+@functools.cache
+def south(m: int) -> np.ndarray:
+    """The sphere basepoint *_S (also the lower cube endpoint *_-), read-only."""
+    return _read_only(np.append(np.zeros(m - 1), -1.0))
+
+
+@functools.cache
+def north(m: int) -> np.ndarray:
+    return _read_only(np.append(np.zeros(m - 1), 1.0))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -86,20 +91,31 @@ def _norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_dots(a, a))
 
 
-def _norm(v: Sequence[float]) -> float:
-    """The norm of one vector, a stack of one for _norms."""
-    with np.errstate(over="ignore"):      # a square past the float range is inf
-        return float(_norms(np.asarray(v, dtype=np.float64)))
+def _check_dimension(m: int) -> None:
+    """Configurations live in R^m, m >= 1: in R^0 all points coincide, so a
+    separation-seeking sampler would never end."""
+    if m < 1:
+        raise ValueError(f"bad ambient dimension m={m}")
 
 
-def _as_vector(x: Sequence[float], m: int, what: str) -> Vector:
-    """x as a tuple of m finite floats (a NaN would pass every tolerance test)."""
-    t = tuple(float(c) for c in x)
-    if len(t) != m:
-        raise ValueError(f"{what} has dimension {len(t)}, expected {m}")
-    if not all(map(math.isfinite, t)):
-        raise ValueError(f"{what} has a non-finite coordinate")
-    return t
+def _finite_rows(x, m: int, what: str, labels: Sequence | None = None,
+                 unit: bool = False) -> np.ndarray:
+    """x as a new read-only float64 array (len(x), m) of finite rows (a NaN
+    would pass every tolerance test), unit vectors within UNIT_NORM_TOL if
+    unit.  An error names the first bad row as what and its label (1-based
+    index by default), checking every length, then finiteness, then norms."""
+    labels = range(1, len(x) + 1) if labels is None else labels
+    k = next((k for k, v in enumerate(x) if len(v) != m), None)
+    if k is not None:
+        raise ValueError(f"{what} {labels[k]} has dimension {len(x[k])}, expected {m}")
+    arr = np.array(x, dtype=np.float64).reshape(len(x), m)
+    bad, message = ~np.isfinite(arr).all(axis=1), "has a non-finite coordinate"
+    if unit and not bad.any():
+        with np.errstate(over="ignore"):  # a square past the float range is inf
+            bad, message = np.abs(_norms(arr.T) - 1.0) > UNIT_NORM_TOL, "is not a unit vector"
+    if bad.any():
+        raise ValueError(f"{what} {labels[int(np.argmax(bad))]} {message}")
+    return _read_only(arr)
 
 
 def _json_object(obj, what: str) -> dict:
@@ -149,6 +165,11 @@ def _json_pair_map(obj, what: str) -> dict:
 # -- configuration types ------------------------------------------------------
 
 
+def _pair_row(n: int, i: int, j: int) -> int:
+    """The row of the pair (i, j), 1 <= i < j <= n, in combinations order."""
+    return (i - 1) * (2 * n - i) // 2 + j - i - 1
+
+
 def _check_unit_rows(rows: np.ndarray, n: int, tol: float = UNIT_NORM_TOL) -> None:
     """Raise ValueError naming the first pair whose row, in the stack of pair
     rows (..., C(n, 2), m), is not finite or not a unit vector within tol."""
@@ -183,15 +204,14 @@ class SphereConfiguration:
             raise ValueError(f"rows have shape {arr.shape}, expected ({count}, {m}): "
                              f"one unit vector in R^{m} per pair of {n} points")
         _check_unit_rows(arr, n, tol)
-        arr.flags.writeable = False
         self.m = m
         self.n = n
-        self.rows = arr
+        self.rows = _read_only(arr)
 
-    def u(self, i: int, j: int) -> Vector:
+    def u(self, i: int, j: int) -> tuple[float, ...]:
         if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
-        row = self.rows[b_elements(self.n).index((min(i, j), max(i, j))) - 1]
+        row = self.rows[_pair_row(self.n, min(i, j), max(i, j))]
         return tuple((row if i < j else -row).tolist())
 
     def __eq__(self, other) -> bool:
@@ -226,64 +246,83 @@ class SphereConfiguration:
 class PointConfiguration:
     """n labeled points in R^m, optionally with unit tangents per point and
     stored directions for coincident pairs (the diagonal data of boundary
-    configurations)."""
+    configurations): the read-only float64 arrays ``points`` (n, m) and
+    ``tangents`` (n, m) or None, and direction rows (C(n, 2), m) in pair
+    order, 0 outside the mask of pairs that carry one (``pair_directions``)."""
 
-    __slots__ = ("m", "points", "tangents", "pair_directions")
+    __slots__ = ("m", "points", "tangents", "_dirs", "_has")
 
     def __init__(self, m: int, points: Sequence[Sequence[float]],
                  tangents: Sequence[Sequence[float]] | None = None,
                  pair_directions: Mapping[tuple[int, int], Sequence[float]] | None = None):
-        if m < 1:
-            raise ValueError(f"bad ambient dimension m={m}")
-        self.m = m
-        self.points = tuple(_as_vector(p, m, f"point {k + 1}")
-                            for k, p in enumerate(points))
-        n = len(self.points)
-        if tangents is None:
-            self.tangents = None
-        else:
-            if len(tangents) != n:
-                raise ValueError("one tangent per point required")
-            vecs = tuple(_as_vector(t, m, f"tangent {k + 1}")
-                         for k, t in enumerate(tangents))
-            for k, t in enumerate(vecs):
-                if abs(_norm(t) - 1.0) > UNIT_NORM_TOL:
-                    raise ValueError(f"tangent {k + 1} is not a unit vector")
-            self.tangents = vecs
-        dirs = {}
-        for (i, j), g in sorted((pair_directions or {}).items()):
-            if not (1 <= i < j <= n):
+        _check_dimension(m)
+        points = _finite_rows(points, m, "point")
+        n, pairs = len(points), sorted(pair_directions or {})
+        for i, j in pairs:
+            if not 1 <= i < j <= n:
                 raise ValueError(f"pair direction index ({i}, {j}) out of range")
-            if self.points[i - 1] != self.points[j - 1]:
-                raise ValueError(f"pair ({i}, {j}) has a direction but distinct points")
-            vec = _as_vector(g, m, f"direction ({i}, {j})")
-            if abs(_norm(vec) - 1.0) > UNIT_NORM_TOL:
-                raise ValueError(f"direction ({i}, {j}) is not a unit vector")
-            dirs[(i, j)] = vec
-        self.pair_directions = dirs
+        dirs, has = np.zeros((pair_count(n), m)), np.zeros(pair_count(n), dtype=bool)
+        rows = [_pair_row(n, i, j) for i, j in pairs]
+        dirs[rows] = _finite_rows([pair_directions[p] for p in pairs], m, "direction", pairs)
+        has[rows] = True
+        self._set(m, points, tangents, dirs, has)
+
+    @classmethod
+    def _from_rows(cls, m: int, points, tangents, dirs: np.ndarray,
+                   has: np.ndarray) -> "PointConfiguration":
+        """The configuration whose pairs in the mask has (C(n, 2)) carry the
+        direction rows dirs (C(n, 2), m), as _pi_rows reads them."""
+        c = cls.__new__(cls)
+        c._set(m, _finite_rows(points, m, "point"), tangents, dirs, has)
+        return c
+
+    def _set(self, m: int, points: np.ndarray, tangents, dirs, has) -> None:
+        """Validate tangents, then directions against points; store all read-only."""
+        if tangents is not None:
+            if len(tangents) != len(points):
+                raise ValueError("one tangent per point required")
+            tangents = _finite_rows(tangents, m, "tangent", unit=True)
+        has, rows = np.array(has, dtype=bool), np.zeros((len(has), m))
+        if has.any():
+            a, b = _pair_points(len(points))[:, has]
+            pairs = list(zip((a + 1).tolist(), (b + 1).tolist()))
+            distinct = (points[a] != points[b]).any(axis=1)
+            if distinct.any():
+                raise ValueError(f"pair {pairs[int(np.argmax(distinct))]} has a direction "
+                                 "but distinct points")
+            rows[has] = _finite_rows(dirs[has], m, "direction", pairs, unit=True)
+        self.m, self.points, self.tangents, self._dirs, self._has = \
+            m, points, tangents, _read_only(rows), _read_only(has)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
+    @property
+    def pair_directions(self) -> dict[tuple[int, int], np.ndarray]:
+        """The direction row of each coincident pair (i, j), in pair order."""
+        a, b = _pair_points(self.n)[:, self._has] + 1
+        return dict(zip(zip(a.tolist(), b.tolist()), _read_only(self._dirs[self._has])))
+
     def __eq__(self, other) -> bool:
-        return (isinstance(other, PointConfiguration)
-                and self.m == other.m and self.points == other.points
-                and self.tangents == other.tangents
-                and self.pair_directions == other.pair_directions)
+        return (isinstance(other, PointConfiguration) and self.m == other.m
+                and np.array_equal(self.points, other.points)
+                and np.array_equal(self.tangents, other.tangents)  # None too
+                and np.array_equal(self._has, other._has)
+                and np.array_equal(self._dirs, other._dirs))
 
     def __repr__(self) -> str:
-        return (f"PointConfiguration(m={self.m}, points={self.points!r}, "
-                f"tangents={self.tangents!r}, "
-                f"pair_directions={self.pair_directions!r})")
+        tangents = None if self.tangents is None else self.tangents.tolist()
+        dirs = {pair: v.tolist() for pair, v in self.pair_directions.items()}
+        return (f"PointConfiguration(m={self.m}, points={self.points.tolist()!r}, "
+                f"tangents={tangents!r}, pair_directions={dirs!r})")
 
     def to_json_obj(self) -> dict:
-        out: dict = {"m": self.m, "n": self.n,
-                     "points": [list(p) for p in self.points]}
+        out: dict = {"m": self.m, "n": self.n, "points": self.points.tolist()}
         if self.tangents is not None:
-            out["tangents"] = [list(t) for t in self.tangents]
-        if self.pair_directions:
-            out["pair_directions"] = {f"{i},{j}": list(v)
+            out["tangents"] = self.tangents.tolist()
+        if self._has.any():
+            out["pair_directions"] = {f"{i},{j}": v.tolist()
                                       for (i, j), v in self.pair_directions.items()}
         return out
 
@@ -291,9 +330,11 @@ class PointConfiguration:
     def from_json_obj(obj: dict) -> "PointConfiguration":
         obj = _json_object(obj, "point configuration")
         points = _json_vectors(obj.get("points"), "points")
+        if "n" in obj and _json_int(obj, "n") != len(points):
+            raise ValueError(f"point count mismatch: n={obj['n']}, "
+                             f"got {len(points)} points")
         tangents = obj.get("tangents")
-        if tangents is not None:
-            tangents = _json_vectors(tangents, "tangents")
+        tangents = None if tangents is None else _json_vectors(tangents, "tangents")
         dirs = None
         if "pair_directions" in obj:
             dirs = _json_pair_map(obj["pair_directions"], "pair_directions")
@@ -321,33 +362,33 @@ def _check_disks(centers: np.ndarray, radii: np.ndarray, tol: float) -> None:
 
 
 class DiskConfiguration:
-    """Disjoint round balls B(x_i, r_i) inside the unit ball of R^m."""
+    """Disjoint round balls B(x_i, r_i) inside the unit ball of R^m: the
+    read-only float64 arrays ``centers`` (n, m) and ``radii`` (n,)."""
 
     __slots__ = ("m", "centers", "radii")
 
     def __init__(self, m: int, centers: Sequence[Sequence[float]],
                  radii: Sequence[float], tol: float = DEFAULT_TOL):
+        _check_dimension(m)
         if len(centers) != len(radii):
             raise ValueError("one radius per center required")
         self.m = m
-        self.centers = tuple(_as_vector(c, m, f"center {k + 1}")
-                             for k, c in enumerate(centers))
-        self.radii = tuple(float(r) for r in radii)
-        _check_disks(np.array(self.centers).reshape(1, -1, m),
-                     np.array(self.radii).reshape(1, -1), tol)
+        self.centers = _finite_rows(centers, m, "center")
+        self.radii = _read_only(np.array(radii, dtype=np.float64).reshape(len(radii)))
+        _check_disks(self.centers[None], self.radii[None], tol)
 
     @property
     def n(self) -> int:
         return len(self.radii)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, DiskConfiguration)
-                and self.m == other.m and self.centers == other.centers
-                and self.radii == other.radii)
+        return (isinstance(other, DiskConfiguration) and self.m == other.m
+                and np.array_equal(self.centers, other.centers)
+                and np.array_equal(self.radii, other.radii))
 
     def __repr__(self) -> str:
-        return (f"DiskConfiguration(m={self.m}, centers={self.centers!r}, "
-                f"radii={self.radii!r})")
+        return (f"DiskConfiguration(m={self.m}, centers={self.centers.tolist()!r}, "
+                f"radii={self.radii.tolist()!r})")
 
 
 # -- Gauss map ---------------------------------------------------------------
@@ -357,9 +398,8 @@ class DiskConfiguration:
 def _pair_points(n: int) -> np.ndarray:
     """The 0-based points (i, j) of each pair i < j of n points, in
     combinations order: (2, C(n, 2))."""
-    out = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2).T
-    out.flags.writeable = False
-    return out
+    return _read_only(np.array(list(itertools.combinations(range(n), 2)),
+                               dtype=np.intp).reshape(-1, 2).T)
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -394,7 +434,7 @@ def _gauss_rows(points: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarr
 def gauss_map(c: PointConfiguration) -> SphereConfiguration:
     """u_ij = unit(x_i - x_j) for i < j.  Coincident points are an error here;
     diagonal data is the business of project_pi_k."""
-    return SphereConfiguration(c.m, c.n, _gauss_rows(np.array(c.points).reshape(c.n, c.m)))
+    return SphereConfiguration(c.m, c.n, _gauss_rows(c.points))
 
 
 # -- membership: batched kernels ----------------------------------------------
@@ -424,10 +464,9 @@ def _subset_rows(n: int, k: int) -> np.ndarray:
     """Per k-subset of {1..n}, in combinations order, the pair-row indices
     of its C(k, 2) pairs, also in combinations order: (C(n, k), C(k, 2))."""
     row = {pair: r for r, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
-    out = np.array([[row[pair] for pair in itertools.combinations(sub, 2)]
-                    for sub in itertools.combinations(range(1, n + 1), k)], dtype=np.intp)
-    out.flags.writeable = False
-    return out
+    return _read_only(np.array([[row[pair] for pair in itertools.combinations(sub, 2)]
+                                for sub in itertools.combinations(range(1, n + 1), k)],
+                               dtype=np.intp))
 
 
 # -- membership: three-dependence --------------------------------------------
@@ -573,10 +612,8 @@ def _cubic_fold(m: int) -> np.ndarray:
     coefficients of sum_ijk T_ijk v_i v_j v_k on the degree-3 monomials."""
     column = {mono: k for k, mono in enumerate(
         itertools.combinations_with_replacement(range(m), 3))}
-    fold = np.eye(len(column))[[column[tuple(sorted(ijk))]
-                                for ijk in itertools.product(range(m), repeat=3)]]
-    fold.flags.writeable = False
-    return fold
+    return _read_only(np.eye(len(column))[[column[tuple(sorted(ijk))]
+                                           for ijk in itertools.product(range(m), repeat=3)]])
 
 
 def _four_coefficients(edges: np.ndarray) -> np.ndarray:
@@ -669,9 +706,7 @@ def membership_report(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
 def _table(fn: dict, source: list, target: list) -> np.ndarray:
     """The gather index of fn from target to source, listed basepoint first."""
     row = {x: r for r, x in enumerate(source[1:] + source[:1])}
-    out = np.array([row[fn[x]] for x in target[1:]], dtype=np.intp)
-    out.flags.writeable = False
-    return out
+    return _read_only(np.array([row[fn[x]] for x in target[1:]], dtype=np.intp))
 
 
 @functools.lru_cache(maxsize=128)
@@ -781,12 +816,6 @@ def check_sphere_cosimplicial(m: int, max_level: int = 6, per_level: int = 15,
 # -- random samplers ----------------------------------------------------------
 
 
-def _check_dimension(m: int) -> None:
-    """In R^0 all points coincide, so a separation-seeking sampler never ends."""
-    if m < 1:
-        raise ValueError(f"bad ambient dimension m={m}")
-
-
 def random_sphere_configuration(rng: np.random.Generator, n: int, m: int) -> SphereConfiguration:
     """Independent uniform unit vectors per pair (no membership conditions)."""
     return SphereConfiguration(m, n, _unit_rows(rng.standard_normal((pair_count(n), m))))
@@ -807,7 +836,7 @@ def _sample_points(rng: np.random.Generator, n: int, m: int,
 def random_point_configuration(rng: np.random.Generator, n: int, m: int,
                                min_sep: float = MIN_SEP) -> PointConfiguration:
     """n points uniform in the cube, resampled until pairwise separated."""
-    return PointConfiguration(m, _sample_points(rng, n, m, min_sep).tolist())
+    return PointConfiguration(m, _sample_points(rng, n, m, min_sep))
 
 
 #: most draws random_disk_configuration is expected to make for one vertex
@@ -843,25 +872,21 @@ def random_disk_configuration(rng: np.random.Generator, n: int, m: int) -> DiskC
     return DiskConfiguration(m, *_draw_disks(rng, n, m))
 
 
-def _draw_disks(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, list]:
-    """The centers (n, m) and radii of random_disk_configuration's draw."""
+def _draw_disks(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The centers (n, m) and radii (n,) of random_disk_configuration's draw."""
     _check_dimension(m)
     while True:
         pts = rng.uniform(-0.7, 0.7, size=(n, m))
         if np.linalg.norm(pts, axis=1).max() > 0.7:
             continue  # keep every center in the 0.7-ball so room stays positive
+        # 1-D np.linalg.norm sums through BLAS dot: _norms would move 1 in 8 radii by an ulp
         sep = min((np.linalg.norm(pts[a] - pts[b])
                    for a, b in itertools.combinations(range(n), 2)),
                   default=math.inf)
         if sep < 1e-2:
             continue
-        radii = []
-        for k in range(n):
-            room = 1.0 - float(np.linalg.norm(pts[k]))
-            if n > 1:
-                room = min(room, sep / 2.0)
-            radii.append(room * float(rng.uniform(0.3, 0.95)))
-        return pts, radii
+        room = np.minimum(1.0 - np.array([np.linalg.norm(p) for p in pts]), sep / 2.0)
+        return pts, room * rng.uniform(0.3, 0.95, n)  # factors drawn in turn, one per disk
 
 
 # -- Monte Carlo trial batches -------------------------------------------------
@@ -896,9 +921,8 @@ def _vertex_pairs(arities: tuple[int, ...]) -> np.ndarray:
     after vertex, when the points of vertices of the given arities are listed
     in that order: the rows of b_tree_elements past its basepoint."""
     offsets = itertools.accumulate(arities, initial=0)
-    out = np.concatenate([_pair_points(k) + o for k, o in zip(arities, offsets)], axis=1)
-    out.flags.writeable = False
-    return out
+    return _read_only(np.concatenate([_pair_points(k) + o for k, o in zip(arities, offsets)],
+                                      axis=1))
 
 
 def _draw_points(seed: int, ks: range, arities: tuple[int, ...], m: int,
@@ -991,22 +1015,16 @@ def _disk_table(tree: RpTree) -> tuple[np.ndarray, np.ndarray]:
     return np.array(outer), np.array(inner)
 
 
-def _disk_stack(draws: Sequence[Sequence[tuple]], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The centers and radii of T lists of vertex disks, (centers, radii) each."""
-    centers = np.array([[c for cs, _ in ds for c in cs] for ds in draws])
-    radii = np.array([[r for _, rs in ds for r in rs] for ds in draws])
-    return centers.reshape(len(draws), -1, m), radii.reshape(len(draws), -1)
-
-
 def _slid_disks(tree: RpTree, inputs, time: float) -> tuple[np.ndarray, np.ndarray]:
     """The leaf centers y_j(time) = x_e + time r_e x'_o (T, n, m) and radii
     r_e r'_o (T, n) of a root-plus-one-level tree, on the stack (centers,
     radii) of its vertex disks or, as a stack of one, on its inputs keyed by
     vertex; a leaf right under the root keeps its root disk."""
     if isinstance(inputs, Mapping):
-        m = _vertex_inputs(tree, inputs)
-        inputs = _disk_stack([[(inputs[p].centers, inputs[p].radii)
-                               for p in _compose_table(tree)[0]]], m)
+        _vertex_inputs(tree, inputs)
+        disks = [inputs[p] for p in _compose_table(tree)[0]]
+        inputs = (np.concatenate([d.centers for d in disks])[None],
+                  np.concatenate([d.radii for d in disks])[None])
     (centers, radii), (outer, inner) = inputs, _disk_table(tree)
     x, r, through = centers[:, outer], radii[:, outer], (outer == inner)[:, None]
     return (np.where(through, x, x + (time * r)[..., None] * centers[:, inner]),
@@ -1023,7 +1041,7 @@ def disks_compose(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
     """y_j = x_{e(j)} + r_{e(j)} x'_{o(j)}, rho_j = r_{e(j)} r'_{o(j)};
     leaves directly under the root pass their root disk through."""
     centers, radii = _slid_disks(t, inputs, 1.0)
-    return DiskConfiguration(centers.shape[-1], centers[0].tolist(), radii[0].tolist(), tol)
+    return DiskConfiguration(centers.shape[-1], centers[0], radii[0], tol)
 
 
 def disks_homotopy(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
@@ -1039,7 +1057,7 @@ def disks_homotopy(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
 
 def disk_projection(d: DiskConfiguration) -> SphereConfiguration:
     """Forget radii, take the Gauss map of the centers."""
-    return gauss_map(PointConfiguration(d.m, d.centers))
+    return SphereConfiguration(d.m, d.n, _gauss_rows(d.centers))
 
 
 def _sphere_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1083,8 +1101,10 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
     arities = tuple(map(tree.arity, internal))
     outcomes = []
     for ks in _chunks(trials):
-        disks = _disk_stack([[_draw_disks(rng, a, m) for a in arities]
-                             for rng in (_trial_rng(seed, k) for k in ks)], m)
+        draws = [[_draw_disks(rng, a, m) for a in arities]
+                 for rng in (_trial_rng(seed, k) for k in ks)]
+        disks = (np.array([np.concatenate([c for c, _ in d]) for d in draws]),
+                 np.array([np.concatenate([r for _, r in d]) for d in draws]))
         for lo, k in zip(itertools.accumulate(arities, initial=0), arities):
             _check_disks(disks[0][:, lo:lo + k], disks[1][:, lo:lo + k], DEFAULT_TOL)
         composed = _slid_disks(tree, disks, 1.0)
@@ -1149,7 +1169,7 @@ def _lambda_rows(x: np.ndarray, eps: float, tol: float = DEFAULT_TOL):
     off_axis = (np.abs(v[..., :-1]) > tol).any(axis=-1)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for sign in (-1.0, 1.0):  # lambda = lambda_+ after lambda_-
-            d = _norms((v - sign * np.array(north(v.shape[-1]))).T).T  # v is x where not done
+            d = _norms((v - sign * north(v.shape[-1])).T).T  # v is x where not done
             at_pole, shell = d == 0.0, (d < eps) & (d != 0.0)
             undefined |= at_pole
             codes = np.where(done, codes, np.where(at_pole, 1, 2 * (shell & off_axis)))
@@ -1160,7 +1180,7 @@ def _lambda_rows(x: np.ndarray, eps: float, tol: float = DEFAULT_TOL):
     return v, 3 * undefined, factor, codes
 
 
-def lambda_map(x: Sequence[float], eps: float = DEFAULT_EPS) -> Vector:
+def lambda_map(x: Sequence[float], eps: float = DEFAULT_EPS) -> tuple[float, ...]:
     """Stretch the last coordinate near each endpoint: within distance eps of
     *_+ or *_-, the last coordinate a_m becomes eps a_m / d(a); elsewhere the
     map is the identity.  The two shells are disjoint because eps <= 1/6."""
@@ -1185,18 +1205,10 @@ def lambda_jacobian_factor(x: Sequence[float], eps: float = DEFAULT_EPS,
 
 
 def _boundary_stack(configs: Sequence[PointConfiguration]):
-    """The points (T, n, m), pair directions (T, C(n, 2), m) and direction
-    mask (T, C(n, 2)) of boundary configurations of one shape; a pair with
-    no direction reads 0."""
-    n, m = configs[0].n, configs[0].m
-    points = np.array([c.points for c in configs], dtype=np.float64)
-    dirs = np.zeros((len(configs), pair_count(n), m))
-    has = np.zeros(dirs.shape[:2], dtype=bool)
-    for t, c in enumerate(configs):
-        for pair, g in c.pair_directions.items():
-            r = b_elements(n).index(pair) - 1
-            dirs[t, r], has[t, r] = g, True
-    return points.reshape(len(configs), n, m), dirs, has
+    """The points (T, n, m), pair direction rows (T, C(n, 2), m) and their
+    mask (T, C(n, 2)) of point configurations of one shape."""
+    return (np.stack([c.points for c in configs]), np.stack([c._dirs for c in configs]),
+            np.stack([c._has for c in configs]))
 
 
 def _pi_rows(points: np.ndarray, dirs: np.ndarray, has: np.ndarray,
@@ -1281,11 +1293,10 @@ def insertion_e(c: PointConfiguration, i: int) -> PointConfiguration:
         raise ValueError(f"insertion index {i} out of range for n={n}")
     points, dirs, has = (x[0] for x in _insert_stack(*_boundary_stack([c]), i))
     tangents = None if c.tangents is None else np.concatenate(
-        [np.reshape(c.tangents, (n, m)), [south(m)] * 2])[_insertion_tables(n, i)[0]]
-    a, b = _pair_points(n + 1).tolist()
-    keep = np.flatnonzero(has & (points[a] == points[b]).all(axis=-1)).tolist()
-    return PointConfiguration(m, points, tangents,
-                              {(a[r] + 1, b[r] + 1): dirs[r] for r in keep})
+        [c.tangents, [south(m)] * 2])[_insertion_tables(n, i)[0]]
+    a, b = _pair_points(n + 1)
+    return PointConfiguration._from_rows(m, points, tangents, dirs,
+                                         has & (points[a] == points[b]).all(axis=-1))
 
 
 def delete_point(c: PointConfiguration, i: int) -> PointConfiguration:
@@ -1293,15 +1304,11 @@ def delete_point(c: PointConfiguration, i: int) -> PointConfiguration:
     n = c.n
     if not 1 <= i <= n:
         raise ValueError(f"point index {i} out of range for n={n}")
-    points = c.points[:i - 1] + c.points[i:]
-    tangents = None if c.tangents is None else c.tangents[:i - 1] + c.tangents[i:]
-
-    def g(a: int) -> int:
-        return a if a < i else a - 1
-
-    dirs = {(g(a), g(b)): v for (a, b), v in c.pair_directions.items()
-            if a != i and b != i}
-    return PointConfiguration(c.m, points, tangents, dirs)
+    keep = np.arange(n) != i - 1
+    pairs = keep[_pair_points(n)].all(axis=0)
+    return PointConfiguration._from_rows(
+        c.m, c.points[keep], None if c.tangents is None else c.tangents[keep],
+        c._dirs[pairs], c._has[pairs])
 
 
 def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
@@ -1310,42 +1317,34 @@ def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
     and trailing *_- copies, interior points clear of the endpoint shells,
     an occasional coincident interior pair with a stored direction, and an
     occasional on-axis shell point exercising the Jacobian rescale."""
-    top, bottom = north(m), south(m)
     lead = int(rng.integers(0, 2)) if n >= 2 else 0
     trail = int(rng.integers(0, 2)) if n - lead >= 2 else 0
     k = n - lead - trail
-    poles = np.array([top, bottom])
+    poles = np.array([north(m), south(m)])
     pts: list = []
     while len(pts) < k:
         cand = rng.uniform(-1.0, 1.0, size=m)
-        if (_norms((cand - poles).T) < eps * 1.5).any():
-            continue
-        if pts and (_norms((cand - np.array(pts)).T) < 1e-3).any():
-            continue
-        pts.append(cand)
-    dirs = {}
+        if not ((_norms((cand - poles).T) < eps * 1.5).any()
+                or (_norms((cand - np.array(pts).reshape(-1, m)).T) < 1e-3).any()):
+            pts.append(cand)
     if k >= 2 and rng.random() < 0.5:
-        # duplicate one interior point; the pair needs a direction
+        # duplicate one interior point
         which = int(rng.integers(0, k - 1))
         pts[which + 1] = pts[which]
-        dirs[(lead + which + 1, lead + which + 2)] = _unit_rows(rng.standard_normal((1, m)))[0]
     elif k >= 1 and rng.random() < 0.3:
         # an on-axis near-endpoint coincident pair takes the rescale path
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        axis = (0.0,) * (m - 1) + (sign * (1.0 - eps / 2.0),)
+        axis = np.zeros(m)
+        axis[-1] = (1.0 if rng.random() < 0.5 else -1.0) * (1.0 - eps / 2.0)
         pts[0] = axis
         if k >= 2:
             pts[1] = axis
-            dirs[(lead + 1, lead + 2)] = _unit_rows(rng.standard_normal((1, m)))[0]
-    points = (top,) * lead + tuple(pts) + (bottom,) * trail
-    for a in range(1, lead + 1):
-        for b in range(a + 1, lead + 1):
-            dirs[(a, b)] = south(m)
-    for a in range(n - trail + 1, n + 1):
-        for b in range(a + 1, n + 1):
-            dirs[(a, b)] = south(m)
+    points = np.array([north(m)] * lead + pts + [south(m)] * trail).reshape(n, m)
+    # the duplicated pair is the only coincident one, and needs a direction
+    a, b = _pair_points(n)
+    has = (points[a] == points[b]).all(axis=1)
+    dirs = _unit_rows(rng.standard_normal((1, m))) if has.any() else np.zeros((1, m))
     tangents = _unit_rows(rng.standard_normal((n, m)))
-    return PointConfiguration(m, points, tangents, dirs)
+    return PointConfiguration._from_rows(m, points, tangents, dirs.repeat(len(has), axis=0), has)
 
 
 def check_insertion_naturality(n: int, m: int, trials: int, seed: int = 0,
@@ -1385,10 +1384,10 @@ class LongUnknot:
             raise ValueError("long knots need m >= 2")
         self.m = m
 
-    def value(self, t: float) -> Vector:
-        return (0.0,) * (self.m - 1) + (-float(t),)
+    def value(self, t: float) -> np.ndarray:
+        return np.append(np.zeros(self.m - 1), -float(t))
 
-    def derivative(self, t: float) -> Vector:
+    def derivative(self, t: float) -> np.ndarray:
         return south(self.m)
 
 
@@ -1405,7 +1404,7 @@ class LongTrefoil:
         return s ** 3, -6.0 * t * s * s
 
     @staticmethod
-    def _loop(t: float) -> tuple[Vector, Vector]:
+    def _loop(t: float) -> tuple[tuple, tuple]:
         th = math.pi * t
         g = ((math.sin(th) + 2.0 * math.sin(2.0 * th)) / 4.0,
              (math.cos(th) - 2.0 * math.cos(2.0 * th)) / 4.0,
@@ -1415,12 +1414,12 @@ class LongTrefoil:
               -3.0 * math.pi * math.cos(3.0 * th) / 4.0)
         return g, dg
 
-    def value(self, t: float) -> Vector:
+    def value(self, t: float) -> tuple[float, ...]:
         w, _ = self._window(t)
         g, _ = self._loop(t)
         return (w * g[0], w * g[1], -t + w * g[2])
 
-    def derivative(self, t: float) -> Vector:
+    def derivative(self, t: float) -> tuple[float, ...]:
         w, dw = self._window(t)
         g, dg = self._loop(t)
         return (dw * g[0] + w * dg[0],
@@ -1440,16 +1439,13 @@ def knot_eval(curve, times: Sequence[float]) -> PointConfiguration:
         raise ValueError("times must lie in [-1, 1]")
     if any(a > b for a, b in zip(ts, ts[1:])):
         raise ValueError("times must be weakly increasing")
-    points, tangents = [], []
-    for t in ts:
-        d = tuple(float(c) for c in curve.derivative(t))
-        if not any(d):
-            raise ValueError(f"zero derivative at t={t}")
-        points.append(tuple(float(c) for c in curve.value(t)))
-        tangents.append(tuple(_unit_rows(np.array([d]))[0].tolist()))
+    points = [curve.value(t) for t in ts]
     m = len(points[0]) if points else getattr(curve, "m", 3)
-    dirs = {}
-    for a, b in itertools.combinations(range(len(ts)), 2):
-        if ts[a] == ts[b]:
-            dirs[(a + 1, b + 1)] = tangents[a]
-    return PointConfiguration(m, points, tangents, dirs)
+    derivatives = np.array([curve.derivative(t) for t in ts], dtype=np.float64).reshape(-1, m)
+    zero = ~derivatives.any(axis=1)
+    if zero.any():
+        raise ValueError(f"zero derivative at t={ts[int(np.argmax(zero))]}")
+    tangents = _unit_rows(derivatives)
+    a, b = _pair_points(len(ts))
+    has = np.array(ts)[a] == np.array(ts)[b]
+    return PointConfiguration._from_rows(m, points, tangents, tangents[a], has)

@@ -131,9 +131,12 @@ class TestVerify:
         args = ["verify", "geometry", "--trials", "20", "--seed", "7"]
         code, out, err = run(capsys, *args)
         assert code == 0
+        # one line per membership or closure suite, then one per section
+        sections = [f"membership n=6 m={m}" for m in (3, 4, 5)] + [
+            f"closure {tree.to_text()} m={m}" for tree in cli._geometry_shapes()
+            for m in (3, 4, 5)] + ["naturality", "disks", "cosimplicial"]
         assert [line.split(" done (")[0] for line in err.splitlines()[:-1]] == [
-            f"verify geometry: {section}" for section in
-            ("membership and closure", "naturality", "disks", "cosimplicial")]
+            f"verify geometry: {section}" for section in sections]
         assert "verify geometry:" not in out and " done (" not in out
         results = json.loads(out)["results"]
         digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
@@ -288,6 +291,23 @@ class TestGeomCheck:
                              "--tol", "1e-9")
         assert code == 0
         assert art["results"]["membership"]["passed"]
+        assert art["results"]["configuration"]["n"] == 4
+
+    def test_point_count_must_match_n(self, capsys, tmp_path):
+        # a declared n must count the points, as it must count a sphere
+        # configuration's pairs; without n the count is the points'
+        points = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.2, 0.3, 0.9]]
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "out.json"
+        for n in (7, 3, 0):
+            path.write_text(json.dumps({"m": 3, "n": n, "points": points}))
+            code, _, err = run(capsys, "geom", "check", "--input", str(path),
+                               "--output", str(out))
+            assert code == 2 and f"n={n}, got 4 points" in err
+            assert not out.exists()
+        path.write_text(json.dumps({"m": 3, "points": points}))
+        code, art = artifact(capsys, "geom", "check", "--input", str(path))
+        assert code == 0
         assert art["results"]["configuration"]["n"] == 4
 
     def test_underflowing_difference_is_bad_input(self, capsys, tmp_path):
@@ -458,6 +478,20 @@ class TestGeomKnotEval:
         cfg = art["results"]["configuration"]
         assert cfg["pair_directions"]["2,3"] == [0.0, 0.0, -1.0]
 
+    @pytest.mark.parametrize("argv,digest", [
+        (["--curve", "trefoil", "--times", "12", "--seed", "3"],
+         "a1968887f2416e1d693827b716d3cc39650ef7a7302db9fa4c6d320a9902de86"),
+        # repeated times write tangents and the pair directions of the diagonal
+        (["--curve", "trefoil", "--at=-0.6,-0.2,-0.2,0.3,0.3,0.3,0.7"],
+         "2f4d7ec9cd42787a11da5bc81085757283f30285ea3e213266a5dcd0eca651ef"),
+    ])
+    def test_golden(self, capsys, argv, digest):
+        # the evaluated points, tangents and directions are pinned to the bit
+        code, art = artifact(capsys, "geom", "knot-eval", *argv)
+        assert code == 0
+        assert hashlib.sha256(json.dumps(art["results"], sort_keys=True).encode()
+                              ).hexdigest() == digest
+
     def test_point_bound_before_evaluation(self, capsys, tmp_path, monkeypatch):
         bound = geometry.MAX_REPORT_POINTS
         out = tmp_path / "at-bound.json"
@@ -494,6 +528,18 @@ class TestGeomDisksCompare:
         assert code == 0
         assert art["results"]["passed"]
         assert art["results"]["max_end_gap"] <= 1e-12
+
+    @pytest.mark.parametrize("dim,digest", [
+        ("3", "9bdcaaa69fa0a1a59971977df393d3152cdaf694fa0eb7872c16cf40db86d185"),
+        ("4", "efbdad012403de3a58a57385a0b2b6f55002b525709d4867b43f5210c79fc77f"),
+    ])
+    def test_golden(self, capsys, dim, digest):
+        # the sampled disks and both endpoint gaps are pinned to the bit
+        code, art = artifact(capsys, "geom", "disks-compare", "--tree",
+                             "((* *) (* *))", "--dim", dim)
+        assert code == 0
+        assert hashlib.sha256(json.dumps(art["results"], sort_keys=True).encode()
+                              ).hexdigest() == digest
 
     def test_deep_tree_rejected(self, capsys):
         code, _, _ = run(capsys, "geom", "disks-compare", "--tree",

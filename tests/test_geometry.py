@@ -17,6 +17,7 @@ formula evaluation for the little disks.
 import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -63,6 +64,25 @@ def _unit(v):
     if r == 0.0:
         raise ValueError("cannot normalize: the norm underflows to 0")
     return tuple(x / r for x in v)
+
+
+def _south(m):
+    return (0.0,) * (m - 1) + (-1.0,)
+
+
+def _north(m):
+    return (0.0,) * (m - 1) + (1.0,)
+
+
+def _tuples(rows):
+    """The rows of a configuration array as tuples of floats, where a scalar
+    oracle starts."""
+    return None if rows is None else tuple(map(tuple, rows.tolist()))
+
+
+def _direction_map(c):
+    """The pair directions of a point configuration as tuples of floats."""
+    return {pair: tuple(g.tolist()) for pair, g in c.pair_directions.items()}
 
 
 def _unit_row(v):
@@ -149,7 +169,7 @@ def _coface_oracle(s, i):
     mutual direction *_S; i = 0 / n+1 insert a new first/last point whose
     coordinates with everything are *_S (the basepoint rule)."""
     n, m = s.n, s.m
-    base = G.south(m)
+    base = _south(m)
     w = {}
     if i == 0:
         for a, b in itertools.combinations(range(1, n + 2), 2):
@@ -238,13 +258,13 @@ def _jacobian_oracle(x, eps=G.DEFAULT_EPS, tol=G.DEFAULT_TOL):
 
 def _project_oracle(c, eps=G.DEFAULT_EPS):
     """project_pi_k pair by pair, as rows (C(n, 2), m)."""
-    m = c.m
-    top, bottom = G.north(m), G.south(m)
+    m, points, dirs = c.m, _tuples(c.points), _direction_map(c)
+    top, bottom = _north(m), _south(m)
     rows = []
     for i, j in itertools.combinations(range(1, c.n + 1), 2):
-        xi, xj = c.points[i - 1], c.points[j - 1]
+        xi, xj = points[i - 1], points[j - 1]
         if xi == xj:
-            g = c.pair_directions.get((i, j))
+            g = dirs.get((i, j))
             if g is None:
                 raise ValueError(f"coincident pair ({i}, {j}) carries no direction")
             if xi == top or xi == bottom:
@@ -266,9 +286,9 @@ def _project_oracle(c, eps=G.DEFAULT_EPS):
 
 def _projection_branches(c, eps=G.DEFAULT_EPS):
     """Which of project_pi_k's cases the pairs of c take."""
-    top, bottom = G.north(c.m), G.south(c.m)
+    top, bottom = _north(c.m), _south(c.m)
     out = set()
-    for xi, xj in itertools.combinations(c.points, 2):
+    for xi, xj in itertools.combinations(_tuples(c.points), 2):
         if xi == xj:
             out.add("endpoint pair" if xi in (top, bottom) else
                     "shell pair" if _jacobian_oracle(xi, eps) != 1.0 else "interior pair")
@@ -283,29 +303,30 @@ def _projection_branches(c, eps=G.DEFAULT_EPS):
 def _insertion_oracle(c, i):
     """e^i by relabeling the pair-direction dictionary."""
     n, m = c.n, c.m
-    base = G.south(m)
+    old_points, old_tangents, old_dirs = _tuples(c.points), _tuples(c.tangents), _direction_map(c)
+    base = _south(m)
     if i == 0 or i == n + 1:
-        endpoint = G.north(m) if i == 0 else G.south(m)
+        endpoint = _north(m) if i == 0 else _south(m)
         at = 0 if i == 0 else n
-        points = c.points[:at] + (endpoint,) + c.points[at:]
-        tangents = None if c.tangents is None else \
-            c.tangents[:at] + (base,) + c.tangents[at:]
+        points = old_points[:at] + (endpoint,) + old_points[at:]
+        tangents = None if old_tangents is None else \
+            old_tangents[:at] + (base,) + old_tangents[at:]
         shift = (lambda a: a + 1) if i == 0 else (lambda a: a)
-        dirs = {(shift(a), shift(b)): g for (a, b), g in c.pair_directions.items()}
+        dirs = {(shift(a), shift(b)): g for (a, b), g in old_dirs.items()}
         new_idx = 1 if i == 0 else n + 1
         for k, p in enumerate(points, start=1):
             if k != new_idx and p == endpoint:
                 dirs[(min(k, new_idx), max(k, new_idx))] = base
         return G.PointConfiguration(m, points, tangents, dirs)
-    points = c.points[:i] + (c.points[i - 1],) + c.points[i:]
-    tangents = None if c.tangents is None else \
-        c.tangents[:i] + (c.tangents[i - 1],) + c.tangents[i:]
+    points = old_points[:i] + (old_points[i - 1],) + old_points[i:]
+    tangents = None if old_tangents is None else \
+        old_tangents[:i] + (old_tangents[i - 1],) + old_tangents[i:]
 
     def h(a):
         return a if a <= i else a + 1
 
     dirs = {}
-    for (a, b), g in c.pair_directions.items():
+    for (a, b), g in old_dirs.items():
         dirs[(h(a), h(b))] = g
         if a == i:
             dirs[(i + 1, h(b))] = g
@@ -342,23 +363,25 @@ def _two_level_slots(tree):
 
 def _centers_oracle(tree, inputs, time):
     """The slid centers x_e + time r_e x'_o leaf by leaf."""
-    root = inputs[()]
+    vertex_centers = {p: _tuples(d.centers) for p, d in inputs.items()}
+    root_radii = inputs[()].radii.tolist()
     centers = []
     for e, vpath, o in _two_level_slots(tree):
-        x, r = root.centers[e - 1], root.radii[e - 1]
+        x, r = vertex_centers[()][e - 1], root_radii[e - 1]
         if vpath is None:
             centers.append(x)
         else:
-            y = inputs[vpath].centers[o - 1]
+            y = vertex_centers[vpath][o - 1]
             centers.append(tuple(xc + time * r * yc for xc, yc in zip(x, y)))
     return centers
 
 
 def _disks_compose_oracle(tree, inputs):
-    root = inputs[()]
-    radii = [root.radii[e - 1] if vpath is None else root.radii[e - 1] * inputs[vpath].radii[o - 1]
+    vertex_radii = {p: d.radii.tolist() for p, d in inputs.items()}
+    root = vertex_radii[()]
+    radii = [root[e - 1] if vpath is None else root[e - 1] * vertex_radii[vpath][o - 1]
              for e, vpath, o in _two_level_slots(tree)]
-    return G.DiskConfiguration(root.m, _centers_oracle(tree, inputs, 1.0), radii)
+    return G.DiskConfiguration(inputs[()].m, _centers_oracle(tree, inputs, 1.0), radii)
 
 
 def _projection_oracle(m, centers):
@@ -450,8 +473,10 @@ class TestVectors:
         assert _unit_row((0.0, -5e-324)) == (0.0, -1.0)
 
     def test_poles(self):
-        assert G.south(4) == (0.0, 0.0, 0.0, -1.0)
-        assert G.north(2) == (0.0, 1.0)
+        assert G.south(4).tolist() == [0.0, 0.0, 0.0, -1.0]
+        assert G.north(2).tolist() == [0.0, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            G.south(3)[0] = 1.0
 
 
 class TestSphereConfiguration:
@@ -567,6 +592,44 @@ class TestPointConfiguration:
         with pytest.raises(ValueError, match="non-finite"):
             G.PointConfiguration(2, [(0.0, 0.0), (0.0, 0.0)],
                                  pair_directions={(1, 2): (1.0, bad)})
+
+    def test_errors_name_the_first_bad_row(self):
+        # each check names the first row that fails it, as the point-by-point
+        # loop did; every length is checked before any coordinate
+        cases = [([(0, 0), (1,)], None, "point 2 has dimension 1, expected 2"),
+                 ([(0, math.nan), (1,)], None, "point 2 has dimension 1, expected 2"),
+                 ([(0, 0), (1, 0), (math.inf, 0)], None, "point 3 has a non-finite"),
+                 ([(0, 0), (1, 0)], [(1, 0), (0, 0.5)], "tangent 2 is not a unit vector"),
+                 ([(0, 0), (1, 0)], [(1, 0), (0, 1, 0)], "tangent 2 has dimension 3")]
+        for points, tangents, message in cases:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+                G.PointConfiguration(2, points, tangents)
+        same = [(0.0, 0.0)] * 3
+        for dirs, message in (({(2, 3): (0.6, 0.8), (1, 3): (1.0,)},
+                               "direction (1, 3) has dimension 1, expected 2"),
+                              ({(2, 3): (0.6, 0.7), (1, 2): (1.0, 0.0)},
+                               "direction (2, 3) is not a unit vector")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                G.PointConfiguration(2, same, pair_directions=dirs)
+        with pytest.raises(ValueError, match=r"^pair \(2, 3\) has a direction but distinct"):
+            G.PointConfiguration(2, [(0, 0), (0, 0), (1, 0)],
+                                 pair_directions={(1, 2): (1.0, 0.0), (2, 3): (1.0, 0.0)})
+
+    def test_read_only_arrays(self):
+        source = np.array([[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.0, 0.0, -1.0]])
+        c = G.PointConfiguration(3, source, tangents=[(0, 0, 1.0)] * 3,
+                                 pair_directions={(1, 2): (0, 1.0, 0)})
+        source[0, 0] = 5.0  # the configuration holds its own copy
+        assert c.points[0].tolist() == [0.1, 0.2, 0.3]
+        for rows in (c.points, c.tangents, c.pair_directions[(1, 2)]):
+            assert rows.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 1.0
+        assert list(c.pair_directions) == [(1, 2)]
+        for made in (G.insertion_e(c, 2), G.delete_point(c, 3),
+                     G.knot_eval(G.LongTrefoil(), [-0.5, -0.5, 0.5]),
+                     G.random_boundary_configuration(np.random.default_rng(1), 5, 3)):
+            assert not (made.points.flags.writeable or made.tangents.flags.writeable)
 
     def test_json_round_trip(self):
         c = G.PointConfiguration(
@@ -922,20 +985,20 @@ class TestCofaces:
         s = G.random_sphere_configuration(rng, 3, 3)
         d = G.kontsevich_coface(s, 4)
         for i in range(1, 4):
-            assert d.u(i, 4) == G.south(3)
+            assert d.u(i, 4) == _south(3)
 
     def test_bottom_coface_basepoint_row(self):
         rng = np.random.default_rng(18)
         s = G.random_sphere_configuration(rng, 3, 4)
         d = G.kontsevich_coface(s, 0)
         for j in range(2, 5):
-            assert d.u(1, j) == G.south(4)
+            assert d.u(1, j) == _south(4)
 
     def test_middle_coface_doubles(self):
         rng = np.random.default_rng(19)
         s = G.random_sphere_configuration(rng, 3, 3)
         d = G.kontsevich_coface(s, 2)
-        assert d.u(2, 3) == G.south(3)
+        assert d.u(2, 3) == _south(3)
         assert d.u(1, 2) == s.u(1, 2) and d.u(1, 3) == s.u(1, 2)
         assert d.u(1, 4) == s.u(1, 3) and d.u(2, 4) == s.u(2, 3)
 
@@ -976,6 +1039,18 @@ class TestDisks:
             G.DiskConfiguration(2, [(0.3, 0.0), (-0.3, 0.0)], [0.5, 0.5])
         with pytest.raises(ValueError, match="non-finite"):
             G.DiskConfiguration(2, [(math.nan, 0.0)], [0.5])
+        with pytest.raises(ValueError, match="^bad ambient dimension m=0$"):
+            G.DiskConfiguration(0, [[]], [0.5])
+        with pytest.raises(ValueError, match="^center 2 has dimension 3, expected 2$"):
+            G.DiskConfiguration(2, [(0.5, 0.0), (-0.5, 0.0, 0.0)], [0.2, 0.2])
+
+    def test_read_only_arrays(self):
+        d = G.random_disk_configuration(np.random.default_rng(21), 3, 3)
+        for rows in (d.centers, d.radii):
+            assert rows.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0] = 0.0
+        assert (d.centers.shape, d.radii.shape) == ((3, 3), (3,))
 
     def test_unit_case_translates_and_scales(self):
         child = G.DiskConfiguration(2, [(0.4, 0.0), (-0.4, 0.0)], [0.3, 0.3])
@@ -993,7 +1068,7 @@ class TestDisks:
         child = G.random_disk_configuration(rng, 2, 3)
         out = G.disks_compose(graft(2, 1, 2).source, {(): root, (0,): child})
         assert out.n == 3
-        assert out.centers[2] == root.centers[1]
+        assert out.centers[2].tolist() == root.centers[1].tolist()
         assert out.radii[2] == root.radii[1]
         assert out.radii[0] == pytest.approx(root.radii[0] * child.radii[0])
 
@@ -1096,9 +1171,9 @@ class TestDisks:
             want.append(_disks_compose_oracle(tree, inputs))
         assert [len(c) for c, _ in composites] == [G._TRIAL_CHUNK, 3]
         assert np.concatenate([c for c, _ in composites]).tolist() == \
-            [list(map(list, d.centers)) for d in want]
+            [d.centers.tolist() for d in want]
         assert np.concatenate([r for _, r in composites]).tolist() == \
-            [list(d.radii) for d in want]
+            [d.radii.tolist() for d in want]
 
     def test_expected_draws(self):
         # q(1) = 1, q(2) = pi/4, q(3) = pi/6: the ball's share of the cube
@@ -1236,9 +1311,9 @@ class TestProjectPiK:
     def test_endpoint_rules(self):
         c = G.PointConfiguration(3, [(0, 0, 1.0), (0.2, 0.3, 0.1), (0, 0, -1.0)])
         s = G.project_pi_k(c)
-        assert s.u(1, 2) == G.south(3)
-        assert s.u(2, 3) == G.south(3)
-        assert s.u(1, 3) == G.south(3)
+        assert s.u(1, 2) == _south(3)
+        assert s.u(2, 3) == _south(3)
+        assert s.u(1, 3) == _south(3)
 
     def test_approach_to_top_endpoint(self):
         other = (0.3, 0.2, -0.1)
@@ -1246,7 +1321,7 @@ class TestProjectPiK:
         for d in (1e-2, 1e-4, 1e-6):
             c = G.PointConfiguration(3, [(d, 0.0, 1.0 - 2 * d), other])
             v = G.project_pi_k(c).u(1, 2)
-            gaps.append(_norm(tuple(a - b for a, b in zip(v, G.south(3)))))
+            gaps.append(_norm(tuple(a - b for a, b in zip(v, _south(3)))))
         assert gaps[-1] <= 1e-4
         assert gaps == sorted(gaps, reverse=True)
 
@@ -1332,7 +1407,7 @@ class TestInsertion:
         c = self._sample(31)
         for i in range(1, c.n + 1):
             s = G.project_pi_k(G.insertion_e(c, i))
-            assert s.u(i, i + 1) == G.south(3)
+            assert s.u(i, i + 1) == _south(3)
 
     def test_naturality_exact(self):
         for n in range(0, 7):
@@ -1392,7 +1467,7 @@ class TestKnotEval:
         s = G.gauss_map(cfg)
         for i, j in itertools.combinations(range(1, 4), 2):
             assert s.u(i, j) == (0.0, 0.0, 1.0)
-        assert all(t == (0.0, 0.0, -1.0) for t in cfg.tangents)
+        assert _tuples(cfg.tangents) == ((0.0, 0.0, -1.0),) * 3
 
     def test_straight_ascending_line(self):
         class Line:
@@ -1408,7 +1483,7 @@ class TestKnotEval:
         s = G.gauss_map(cfg)
         for i, j in itertools.combinations(range(1, 4), 2):
             assert s.u(i, j) == (0.0, 0.0, -1.0)
-        assert all(t == (0.0, 0.0, 1.0) for t in cfg.tangents)
+        assert _tuples(cfg.tangents) == ((0.0, 0.0, 1.0),) * 3
 
     def test_trefoil_membership(self):
         cfg = G.knot_eval(G.LongTrefoil(), [-0.8, -0.3, 0.2, 0.7])
@@ -1417,8 +1492,8 @@ class TestKnotEval:
 
     def test_repeated_time_diagonal(self):
         cfg = G.knot_eval(G.LongTrefoil(), [-0.5, -0.5, 0.5])
-        assert cfg.points[0] == cfg.points[1]
-        assert cfg.pair_directions[(1, 2)] == cfg.tangents[0]
+        assert cfg.points[0].tolist() == cfg.points[1].tolist()
+        assert _direction_map(cfg) == {(1, 2): _tuples(cfg.tangents)[0]}
         # and the boundary projection accepts the diagonal sample
         G.project_pi_k(cfg)
 
@@ -1604,7 +1679,7 @@ class TestTrialRunners:
             want = _old_point_draw(np.random.default_rng(seed), n, m, min_sep)
             assert got.shape == (n, m) and got.tobytes() == want.tobytes()
             cfg = G.random_point_configuration(np.random.default_rng(seed), n, m, min_sep)
-            assert cfg.points == tuple(map(tuple, want.tolist()))
+            assert cfg.points.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_sphere_sampler_matches_per_pair_units(self, m):
