@@ -23,7 +23,8 @@ Conventions fixed here once and used throughout:
   ``_unit_rows`` normalizes axis-aligned rows exactly (sign flip only),
   which is what makes the bookkeeping identities (cosimplicial, naturality)
   hold to the bit; point and disk configurations are read-only row arrays
-  too, validated in one pass, which the kernels stack as they are;
+  too, validated in one pass, and hold a direction row only for each pair
+  that carries one, so they take memory linear in their points and rows;
 - membership-side Gauss map is u_ij = u(x_i - x_j) for i < j, anti-symmetry
   extends the accessor;
 - boundary data (knot samples, pi_k outputs) uses forward directions
@@ -165,9 +166,10 @@ def _json_pair_map(obj, what: str) -> dict:
 # -- configuration types ------------------------------------------------------
 
 
-def _pair_row(n: int, i: int, j: int) -> int:
-    """The row of the pair (i, j), 1 <= i < j <= n, in combinations order."""
-    return (i - 1) * (2 * n - i) // 2 + j - i - 1
+def _pair_row(n: int, a, b):
+    """The row of the pair of 0-based points a < b of n, in combinations
+    order; elementwise on index arrays."""
+    return a * (2 * n - a - 1) // 2 + b - a - 1
 
 
 def _check_unit_rows(rows: np.ndarray, n: int, tol: float = UNIT_NORM_TOL) -> None:
@@ -211,7 +213,7 @@ class SphereConfiguration:
     def u(self, i: int, j: int) -> tuple[float, ...]:
         if i == j or not (1 <= i <= self.n and 1 <= j <= self.n):
             raise ValueError(f"pair ({i}, {j}) out of range for n={self.n}")
-        row = self.rows[_pair_row(self.n, min(i, j), max(i, j))]
+        row = self.rows[_pair_row(self.n, min(i, j) - 1, max(i, j) - 1)]
         return tuple((row if i < j else -row).tolist())
 
     def __eq__(self, other) -> bool:
@@ -247,52 +249,56 @@ class PointConfiguration:
     """n labeled points in R^m, optionally with unit tangents per point and
     stored directions for coincident pairs (the diagonal data of boundary
     configurations): the read-only float64 arrays ``points`` (n, m) and
-    ``tangents`` (n, m) or None, and direction rows (C(n, 2), m) in pair
-    order, 0 outside the mask of pairs that carry one (``pair_directions``)."""
+    ``tangents`` (n, m) or None, and one direction row (P, m) per pair that
+    carries one, with its 0-based points (2, P), in pair order."""
 
-    __slots__ = ("m", "points", "tangents", "_dirs", "_has")
+    __slots__ = ("m", "points", "tangents", "_pairs", "_dirs")
 
     def __init__(self, m: int, points: Sequence[Sequence[float]],
                  tangents: Sequence[Sequence[float]] | None = None,
                  pair_directions: Mapping[tuple[int, int], Sequence[float]] | None = None):
         _check_dimension(m)
-        points = _finite_rows(points, m, "point")
-        n, pairs = len(points), sorted(pair_directions or {})
-        for i, j in pairs:
-            if not 1 <= i < j <= n:
-                raise ValueError(f"pair direction index ({i}, {j}) out of range")
-        dirs, has = np.zeros((pair_count(n), m)), np.zeros(pair_count(n), dtype=bool)
-        rows = [_pair_row(n, i, j) for i, j in pairs]
-        dirs[rows] = _finite_rows([pair_directions[p] for p in pairs], m, "direction", pairs)
-        has[rows] = True
-        self._set(m, points, tangents, dirs, has)
+        pairs = sorted(pair_directions or {})
+        self._set(m, points, tangents, np.array(pairs, dtype=np.intp).reshape(-1, 2).T - 1,
+                  [pair_directions[pair] for pair in pairs])
 
     @classmethod
-    def _from_rows(cls, m: int, points, tangents, dirs: np.ndarray,
-                   has: np.ndarray) -> "PointConfiguration":
-        """The configuration whose pairs in the mask has (C(n, 2)) carry the
-        direction rows dirs (C(n, 2), m), as _pi_rows reads them."""
+    def _from_rows(cls, m: int, points, tangents, pairs: np.ndarray,
+                   dirs) -> "PointConfiguration":
+        """The configuration whose pairs (2, P) of 0-based points, in pair
+        order, carry the direction rows dirs (P, m)."""
         c = cls.__new__(cls)
-        c._set(m, _finite_rows(points, m, "point"), tangents, dirs, has)
+        c._set(m, points, tangents, pairs, dirs)
         return c
 
-    def _set(self, m: int, points: np.ndarray, tangents, dirs, has) -> None:
-        """Validate tangents, then directions against points; store all read-only."""
+    def _set(self, m: int, points, tangents, pairs: np.ndarray, dirs) -> None:
+        """Validate points, tangents, then the pairs and their directions;
+        store all read-only."""
+        points = _finite_rows(points, m, "point")
         if tangents is not None:
             if len(tangents) != len(points):
                 raise ValueError("one tangent per point required")
             tangents = _finite_rows(tangents, m, "tangent", unit=True)
-        has, rows = np.array(has, dtype=bool), np.zeros((len(has), m))
-        if has.any():
-            a, b = _pair_points(len(points))[:, has]
-            pairs = list(zip((a + 1).tolist(), (b + 1).tolist()))
+        pairs = np.array(pairs, dtype=np.intp).reshape(2, -1)
+        if pairs.size:  # most configurations carry no direction: skip the checks
+            a, b = pairs
+            labels = list(zip((a + 1).tolist(), (b + 1).tolist()))
+            out = (a < 0) | (a >= b) | (b >= len(points))
+            if out.any():
+                raise ValueError(f"pair direction index {labels[int(np.argmax(out))]} "
+                                 "out of range")
             distinct = (points[a] != points[b]).any(axis=1)
             if distinct.any():
-                raise ValueError(f"pair {pairs[int(np.argmax(distinct))]} has a direction "
+                raise ValueError(f"pair {labels[int(np.argmax(distinct))]} has a direction "
                                  "but distinct points")
-            rows[has] = _finite_rows(dirs[has], m, "direction", pairs, unit=True)
-        self.m, self.points, self.tangents, self._dirs, self._has = \
-            m, points, tangents, _read_only(rows), _read_only(has)
+            dirs = _finite_rows(dirs, m, "direction", labels, unit=True)
+        else:
+            dirs = _read_only(np.empty((0, m)))
+        self.m = m
+        self.points = points
+        self.tangents = tangents
+        self._pairs = _read_only(pairs)
+        self._dirs = dirs
 
     @property
     def n(self) -> int:
@@ -301,14 +307,14 @@ class PointConfiguration:
     @property
     def pair_directions(self) -> dict[tuple[int, int], np.ndarray]:
         """The direction row of each coincident pair (i, j), in pair order."""
-        a, b = _pair_points(self.n)[:, self._has] + 1
-        return dict(zip(zip(a.tolist(), b.tolist()), _read_only(self._dirs[self._has])))
+        a, b = self._pairs + 1
+        return dict(zip(zip(a.tolist(), b.tolist()), self._dirs))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PointConfiguration) and self.m == other.m
                 and np.array_equal(self.points, other.points)
                 and np.array_equal(self.tangents, other.tangents)  # None too
-                and np.array_equal(self._has, other._has)
+                and np.array_equal(self._pairs, other._pairs)
                 and np.array_equal(self._dirs, other._dirs))
 
     def __repr__(self) -> str:
@@ -321,7 +327,7 @@ class PointConfiguration:
         out: dict = {"m": self.m, "n": self.n, "points": self.points.tolist()}
         if self.tangents is not None:
             out["tangents"] = self.tangents.tolist()
-        if self._has.any():
+        if len(self._dirs):
             out["pair_directions"] = {f"{i},{j}": v.tolist()
                                       for (i, j), v in self.pair_directions.items()}
         return out
@@ -334,7 +340,8 @@ class PointConfiguration:
             raise ValueError(f"point count mismatch: n={obj['n']}, "
                              f"got {len(points)} points")
         tangents = obj.get("tangents")
-        tangents = None if tangents is None else _json_vectors(tangents, "tangents")
+        if tangents is not None:
+            tangents = _json_vectors(tangents, "tangents")
         dirs = None
         if "pair_directions" in obj:
             dirs = _json_pair_map(obj["pair_directions"], "pair_directions")
@@ -398,8 +405,8 @@ class DiskConfiguration:
 def _pair_points(n: int) -> np.ndarray:
     """The 0-based points (i, j) of each pair i < j of n points, in
     combinations order: (2, C(n, 2))."""
-    return _read_only(np.array(list(itertools.combinations(range(n), 2)),
-                               dtype=np.intp).reshape(-1, 2).T)
+    out = np.array(list(itertools.combinations(range(n), 2)), dtype=np.intp).reshape(-1, 2).T
+    return _read_only(out)
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -464,9 +471,9 @@ def _subset_rows(n: int, k: int) -> np.ndarray:
     """Per k-subset of {1..n}, in combinations order, the pair-row indices
     of its C(k, 2) pairs, also in combinations order: (C(n, k), C(k, 2))."""
     row = {pair: r for r, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
-    return _read_only(np.array([[row[pair] for pair in itertools.combinations(sub, 2)]
-                                for sub in itertools.combinations(range(1, n + 1), k)],
-                               dtype=np.intp))
+    out = np.array([[row[pair] for pair in itertools.combinations(sub, 2)]
+                    for sub in itertools.combinations(range(1, n + 1), k)], dtype=np.intp)
+    return _read_only(out)
 
 
 # -- membership: three-dependence --------------------------------------------
@@ -612,8 +619,9 @@ def _cubic_fold(m: int) -> np.ndarray:
     coefficients of sum_ijk T_ijk v_i v_j v_k on the degree-3 monomials."""
     column = {mono: k for k, mono in enumerate(
         itertools.combinations_with_replacement(range(m), 3))}
-    return _read_only(np.eye(len(column))[[column[tuple(sorted(ijk))]
-                                           for ijk in itertools.product(range(m), repeat=3)]])
+    fold = np.eye(len(column))[[column[tuple(sorted(ijk))]
+                                for ijk in itertools.product(range(m), repeat=3)]]
+    return _read_only(fold)
 
 
 def _four_coefficients(edges: np.ndarray) -> np.ndarray:
@@ -706,7 +714,8 @@ def membership_report(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
 def _table(fn: dict, source: list, target: list) -> np.ndarray:
     """The gather index of fn from target to source, listed basepoint first."""
     row = {x: r for r, x in enumerate(source[1:] + source[:1])}
-    return _read_only(np.array([row[fn[x]] for x in target[1:]], dtype=np.intp))
+    out = np.array([row[fn[x]] for x in target[1:]], dtype=np.intp)
+    return _read_only(out)
 
 
 @functools.lru_cache(maxsize=128)
@@ -921,8 +930,8 @@ def _vertex_pairs(arities: tuple[int, ...]) -> np.ndarray:
     after vertex, when the points of vertices of the given arities are listed
     in that order: the rows of b_tree_elements past its basepoint."""
     offsets = itertools.accumulate(arities, initial=0)
-    return _read_only(np.concatenate([_pair_points(k) + o for k, o in zip(arities, offsets)],
-                                      axis=1))
+    out = np.concatenate([_pair_points(k) + o for k, o in zip(arities, offsets)], axis=1)
+    return _read_only(out)
 
 
 def _draw_points(seed: int, ks: range, arities: tuple[int, ...], m: int,
@@ -1206,9 +1215,16 @@ def lambda_jacobian_factor(x: Sequence[float], eps: float = DEFAULT_EPS,
 
 def _boundary_stack(configs: Sequence[PointConfiguration]):
     """The points (T, n, m), pair direction rows (T, C(n, 2), m) and their
-    mask (T, C(n, 2)) of point configurations of one shape."""
-    return (np.stack([c.points for c in configs]), np.stack([c._dirs for c in configs]),
-            np.stack([c._has for c in configs]))
+    mask (T, C(n, 2)) of point configurations of one shape; a pair with no
+    direction reads 0."""
+    n, m = configs[0].n, configs[0].m
+    dirs = np.zeros((len(configs), pair_count(n), m))
+    has = np.zeros(dirs.shape[:2], dtype=bool)
+    t = np.repeat(np.arange(len(configs)), [len(c._dirs) for c in configs])
+    rows = _pair_row(n, *np.concatenate([c._pairs for c in configs], axis=1))
+    dirs[t, rows] = np.concatenate([c._dirs for c in configs])
+    has[t, rows] = True
+    return np.stack([c.points for c in configs]), dirs, has
 
 
 def _pi_rows(points: np.ndarray, dirs: np.ndarray, has: np.ndarray,
@@ -1294,9 +1310,9 @@ def insertion_e(c: PointConfiguration, i: int) -> PointConfiguration:
     points, dirs, has = (x[0] for x in _insert_stack(*_boundary_stack([c]), i))
     tangents = None if c.tangents is None else np.concatenate(
         [c.tangents, [south(m)] * 2])[_insertion_tables(n, i)[0]]
-    a, b = _pair_points(n + 1)
-    return PointConfiguration._from_rows(m, points, tangents, dirs,
-                                         has & (points[a] == points[b]).all(axis=-1))
+    pairs = _pair_points(n + 1)
+    keep = has & (points[pairs[0]] == points[pairs[1]]).all(axis=-1)
+    return PointConfiguration._from_rows(m, points, tangents, pairs[:, keep], dirs[keep])
 
 
 def delete_point(c: PointConfiguration, i: int) -> PointConfiguration:
@@ -1305,10 +1321,11 @@ def delete_point(c: PointConfiguration, i: int) -> PointConfiguration:
     if not 1 <= i <= n:
         raise ValueError(f"point index {i} out of range for n={n}")
     keep = np.arange(n) != i - 1
-    pairs = keep[_pair_points(n)].all(axis=0)
+    kept = (c._pairs != i - 1).all(axis=0)
+    pairs = c._pairs[:, kept]
     return PointConfiguration._from_rows(
         c.m, c.points[keep], None if c.tangents is None else c.tangents[keep],
-        c._dirs[pairs], c._has[pairs])
+        pairs - (pairs > i - 1), c._dirs[kept])
 
 
 def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
@@ -1317,34 +1334,37 @@ def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
     and trailing *_- copies, interior points clear of the endpoint shells,
     an occasional coincident interior pair with a stored direction, and an
     occasional on-axis shell point exercising the Jacobian rescale."""
+    top, bottom = north(m), south(m)
     lead = int(rng.integers(0, 2)) if n >= 2 else 0
     trail = int(rng.integers(0, 2)) if n - lead >= 2 else 0
     k = n - lead - trail
-    poles = np.array([north(m), south(m)])
+    poles = np.array([top, bottom])
     pts: list = []
     while len(pts) < k:
         cand = rng.uniform(-1.0, 1.0, size=m)
-        if not ((_norms((cand - poles).T) < eps * 1.5).any()
-                or (_norms((cand - np.array(pts).reshape(-1, m)).T) < 1e-3).any()):
-            pts.append(cand)
+        if (_norms((cand - poles).T) < eps * 1.5).any():
+            continue
+        if pts and (_norms((cand - np.array(pts)).T) < 1e-3).any():
+            continue
+        pts.append(cand)
+    pair, dirs = [[], []], []
     if k >= 2 and rng.random() < 0.5:
-        # duplicate one interior point
+        # duplicate one interior point; the pair needs a direction
         which = int(rng.integers(0, k - 1))
         pts[which + 1] = pts[which]
+        pair, dirs = [[lead + which], [lead + which + 1]], _unit_rows(rng.standard_normal((1, m)))
     elif k >= 1 and rng.random() < 0.3:
         # an on-axis near-endpoint coincident pair takes the rescale path
+        sign = 1.0 if rng.random() < 0.5 else -1.0
         axis = np.zeros(m)
-        axis[-1] = (1.0 if rng.random() < 0.5 else -1.0) * (1.0 - eps / 2.0)
+        axis[-1] = sign * (1.0 - eps / 2.0)
         pts[0] = axis
         if k >= 2:
             pts[1] = axis
-    points = np.array([north(m)] * lead + pts + [south(m)] * trail).reshape(n, m)
-    # the duplicated pair is the only coincident one, and needs a direction
-    a, b = _pair_points(n)
-    has = (points[a] == points[b]).all(axis=1)
-    dirs = _unit_rows(rng.standard_normal((1, m))) if has.any() else np.zeros((1, m))
+            pair, dirs = [[lead], [lead + 1]], _unit_rows(rng.standard_normal((1, m)))
+    points = [top] * lead + pts + [bottom] * trail
     tangents = _unit_rows(rng.standard_normal((n, m)))
-    return PointConfiguration._from_rows(m, points, tangents, dirs.repeat(len(has), axis=0), has)
+    return PointConfiguration._from_rows(m, points, tangents, pair, dirs)
 
 
 def check_insertion_naturality(n: int, m: int, trials: int, seed: int = 0,
@@ -1384,11 +1404,11 @@ class LongUnknot:
             raise ValueError("long knots need m >= 2")
         self.m = m
 
-    def value(self, t: float) -> np.ndarray:
-        return np.append(np.zeros(self.m - 1), -float(t))
+    def value(self, t: float) -> tuple[float, ...]:
+        return (0.0,) * (self.m - 1) + (-float(t),)
 
-    def derivative(self, t: float) -> np.ndarray:
-        return south(self.m)
+    def derivative(self, t: float) -> tuple[float, ...]:
+        return (0.0,) * (self.m - 1) + (-1.0,)
 
 
 class LongTrefoil:
@@ -1446,6 +1466,6 @@ def knot_eval(curve, times: Sequence[float]) -> PointConfiguration:
     if zero.any():
         raise ValueError(f"zero derivative at t={ts[int(np.argmax(zero))]}")
     tangents = _unit_rows(derivatives)
-    a, b = _pair_points(len(ts))
-    has = np.array(ts)[a] == np.array(ts)[b]
-    return PointConfiguration._from_rows(m, points, tangents, tangents[a], has)
+    pairs = _pair_points(len(ts))
+    pairs = pairs[:, np.array(ts)[pairs[0]] == np.array(ts)[pairs[1]]]
+    return PointConfiguration._from_rows(m, points, tangents, pairs, tangents[pairs[0]])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -371,6 +372,22 @@ class TestGeomCheck:
         path.write_text(json.dumps(s.to_json_obj()))
         code, out, err = run(capsys, "geom", "check", "--input", str(path))
         assert code == 3 and "point bound" in err and out == ""
+
+    def test_point_bound_before_pair_arrays(self, capsys, tmp_path):
+        # a points file far past the bound exits 3 having allocated memory
+        # linear in its points, none for its C(n, 2) = 12.5 million pairs
+        n = 5000
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps({"m": 3, "n": n, "points": np.random.default_rng(
+            3).uniform(-1, 1, (n, 3)).tolist()}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "geom", "check", "--input", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and "point bound" in err and out == ""
+        assert peak < 16 * 2 ** 20
 
     def test_four_work_bound(self, capsys, tmp_path, monkeypatch):
         # C(n, 4) C(m+2, 3)^2 coefficient cells: at the bound the report is

@@ -1403,6 +1403,19 @@ class TestInsertion:
         assert G.delete_point(G.insertion_e(c, 0), 1) == c
         assert G.delete_point(G.insertion_e(c, c.n + 1), c.n + 1) == c
 
+    def test_delete_point_relabels_directions(self):
+        a, b = (0.1, 0.2, 0.3), (0.3, 0.2, 0.1)
+        dirs = {(1, 2): (1.0, 0, 0), (1, 4): (0, 1.0, 0), (2, 4): (0, 0, 1.0),
+                (3, 5): (0, 0, -1.0)}
+        c = G.PointConfiguration(3, [a, a, b, a, b], pair_directions=dirs)
+        for i in range(1, 6):
+            def g(k):
+                return k if k < i else k - 1
+            expected = {(g(p), g(q)): v for (p, q), v in dirs.items() if i not in (p, q)}
+            d = G.delete_point(c, i)
+            assert _direction_map(d) == expected
+            assert _tuples(d.points) == _tuples(c.points)[:i - 1] + _tuples(c.points)[i:]
+
     def test_inserted_pair_maps_to_basepoint(self):
         c = self._sample(31)
         for i in range(1, c.n + 1):
