@@ -793,19 +793,64 @@ class KontsevichOperad(OperadInstance):
         return kontsevich_codegeneracy(x, i)
 
 
+def _coface_rows(rows: np.ndarray, n: int, i: int) -> np.ndarray:
+    """d^i on a stack of level-n rows (..., C(n, 2), m): one gather through
+    _coface_table(n, i) from the rows with a *_S row appended."""
+    m = rows.shape[-1]
+    base = np.broadcast_to(south(m), rows.shape[:-2] + (1, m))
+    return np.concatenate([rows, base], axis=-2)[..., _coface_table(n, i), :]
+
+
+def _codegeneracy_rows(rows: np.ndarray, n: int, i: int) -> np.ndarray:
+    """s^i on a stack of level-n rows (..., C(n, 2), m): one gather through
+    _codegeneracy_table(n, i)."""
+    return rows[..., _codegeneracy_table(n, i), :]
+
+
 def kontsevich_coface(s: SphereConfiguration, i: int) -> SphereConfiguration:
     """d^i: level n -> n+1, the map ChooseTwoOperad.coface_fn(n, i) induces.
     Middle indices double point i with the new mutual direction *_S; i = 0 /
     n+1 insert a new first/last point whose coordinates with everything are
     *_S: the pairs that join at the grafted multiplication hit the basepoint."""
-    rows = np.concatenate([s.rows, [south(s.m)]])
-    return SphereConfiguration(s.m, s.n + 1, rows[_coface_table(s.n, i)])
+    return SphereConfiguration(s.m, s.n + 1, _coface_rows(s.rows, s.n, i))
 
 
 def kontsevich_codegeneracy(s: SphereConfiguration, i: int) -> SphereConfiguration:
     """s^i: level n -> n-1, deleting point i and relabeling; the map
     ChooseTwoOperad.codegeneracy_fn(n, i) induces."""
-    return SphereConfiguration(s.m, s.n - 1, s.rows[_codegeneracy_table(s.n, i)])
+    return SphereConfiguration(s.m, s.n - 1, _codegeneracy_rows(s.rows, s.n, i))
+
+
+class _SphereStack:
+    """T sphere configurations of level n as one read-only stack of rows
+    (T, C(n, 2), m), an element of check_sphere_cosimplicial's levels.  Every
+    construction runs SphereConfiguration's unit-norm check on the stack;
+    ``unstack`` gives the stacks of one that a witness names."""
+
+    __slots__ = ("m", "n", "rows")
+
+    def __init__(self, m: int, n: int, rows: np.ndarray):
+        _check_unit_rows(rows, n)
+        self.m, self.n, self.rows = m, n, _read_only(rows)
+
+    def coface(self, i: int) -> "_SphereStack":
+        return _SphereStack(self.m, self.n + 1, _coface_rows(self.rows, self.n, i))
+
+    def codegeneracy(self, i: int) -> "_SphereStack":
+        return _SphereStack(self.m, self.n - 1, _codegeneracy_rows(self.rows, self.n, i))
+
+    def unstack(self) -> list:
+        return [_SphereStack(self.m, self.n, rows[None]) for rows in self.rows]
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _SphereStack) and self.n == other.n
+                and self.rows.shape == other.rows.shape
+                and bool((self.rows == other.rows).all()))
+
+    def __repr__(self) -> str:
+        """The SphereConfiguration repr of each configuration, comma-joined."""
+        return ", ".join(f"SphereConfiguration(m={self.m}, n={self.n}, rows={rows.tolist()!r})"
+                         for rows in self.rows)
 
 
 def check_sphere_cosimplicial(m: int, max_level: int = 6, per_level: int = 15,
@@ -813,21 +858,33 @@ def check_sphere_cosimplicial(m: int, max_level: int = 6, per_level: int = 15,
     """All cosimplicial identities, exactly, on random sphere configurations.
 
     The maps only relabel and insert constants, so equality is on the nose;
-    the samples need not satisfy any membership condition."""
+    the samples need not satisfy any membership condition.  Each level's
+    per_level samples are one stack (T, C(n, 2), m), drawn by one normal
+    draw that takes the samples' draws in turn, so it holds the configurations
+    random_sphere_configuration would give one at a time.  The stack is its
+    level's one element: every coface and codegeneracy is one gather on it,
+    and each composite is one check, as it was over the list of samples.  A
+    failure's witness names the first sample that differs."""
     rng = np.random.default_rng(seed)
-    cache = {n: [random_sphere_configuration(rng, n, m) for _ in range(per_level)]
-             for n in range(max_level + 1)}
+    levels = {n: [_SphereStack(m, n, _sphere_rows(rng, (per_level,), n, m))]
+              for n in range(max_level + 1)}
     return check_cosimplicial_identities(CosimplicialObject(
-        cache.__getitem__, lambda n, i: lambda s: kontsevich_coface(s, i),
-        lambda n, i: lambda s: kontsevich_codegeneracy(s, i)), max_level)
+        levels.__getitem__, lambda n, i: lambda s: s.coface(i),
+        lambda n, i: lambda s: s.codegeneracy(i)), max_level)
 
 
 # -- random samplers ----------------------------------------------------------
 
 
+def _sphere_rows(rng: np.random.Generator, lead: tuple, n: int, m: int) -> np.ndarray:
+    """A stack lead + (C(n, 2), m) of independent uniform unit rows, from one
+    normal draw that fills the stack's configurations in turn."""
+    return _unit_rows(rng.standard_normal(lead + (pair_count(n), m)))
+
+
 def random_sphere_configuration(rng: np.random.Generator, n: int, m: int) -> SphereConfiguration:
     """Independent uniform unit vectors per pair (no membership conditions)."""
-    return SphereConfiguration(m, n, _unit_rows(rng.standard_normal((pair_count(n), m))))
+    return SphereConfiguration(m, n, _sphere_rows(rng, (), n, m))
 
 
 def _sample_points(rng: np.random.Generator, n: int, m: int,
@@ -934,17 +991,43 @@ def _vertex_pairs(arities: tuple[int, ...]) -> np.ndarray:
     return _read_only(out)
 
 
+# The leading random() doubles of the trial streams of one seed, with each
+# stream to grow them: {seed: {k: (stream, prefix)}}.  The suites of a battery
+# share a seed and visit its chunks in turn, so the memo keeps every trial of
+# the current seed and drops them all when another seed arrives.
+_PREFIXES: dict = {}
+
+
+def _stream_prefix(seed: int, k: int, size: int) -> np.ndarray:
+    """The first size doubles _trial_rng(seed, k).random() gives, read-only:
+    the stream is built once per trial, and its prefix grown when a longer
+    one is asked for."""
+    memo = _PREFIXES.get(seed)
+    if memo is None:
+        _PREFIXES.clear()
+        memo = _PREFIXES[seed] = {}
+    rng, prefix = memo.get(k) or (_trial_rng(seed, k), np.empty(0))
+    if len(prefix) < size:
+        prefix = _read_only(np.concatenate([prefix, rng.random(size - len(prefix))]))
+        memo[k] = rng, prefix
+    return prefix[:size]
+
+
 def _draw_points(seed: int, ks: range, arities: tuple[int, ...], m: int,
                  min_sep: float) -> np.ndarray:
     """The points (T, sum(arities), m) the trials ks draw vertex after vertex
     through _sample_points, from _trial_rng(seed, k).  One uniform draw per
     trial gives them when every vertex's first draw is separated: numpy fills
-    it from the stream as it fills the vertices' draws in turn.  The trials
-    one separation test over the chunk rejects are drawn again vertex by
-    vertex from a fresh stream."""
+    it from the stream as it fills the vertices' draws in turn.  That draw is
+    -1 + 2 u over the stream's leading random() doubles u, bit for bit (each
+    double is the stream's next 64-bit output scaled, and 2 u is exact), so it
+    is read off the memo of stream prefixes that every suite of the seed
+    shares.  The trials one separation test over the chunk rejects are drawn
+    again vertex by vertex from a fresh stream."""
     _check_dimension(m)
-    pts = np.stack([_trial_rng(seed, k).uniform(-1.0, 1.0, size=(sum(arities), m))
-                    for k in ks])
+    size = sum(arities) * m
+    pts = -1.0 + 2.0 * np.stack([_stream_prefix(seed, k, size) for k in ks])
+    pts = pts.reshape(len(ks), sum(arities), m)
     a, b = _vertex_pairs(arities)
     apart = (_norms((pts[:, a] - pts[:, b]).T) >= min_sep).all(axis=0)
     for t in np.flatnonzero(~apart).tolist():

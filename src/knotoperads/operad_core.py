@@ -383,9 +383,14 @@ def check_cosimplicial_identities(c: CosimplicialObject,
 def _first_diff(c: CosimplicialObject, inputs: list, t0: list, t1: list,
                 maps0, maps1) -> dict | None:
     """Input, got and want at the first place two tables differ, read off
-    the element maps; ``maps0`` None stands for the identity."""
+    the element maps; ``maps0`` None stands for the identity.  In elements
+    that are stacks of samples (with an ``unstack`` method into stacks of
+    one), the witness is the first sample that differs."""
     for x, a, b in zip(inputs, t0, t1):
         if a != b:
+            if hasattr(x, "unstack"):
+                x, a, b = next(s for s in zip(x.unstack(), a.unstack(), b.unstack())
+                               if s[1] != s[2])
             want = x if maps0 is None else _composite_table(c, [x], *maps0)[0]
             got = _composite_table(c, [x], *maps1)[0]
             return {"input": repr(x), "got": repr(got), "want": repr(want)}

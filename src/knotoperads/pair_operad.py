@@ -22,7 +22,7 @@ from .operad_core import (
     check_cosimplicial_identities,
     cosimplicial_from_operad,
 )
-from .trees import RpTree, TreeMorphism, enumerate_trees, join_vertex, to_corolla
+from .trees import RpTree, TreeMorphism, enumerate_trees, pair_joins, to_corolla
 
 BASEPOINT = "+"
 
@@ -56,9 +56,8 @@ def b_structure_map(tree: RpTree) -> dict:
     of leaves i and j; never hits the basepoint on actual pairs.
     """
     fn = {BASEPOINT: BASEPOINT}
-    for i, j in _pairs(tree.leaf_count):
-        v, a, b = join_vertex(tree, i, j)
-        fn[(i, j)] = (v, (a, b))
+    for p, (v, a, b) in pair_joins(tree).items():
+        fn[p] = (v, (a, b))
     return fn
 
 
@@ -159,8 +158,7 @@ class ChooseTwoOperad(OperadInstance):
             children[i - 1] = ((), ())
             tree, mu_vertex = RpTree(tuple(children)), (i - 1,)
         fn = {BASEPOINT: BASEPOINT}
-        for p in _pairs(n + 1):
-            v, a, b = join_vertex(tree, *p)
+        for p, (v, a, b) in pair_joins(tree).items():
             fn[p] = BASEPOINT if v == mu_vertex else (a, b)
         return fn
 
@@ -242,14 +240,16 @@ def check_s2_iso(max_n: int = 8) -> CheckReport:
     for n in range(1, max_n + 1):
         for i in range(n + 1):
             want = s2_face(n, i)
-            got = {x: cos.coface(n - 1, i)(x) for x in b_elements(n)}
+            face = cos.coface(n - 1, i)
+            got = {x: face(x) for x in b_elements(n)}
             rep.record(got == want,
                        {"level": n, "map": "face", "index": i,
                         "witness": _first_mismatch(got, want)})
     for n in range(max_n):
         for i in range(1, n + 2):
             want = s2_degeneracy(n, i - 1)
-            got = {x: cos.codegeneracy(n + 1, i)(x) for x in b_elements(n)}
+            degeneracy = cos.codegeneracy(n + 1, i)
+            got = {x: degeneracy(x) for x in b_elements(n)}
             rep.record(got == want,
                        {"level": n, "map": "degeneracy", "index": i,
                         "witness": _first_mismatch(got, want)})

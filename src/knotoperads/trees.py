@@ -335,7 +335,20 @@ def join_vertex(tree: RpTree, i: int, j: int) -> tuple[Path, int, int]:
     leaves = tree.leaf_paths()
     if i == j or not (1 <= i <= len(leaves) and 1 <= j <= len(leaves)):
         raise ValueError(f"need distinct leaf labels in 1..{len(leaves)}, got ({i}, {j})")
-    p, q = leaves[i - 1], leaves[j - 1]
+    return _join(leaves[i - 1], leaves[j - 1])
+
+
+def pair_joins(tree: RpTree) -> dict[tuple[int, int], tuple[Path, int, int]]:
+    """join_vertex(tree, i, j) for every leaf pair i < j, keyed by (i, j) in
+    combinations order, from one walk for the leaf paths."""
+    leaves = tree.leaf_paths()
+    return {(i + 1, j + 1): _join(leaves[i], leaves[j])
+            for i, j in itertools.combinations(range(len(leaves)), 2)}
+
+
+def _join(p: Path, q: Path) -> tuple[Path, int, int]:
+    """The common prefix of two distinct leaf paths, and the 1-based labels of
+    the child edges below it that they take."""
     common = 0
     while common < min(len(p), len(q)) and p[common] == q[common]:
         common += 1

@@ -72,6 +72,14 @@ class TestVerify:
         assert code == 0
         assert art["results"]["passed"]
 
+    def test_s2_iso_at_level_bound(self, capsys):
+        # the bound case runs in tier-1 now that each arrow is taken once per
+        # (level, index); one level past it exits 3 (test_level_bound_exceeded)
+        code, art = artifact(capsys, "verify", "s2-iso", "--max-level",
+                             str(MAX_S2_ISO_LEVEL))
+        assert code == 0
+        assert art["results"]["passed"] and art["results"]["checks"] == 3688
+
     def test_operad_axioms_poisson(self, capsys):
         code, art = artifact(capsys, "verify", "operad-axioms", "--operad",
                              "poisson", "--degree", "2", "--max-arity", "3")
@@ -127,6 +135,25 @@ class TestVerify:
         digest = hashlib.sha256(json.dumps(battery, sort_keys=True).encode()).hexdigest()
         assert battery["passed"]
         assert digest == "35ae34a73836fbaa70ea71dc2cf8bc1f865786f82c8821655127c8aa8ede4611"
+
+    def test_geometry_battery_builds_each_stream_once(self, monkeypatch):
+        # the 21 membership and closure suites share one stream per trial
+        # index (200); naturality (7 x 25) and the disks (2 x 100) build their
+        # own; no trial of seed 1 is redrawn.  The sphere check builds no
+        # SphereConfiguration: its levels are row stacks.
+        streams, trial_rng = [], geometry._trial_rng
+        monkeypatch.setattr(geometry, "_trial_rng",
+                            lambda seed, k: streams.append(k) or trial_rng(seed, k))
+        monkeypatch.setattr(geometry, "_PREFIXES", {})
+        built, init = [], geometry.SphereConfiguration.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args[:2])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(geometry.SphereConfiguration, "__init__", counted)
+        assert cli._geometry_battery(200, 1e-9, 1, 0.125)["passed"]
+        assert len(streams) == 575 and built == []
 
     def test_geometry_progress_goes_to_stderr_only(self, capsys, tmp_path):
         args = ["verify", "geometry", "--trials", "20", "--seed", "7"]
@@ -215,6 +242,7 @@ class TestVerify:
                          "--output", str(out))
         assert code == 0 and out.exists()
         monkeypatch.setattr(geometry, "random_sphere_configuration", None)
+        monkeypatch.setattr(geometry, "_sphere_rows", None)
         for dim in (bound + 1, 3000000000):
             out = tmp_path / f"cos{dim}.json"
             code, _, err = run(capsys, "verify", "cosimplicial", "--operad",

@@ -16,6 +16,7 @@ formula evaluation for the little disks.
 
 import hashlib
 import itertools
+import json
 import math
 import re
 import warnings
@@ -27,7 +28,8 @@ from hypothesis import strategies as st
 
 from knotoperads import geometry as G
 from knotoperads.errors import BoundExceededError
-from knotoperads.operad_core import CheckReport, structure_map, structure_map_stepwise
+from knotoperads.operad_core import CheckReport, CosimplicialObject, \
+    check_cosimplicial_identities, structure_map, structure_map_stepwise
 from knotoperads.trees import TreeMorphism, corolla, enumerate_trees, graft, \
     join_vertex, parse_tree
 
@@ -194,6 +196,18 @@ def _codegeneracy_oracle(s, i):
     for a, b in itertools.combinations(range(1, s.n), 2):
         w[(a, b)] = s.u(skip(a), skip(b))
     return _from_pairs(s.m, s.n - 1, w)
+
+
+def _sphere_cosimplicial_oracle(m, max_level, per_level, seed):
+    """check_sphere_cosimplicial one configuration at a time: each level a
+    list of per_level random configurations drawn in turn, each coface and
+    codegeneracy applied to each one."""
+    rng = np.random.default_rng(seed)
+    levels = {n: [G.random_sphere_configuration(rng, n, m) for _ in range(per_level)]
+              for n in range(max_level + 1)}
+    return check_cosimplicial_identities(CosimplicialObject(
+        levels.__getitem__, lambda n, i: lambda s: G.kontsevich_coface(s, i),
+        lambda n, i: lambda s: G.kontsevich_codegeneracy(s, i)), max_level)
 
 
 def _unit_oracle(points):
@@ -1017,6 +1031,59 @@ class TestCofaces:
         rep = G.check_sphere_cosimplicial(3, max_level=6, per_level=15, seed=20)
         assert rep.passed, rep.failures[:2]
 
+    @pytest.mark.parametrize("m,max_level,per_level,seed", [
+        (3, 5, 10, 1), (3, 6, 15, 20), (1, 4, 3, 2), (2, 3, 1, 0), (5, 2, 7, 9),
+        (4, 0, 4, 3)])
+    def test_stacked_check_matches_per_configuration_oracle(self, m, max_level,
+                                                            per_level, seed):
+        got = G.check_sphere_cosimplicial(m, max_level, per_level, seed)
+        want = _sphere_cosimplicial_oracle(m, max_level, per_level, seed)
+        assert got.passed and got.to_json_obj() == want.to_json_obj()
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_level_stack_holds_the_per_configuration_samples(self, m):
+        # one (T, C(n, 2), m) normal draw takes the T samples' draws in turn
+        stacked, single = np.random.default_rng(m), np.random.default_rng(m)
+        for n in range(6):
+            got = G._sphere_rows(stacked, (7,), n, m)
+            want = [G.random_sphere_configuration(single, n, m).rows for _ in range(7)]
+            assert got.shape == (7, n * (n - 1) // 2, m)
+            assert got.tobytes() == np.stack(want).tobytes()
+
+    def test_swapped_coface_rows_fail_both_paths_alike(self, monkeypatch):
+        # a coface table with two rows swapped breaks identities; the stacked
+        # check fails as the per-configuration one does, with the same
+        # witnesses, each naming one of the sampled configurations
+        table = G._coface_table
+
+        def swapped(n, i):
+            out = table(n, i).copy()
+            other = np.flatnonzero(out != out[:1])
+            if len(other):
+                out[[0, other[0]]] = out[[other[0], 0]]
+            return out
+
+        monkeypatch.setattr(G, "_coface_table", swapped)
+        got = G.check_sphere_cosimplicial(3, max_level=4, per_level=5, seed=11)
+        want = _sphere_cosimplicial_oracle(3, 4, 5, 11)
+        assert not got.passed and got.checks == want.checks
+        assert got.to_json_obj() == want.to_json_obj()
+        rng = np.random.default_rng(11)
+        samples = {repr(G.random_sphere_configuration(rng, n, 3))
+                   for n in range(5) for _ in range(5)}
+        for failure in got.failures:
+            witness = failure["witness"]
+            assert witness["input"] in samples
+            assert all(witness[key].count("SphereConfiguration(") == 1
+                       for key in ("got", "want"))
+
+    @pytest.mark.parametrize("kernel", ["_coface_rows", "_codegeneracy_rows"])
+    def test_every_gathered_stack_gets_the_unit_check(self, kernel, monkeypatch):
+        gather = getattr(G, kernel)
+        monkeypatch.setattr(G, kernel, lambda rows, n, i: 2.0 * gather(rows, n, i))
+        with pytest.raises(ValueError, match="is not a unit vector"):
+            G.check_sphere_cosimplicial(3, max_level=3, per_level=4, seed=1)
+
     def test_index_ranges(self):
         rng = np.random.default_rng(21)
         s = G.random_sphere_configuration(rng, 2, 3)
@@ -1548,6 +1615,77 @@ class TestKnotEval:
 
 
 # -- trial batches ---------------------------------------------------------------
+
+
+class TestStreamPrefixes:
+    """The suites read each trial's first uniform draw off a memo of its
+    stream's leading random() doubles.  That is exact only while numpy fills
+    uniform(-1, 1) as -1 + 2 u from those doubles, in C order; these tests
+    pin it on every numpy the package supports."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2 ** 40 + 3])
+    def test_uniform_draw_is_the_random_prefix(self, seed):
+        # up to the longest first draw a suite can ask for
+        longest = G.MAX_REPORT_POINTS * G.MAX_FOUR_DIM
+        shapes = [(1, 1), (3, 2), (6, 3), (8, 5), (G.MAX_REPORT_POINTS, G.MAX_FOUR_DIM)]
+        for k in (0, 1, 49, 50, 4999):
+            prefix = G._trial_rng(seed, k).random(longest)
+            for a, m in shapes:
+                want = G._trial_rng(seed, k).uniform(-1.0, 1.0, size=(a, m))
+                got = (-1.0 + 2.0 * prefix[:a * m]).reshape(a, m)
+                assert got.tobytes() == want.tobytes()
+
+    def test_memo_gives_the_stream_prefix(self, monkeypatch):
+        monkeypatch.setattr(G, "_PREFIXES", {})
+        longest = G.MAX_REPORT_POINTS * G.MAX_FOUR_DIM
+        for size in (18, 5, 40, longest, 30):   # grown, cut, grown again, cut
+            got = G._stream_prefix(3, 7, size)
+            assert got.tobytes() == G._trial_rng(3, 7).random(size).tobytes()
+            with pytest.raises(ValueError):
+                got[0] = 0.0
+        G._stream_prefix(3, 8, 4)
+        assert list(G._PREFIXES) == [3] and sorted(G._PREFIXES[3]) == [7, 8]
+        G._stream_prefix(4, 7, 4)
+        assert list(G._PREFIXES) == [4] and list(G._PREFIXES[4]) == [7]
+
+    def test_memo_holds_every_trial_of_the_seed(self, monkeypatch):
+        # the suites visit a seed's chunks in turn, so a memo that kept fewer
+        # trials than the suite has would rebuild every stream
+        monkeypatch.setattr(G, "_PREFIXES", {})
+        built, trial_rng = [], G._trial_rng
+        monkeypatch.setattr(G, "_trial_rng",
+                            lambda seed, k: built.append(k) or trial_rng(seed, k))
+        G.membership_trials(6, 3, 2 * G._TRIAL_CHUNK + 3, seed=5)
+        G.closure_trials(parse_tree("((* *) (* *) * *)"), 5, 2 * G._TRIAL_CHUNK + 3, seed=5)
+        assert sorted(G._PREFIXES[5]) == built == list(range(2 * G._TRIAL_CHUNK + 3))
+
+    def test_suites_do_not_depend_on_memo_history(self, monkeypatch):
+        # a suite run alone gives the bytes it gives after suites of another
+        # seed, of another trial count and shorter or longer draws, or of
+        # another chunk size
+        tree = parse_tree("((* *) (* *) * *)")
+
+        def suite():
+            return json.dumps(G.closure_trials(tree, 4, 60, seed=3), sort_keys=True)
+
+        histories = [
+            lambda: G.membership_trials(6, 5, 60, seed=4),
+            lambda: G.closure_trials(tree, 3, 130, seed=3),
+            lambda: G.closure_trials(tree, 5, 17, seed=3),
+            lambda: G.membership_trials(5, 3, 2 * G._TRIAL_CHUNK + 3, seed=3),
+        ]
+        monkeypatch.setattr(G, "_PREFIXES", {})
+        alone = suite()
+        for before in histories:
+            monkeypatch.setattr(G, "_PREFIXES", {})
+            before()
+            assert suite() == alone
+        monkeypatch.setattr(G, "_PREFIXES", {})
+        monkeypatch.setattr(G, "_TRIAL_CHUNK", 7)
+        G.membership_trials(6, 3, 45, seed=3)
+        assert suite() == alone
+        monkeypatch.setattr(G, "_TRIAL_CHUNK", 50)
+        assert suite() == alone
 
 
 class TestTrialRunners:

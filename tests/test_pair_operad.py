@@ -1,5 +1,6 @@
 """Tests for the choose-two operad and the two-sphere comparison."""
 
+import collections
 import itertools
 
 import pytest
@@ -159,6 +160,21 @@ class TestIsomorphism:
     def test_needs_a_pair(self):
         with pytest.raises(ValueError):
             check_s2_iso(1)
+
+    def test_each_arrow_built_once_per_comparison(self, monkeypatch):
+        # the face and degeneracy comparisons take each arrow once per
+        # (level, index), not once per element; the identity check takes it
+        # once more
+        built, coface_fn = collections.Counter(), ChooseTwoOperad.coface_fn
+
+        def counted(self, n, i):
+            built[n, i] += 1
+            return coface_fn(self, n, i)
+
+        monkeypatch.setattr(ChooseTwoOperad, "coface_fn", counted)
+        assert check_s2_iso(8).passed
+        assert set(built) == {(n, i) for n in range(8) for i in range(n + 2)}
+        assert set(built.values()) == {2}
 
 
 class TestOperadAxioms:

@@ -18,6 +18,7 @@ from knotoperads.trees import (
     enumerate_trees,
     graft,
     join_vertex,
+    pair_joins,
     parse_tree,
     to_corolla,
 )
@@ -277,6 +278,28 @@ class TestJoinVertex:
         for i, j in [(0, 1), (2, 2), (1, 4)]:
             with pytest.raises(ValueError):
                 join_vertex(t, i, j)
+
+    def test_pair_joins_match_join_vertex(self):
+        # every pair of every tree with at most 6 leaves, unary vertices
+        # included, keyed in combinations order
+        for t in all_trees(6):
+            n = t.leaf_count
+            pairs = list(itertools.combinations(range(1, n + 1), 2))
+            joins = pair_joins(t)
+            assert list(joins) == pairs
+            assert all(joins[p] == join_vertex(t, *p) for p in pairs)
+
+    def test_pair_joins_walk_the_tree_once(self, monkeypatch):
+        walks, leaf_paths = [], RpTree.leaf_paths
+
+        def counted(tree):
+            walks.append(tree)
+            return leaf_paths(tree)
+
+        monkeypatch.setattr(RpTree, "leaf_paths", counted)
+        t = parse_tree("((* *) (* * *) *)")
+        assert len(pair_joins(t)) == 15
+        assert walks == [t]
 
 
 # -- graft ------------------------------------------------------------------------
