@@ -109,6 +109,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type of every --seed: a non-negative integer, the domain of
+    numpy's SeedSequence, checked before any work."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
+def _eps(text: str) -> float:
+    """argparse type of --eps: geometry._check_eps's domain (0, 1/6], checked
+    before the battery's first suite runs."""
+    value = float(text)
+    try:
+        geometry._check_eps(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 # -- hh --------------------------------------------------------------------------
 
 
@@ -418,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bracket degree, or ambient dimension for sphere")
     cs.add_argument("--max-level", type=_positive_int, default=4,
                     dest="max_level")
-    cs.add_argument("--seed", type=int, default=0)
+    cs.add_argument("--seed", type=_seed, default=0)
     cs.add_argument("--output", default=None)
     cs.set_defaults(func=cmd_verify)
 
@@ -426,8 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                                           "and disk-comparison battery")
     ge.add_argument("--trials", type=_positive_int, default=200)
     ge.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
-    ge.add_argument("--seed", type=int, default=0)
-    ge.add_argument("--eps", type=float, default=geometry.DEFAULT_EPS)
+    ge.add_argument("--seed", type=_seed, default=0)
+    ge.add_argument("--eps", type=_eps, default=geometry.DEFAULT_EPS)
     ge.add_argument("--output", default=None)
     ge.set_defaults(func=cmd_verify)
 
@@ -460,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="explicit comma-separated times, overrides --times "
                          "(write --at=-0.5,0,0.5 when the first is negative)")
     gk.add_argument("--tol", type=_tolerance, default=geometry.DEFAULT_TOL)
-    gk.add_argument("--seed", type=int, default=0)
+    gk.add_argument("--seed", type=_seed, default=0)
     gk.add_argument("--output", default=None)
     gk.set_defaults(func=cmd_geom_knot_eval)
 
@@ -474,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     gd.add_argument("--end-tol", type=_tolerance, default=1e-12, dest="end_tol")
     gd.add_argument("--limit-tol", type=_tolerance, default=geometry.LIMIT_TOL,
                     dest="limit_tol")
-    gd.add_argument("--seed", type=int, default=0)
+    gd.add_argument("--seed", type=_seed, default=0)
     gd.add_argument("--output", default=None)
     gd.set_defaults(func=cmd_geom_disks_compare)
 

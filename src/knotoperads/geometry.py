@@ -624,15 +624,30 @@ def _cubic_fold(m: int) -> np.ndarray:
     return _read_only(fold)
 
 
+def _chain_cubes(edges: np.ndarray) -> np.ndarray:
+    """The tensors x_i y_j z_k of the 12 chain triples (x, y, z) of each
+    4-subset of the stack edges (S, 6, m), flattened: (S, 12, m^3).
+
+    The products run on the transposed stack (6, m, S), so the subset axis
+    is the innermost loop of each, not one of length m.  Each entry is still
+    (x_i y_j) z_k, so the floats are those of the products on the stack."""
+    a, b, c = _CHAIN_SLOTS
+    e = np.ascontiguousarray(edges.transpose(1, 2, 0))
+    cubes = e[a, :, None, None] * e[b, None, :, None] * e[c, None, None, :]
+    return np.ascontiguousarray(np.moveaxis(cubes.reshape(12, -1, len(edges)), -1, 0))
+
+
 def _four_coefficients(edges: np.ndarray) -> np.ndarray:
     """The chain sums of 4-subsets with edge vectors ``edges`` (S, 6, m), in
     _PAIR_SLOTS order, as coefficient matrices (S, K, K) on the monomials
     v^alpha w^beta, |alpha| = |beta| = 3: C = sum_t sign_t F[t]^T F[comp_t],
-    where row k of F is the cubic form of chain triple k on the monomials."""
-    a, b, c = _CHAIN_SLOTS
-    cubes = edges[:, a, :, None, None] * edges[:, b, None, :, None] \
-        * edges[:, c, None, None, :]                                  # (S, 12, m, m, m)
-    forms = cubes.reshape(len(edges), 12, -1) @ _cubic_fold(edges.shape[2])
+    where row k of F is the cubic form of chain triple k on the monomials.
+
+    Both products are stacked matmuls, one BLAS call per subset in these
+    exact shapes: (12, m^3) @ _cubic_fold(m), then (K, 12) @ (12, K).  So a
+    subset's coefficients do not depend on the stack it comes in.  One
+    (S * 12, m^3) @ fold product would round some entries differently."""
+    forms = _chain_cubes(edges) @ _cubic_fold(edges.shape[2])
     return np.swapaxes(forms * _CHAIN_SIGNS[:, None], 1, 2) @ forms[:, _COMPLEMENTS]
 
 
@@ -644,7 +659,12 @@ def _four_residuals(edges: np.ndarray) -> np.ndarray:
     On unit vectors every monomial is at most 1 in absolute value, so the
     residual bounds |P(v, w)| at every unit pair: it is at least as strict
     as evaluating P at any set of pairs.  It is zero exactly when P vanishes
-    identically, that is, when the identity holds."""
+    identically, that is, when the identity holds.
+
+    A subset's residual is a function of its own edges alone, to the bit:
+    every step is elementwise or a per-subset BLAS call of fixed shape, so
+    neither the batch nor the subset's place in it changes it.  The trial
+    suites rely on that to decide each distinct edge stack once."""
     m = edges.shape[-1]
     step = max(1, _FOUR_BATCH_CELLS // (_cubic_fold(m).shape[1] ** 2 + 12 * m ** 3))
     return np.concatenate([
@@ -660,16 +680,22 @@ def check_dimension_bound(m: int) -> None:
                                  f"dimension bound {MAX_FOUR_DIM}")
 
 
-def _subset_residuals(rows: np.ndarray, n: int) -> np.ndarray:
-    """Four-consistency residuals (..., C(n, 4)) of the configurations with
-    pair rows (..., C(n, 2), m), one per 4-subset in combinations order."""
-    m = rows.shape[-1]
+def _check_four_work(n: int, m: int) -> None:
+    """Raise BoundExceededError when four-consistency on n points in R^m
+    passes MAX_FOUR_DIM or, over all C(n, 4) subsets, MAX_FOUR_CELLS."""
     check_dimension_bound(m)
     cells = math.comb(n, 4) * math.comb(m + 2, 3) ** 2
     if cells > MAX_FOUR_CELLS:
         raise BoundExceededError(f"four-consistency on {n} points in R^{m} takes "
                                  f"{cells} coefficient cells, above the work "
                                  f"bound {MAX_FOUR_CELLS}")
+
+
+def _subset_residuals(rows: np.ndarray, n: int) -> np.ndarray:
+    """Four-consistency residuals (..., C(n, 4)) of the configurations with
+    pair rows (..., C(n, 2), m), one per 4-subset in combinations order."""
+    m = rows.shape[-1]
+    _check_four_work(n, m)
     edges = rows[..., _subset_rows(n, 4), :]
     return _four_residuals(edges.reshape(-1, 6, m)).reshape(edges.shape[:-2])
 
@@ -1036,26 +1062,50 @@ def _draw_points(seed: int, ks: range, arities: tuple[int, ...], m: int,
     return pts
 
 
-def _membership_suite(name: str, arities: tuple[int, ...], index, n: int, m: int,
-                      trials: int, seed: int, tol: float, extra: dict) -> dict:
+def _distinct_stacks(stacks: np.ndarray) -> np.ndarray:
+    """The distinct rows of the index array stacks (N, k), sorted, (D, k)."""
+    distinct = sorted(set(map(tuple, stacks.tolist())))
+    return np.array(distinct, dtype=np.intp).reshape(-1, stacks.shape[1])
+
+
+def _membership_suite(name: str, arities: tuple[int, ...], index: np.ndarray,
+                      n: int, m: int, trials: int, seed: int, tol: float,
+                      extra: dict) -> dict:
     """Both membership checks, in trial order, on the sample of each trial's
     own stream: the Gauss images of its points at vertices of the given
     arities (see _draw_points), gathered through index into n-point rows.
     Trials go a chunk at a time: the chunk's rows (T, C(n, 2), m) get the
-    unit-norm check of every SphereConfiguration, then all their loops and
+    unit-norm check of every SphereConfiguration, then its loops and
     4-subsets go through the kernels in one pass.  So a trial's outcome is
     the membership_report of its sample.  Four-consistency is decided
-    exactly, so the seed draws nothing but the samples."""
+    exactly, so the seed draws nothing but the samples.
+
+    The n-point rows are a gather of the source rows, so two loops or
+    4-subsets can read the same source rows in the same order: 8 of the 15
+    subsets of ((* *) (* *) * *) are distinct, and 10 of its 20 loops.  A
+    residual depends on its own edge stack alone, to the bit (see
+    _four_residuals; the loop kernel is elementwise), and a trial reports
+    only the worst.  So each distinct stack of source-row indices is decided
+    once, on rows gathered straight from the source, and the outcomes are
+    those of every loop and subset.  Both four-consistency bounds hold on
+    all C(n, 4) subsets, before any work."""
+    if n >= 4:
+        _check_four_work(n, m)
+    loops = _distinct_stacks(index[_subset_rows(n, 3)[:, [0, 2, 1]]]) if n >= 3 else None
+    subsets = _distinct_stacks(index[_subset_rows(n, 4)]) if n >= 4 else None
     outcomes = []
     for ks in _chunks(trials):
         pts = _draw_points(seed, ks, arities, m, MIN_SEP)
-        rows = _gauss_rows(pts, _vertex_pairs(arities))[:, index]
-        _check_unit_rows(rows, n)
+        source = _gauss_rows(pts, _vertex_pairs(arities))
+        _check_unit_rows(source[:, index], n)
         worst = np.zeros(len(ks))
-        if n >= 3:
-            worst = np.maximum(worst, _loop_residuals(rows, n, tol).max(axis=1))
-        if n >= 4:
-            worst = np.maximum(worst, _subset_residuals(rows, n).max(axis=1))
+        if loops is not None:
+            vecs = source[:, loops] * _LOOP_SIGNS
+            worst = np.maximum(worst, _three_residuals(
+                vecs.reshape(-1, 3, m), tol).reshape(len(ks), -1).max(axis=1))
+        if subsets is not None:
+            worst = np.maximum(worst, _four_residuals(
+                source[:, subsets].reshape(-1, 6, m)).reshape(len(ks), -1).max(axis=1))
         outcomes += [{"trial": k, "passed": w <= tol, "max_residual": w}
                      for k, w in zip(ks, worst.tolist())]
     return _aggregate_trials(name, outcomes,
@@ -1067,8 +1117,8 @@ def membership_trials(n: int, m: int, trials: int, seed: int = 0,
     """Gauss-map images of random configurations pass both checks."""
     if n < 3:
         raise ValueError("membership trials need n >= 3")
-    return _membership_suite("membership-trials", (n,), slice(None), n, m, trials,
-                             seed, tol, {})
+    return _membership_suite("membership-trials", (n,), np.arange(pair_count(n)), n, m,
+                             trials, seed, tol, {})
 
 
 def closure_trials(tree: RpTree, m: int, trials: int, seed: int = 0,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -120,9 +121,13 @@ class TestVerify:
         assert not art["results"]["passed"]
 
     def test_geometry_battery_golden(self):
-        # the battery's bytes are pinned across Python and numpy versions:
-        # per-trial streams, the stacked Gauss map and the kernels must keep
-        # every float of the reference implementation
+        # the battery's bytes are pinned: per-trial streams, the stacked
+        # Gauss map and the kernels must keep every float of the reference
+        # implementation, on every Python and numpy CI runs.  They are not
+        # independent of the BLAS: the four-consistency residuals come out
+        # of matmuls, so a BLAS kernel that rounds those products otherwise
+        # changes this digest (tests/test_geometry.py::TestFourBatchIndependence
+        # checks that a residual does not depend on its batch)
         battery = cli._geometry_battery(20, 1e-9, 7, 0.125)
         digest = hashlib.sha256(json.dumps(battery, sort_keys=True).encode()).hexdigest()
         assert battery["passed"]
@@ -154,6 +159,54 @@ class TestVerify:
         monkeypatch.setattr(geometry.SphereConfiguration, "__init__", counted)
         assert cli._geometry_battery(200, 1e-9, 1, 0.125)["passed"]
         assert len(streams) == 575 and built == []
+
+    def test_geometry_battery_decides_each_distinct_stack_once(self, monkeypatch):
+        # per m and trial: 28 distinct 4-subset stacks of 35 (15 at n = 6,
+        # one per n = 4 shape, 8 of ((* *) (* *) * *)'s 15) and 46 distinct
+        # loops of 60 (20; 4, 3, 4, 2, 3; 10 of 20)
+        subsets, loops = Counter(), Counter()
+        four, three = geometry._four_residuals, geometry._three_residuals
+        monkeypatch.setattr(geometry, "_four_residuals", lambda edges: subsets.update(
+            {edges.shape[-1]: len(edges)}) or four(edges))
+        monkeypatch.setattr(geometry, "_three_residuals", lambda vecs, tol: loops.update(
+            {vecs.shape[-1]: len(vecs)}) or three(vecs, tol))
+        assert cli._geometry_battery(200, 1e-9, 1, 0.125)["passed"]
+        assert subsets == {3: 5600, 4: 5600, 5: 5600}
+        assert loops == {3: 9200, 4: 9200, 5: 9200}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "geometry", "--eps", "0.5"],
+        ["verify", "geometry", "--trials", "2000", "--eps", "0.5"],
+        ["verify", "geometry", "--eps", "0"],
+        ["verify", "geometry", "--eps", "-0.1"],
+        ["verify", "geometry", "--eps", "nan"],
+        ["verify", "geometry", "--eps", "inf"],
+        ["verify", "geometry", "--eps", "wide"],
+        ["verify", "geometry", "--seed", "-1"],
+        ["verify", "geometry", "--seed", "1.5"],
+        ["verify", "cosimplicial", "--operad", "sphere", "--seed", "-1"],
+        ["geom", "knot-eval", "--seed", "-1"],
+        ["geom", "disks-compare", "--seed", "-1"],
+    ])
+    def test_bad_eps_or_seed_exits_before_any_suite(self, capsys, monkeypatch, argv):
+        # both are usage errors found at parse time, naming the flag; the
+        # battery used to run its 21 membership and closure suites first
+        def never(*args, **kwargs):
+            raise AssertionError("a suite ran on a bad --eps or --seed")
+
+        for name in ("membership_trials", "closure_trials", "check_sphere_cosimplicial",
+                     "disks_comparison_trials", "knot_eval"):
+            monkeypatch.setattr(geometry, name, never)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+
+    def test_eps_and_seed_domains(self):
+        assert cli._eps(repr(geometry.EPS_MAX)) == geometry.EPS_MAX
+        assert cli._eps("0.125") == geometry.DEFAULT_EPS
+        assert cli._eps("1e-300") == 1e-300
+        assert cli._seed("0") == 0 and cli._seed(str(2 ** 70)) == 2 ** 70
 
     def test_geometry_progress_goes_to_stderr_only(self, capsys, tmp_path):
         args = ["verify", "geometry", "--trials", "20", "--seed", "7"]

@@ -9,9 +9,10 @@ the pair-by-pair relabellings that the row gathers of composition, cofaces
 and codegeneracies must match bit for bit, the scalar vector arithmetic
 (unit, dot, norm) and the per-configuration endpoint maps, insertions and
 disk maps that the stacked kernels must match bit for bit, per-trial
-membership reports and per-vertex draws for the batched trial suites,
-central finite differences for the endpoint-map derivative, and direct
-formula evaluation for the little disks.
+membership reports, per-vertex draws and the every-loop-and-subset suite
+body for the batched trial suites, which decide each distinct edge stack
+once, central finite differences for the endpoint-map derivative, and
+direct formula evaluation for the little disks.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotoperads import geometry as G
+from knotoperads import cli, geometry as G
 from knotoperads.errors import BoundExceededError
 from knotoperads.operad_core import CheckReport, CosimplicialObject, \
     check_cosimplicial_identities, structure_map, structure_map_stepwise
@@ -432,6 +433,42 @@ def _suite_outcomes(monkeypatch, run):
     run()
     monkeypatch.setattr(G, "_aggregate_trials", aggregate)
     return seen.pop()
+
+
+def _membership_suite_oracle(name, arities, index, n, m, trials, seed, tol, extra):
+    """The trial suites' earlier body: every loop and every 4-subset of the
+    composed rows goes through the kernels, one per trial and not one per
+    distinct edge stack."""
+    outcomes = []
+    for ks in G._chunks(trials):
+        pts = G._draw_points(seed, ks, arities, m, G.MIN_SEP)
+        rows = G._gauss_rows(pts, G._vertex_pairs(arities))[:, index]
+        G._check_unit_rows(rows, n)
+        worst = np.zeros(len(ks))
+        if n >= 3:
+            worst = np.maximum(worst, G._loop_residuals(rows, n, tol).max(axis=1))
+        if n >= 4:
+            worst = np.maximum(worst, G._subset_residuals(rows, n).max(axis=1))
+        outcomes += [{"trial": k, "passed": w <= tol, "max_residual": w}
+                     for k, w in zip(ks, worst.tolist())]
+    return G._aggregate_trials(name, outcomes,
+                               {**extra, "n": n, "m": m, "tol": tol, "seed": seed})
+
+
+def _closure_oracle(tree, m, trials, seed, tol):
+    internal, index = G._compose_table(tree)
+    return _membership_suite_oracle(
+        "closure-trials", tuple(map(tree.arity, internal)), index, tree.leaf_count,
+        m, trials, seed, tol, {"tree": tree.to_text()})
+
+
+def _stacked_cubes(edges):
+    """The chain-triple cubes as products on the (S, 6, m) stack itself,
+    the layout _chain_cubes replaces: (S, 12, m^3)."""
+    a, b, c = G._CHAIN_SLOTS
+    cubes = edges[:, a, :, None, None] * edges[:, b, None, :, None] \
+        * edges[:, c, None, None, :]
+    return cubes.reshape(len(edges), 12, -1)
 
 
 def _monomials(v):
@@ -920,6 +957,65 @@ class TestFourConsistent:
         two = G.gauss_map(G.random_point_configuration(rng, 2, 3))
         rep2 = G.membership_report(two)
         assert rep2["passed"] and rep2["three_dependent"] is None
+
+
+class TestFourBatchIndependence:
+    """The trial suites decide each distinct edge stack once and take the
+    worst, which gives every trial's bytes only while a loop's or subset's
+    residual does not depend on the batch it is computed in.  These tests
+    pin that on every numpy and BLAS the package is tested with."""
+
+    @staticmethod
+    def _edges(m, count, seed):
+        # Gauss-image subsets (residuals near 0) and generic unit rows
+        # (residuals of order 1), interleaved
+        rng = np.random.default_rng(seed)
+        gauss = G._gauss_rows(rng.uniform(-1.0, 1.0, (count, 4, m)))
+        generic = G._unit_rows(rng.standard_normal((count, 6, m)))
+        edges = np.stack([gauss, generic], axis=1).reshape(-1, 6, m)[:count]
+        return np.ascontiguousarray(edges)
+
+    @pytest.mark.parametrize("m", [3, 4, 5, G.MAX_FOUR_DIM])
+    def test_four_residuals(self, m):
+        # at MAX_FOUR_DIM a _FOUR_BATCH_CELLS batch holds one subset, so
+        # fewer subsets go through it there, and the stacking itself is
+        # checked on _four_coefficients below
+        edges = self._edges(m, 24 if m == G.MAX_FOUR_DIM else 300, m)
+        alone = np.concatenate([G._four_residuals(e[None]) for e in edges])
+        assert G._four_residuals(edges).tobytes() == alone.tobytes()
+        assert G._four_residuals(edges[::-1])[::-1].tobytes() == alone.tobytes()
+        assert alone.min() < 1e-12 and alone.max() > 1e-3
+
+    @pytest.mark.parametrize("m", [3, 4, 5, G.MAX_FOUR_DIM])
+    def test_four_coefficients(self, m):
+        edges = self._edges(m, 4 if m == G.MAX_FOUR_DIM else 40, m + 1)
+        alone = np.concatenate([G._four_coefficients(e[None]) for e in edges])
+        assert G._four_coefficients(edges).tobytes() == alone.tobytes()
+        assert G._four_coefficients(edges[::-1])[::-1].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("m", [3, 4, 5, G.MAX_FOUR_DIM])
+    def test_three_residuals(self, m):
+        rng = np.random.default_rng(m + 2)
+        gauss = G._loop_residuals(G._gauss_rows(rng.uniform(-1.0, 1.0, (100, 3, m))),
+                                  3, G.DEFAULT_TOL)
+        assert gauss.max() <= G.DEFAULT_TOL
+        loops = G._unit_rows(rng.standard_normal((300, 3, m)))
+        loops[::3] = G._gauss_rows(rng.uniform(-1.0, 1.0, (100, 3, m)))[:, [0, 2, 1]] \
+            * G._LOOP_SIGNS
+        alone = np.concatenate([G._three_residuals(x[None], G.DEFAULT_TOL) for x in loops])
+        assert G._three_residuals(loops, G.DEFAULT_TOL).tobytes() == alone.tobytes()
+        assert G._three_residuals(loops[::-1], G.DEFAULT_TOL)[::-1].tobytes() \
+            == alone.tobytes()
+        assert alone.min() <= G.DEFAULT_TOL < alone.max()
+
+    @pytest.mark.parametrize("m", [1, 3, 4, 5, G.MAX_FOUR_DIM])
+    def test_cube_layouts_agree(self, m):
+        # the products on the transposed stack are those on the stack, bit
+        # for bit, and come back C-contiguous for the stacked fold product
+        edges = self._edges(m, 30, m + 3)
+        cubes = G._chain_cubes(edges)
+        assert cubes.flags.c_contiguous and cubes.shape == (30, 12, m ** 3)
+        assert cubes.tobytes() == _stacked_cubes(edges).tobytes()
 
 
 # -- sphere-coordinate composition ----------------------------------------------
@@ -1840,6 +1936,62 @@ class TestTrialRunners:
             rng = np.random.default_rng(m)
             want = [_unit(tuple(rng.standard_normal(m))) for _ in range(n * (n - 1) // 2)]
             assert _hex(got.rows) == _hex(want)
+
+    @pytest.mark.parametrize("text", [t.to_text() for t in cli._geometry_shapes()] + [
+        "(((* *) *) (* *))", "((* (* *)) ((* *) * *))", "((((* *) *) *) (* (* *)))"])
+    def test_distinct_stacks_match_every_subset(self, text):
+        # the battery's shapes and three deeper trees: deciding each distinct
+        # edge stack once gives, byte for byte, the report of deciding every
+        # loop and 4-subset, on passing and on failing trials (tol 1e-22),
+        # across a chunk boundary
+        tree = parse_tree(text)
+        for m, seed, tol in itertools.product((3, 4, 5), (0, 1, 2), (1e-9, 1e-22)):
+            got = G.closure_trials(tree, m, G._TRIAL_CHUNK + 3, seed, tol)
+            want = _closure_oracle(tree, m, G._TRIAL_CHUNK + 3, seed, tol)
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+            assert got["passed"] == (tol > 1e-20)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_distinct_stacks_match_every_subset_membership(self, n):
+        for m, seed, tol in itertools.product((3, 5), (0, 1, 2), (1e-9, 1e-22)):
+            got = G.membership_trials(n, m, 20, seed, tol)
+            want = _membership_suite_oracle("membership-trials", (n,), slice(None),
+                                            n, m, 20, seed, tol, {})
+            assert got == want
+
+    def test_four_bounds_before_any_work(self, monkeypatch):
+        # both four-consistency bounds count all C(n, 4) subsets, not the
+        # distinct stacks (8 of 15 here), and stop a suite before it draws
+        # or decides anything
+        def never(*args):
+            raise AssertionError("a suite worked past a four-consistency bound")
+
+        tree = parse_tree("((* *) (* *) * *)")
+        cells = math.comb(6, 4) * math.comb(3 + 2, 3) ** 2
+        monkeypatch.setattr(G, "MAX_FOUR_CELLS", cells)
+        assert G.closure_trials(tree, 3, 2, seed=1)["passed"]
+        for name in ("_draw_points", "_three_residuals", "_four_residuals"):
+            monkeypatch.setattr(G, name, never)
+        monkeypatch.setattr(G, "MAX_FOUR_CELLS", cells - 1)
+        with pytest.raises(BoundExceededError, match="work bound"):
+            G.closure_trials(tree, 3, 2, seed=1)
+        with pytest.raises(BoundExceededError, match="dimension bound"):
+            G.membership_trials(4, G.MAX_FOUR_DIM + 1, 2, seed=1)
+
+    def test_distinct_stack_counts(self):
+        # ((* *) (* *) * *): 8 distinct 4-subset stacks of 15, 10 loops of 20;
+        # the other n = 4 shapes have one subset and 4, 3, 4, 2, 3 loops
+        counts = {}
+        for text in ("((* *) (* *) * *)", "(* * * *)", "((* *) * *)", "(* (* * *))",
+                     "((* *) (* *))", "(((* *) *) *)"):
+            tree = parse_tree(text)
+            _, index = G._compose_table(tree)
+            n = tree.leaf_count
+            counts[text] = tuple(
+                len(G._distinct_stacks(index[G._subset_rows(n, k)])) for k in (3, 4))
+        assert counts == {"((* *) (* *) * *)": (10, 8), "(* * * *)": (4, 1),
+                          "((* *) * *)": (3, 1), "(* (* * *))": (4, 1),
+                          "((* *) (* *))": (2, 1), "(((* *) *) *)": (3, 1)}
 
     def test_closure_trials_record_tree(self):
         t = parse_tree("((* *) * *)")
