@@ -492,21 +492,25 @@ def _three_residuals(loops: np.ndarray, tol: float) -> np.ndarray:
     arithmetic is that of _dots and _norms, so each residual is bit-identical
     to the scalar enumeration."""
     vecs = np.ascontiguousarray(np.moveaxis(loops, 0, -1))   # (3, m, L)
+    # each Gram entry once: a product of floats commutes exactly, so
+    # _dots(v_q, v_p) is _dots(v_p, v_q) to the bit
+    gram = {(p, q): _dots(vecs[p], vecs[q])
+            for p, q in itertools.combinations_with_replacement(range(3), 2)}
     best = np.full(len(loops), np.inf)
     for p, q in itertools.combinations(range(3), 2):
         vp, vq = vecs[p], vecs[q]
         best = np.minimum(best, _norms(vp + vq))
-        alpha = -_dots(vp, vq)
+        alpha = -gram[p, q]
         best = np.minimum(best, np.where(alpha >= -tol, _norms(alpha * vp + vq), np.inf))
     for pivot in range(3):
         p, q = [k for k in range(3) if k != pivot]
         vp, vq, vc = vecs[p], vecs[q], vecs[pivot]
-        gpp, gpq, gqq = _dots(vp, vp), _dots(vp, vq), _dots(vq, vq)
+        gpp, gpq, gqq = gram[p, p], gram[p, q], gram[q, q]
         det = gpp * gqq - gpq * gpq
         # below 1e-14 the pair is parallel; the antipodal branch covers it
         solvable = np.abs(det) >= 1e-14
         det = np.where(solvable, det, 1.0)
-        rp, rq = -_dots(vp, vc), -_dots(vq, vc)
+        rp, rq = -gram[min(p, pivot), max(p, pivot)], -gram[min(q, pivot), max(q, pivot)]
         alpha = (rp * gqq - rq * gpq) / det
         beta = (gpp * rq - gpq * rp) / det
         keep = solvable & (alpha >= -tol) & (beta >= -tol)
@@ -514,13 +518,12 @@ def _three_residuals(loops: np.ndarray, tol: float) -> np.ndarray:
     return best
 
 
-def _loop_residuals(rows: np.ndarray, n: int, tol: float) -> np.ndarray:
-    """Three-dependence residuals (..., C(n, 3)) of the configurations with
-    pair rows (..., C(n, 2), m), one per loop (i, j, k) in combinations
-    order, on the vectors (u_ij, u_jk, u_ki)."""
-    loops = rows[..., _subset_rows(n, 3)[:, [0, 2, 1]], :] * _LOOP_SIGNS
-    return _three_residuals(loops.reshape(-1, 3, rows.shape[-1]),
-                            tol).reshape(loops.shape[:-2])
+def _loop_residuals(rows: np.ndarray, loops: np.ndarray, tol: float) -> np.ndarray:
+    """Three-dependence residuals (..., L) of the configurations with pair
+    rows (..., P, m), one per row of loops (L, 3): the rows of a 3-loop's
+    pairs ij, ik, jk (see _subset_rows), on the vectors (u_ij, u_jk, u_ki)."""
+    vecs = rows[..., loops[:, [0, 2, 1]], :] * _LOOP_SIGNS
+    return _three_residuals(vecs.reshape(-1, 3, rows.shape[-1]), tol).reshape(vecs.shape[:-2])
 
 
 def check_three_dependent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
@@ -530,7 +533,7 @@ def check_three_dependent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
     if s.n < 3:
         raise ValueError(f"need at least 3 points, have {s.n}")
     check_report_points(s.n)
-    residuals = _loop_residuals(s.rows, s.n, tol).tolist()
+    residuals = _loop_residuals(s.rows, _subset_rows(s.n, 3), tol).tolist()
     loops = [{"loop": list(loop), "dependent": r <= tol, "residual": r}
              for loop, r in zip(itertools.combinations(range(1, s.n + 1), 3),
                                 residuals)]
@@ -648,7 +651,10 @@ def _four_coefficients(edges: np.ndarray) -> np.ndarray:
     subset's coefficients do not depend on the stack it comes in.  One
     (S * 12, m^3) @ fold product would round some entries differently."""
     forms = _chain_cubes(edges) @ _cubic_fold(edges.shape[2])
-    return np.swapaxes(forms * _CHAIN_SIGNS[:, None], 1, 2) @ forms[:, _COMPLEMENTS]
+    # sign_t on the complement's row: the same products, exactly
+    signed = forms[:, _COMPLEMENTS]
+    signed *= _CHAIN_SIGNS[:, None]
+    return np.swapaxes(forms, 1, 2) @ signed
 
 
 def _four_residuals(edges: np.ndarray) -> np.ndarray:
@@ -667,9 +673,11 @@ def _four_residuals(edges: np.ndarray) -> np.ndarray:
     suites rely on that to decide each distinct edge stack once."""
     m = edges.shape[-1]
     step = max(1, _FOUR_BATCH_CELLS // (_cubic_fold(m).shape[1] ** 2 + 12 * m ** 3))
-    return np.concatenate([
-        np.abs(_four_coefficients(edges[lo:lo + step])).sum(axis=(1, 2))
-        for lo in range(0, len(edges), step)])
+    residuals = []
+    for lo in range(0, len(edges), step):
+        coeffs = _four_coefficients(edges[lo:lo + step])
+        residuals.append(np.abs(coeffs, out=coeffs).sum(axis=(1, 2)))
+    return np.concatenate(residuals)
 
 
 def check_dimension_bound(m: int) -> None:
@@ -691,13 +699,12 @@ def _check_four_work(n: int, m: int) -> None:
                                  f"bound {MAX_FOUR_CELLS}")
 
 
-def _subset_residuals(rows: np.ndarray, n: int) -> np.ndarray:
-    """Four-consistency residuals (..., C(n, 4)) of the configurations with
-    pair rows (..., C(n, 2), m), one per 4-subset in combinations order."""
-    m = rows.shape[-1]
-    _check_four_work(n, m)
-    edges = rows[..., _subset_rows(n, 4), :]
-    return _four_residuals(edges.reshape(-1, 6, m)).reshape(edges.shape[:-2])
+def _subset_residuals(rows: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Four-consistency residuals (..., S) of the configurations with pair
+    rows (..., P, m), one per row of subsets (S, 6): the rows of a 4-subset's
+    pairs in _PAIR_SLOTS order (see _subset_rows)."""
+    edges = rows[..., subsets, :]
+    return _four_residuals(edges.reshape(-1, 6, rows.shape[-1])).reshape(edges.shape[:-2])
 
 
 def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> dict:
@@ -710,7 +717,8 @@ def check_four_consistent(s: SphereConfiguration, tol: float = DEFAULT_TOL) -> d
     if s.n < 4:
         raise ValueError(f"need at least 4 points, have {s.n}")
     check_report_points(s.n)
-    residuals = _subset_residuals(s.rows, s.n).tolist()
+    _check_four_work(s.n, s.m)
+    residuals = _subset_residuals(s.rows, _subset_rows(s.n, 4)).tolist()
     worst = max(residuals)
     return {"check": "four-consistent", "n": s.n, "m": s.m, "tol": tol,
             "passed": worst <= tol, "max_residual": worst,
@@ -1091,7 +1099,7 @@ def _membership_suite(name: str, arities: tuple[int, ...], index: np.ndarray,
     all C(n, 4) subsets, before any work."""
     if n >= 4:
         _check_four_work(n, m)
-    loops = _distinct_stacks(index[_subset_rows(n, 3)[:, [0, 2, 1]]]) if n >= 3 else None
+    loops = _distinct_stacks(index[_subset_rows(n, 3)]) if n >= 3 else None
     subsets = _distinct_stacks(index[_subset_rows(n, 4)]) if n >= 4 else None
     outcomes = []
     for ks in _chunks(trials):
@@ -1100,12 +1108,9 @@ def _membership_suite(name: str, arities: tuple[int, ...], index: np.ndarray,
         _check_unit_rows(source[:, index], n)
         worst = np.zeros(len(ks))
         if loops is not None:
-            vecs = source[:, loops] * _LOOP_SIGNS
-            worst = np.maximum(worst, _three_residuals(
-                vecs.reshape(-1, 3, m), tol).reshape(len(ks), -1).max(axis=1))
+            worst = np.maximum(worst, _loop_residuals(source, loops, tol).max(axis=1))
         if subsets is not None:
-            worst = np.maximum(worst, _four_residuals(
-                source[:, subsets].reshape(-1, 6, m)).reshape(len(ks), -1).max(axis=1))
+            worst = np.maximum(worst, _subset_residuals(source, subsets).max(axis=1))
         outcomes += [{"trial": k, "passed": w <= tol, "max_residual": w}
                      for k, w in zip(ks, worst.tolist())]
     return _aggregate_trials(name, outcomes,

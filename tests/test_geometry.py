@@ -446,9 +446,11 @@ def _membership_suite_oracle(name, arities, index, n, m, trials, seed, tol, extr
         G._check_unit_rows(rows, n)
         worst = np.zeros(len(ks))
         if n >= 3:
-            worst = np.maximum(worst, G._loop_residuals(rows, n, tol).max(axis=1))
+            worst = np.maximum(worst, G._loop_residuals(rows, G._subset_rows(n, 3),
+                                                        tol).max(axis=1))
         if n >= 4:
-            worst = np.maximum(worst, G._subset_residuals(rows, n).max(axis=1))
+            worst = np.maximum(worst, G._subset_residuals(rows, G._subset_rows(n, 4))
+                               .max(axis=1))
         outcomes += [{"trial": k, "passed": w <= tol, "max_residual": w}
                      for k, w in zip(ks, worst.tolist())]
     return G._aggregate_trials(name, outcomes,
@@ -997,7 +999,7 @@ class TestFourBatchIndependence:
     def test_three_residuals(self, m):
         rng = np.random.default_rng(m + 2)
         gauss = G._loop_residuals(G._gauss_rows(rng.uniform(-1.0, 1.0, (100, 3, m))),
-                                  3, G.DEFAULT_TOL)
+                                  G._subset_rows(3, 3), G.DEFAULT_TOL)
         assert gauss.max() <= G.DEFAULT_TOL
         loops = G._unit_rows(rng.standard_normal((300, 3, m)))
         loops[::3] = G._gauss_rows(rng.uniform(-1.0, 1.0, (100, 3, m)))[:, [0, 2, 1]] \
