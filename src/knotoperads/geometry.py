@@ -899,6 +899,7 @@ def check_sphere_cosimplicial(m: int, max_level: int = 6, per_level: int = 15,
     level's one element: every coface and codegeneracy is one gather on it,
     and each composite is one check, as it was over the list of samples.  A
     failure's witness names the first sample that differs."""
+    _check_dimension(m)
     rng = np.random.default_rng(seed)
     levels = {n: [_SphereStack(m, n, _sphere_rows(rng, (per_level,), n, m))]
               for n in range(max_level + 1)}

@@ -10,10 +10,12 @@ singleton block; the fact that makes this the exact codegeneracy kernel is
 proven once per level and process with ``poisson.codegeneracy_monomial``.
 
 All linear algebra is exact.  ``eliminate_units`` pivots on the +-1 entries
-first (lowest Markowitz cost, unimodular steps), so A ~ diag(I_r, S) with a
-small leftover block S.  Ranks are r plus fraction-free (Bareiss) elimination
-on S; invariant factors are r ones plus the Smith normal form of S, checked
-against its transformation certificates.  Torsion of HH^{p,q} is read off
+first (unimodular steps: the shortest column with a unit, at its unit in the
+shortest row), so A ~ diag(I_r, S) with a small leftover block S.  Ranks are
+r plus fraction-free (Bareiss) elimination on S; invariant factors are r ones
+plus the Smith normal form of S, checked against its transformation
+certificates.  Unimodular steps keep rank and invariant factors, so neither
+depends on the pivot order; S does.  Torsion of HH^{p,q} is read off
 the incoming differential alone, because the kernel of the outgoing one is
 saturated (see ``cohomology``).  The dense ``rank_int`` and
 ``smith_normal_form`` stay the test oracle on whole matrices.
@@ -22,6 +24,7 @@ saturated (see ``cohomology``).  The dense ``rank_int`` and
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import time
 from dataclasses import dataclass, field
@@ -236,35 +239,39 @@ def eliminate_units(m: IntMatrix) -> tuple[int, list[list[int]]]:
     """Eliminate on +-1 pivots: A ~ diag(I_r, S) by unimodular operations.
 
     Returns r and the leftover block S, dense and without its zero rows and
-    columns.  Each step takes the unit entry of lowest Markowitz cost
-    (row count - 1) * (column count - 1), clears its row by column
-    operations (integral, since the pivot is its own inverse) and drops its
-    row and column; what is left of the other columns is the Schur
-    complement.  A matrix without a unit entry comes back whole.
+    columns.  Each step pivots on the shortest live column that has a unit
+    entry, at its unit in the row with the fewest live entries (ties by
+    column, then row index), clears the pivot row by column operations
+    (integral, since the pivot is its own inverse) and drops its row and
+    column; what is left of the other columns is the Schur complement.
+    Columns wait in a heap keyed by (length, index): a popped column without
+    a unit leaves it, and a column goes back in whenever an update changes
+    it, the only way it can gain a unit.  So no step scans the live columns.
+
+    Any sequence of unimodular steps gives the same rank and invariant
+    factors, so r + rank(S) and the factors of diag(I_r, S) do not depend on
+    the pivot order; S itself does.  A matrix without a unit entry comes
+    back whole.
     """
     cols = {c: dict(vec) for c, vec in enumerate(m.col) if vec}
     rows: dict[int, set[int]] = {}
     for c, vec in cols.items():
         for r in vec:
             rows.setdefault(r, set()).add(c)
+    heap = [(len(vec), c) for c, vec in cols.items()]
+    heapq.heapify(heap)
     units = 0
-    while True:
-        best = None
-        for c, vec in cols.items():
-            cc = len(vec) - 1
-            for r, v in vec.items():
-                if v == 1 or v == -1:
-                    cost = cc * (len(rows[r]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, r, c)
-                        if not cost:
-                            break
-            if best is not None and not best[0]:
-                break
-        if best is None:
-            break
-        _, prow, pcol = best
-        pivot = cols.pop(pcol)
+    while heap:
+        length, pcol = heapq.heappop(heap)
+        pivot = cols.get(pcol)
+        if pivot is None or len(pivot) != length:
+            continue  # eliminated, or queued again at its new length
+        cands = [(len(rows[r]), r) for r, v in pivot.items()
+                 if v == 1 or v == -1]
+        if not cands:
+            continue
+        prow = min(cands)[1]
+        del cols[pcol]
         u = pivot.pop(prow)
         for r in pivot:
             rows[r].discard(pcol)
@@ -282,7 +289,9 @@ def eliminate_units(m: IntMatrix) -> tuple[int, list[list[int]]]:
                 else:
                     del vec[r]
                     rows[r].discard(c)
-            if not vec:
+            if vec:
+                heapq.heappush(heap, (len(vec), c))
+            else:
                 del cols[c]
         units += 1
     live = sorted({r for vec in cols.values() for r in vec})

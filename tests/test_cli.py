@@ -344,6 +344,19 @@ class TestVerify:
                              "sphere", "--degree", "1", "--max-level", "3")
         assert code == 0 and art["results"]["passed"]
 
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_sphere_bad_dimension_is_bad_input(self, capsys, tmp_path,
+                                               monkeypatch, degree):
+        # m is checked before any configuration is drawn, as every sampler
+        # checks it, not found by a unit-norm check or by numpy
+        monkeypatch.setattr(geometry, "_sphere_rows", None)
+        out = tmp_path / "cos.json"
+        code, _, err = run(capsys, "verify", "cosimplicial", "--operad",
+                           "sphere", "--degree", degree, "--max-level", "3",
+                           "--output", str(out))
+        assert code == 2 and f"bad ambient dimension m={degree}" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["verify", "geometry"],
                                       ["geom", "disks-compare"]])
     def test_trial_bound(self, capsys, tmp_path, monkeypatch, argv):

@@ -232,6 +232,24 @@ class TestUnitElimination:
     def test_matches_oracle_on_small_matrices(self, m):
         self._assert_matches_oracle(m)
 
+    @settings(max_examples=200, deadline=None, database=None,
+              derandomize=True)
+    @given(_small_matrices(), st.randoms(use_true_random=False))
+    def test_pivot_order_invariants(self, m, rnd):
+        # permuting rows and columns changes the pivot order, not the rank
+        # or the invariant factors; every order leaves no unit behind
+        dense = m.to_dense()
+        rank, factors = rank_int(dense), smith_normal_form(dense).factors
+        for _ in range(4):
+            rperm = rnd.sample(range(m.rows), m.rows)
+            cperm = rnd.sample(range(m.cols), m.cols)
+            pm = _int_matrix([[dense[r][c] for c in cperm] for r in rperm],
+                             m.cols)
+            assert sparse_rank(pm) == rank
+            assert invariant_factors(pm) == factors
+            _, block = eliminate_units(pm)
+            assert not any(v in (1, -1) for row in block for v in row)
+
     @pytest.mark.parametrize("rows,cols", [(0, 3), (3, 0), (0, 0), (2, 4)])
     def test_empty_and_zero(self, rows, cols):
         m = IntMatrix(rows, cols)
@@ -418,6 +436,25 @@ class TestCohomology:
         t = hh_table(n, 7, "integral")
         assert {(e.p, e.q): e.torsion for e in t.entries if e.torsion} == \
             torsion
+
+    # dim A^fr(k): chord diagrams on k chords modulo the 4T relation only,
+    # sum_{j<=k} dim A(j) with dim A(j) = 1, 0, 1, 1 for j = 0..3 (A also
+    # modulo 1T; Bar-Natan, "On the Vassiliev knot invariants", Topology 34,
+    # 1995).  The n = 2 diagonal H^{2k,2k} must equal it.
+    A_FR = {1: 1, 2: 2, 3: 3}
+
+    @pytest.mark.parametrize("n,ranks", [
+        (2, {(0, 0): 1, (2, 2): 1, (3, 4): 1, (4, 4): 2, (5, 6): 2,
+             (6, 6): 3}),
+        # measured here, not checked against the literature
+        (3, {(0, 0): 1, (2, 3): 1, (4, 6): 1, (5, 9): 1, (6, 9): 2}),
+    ])
+    def test_rational_ranks_to_p7(self, n, ranks):
+        t = hh_table(n, 7)
+        assert {(e.p, e.q): e.rank for e in t.entries if e.rank} == ranks
+        if n == 2:
+            for k, dim in self.A_FR.items():
+                assert t.entry(2 * k, 2 * k).rank == dim, k
 
     def test_incoming_image_not_a_cocycle_raises(self):
         c = build_complex(2, 6)  # d: C^{4,6} -> C^{5,6} -> C^{6,6}
