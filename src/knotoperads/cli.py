@@ -28,13 +28,13 @@ OUTPUT_DIR_ENV = "KNOTOPERADS_OUTPUT_DIR"
 
 #: highest --max-level of ``verify s2-iso`` and ``verify cosimplicial``
 #: (exit 3 above); at the bound, on 2 vCPUs, s2-iso takes about 0.6 s and the
-#: Poisson cosimplicial check about 2 s
+#: Poisson cosimplicial check about 0.5 s (49 MiB peak)
 MAX_S2_ISO_LEVEL = 16
 MAX_COSIMPLICIAL_LEVEL = 7
 
 #: highest --max-arity of ``verify operad-axioms``, for every operad (exit 3
-#: above); at the bound poisson takes 9-10 s (n = 2 and 3, 86 MiB peak) and
-#: choose-two 4.3 s on 2 vCPUs, and each arity costs about ten times the last
+#: above); at the bound poisson takes 5-6 s (n = 2 and 3, 86 MiB peak) and
+#: choose-two 1.5 s on 2 vCPUs, and each arity costs about ten times the last
 MAX_OPERAD_ARITY = 7
 
 #: highest --trials of ``verify geometry`` and ``geom disks-compare`` (exit 3
@@ -182,16 +182,22 @@ def _geometry_shapes() -> list:
     return [trees.parse_tree(t) for t in texts]
 
 
-def _geometry_battery(trials: int, tol: float, seed: int, eps: float) -> dict:
-    """The four sections of ``verify geometry``.  Each membership and closure
-    suite, and each later section, reports its end on stderr with the
-    seconds spent so far."""
+def _progress(command: str):
+    """A callback that reports the end of one section of a long command on
+    stderr, with the seconds spent so far."""
     started = time.perf_counter()
 
-    def progress(section: str) -> None:
-        print(f"verify geometry: {section} done "
+    def report(section: str) -> None:
+        print(f"{command}: {section} done "
               f"({time.perf_counter() - started:.1f} s)", file=sys.stderr)
 
+    return report
+
+
+def _geometry_battery(trials: int, tol: float, seed: int, eps: float) -> dict:
+    """The four sections of ``verify geometry``.  Each membership and closure
+    suite, and each later section, reports its end on stderr."""
+    progress = _progress("verify geometry")
     suites = []
     for m in (3, 4, 5):
         suites.append(geometry.membership_trials(6, m, trials, seed=seed, tol=tol))
@@ -246,7 +252,9 @@ def cmd_verify(args) -> int:
         passed = rep.passed
     elif args.suite == "operad-axioms":
         op = _make_operad(args.operad, args.degree)
-        rep = operad_core.check_operad_axioms(op, args.max_arity)
+        report = _progress("verify operad-axioms")
+        rep = operad_core.check_operad_axioms(
+            op, args.max_arity, lambda p: report(f"arity {p}"))
         params = {"operad": args.operad, "degree": args.degree,
                   "max_arity": args.max_arity, "seed": None}
         results = rep.to_json_obj()
@@ -261,7 +269,9 @@ def cmd_verify(args) -> int:
         else:
             c = operad_core.cosimplicial_from_operad(
                 _make_operad(args.operad, args.degree))
-            rep = operad_core.check_cosimplicial_identities(c, args.max_level)
+            report = _progress("verify cosimplicial")
+            rep = operad_core.check_cosimplicial_identities(
+                c, args.max_level, lambda n: report(f"level {n}"))
         results = rep.to_json_obj()
         passed = rep.passed
     else:  # geometry

@@ -305,14 +305,22 @@ def eliminate_units(m: IntMatrix) -> tuple[int, list[list[int]]]:
 
 def sparse_rank(m: IntMatrix) -> int:
     """Rank over the rationals: the unit pivots plus Bareiss on the rest."""
-    units, block = eliminate_units(m)
+    return _unit_rank(*eliminate_units(m))
+
+
+def _unit_rank(units: int, block: list[list[int]]) -> int:
+    """:func:`sparse_rank` from an elimination's result."""
     return units + rank_int(block)
 
 
 def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
     """Nonzero invariant factors: one per unit pivot, then the certified
     Smith form of the leftover block."""
-    units, block = eliminate_units(m)
+    return _unit_factors(*eliminate_units(m))
+
+
+def _unit_factors(units: int, block: list[list[int]]) -> tuple[int, ...]:
+    """:func:`invariant_factors` from an elimination's result."""
     s = smith_normal_form(block)
     if not snf_is_valid(block, s):
         raise AssertionError("invalid Smith certificates for the leftover "
@@ -491,13 +499,27 @@ def cohomology(c: CochainComplex, p: int, q: int,
                          f"0..{c.max_p - 1}")
     if coefficients not in ("rational", "integral"):
         raise ValueError(f"unknown coefficients {coefficients!r}")
-    d_out, d_in = _differential(c, p, q), _differential(c, p - 1, q)
-    rank = c.dim(p, q) - sparse_rank(d_out)
+    return _cohomology(c, p, q, coefficients, {})
+
+
+def _cohomology(c: CochainComplex, p: int, q: int, coefficients: str,
+                eliminated: dict):
+    """:func:`cohomology` on checked arguments.  ``eliminated`` maps the
+    bidegree of a differential to its :func:`eliminate_units` result, so a
+    table that shares it eliminates each differential once: d_out at p is
+    d_in at p + 1.  The ranks (Bareiss) and the invariant factors (Smith)
+    are read off the small leftover blocks."""
+    def reduced(pp: int) -> tuple[int, list[list[int]]]:
+        if (pp, q) not in eliminated:
+            eliminated[pp, q] = eliminate_units(_differential(c, pp, q))
+        return eliminated[pp, q]
+
+    rank = c.dim(p, q) - _unit_rank(*reduced(p))
     if coefficients == "rational":
-        return rank - sparse_rank(d_in)
-    if not d_out.compose(d_in).is_zero():
+        return rank - _unit_rank(*reduced(p - 1))
+    if not _differential(c, p, q).compose(_differential(c, p - 1, q)).is_zero():
         raise AssertionError("incoming image is not a cocycle")
-    factors = invariant_factors(d_in)
+    factors = _unit_factors(*reduced(p - 1))
     return rank - len(factors), tuple(f for f in factors if f != 1)
 
 
@@ -571,18 +593,21 @@ class CohomologyTable:
 def hh_table(n: int, max_p: int, coefficients: str = "rational",
              normalized: bool = True,
              level_bound: int = MAX_LEVEL_BOUND) -> CohomologyTable:
-    """Cohomology over every computable interior bidegree p < max_p."""
+    """Cohomology over every computable interior bidegree p < max_p, each
+    differential eliminated once (see :func:`_cohomology`)."""
     if max_p < 2:
         raise ValueError("max_p must be at least 2")
+    if coefficients not in ("rational", "integral"):
+        raise ValueError(f"unknown coefficients {coefficients!r}")
     c = build_complex(n, max_p, normalized, level_bound)
-    entries = []
+    entries, eliminated = [], {}
     for p in range(max_p):
         for q in c.q_values(p):
             t0 = time.perf_counter()
             if coefficients == "integral":
-                rank, tors = cohomology(c, p, q, "integral")
+                rank, tors = _cohomology(c, p, q, "integral", eliminated)
             else:
-                rank, tors = cohomology(c, p, q, coefficients), None
+                rank, tors = _cohomology(c, p, q, coefficients, eliminated), None
             entries.append(HHEntry(p, q, c.dim(p, q), rank, tors,
                                    time.perf_counter() - t0))
     return CohomologyTable(n, max_p, normalized, coefficients, entries)

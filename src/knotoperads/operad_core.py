@@ -17,9 +17,13 @@ element to ``{basis key: exact coefficient}`` over its entry basis.  The
 checks then apply ``circ`` and the codegeneracies only to basis elements,
 once per basis input and arrow (or basis pair and slot), and extend those
 tables (bi)linearly with dict sums; every table entry still comes from the
-operad's own maps.  A failed check rebuilds its witness from the elements,
-so the report does not depend on which path ran.  Operads without the hook
-(``coordinates = None``) are checked on their elements.
+operad's own maps.  A table maps each basis key to its image and holds
+nonzero images only: a missing key is the zero vector.  Table images are
+shared, never copied or mutated, so a one-term input (the common case: a
+basis element) reads its image straight from the table.  A failed check
+rebuilds its witness from the elements, so the report does not depend on
+which path ran.  Operads without the hook (``coordinates = None``) are
+checked on their elements.
 """
 
 from __future__ import annotations
@@ -292,42 +296,56 @@ def _basis_key(coordinates: Callable, x):
     return next(iter(coords))
 
 
-def _arrow_table(coordinates: Callable, inputs: list, f: Arrow) -> dict:
-    """{basis key of x: coordinates of f(x)} over the basis ``inputs``."""
-    return {_basis_key(coordinates, x): coordinates(f(x)) for x in inputs}
+def _arrow_table(coordinates: Callable, keys: list, inputs: list,
+                 f: Arrow) -> dict:
+    """{basis key of x: coordinates of f(x)} over the basis ``inputs`` with
+    their ``keys``, for the nonzero images only."""
+    return {k: img for k, x in zip(keys, inputs) if (img := coordinates(f(x)))}
 
 
 def _apply(table: dict, col: dict) -> dict:
-    """The linear extension of a basis table, applied to a coordinate dict."""
+    """The linear extension of a basis table, applied to a coordinate dict.
+
+    A one-term column returns its table image itself, scaled only when its
+    coefficient is not 1; one nonzero term cannot cancel, so it needs no
+    zero filter.  Callers never mutate a table image or a result."""
+    if len(col) == 1:
+        (key, a), = col.items()
+        img = table.get(key)
+        if img is None:
+            return {}
+        return img if a == 1 else {m: a * b for m, b in img.items()}
     out: dict = {}
     for key, a in col.items():
-        for img, b in table[key].items():
+        for img, b in table.get(key, {}).items():
             out[img] = out.get(img, 0) + a * b
     return {img: c for img, c in out.items() if c}
 
 
 def _composite_table(c: CosimplicialObject, inputs: list, f1: Arrow,
-                     f2: Arrow, tables: dict | None = None) -> list:
+                     f2: Arrow, tables: dict | None = None):
     """Tabulate the two-step composite arrow start -> mid -> end.
 
-    Outputs are aligned with ``inputs``, the keying level's element list
-    (built once per check), so elements need not be hashable.  This is the
-    single point handling opposite-category composition: for a backward
-    object the stored functions compose in reversed order, and the table
-    runs over end-level elements.  With ``tables`` (the linear path, keyed
-    by arrow: see :func:`_arrow_table`) the composite is built column by
-    column from the two arrows' tables, in coordinates.
+    Element outputs are a list aligned with ``inputs``, the keying level's
+    element list (built once per check), so elements need not be hashable.
+    This is the single point handling opposite-category composition: for a
+    backward object the stored functions compose in reversed order, and the
+    table runs over end-level elements.  With ``tables`` (the linear path,
+    keyed by arrow: see :func:`_arrow_table`) the composite is built column
+    by column from the two arrows' tables, in coordinates, as a table of the
+    same form: {basis key: nonzero image}.
     """
     if c.direction == "backward":
         return [f1(f2(y)) for y in inputs]
     if tables is None:
         return [f2(f1(x)) for x in inputs]
     second = tables[f2]
-    return [_apply(second, col) for col in tables[f1].values()]
+    return {key: img for key, col in tables[f1].items()
+            if (img := _apply(second, col))}
 
 
-def check_cosimplicial_identities(c: CosimplicialObject,
-                                  max_level: int) -> CheckReport:
+def check_cosimplicial_identities(c: CosimplicialObject, max_level: int,
+                                  progress: Callable | None = None) -> CheckReport:
     """Verify all cosimplicial identities on levels <= max_level.
 
     Two-step composites are grouped by their underlying ordinal map; all
@@ -337,20 +355,25 @@ def check_cosimplicial_identities(c: CosimplicialObject,
     With the linear hook, every arrow is tabulated once on its level's basis
     and the composites are compared in coordinates.  Each composite is
     compared as it arrives, so only one table per group is held.
+    ``progress(n)``, when given, is called once level n's composites are all
+    compared.
     """
     rep = CheckReport(f"cosimplicial-identities<={max_level}")
     levels = [list(c.level_elements(n)) for n in range(max_level + 1)]
     arrows = [list(_arrows_from(c, n, max_level)) for n in range(max_level + 1)]
     linear = c.coordinates is not None
-    tables = {f: _arrow_table(c.coordinates, levels[n], f)
-              for n in range(max_level + 1)
-              for _, _, _, f in arrows[n]} if linear else None
+    keys = tables = None
+    if linear:
+        keys = [[_basis_key(c.coordinates, x) for x in level] for level in levels]
+        tables = {f: _arrow_table(c.coordinates, keys[n], levels[n], f)
+                  for n in range(max_level + 1) for _, _, _, f in arrows[n]}
     # per group: its first composite and label, the identity's table where
     # the ordinal map is one (else None), and the (ok, witness) records of the
     # later composites against the first and of all against the identity,
     # which are recorded group by group once every composite has arrived
     groups: dict[tuple, tuple] = {}
     for n in range(max_level + 1):
+        at = keys[n] if linear else None
         for lab1, mid, ord1, f1 in arrows[n]:
             for lab2, end, ord2, f2 in arrows[mid]:
                 ordc = tuple(ord2[v] for v in ord1)
@@ -361,31 +384,40 @@ def check_cosimplicial_identities(c: CosimplicialObject,
                 if key not in groups:
                     ident = None
                     if n == end and ordc == tuple(range(n + 1)):
-                        ident = [c.coordinates(x) for x in inputs] if linear else inputs
+                        ident = {k: {k: 1} for k in at} if linear else inputs
                     groups[key] = (label, table, maps, ident, [], [])
                 label0, table0, maps0, ident, same, identity = groups[key]
                 if table is not table0:
                     ok = table == table0
                     same.append((ok, None if ok else {
                         "level": n, "maps": [label0, label],
-                        "witness": _first_diff(c, inputs, table0, table, maps0, maps)}))
+                        "witness": _first_diff(c, inputs, at, table0, table,
+                                               maps0, maps)}))
                 if ident is not None:
                     ok = table == ident
                     identity.append((ok, None if ok else {
                         "level": n, "maps": [label, "identity"],
-                        "witness": _first_diff(c, inputs, ident, table, None, maps)}))
+                        "witness": _first_diff(c, inputs, at, ident, table,
+                                               None, maps)}))
+        if progress is not None:
+            progress(n)
     for *_, same, identity in groups.values():
         for ok, witness in same + identity:
             rep.record(ok, witness)
     return rep
 
 
-def _first_diff(c: CosimplicialObject, inputs: list, t0: list, t1: list,
-                maps0, maps1) -> dict | None:
-    """Input, got and want at the first place two tables differ, read off
-    the element maps; ``maps0`` None stands for the identity.  In elements
-    that are stacks of samples (with an ``unstack`` method into stacks of
-    one), the witness is the first sample that differs."""
+def _first_diff(c: CosimplicialObject, inputs: list, keys: list | None, t0,
+                t1, maps0, maps1) -> dict | None:
+    """Input, got and want at the first place two tables differ, in input
+    order, read off the element maps; ``maps0`` None stands for the
+    identity.  Linear tables are dicts over the inputs' basis ``keys``, a
+    missing key the zero vector; element tables are lists aligned with
+    ``inputs`` (``keys`` None).  In elements that are stacks of samples
+    (with an ``unstack`` method into stacks of one), the witness is the
+    first sample that differs."""
+    if keys is not None:
+        t0, t1 = ([t.get(k, {}) for k in keys] for t in (t0, t1))
     for x, a, b in zip(inputs, t0, t1):
         if a != b:
             if hasattr(x, "unstack"):
@@ -400,7 +432,8 @@ def _first_diff(c: CosimplicialObject, inputs: list, t0: list, t1: list,
 # -- operad axiom checking -------------------------------------------------------
 
 
-def check_operad_axioms(op: OperadInstance, max_arity: int) -> CheckReport:
+def check_operad_axioms(op: OperadInstance, max_arity: int,
+                        progress: Callable | None = None) -> CheckReport:
     """Exhaustive unit/associativity/interchange check over entry bases.
 
     Unit laws run for every arity <= max_arity.  The two composition
@@ -409,12 +442,14 @@ def check_operad_axioms(op: OperadInstance, max_arity: int) -> CheckReport:
     ``axiom_report`` (the opposite-category ones) are dispatched there.
     With the linear hook every law is evaluated in coordinates, on a table
     of ``op.circ`` over basis pairs built lazily during the check.
+    ``progress(p)``, when given, is called once the laws whose outer element
+    has arity p are all checked (the unit laws count for p = 0).
     A negative max_arity would check nothing and raises ``ValueError``.
     """
     if max_arity < 0:
         raise ValueError(f"max_arity must be non-negative, got {max_arity}")
     if hasattr(op, "axiom_report"):
-        return op.axiom_report(max_arity)
+        return op.axiom_report(max_arity, progress)
     rep = CheckReport(f"operad-axioms[{op.name}]<={max_arity}")
     entries = [op.entry(n) for n in range(max_arity + 1)]
     if op.coordinates is None:
@@ -431,10 +466,14 @@ def check_operad_axioms(op: OperadInstance, max_arity: int) -> CheckReport:
                 ok = circ(vx, i, e) == vx
                 rep.record(ok, None if ok else {
                     "law": "right-unit", "x": repr(x), "slot": i})
+    if progress is not None:
+        progress(0)
     for p in range(1, max_arity + 1):
         for q in range(1, max_arity + 2 - p):
             for r in range(1, max_arity + 3 - p - q):
                 _check_triple(op, rep, entries, circ, value, p, q, r)
+        if progress is not None:
+            progress(p)
     return rep
 
 
@@ -444,22 +483,31 @@ def _identity(x):
 
 def _circ_table(op: OperadInstance, entries: list) -> Callable:
     """Partial composition in coordinates: the bilinear extension of
-    ``op.circ`` on basis pairs, each pair and slot composed once."""
+    ``op.circ`` on basis pairs, each pair and slot composed once.  As in
+    :func:`_apply`, two one-term inputs return the table image itself,
+    scaled only when the product of their coefficients is not 1."""
     coordinates = op.coordinates
     basis = {_basis_key(coordinates, x): x
              for x in [op.unit()] + [x for ent in entries for x in ent]}
     table: dict = {}
 
+    def image(a, i: int, b) -> dict:
+        img = table.get((a, i, b))
+        if img is None:
+            img = table[a, i, b] = coordinates(op.circ(basis[a], i, basis[b]))
+        return img
+
     def circ(u: dict, i: int, v: dict) -> dict:
+        if len(u) == 1 and len(v) == 1:
+            (a, ca), = u.items()
+            (b, cb), = v.items()
+            img, c = image(a, i, b), ca * cb
+            return img if c == 1 else {m: c * x for m, x in img.items()}
         out: dict = {}
         for a, ca in u.items():
             for b, cb in v.items():
-                img = table.get((a, i, b))
-                if img is None:
-                    img = table[a, i, b] = coordinates(
-                        op.circ(basis[a], i, basis[b]))
                 c = ca * cb
-                for m, x in img.items():
+                for m, x in image(a, i, b).items():
                     out[m] = out.get(m, 0) + c * x
         return {m: c for m, c in out.items() if c}
 

@@ -172,7 +172,9 @@ class ChooseTwoOperad(OperadInstance):
             fn[(j, k)] = (j if j < i else j + 1, k if k < i else k + 1)
         return fn
 
-    def axiom_report(self, max_arity: int) -> CheckReport:
+    def axiom_report(self, max_arity: int, progress=None) -> CheckReport:
+        """Unit laws, then :func:`check_b_functoriality`; ``progress`` as
+        there."""
         rep = CheckReport(f"operad-axioms[choose-two]<={max_arity}")
         for n in range(1, max_arity + 1):
             # unit below: unary root over an n-vertex induces the identity
@@ -186,16 +188,17 @@ class ChooseTwoOperad(OperadInstance):
                 fn = b_structure_map(RpTree(tuple(children)))
                 rep.record(all(fn[p] == ((), p) for p in _pairs(n)),
                            {"law": "right-unit", "n": n, "slot": i})
-        rep.merge(check_b_functoriality(max_arity))
+        rep.merge(check_b_functoriality(max_arity, progress))
         return rep
 
 
-def check_b_functoriality(max_leaves: int = 5) -> CheckReport:
+def check_b_functoriality(max_leaves: int = 5, progress=None) -> CheckReport:
     """Every factorization of a full contraction induces the same function.
 
     For each enumerated tree and each intermediate contraction, the composite
     of the two induced functions (applied source-last: the category is
-    FSet^op) must reproduce the directly computed one.
+    FSet^op) must reproduce the directly computed one.  ``progress(n)``,
+    when given, is called once the trees with n leaves are all checked.
     """
     rep = CheckReport(f"b-functoriality<={max_leaves}")
     for n in range(max_leaves + 1):
@@ -215,6 +218,8 @@ def check_b_functoriality(max_leaves: int = 5) -> CheckReport:
                     rep.record(ok, None if ok else {
                         "tree": t.to_text(), "contracted": sorted(sub),
                         "witness": _first_mismatch(comp, full)})
+        if progress is not None:
+            progress(n)
     return rep
 
 

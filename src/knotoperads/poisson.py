@@ -14,17 +14,21 @@ downstream by d^2 = 0, operad axioms, and the k! dimension count):
 
 Both structure maps are written once, on integer monomials:
 ``circ_monomials`` and ``codegeneracy_monomial``.  ``circ``, ``coface`` and
-``codegeneracy`` are their (bi)linear extensions, with ``Fraction`` only in
-element coefficients, and ``coface_sum`` (a column of the ``hh``
-differential) sums the cofaces of one monomial through the same kernel.  The
-expression normalizer ``_expand`` serves ``normalize`` and ``parse_element``
-and is the tests' independent oracle for the kernel.
+``codegeneracy`` are their (bi)linear extensions, and ``coface_sum`` (a
+column of the ``hh`` differential) sums the cofaces of one monomial through
+the same kernel.  The expression normalizer ``_expand`` serves ``normalize``
+and ``parse_element`` and is the tests' independent oracle for the kernel.
+
+An element's coefficients are in one canonical exact form: an ``int`` when
+integral, else a ``Fraction``, normalized once when the element is built.
+So the structure maps on integral elements do integer arithmetic only, and
+``repr`` still prints every coefficient as a ``Fraction``.
 
 ``PoissonOperad`` fills the linear hook ``coordinates`` of
-:mod:`knotoperads.operad_core` with an element's terms (integral
-coefficients as ``int``), so the operad-axiom and cosimplicial checks call
-``circ`` and ``codegeneracy`` once per basis input and compare integer
-tables.  The bracket degree is at least 2 (:func:`check_bracket_degree`).
+:mod:`knotoperads.operad_core` with a copy of an element's terms, so the
+operad-axiom and cosimplicial checks call ``circ`` and ``codegeneracy`` once
+per basis input and compare integer tables.  The bracket degree is at least
+2 (:func:`check_bracket_degree`).
 
 Value encodings: a Lie word is a tuple of variable indices read left-normed,
 (a, b, c) meaning [[x_a, x_b], x_c]; a monomial is a tuple of words; an
@@ -56,16 +60,31 @@ def monomial_arity(m: Monomial) -> int:
     return sum(len(w) for w in m)
 
 
+def _exact(c):
+    """The canonical form of a nonzero exact coefficient: an ``int`` when it
+    is integral, else a ``Fraction``."""
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 @dataclass
 class PoissonElement:
-    """A rational combination of normal-form monomials of one arity."""
+    """A rational combination of normal-form monomials of one arity, each
+    coefficient nonzero and in the form of :func:`_exact`."""
 
     n: int
     arity: int
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.terms = {m: Fraction(c) for m, c in self.terms.items() if c != 0}
+        self.terms = {m: c if type(c) is int else _exact(c)
+                      for m, c in self.terms.items() if c != 0}
+
+    def __repr__(self) -> str:
+        # the dataclass form with every coefficient a Fraction, as failure
+        # witnesses have always printed it
+        terms = ", ".join(f"{m!r}: {Fraction(c)!r}" for m, c in self.terms.items())
+        return f"PoissonElement(n={self.n!r}, arity={self.arity!r}, terms={{{terms}}})"
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -84,7 +103,7 @@ class PoissonElement:
 
     def scale(self, c) -> "PoissonElement":
         return PoissonElement(self.n, self.arity,
-                              {m: v * Fraction(c) for m, v in self.terms.items()})
+                              {m: v * c for m, v in self.terms.items()})
 
     def to_text(self) -> str:
         return element_to_text(self)
@@ -100,7 +119,7 @@ def zero(n: int, arity: int) -> PoissonElement:
 def monomial_element(n: int, arity: int, m: Monomial, coeff=1) -> PoissonElement:
     if monomial_arity(m) != arity:
         raise ValueError(f"monomial {m!r} does not have arity {arity}")
-    return PoissonElement(n, arity, {m: Fraction(coeff)})
+    return PoissonElement(n, arity, {m: coeff})
 
 
 # -- normal-form rewriting -----------------------------------------------------
@@ -327,7 +346,7 @@ def circ(a: PoissonElement, i: int, b: PoissonElement) -> PoissonElement:
         raise ValueError(f"slot {i} out of range for arity {a.arity}")
     if a.n != b.n:
         raise ValueError("mismatched bracket degree")
-    out: dict[Monomial, Fraction] = {}
+    out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             c = ca * cb
@@ -434,8 +453,8 @@ class PoissonOperad(OperadInstance):
     """Basis-driven operad instance at a fixed bracket degree n >= 2.
 
     It fills the linear hook of :mod:`knotoperads.operad_core`:
-    ``coordinates(e)`` is ``e.terms``, keyed by normal-form monomial, with
-    integral coefficients as ``int``."""
+    ``coordinates(e)`` is a copy of ``e.terms``, keyed by normal-form
+    monomial, already in canonical form."""
 
     def __init__(self, n: int):
         check_bracket_degree(n)
@@ -443,8 +462,7 @@ class PoissonOperad(OperadInstance):
         self.name = f"poisson[n={n}]"
 
     def coordinates(self, e: PoissonElement) -> dict:
-        return {m: c.numerator if c.denominator == 1 else c
-                for m, c in e.terms.items()}
+        return dict(e.terms)
 
     def entry(self, k: int) -> list:
         return [monomial_element(self.n, k, m) for m in basis(self.n, k)]

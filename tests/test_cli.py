@@ -226,6 +226,30 @@ class TestVerify:
         assert main(args + ["--output", str(path)]) == 0
         assert path.read_text(encoding="utf-8") == out
 
+    @pytest.mark.parametrize("argv, step, last, digest", [
+        (["operad-axioms", "--operad", "poisson", "--degree", "3", "--max-arity", "4"],
+         "arity", 4, "b6f1ceb2ed8926c7b461d41bb1f3248187404e6c53dd028310b12e8b89dcbd55"),
+        (["operad-axioms", "--operad", "choose-two", "--max-arity", "4"],
+         "arity", 4, "263190030ed1ecbf711b52cf4126e275541d13ca52e20ad8445487fbc682281d"),
+        (["cosimplicial", "--operad", "poisson", "--degree", "2", "--max-level", "4"],
+         "level", 4, "d128d5bdce1f4807d28442279c7607ac4b17ef468463f072747865dde0756dcc"),
+    ])
+    def test_check_progress_goes_to_stderr_only(self, capsys, tmp_path, argv, step,
+                                                last, digest):
+        # one line per arity or level, from 0 up; the artifact is unchanged
+        args = ["verify"] + argv
+        code, out, err = run(capsys, *args)
+        assert code == 0
+        assert [line.split(" done (")[0] for line in err.splitlines()[:-1]] == [
+            f"verify {argv[0]}: {step} {k}" for k in range(last + 1)]
+        assert " done (" not in out
+        results = json.loads(out)["results"]
+        assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()
+                              ).hexdigest() == digest
+        path = tmp_path / "check.json"
+        assert main(args + ["--output", str(path)]) == 0
+        assert path.read_text(encoding="utf-8") == out
+
     def test_same_config_byte_identical(self, capsys):
         args = ["verify", "geometry", "--trials", "5", "--seed", "42"]
         code1, out1, _ = run(capsys, *args)

@@ -536,3 +536,25 @@ class TestTable:
         t = hh_table(2, 4)
         assert t.entry(0, 0).rank == 1
         assert t.entry(0, 99) is None
+
+    @pytest.mark.parametrize("coefficients", ["rational", "integral"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_differential_eliminated_once(self, monkeypatch, n, coefficients):
+        # d_out at p is d_in at p + 1: the table eliminates it once, and
+        # every entry is still the one cohomology() gives on its own
+        calls = []
+        eliminate = hochschild.eliminate_units
+
+        def spy(m):
+            calls.append(m)
+            return eliminate(m)
+
+        monkeypatch.setattr(hochschild, "eliminate_units", spy)
+        t = hh_table(n, 6, coefficients)
+        needed = {(pp, e.q) for e in t.entries for pp in (e.p, e.p - 1)}
+        assert len(calls) == len(needed) < 2 * len(t.entries)
+        c = hochschild.build_complex(n, 6)
+        for e in t.entries:
+            alone = cohomology(c, e.p, e.q, coefficients)
+            assert alone == ((e.rank, e.torsion) if coefficients == "integral"
+                             else e.rank)

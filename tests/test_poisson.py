@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from knotoperads import operad_core
 from knotoperads.errors import BoundExceededError
 from knotoperads.operad_core import (
     check_cosimplicial_identities,
@@ -772,3 +773,93 @@ class TestLinearPath:
         # monomials
         assert len(calls) == len(set(calls)) == \
             sum(p * len(basis(2, p)) for p in range(1, 6))
+
+
+class TestCanonicalCoefficients:
+    def test_int_exactly_when_integral(self):
+        e = PoissonElement(2, 2, {((1,), (2,)): Fraction(4, 2),
+                                  ((1, 2),): Fraction(1, 2)})
+        assert type(e.terms[((1,), (2,))]) is int
+        assert type(e.terms[((1, 2),)]) is Fraction
+        half = parse_element("1/2*x1 x2 + 2*[x1,x2]", 3)
+        assert [type(c) for c in half.terms.values()] == [Fraction, int]
+        assert all(type(c) is int for c in half.scale(2).terms.values())
+        assert all(type(c) is int for c in
+                   circ(multiplication(3), 1, parse_element("[x1,x2]", 3)).terms.values())
+        assert element_from_json(element_to_json(half)).terms == half.terms
+        assert all(type(c) is int for k in range(5) for m in basis(2, k)
+                   for c in monomial_element(2, k, m).terms.values())
+
+    @pytest.mark.parametrize("text, n, want_text, want_json, want_repr", [
+        ("1/2*x1 x2", 2, "1/2*x1 x2",
+         '{"arity": 2, "bracket_degree": 2, "terms": [{"denominator": "2", '
+         '"monomial": [[1], [2]], "numerator": "1"}]}',
+         "PoissonElement(n=2, arity=2, terms={((1,), (2,)): Fraction(1, 2)})"),
+        ("3*x1 x2 - [x1,x2]", 3, "3*x1 x2 - [x1,x2]",
+         '{"arity": 2, "bracket_degree": 3, "terms": [{"denominator": "1", '
+         '"monomial": [[1], [2]], "numerator": "3"}, {"denominator": "1", '
+         '"monomial": [[1, 2]], "numerator": "-1"}]}',
+         "PoissonElement(n=3, arity=2, terms={((1,), (2,)): Fraction(3, 1), "
+         "((1, 2),): Fraction(-1, 1)})"),
+    ])
+    def test_forms_unchanged(self, text, n, want_text, want_json, want_repr):
+        # the text, JSON and repr (the failure witnesses) forms read as they
+        # did when every coefficient was stored as a Fraction
+        e = parse_element(text, n)
+        assert element_to_text(e) == want_text
+        assert element_to_json(e) == want_json
+        assert repr(e) == want_repr
+
+    def test_coordinates_copy_terms(self):
+        e = parse_element("2*x1 x2 - [x1,x2]", 2)
+        coords = PoissonOperad(2).coordinates(e)
+        assert coords == e.terms and coords is not e.terms
+
+
+class TestNonzeroColumnTables:
+    def test_tables_hold_nonzero_columns_only(self, monkeypatch):
+        # the codegeneracies kill every monomial whose leaf sits in a
+        # bracket, so zero columns occur: they must be left out
+        tables = []
+        for name in ("_arrow_table", "_composite_table"):
+            fn = getattr(operad_core, name)
+
+            def record(*args, fn=fn, **kwargs):
+                out = fn(*args, **kwargs)
+                tables.append(out)
+                return out
+
+            monkeypatch.setattr(operad_core, name, record)
+        op = PoissonOperad(2)
+        assert check_cosimplicial_identities(cosimplicial_from_operad(op), 4).passed
+        assert tables and all(isinstance(t, dict) for t in tables)
+        assert all(img for t in tables for img in t.values())
+        level = [monomial_element(2, 3, m) for m in basis(2, 3)]
+        s1 = operad_core._arrow_table(op.coordinates, basis(2, 3), level,
+                                      lambda x: codegeneracy(1, x))
+        assert set(s1) == {m for m in basis(2, 3) if (1,) in m}
+
+    def test_one_term_shortcut_aliases_table_images(self):
+        img = {"a": 2, "b": -1}
+        table = {"x": img}
+        assert operad_core._apply(table, {"x": 1}) is img
+        assert operad_core._apply(table, {"x": -3}) == {"a": -6, "b": 3}
+        assert operad_core._apply(table, {"y": 5}) == {}
+        assert img == {"a": 2, "b": -1}
+
+    @pytest.mark.parametrize("check", ["axioms", "cosimplicial"])
+    def test_table_images_never_mutated(self, check):
+        # every table image is a dict the hook returned; the one-term
+        # shortcuts hand those very dicts on, so any later write to a result
+        # would corrupt the tables
+        images = []
+
+        class Recording(PoissonOperad):
+            def coordinates(self, e):
+                img = super().coordinates(e)
+                images.append((img, dict(img)))
+                return img
+
+        fast, slow = _both_paths(Recording, 3, check, 4)
+        assert fast.passed and fast.checks == slow.checks
+        assert images and all(img == copy for img, copy in images)
