@@ -368,6 +368,7 @@ class CochainComplex:
     normalized: bool
     basis: dict = field(repr=False)
     diff: dict = field(repr=False)
+    seconds: dict = field(default_factory=dict, repr=False)
 
     def dim(self, p: int, q: int) -> int:
         return len(self.basis.get((p, q), ()))
@@ -381,34 +382,46 @@ class CochainComplex:
 
 def _level_monomials(n: int, p: int, normalized: bool):
     if not normalized:
-        return list(poisson.basis(n, p))
-    _assert_codegeneracy_kernel_structure(p)
-    return [m for m in poisson.basis(n, p)
-            if not any(len(w) == 1 for w in m)]
+        return poisson.basis(n, p)
+    return _assert_codegeneracy_kernel_structure(p)
 
 
 @lru_cache(maxsize=None)
-def _assert_codegeneracy_kernel_structure(p: int) -> None:
-    """Justify reading the exact kernel of all codegeneracies off monomials.
+def _assert_codegeneracy_kernel_structure(p: int) -> tuple:
+    """The basis monomials of level p without a singleton block, in basis
+    order, proven to span the exact kernel of all codegeneracies.
 
-    ``poisson.codegeneracy_monomial`` sends a basis monomial to zero (None)
-    or to one monomial with coefficient one.  If every image is a basis
-    monomial of level p - 1 and each s^i is injective on the monomials it
-    does not kill, a combination lies in every kernel iff it is supported
-    on monomials killed by every s^i, so the intersection is exact.
+    ``poisson.codegeneracy_monomial(i, m)`` is None exactly when (i,) is not
+    a block of m, and else one monomial with coefficient one.  So one pass
+    keeps the monomials without a singleton block, which every s^i kills,
+    and applies s^i only where (i,) is a block (p! calls).  If every image
+    is a basis monomial of level p - 1 and each s^i is injective on the
+    monomials it does not kill, a combination lies in every kernel iff it is
+    supported on the kept monomials, so the intersection is exact.  A
+    codegeneracy deletes a singleton block, which leaves p - b (b blocks)
+    and so q = (p - b) n unchanged: the argument holds slice by slice.
 
     Neither the basis nor a codegeneracy reads the bracket degree, so the
     proof depends on p alone and runs once per level and process (a failed
     proof raises, is not cached, and so fails again on the next call).
     """
     n = 2  # any bracket degree: the proof does not depend on it
+    kept, by_leaf = [], [[] for _ in range(p + 1)]
+    for m in poisson.basis(n, p):
+        single = False
+        for w in m:
+            if len(w) == 1:
+                by_leaf[w[0]].append(m)
+                single = True
+        if not single:
+            kept.append(m)
     below = set(poisson.basis(n, max(p - 1, 0)))
     for i in range(1, p + 1):
-        images = [img for m in poisson.basis(n, p)
-                  if (img := poisson.codegeneracy_monomial(i, m)) is not None]
+        images = [poisson.codegeneracy_monomial(i, m) for m in by_leaf[i]]
         if len(set(images)) < len(images) or not below.issuperset(images):
             raise AssertionError(f"codegeneracy {i} at p={p} is not a "
                                  "partial bijection onto basis monomials")
+    return tuple(kept)
 
 
 def build_complex(n: int, max_p: int, normalized: bool = True,
@@ -417,18 +430,22 @@ def build_complex(n: int, max_p: int, normalized: bool = True,
 
     Normalized slices keep only monomials in the kernel of every
     codegeneracy (no single-variable block); the restricted differential is
-    checked to land back in that span.
+    checked to land back in that span.  Each term is looked up in the index
+    of slice (p + 1, q), so only a term missing there has its degree
+    checked.  ``seconds`` times the levels (with their proof) and assembly.
     """
     if max_p < 0:
         raise ValueError("max_p must be non-negative")
     if max_p > level_bound:
         raise BoundExceededError(
             f"max_p={max_p} exceeds the level bound {level_bound}")
+    t0 = time.perf_counter()
     basis: dict = {}
     for p in range(max_p + 1):
         for m in _level_monomials(n, p, normalized):
             q = poisson.monomial_degree(m, n)
             basis.setdefault((p, q), []).append(m)
+    t1 = time.perf_counter()
     diff: dict = {}
     for p in range(max_p):
         idx = {q: {m: i for i, m in enumerate(mons)}
@@ -439,18 +456,20 @@ def build_complex(n: int, max_p: int, normalized: bool = True,
             mat = IntMatrix(len(basis.get((p + 1, q), ())), len(mons))
             tmap = idx.get(q, {})
             for j, m in enumerate(mons):
-                for tm, cv in poisson.coface_sum(n, m).items():
+                col = poisson.coface_sum(n, m)
+                try:
+                    mat.col[j] = {tmap[tm]: cv for tm, cv in col.items()}
+                except KeyError:  # the first term not indexed decides
+                    tm = next(tm for tm in col if tm not in tmap)
                     if poisson.monomial_degree(tm, n) != q:
-                        raise AssertionError("coface changed the degree")
-                    if tm not in tmap:
-                        if normalized:
-                            raise ValueError(
-                                "differential leaves the normalized span at "
-                                f"p={p}, q={q}")
-                        raise AssertionError("target monomial missing")
-                    mat.set(tmap[tm], j, cv)
+                        raise AssertionError("coface changed the degree") from None
+                    if normalized:
+                        raise ValueError("differential leaves the normalized "
+                                         f"span at p={p}, q={q}") from None
+                    raise AssertionError("target monomial missing") from None
             diff[(p, q)] = mat
-    return CochainComplex(n, max_p, normalized, basis, diff)
+    return CochainComplex(n, max_p, normalized, basis, diff, {
+        "levels_s": t1 - t0, "assembly_s": time.perf_counter() - t1})
 
 
 def check_d_squared(c: CochainComplex) -> CheckReport:
@@ -552,6 +571,7 @@ class CohomologyTable:
     normalized: bool
     coefficients: str
     entries: list
+    stages: dict = field(default_factory=dict)
 
     def entry(self, p: int, q: int):
         return next((e for e in self.entries if (e.p, e.q) == (p, q)), None)
@@ -565,9 +585,12 @@ class CohomologyTable:
             if timings:
                 rec["seconds"] = round(e.seconds, 6)
             out.append(rec)
-        return {"n": self.n, "max_p": self.max_p,
-                "normalized": self.normalized,
-                "coefficients": self.coefficients, "entries": out}
+        obj = {"n": self.n, "max_p": self.max_p,
+               "normalized": self.normalized,
+               "coefficients": self.coefficients, "entries": out}
+        if timings:
+            obj["stages"] = self.stages
+        return obj
 
     def to_csv(self) -> str:
         """Rows are q, columns p; cells are rank or rank;f1,f2,..."""
@@ -594,7 +617,9 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
              normalized: bool = True,
              level_bound: int = MAX_LEVEL_BOUND) -> CohomologyTable:
     """Cohomology over every computable interior bidegree p < max_p, each
-    differential eliminated once (see :func:`_cohomology`)."""
+    differential eliminated once (see :func:`_cohomology`).  ``stages`` has
+    the seconds per stage and each eliminated differential's shape, nonzeros,
+    unit pivots and leftover block."""
     if max_p < 2:
         raise ValueError("max_p must be at least 2")
     if coefficients not in ("rational", "integral"):
@@ -610,4 +635,12 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
                 rank, tors = _cohomology(c, p, q, coefficients, eliminated), None
             entries.append(HHEntry(p, q, c.dim(p, q), rank, tors,
                                    time.perf_counter() - t0))
-    return CohomologyTable(n, max_p, normalized, coefficients, entries)
+    seconds = dict(c.seconds, elimination_s=sum(e.seconds for e in entries))
+    stages = {stage: round(s, 6) for stage, s in seconds.items()}
+    stages["differentials"] = [
+        {"p": p, "q": q, "rows": d.rows, "cols": d.cols,
+         "nnz": sum(map(len, d.col)), "unit_pivots": units,
+         "leftover": [len(block), len(block[0]) if block else 0]}
+        for (p, q), (units, block) in sorted(eliminated.items()) if p >= 0
+        for d in [_differential(c, p, q)]]
+    return CohomologyTable(n, max_p, normalized, coefficients, entries, stages)

@@ -321,11 +321,17 @@ def circ_monomials(ma: Monomial, i: int, mb: Monomial,
     sign = -1 if (left * monomial_degree(mb, n)) % 2 else 1
     sub = tuple([tuple([v + i - 1 for v in u]) for u in mb])
     up = tuple([tuple([v if v < i else v + kb - 1 for v in u]) for u in ma])
-    # distinct terms of the word merge to distinct monomials: no cancelling
+    # distinct terms of the word merge to distinct monomials: no cancelling;
+    # a Koszul sign needs an odd word (n odd, even length) after x_i's word
     out: dict[Monomial, int] = {}
+    head, tail = up[:b], up[b + 1:]
+    signed = n % 2 and any(not len(u) % 2 for u in tail)
     for em, c in _subst_word(up[b], t, sub, n).items():
-        mm, s = _merge(up[:b] + em, up[b + 1:], n)
-        out[mm] = sign * s * c
+        if signed:
+            mm, s = _merge(head + em, tail, n)
+            out[mm] = sign * s * c
+        else:
+            out[tuple(sorted(head + em + tail))] = sign * c
     return out
 
 
@@ -335,8 +341,8 @@ def codegeneracy_monomial(i: int, m: Monomial) -> Monomial | None:
     one.  The result is a normal-form monomial with coefficient one."""
     if (i,) not in m:
         return None
-    return tuple(tuple(v if v < i else v - 1 for v in w)
-                 for w in m if w != (i,))
+    return tuple([tuple([v if v < i else v - 1 for v in w])
+                  for w in m if w != (i,)])
 
 
 def circ(a: PoissonElement, i: int, b: PoissonElement) -> PoissonElement:
@@ -422,17 +428,17 @@ def _set_partitions(items: tuple) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _basis_monomials(k: int) -> tuple:
-    monos = []
+    """Most blocks first, then lexicographically.  The words of a product
+    have distinct first letters, so plain tuple order sorts them by minimal
+    letter, and monomials with the same number of blocks compare natively."""
+    by_blocks: dict[int, list] = {}
     for part in _set_partitions(tuple(range(1, k + 1))):
-        blocks_words = []
-        for block in part:
-            lo, others = block[0], block[1:]
-            blocks_words.append([
-                (lo,) + perm for perm in itertools.permutations(others)])
-        for choice in itertools.product(*blocks_words):
-            monos.append(tuple(sorted(choice, key=lambda w: w[0])))
-    monos.sort(key=lambda m: (monomial_arity(m) - len(m), m))
-    return tuple(monos)
+        words = [[(block[0],) + perm for perm in itertools.permutations(block[1:])]
+                 for block in part]
+        by_blocks.setdefault(len(part), []).extend(
+            tuple(sorted(choice)) for choice in itertools.product(*words))
+    return tuple(m for b in sorted(by_blocks, reverse=True)
+                 for m in sorted(by_blocks[b]))
 
 
 def basis(n: int, k: int) -> list:

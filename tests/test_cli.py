@@ -1,6 +1,8 @@
 """Exit-code contract and artifact reproducibility of the command line."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 import tracemalloc
@@ -9,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from knotoperads import __version__, cli, geometry
+from knotoperads import __version__, cli, geometry, hochschild
 from knotoperads.cli import (MAX_COSIMPLICIAL_LEVEL, MAX_OPERAD_ARITY,
                               MAX_S2_ISO_LEVEL, main)
 
@@ -23,6 +25,20 @@ def run(capsys, *argv):
 def artifact(capsys, *argv):
     code, out, _ = run(capsys, *argv)
     return code, json.loads(out)
+
+
+def _blas() -> str:
+    """The failure message of the battery goldens.  The four-consistency
+    residuals come out of matmuls, so the digests depend on the BLAS numpy
+    dispatches to, not only on the Python and numpy versions."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25 only prints its configuration
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            np.show_config()
+        blas = buf.getvalue()
+    return f"battery digest changed; numpy {np.__version__}, BLAS: {blas}"
 
 
 class TestHH:
@@ -59,6 +75,48 @@ class TestHH:
         assert head[0] == f"# tool: knotoperads {__version__}"
         assert head[1] == "# command: hh"
         assert "q\\p" in out  # grid layout from the table writer
+
+    def test_untimed_artifact_has_no_stages(self, capsys):
+        # without --timings the results are the deterministic table alone,
+        # pinned to the digest the per-entry assembly gave
+        args = ["hh", "--degree", "3", "--max-p", "6"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert "stages" not in results
+        assert all("seconds" not in e for e in results["entries"])
+        assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()
+                              ).hexdigest() == \
+            "ab2ffb461a17715187f068207f27fd0432b836becf604366cb5ed97124eb357f"
+        assert run(capsys, *args)[1] == out
+
+    @pytest.mark.parametrize("coeff", ["rational", "integral"])
+    def test_timings_stage_breakdown(self, capsys, coeff):
+        args = ["hh", "--degree", "2", "--max-p", "6", "--coeff", coeff]
+        code, timed = artifact(capsys, *args, "--timings")
+        assert code == 0
+        stages = timed["results"].pop("stages")
+        for e in timed["results"]["entries"]:
+            assert e.pop("seconds") >= 0
+        # apart from the timings it is the untimed artifact
+        assert timed == artifact(capsys, *args)[1]
+        diffs = stages.pop("differentials")
+        assert set(stages) == {"levels_s", "assembly_s", "elimination_s"}
+        assert all(s >= 0 for s in stages.values())
+        # one record per differential the table eliminates: d_out and d_in
+        entries = timed["results"]["entries"]
+        assert [(d["p"], d["q"]) for d in diffs] == sorted(
+            {(p, e["q"]) for e in entries for p in (e["p"], e["p"] - 1)
+             if p >= 0})
+        c = hochschild.build_complex(2, 6)
+        for d in diffs:
+            mat = hochschild._differential(c, d["p"], d["q"])
+            units, block = hochschild.eliminate_units(mat)
+            assert d == {"p": d["p"], "q": d["q"], "rows": mat.rows,
+                         "cols": mat.cols, "nnz": sum(map(len, mat.col)),
+                         "unit_pivots": units,
+                         "leftover": [len(block), len(block[0]) if block else 0]}
+        assert sum(d["nnz"] for d in diffs) > 0
 
     def test_integral_text_run(self, capsys):
         code, out, _ = run(capsys, "hh", "--degree", "2", "--max-p", "4",
@@ -131,7 +189,17 @@ class TestVerify:
         battery = cli._geometry_battery(20, 1e-9, 7, 0.125)
         digest = hashlib.sha256(json.dumps(battery, sort_keys=True).encode()).hexdigest()
         assert battery["passed"]
-        assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de"
+        assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de", _blas()
+
+    def test_golden_failure_names_the_blas(self, monkeypatch):
+        # the message is built only when a digest differs, so build it here,
+        # and through the printed configuration of numpy < 1.25
+        message = _blas()
+        assert np.__version__ in message
+        assert message.split("BLAS: ", 1)[1].strip()
+        monkeypatch.setattr(np, "show_config",
+                            lambda: print("blas_opt_info: openblas"))
+        assert _blas().endswith("BLAS: blas_opt_info: openblas\n")
 
     def test_geometry_battery_golden_across_chunks(self):
         # 120 trials cross the 50-trial chunk boundary twice in every
@@ -139,7 +207,7 @@ class TestVerify:
         battery = cli._geometry_battery(120, 1e-9, 7, 0.125)
         digest = hashlib.sha256(json.dumps(battery, sort_keys=True).encode()).hexdigest()
         assert battery["passed"]
-        assert digest == "35ae34a73836fbaa70ea71dc2cf8bc1f865786f82c8821655127c8aa8ede4611"
+        assert digest == "35ae34a73836fbaa70ea71dc2cf8bc1f865786f82c8821655127c8aa8ede4611", _blas()
 
     def test_geometry_battery_builds_each_stream_once(self, monkeypatch):
         # the 21 membership and closure suites share one stream per trial
@@ -221,7 +289,7 @@ class TestVerify:
         assert "verify geometry:" not in out and " done (" not in out
         results = json.loads(out)["results"]
         digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
-        assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de"
+        assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de", _blas()
         path = tmp_path / "battery.json"
         assert main(args + ["--output", str(path)]) == 0
         assert path.read_text(encoding="utf-8") == out

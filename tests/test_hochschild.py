@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -357,9 +358,9 @@ class TestBuildComplex:
         monkeypatch.setattr(poisson, "codegeneracy_monomial", counted)
         hochschild._assert_codegeneracy_kernel_structure.cache_clear()
         build_complex(2, 5)
-        # the proof calls every s^i on every basis monomial of each level
-        assert len(calls) == sum(p * len(poisson.basis(2, p))
-                                 for p in range(6))
+        # the proof calls s^i once per singleton block (i,): (p - 1)! basis
+        # monomials of level p >= 1 have it, so p! calls per level
+        assert len(calls) == sum(math.factorial(p) for p in range(1, 6))
         calls.clear()
         build_complex(3, 5)
         build_complex(2, 4)
@@ -381,6 +382,56 @@ class TestBuildComplex:
                 build_complex(2, 3)
         finally:
             hochschild._assert_codegeneracy_kernel_structure.cache_clear()
+
+    def test_normalized_levels_are_derangements(self):
+        # outside oracle: a monomial without a singleton block is a
+        # permutation without fixed points, read through its cycles; the
+        # derangement numbers D(p) are OEIS A000166
+        got = [len(hochschild._level_monomials(2, p, True)) for p in range(8)]
+        assert got == [1, 0, 1, 2, 9, 44, 265, 1854]
+        for p in range(8):
+            assert list(hochschild._level_monomials(3, p, True)) == [
+                m for m in poisson.basis(3, p) if min(map(len, m), default=2) > 1]
+
+    def test_coface_changing_the_degree_raises(self, monkeypatch):
+        # one block of all p + 1 letters has degree p n, which only the
+        # empty monomial (p = 0) keeps; the full complex indexes the rest
+        def one_block(n, m):
+            return {(tuple(range(1, poisson.monomial_arity(m) + 2)),): 1}
+
+        monkeypatch.setattr(poisson, "coface_sum", one_block)
+        with pytest.raises(AssertionError, match="^coface changed the degree$"):
+            build_complex(2, 3, normalized=False)
+
+    def test_missing_target_raises(self, monkeypatch):
+        # reversed words keep the degree but leave normal form: below p = 3
+        # every nonzero column is all singletons and indexed, d(x1 [x2, x3])
+        # holds (4, 3), which is not
+        real = poisson.coface_sum
+
+        def reversed_words(n, m):
+            return {tuple(w[::-1] for w in tm): c
+                    for tm, c in real(n, m).items()}
+
+        monkeypatch.setattr(poisson, "coface_sum", reversed_words)
+        with pytest.raises(AssertionError, match="^target monomial missing$"):
+            build_complex(2, 4, normalized=False)
+
+    @pytest.mark.parametrize("first", ["missing", "degree"])
+    def test_first_unindexed_term_decides(self, monkeypatch, first):
+        # d(x1) gets the unsorted ((2,), (1,)) of degree 0, which no slice
+        # indexes, and [x1, x2] of degree 2: the term listed first decides
+        def both(n, m):
+            k = poisson.monomial_arity(m) + 1
+            terms = {"missing": tuple((v,) for v in range(k, 0, -1)),
+                     "degree": (tuple(range(1, k + 1)),)}
+            return {terms[t]: 1 for t in sorted(terms, key=lambda t: t != first)}
+
+        monkeypatch.setattr(poisson, "coface_sum", both)
+        message = {"missing": "target monomial missing",
+                   "degree": "coface changed the degree"}[first]
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            build_complex(2, 2, normalized=False)
 
     def test_negative_max_p(self):
         with pytest.raises(ValueError):

@@ -230,6 +230,13 @@ class TestBasis:
             keys = [(monomial_arity(m) - len(m), m) for m in b]
             assert keys == sorted(keys)
 
+    def test_order_pinned(self):
+        # digest of basis(2, k), k <= 7, as the key-sorted construction gave
+        # it: the block-count buckets and native comparisons keep the order
+        got = repr([basis(2, k) for k in range(8)]).encode()
+        assert hashlib.sha256(got).hexdigest() == \
+            "45d415aa09b1e01693144ffd7e13fdbb808741e5d38e5feff7535a2e88cece80"
+
     def test_normal_forms_linearly_independent(self):
         # oracle: associative expansions of the basis have full rank
         for k in range(1, 6):
