@@ -133,6 +133,8 @@ def _eps(text: str) -> float:
 
 
 def cmd_hh(args) -> int:
+    if args.timings and args.format != "json":
+        raise ValueError("--timings needs --format json: csv and text carry no stages")
     poisson.check_bracket_degree(args.degree)
     table = hochschild.hh_table(args.degree, args.max_p, args.coeff,
                                 normalized=args.normalized)
@@ -262,14 +264,15 @@ def cmd_verify(args) -> int:
     elif args.suite == "cosimplicial":
         params = {"operad": args.operad, "degree": args.degree,
                   "max_level": args.max_level, "seed": args.seed}
+        report = _progress("verify cosimplicial")
         if args.operad == "sphere":
             geometry.check_dimension_bound(args.degree)  # before sampling
             rep = geometry.check_sphere_cosimplicial(
-                args.degree, max_level=args.max_level, seed=args.seed)
+                args.degree, max_level=args.max_level, seed=args.seed,
+                progress=lambda n: report(f"level {n}"))
         else:
             c = operad_core.cosimplicial_from_operad(
                 _make_operad(args.operad, args.degree))
-            report = _progress("verify cosimplicial")
             rep = operad_core.check_cosimplicial_identities(
                 c, args.max_level, lambda n: report(f"level {n}"))
         results = rep.to_json_obj()

@@ -38,16 +38,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import BoundExceededError
 from .pair_operad import ChooseTwoOperad, b_elements, \
     b_structure_map, b_tree_elements, pair_count
-from .trees import RpTree, TreeMorphism, graft
-from .operad_core import CheckReport, CosimplicialObject, OperadInstance, \
-    check_cosimplicial_identities
+from .trees import RpTree, TreeMorphism
+from .operad_core import CheckReport, CosimplicialObject, check_cosimplicial_identities
 
 DEFAULT_TOL = 1e-9
 DEFAULT_EPS = 0.125          # endpoint shell width, must stay <= 1/6
@@ -440,7 +439,7 @@ def _gauss_rows(points: np.ndarray, pairs: np.ndarray | None = None) -> np.ndarr
 
 def gauss_map(c: PointConfiguration) -> SphereConfiguration:
     """u_ij = unit(x_i - x_j) for i < j.  Coincident points are an error here;
-    diagonal data is the business of project_pi_k."""
+    diagonal data is the business of _pi_rows."""
     return SphereConfiguration(c.m, c.n, _gauss_rows(c.points))
 
 
@@ -452,18 +451,17 @@ def gauss_map(c: PointConfiguration) -> SphereConfiguration:
 # one pass.
 
 #: most points a membership report covers (exit 3 above): it lists every
-#: 3-loop and 4-subset, C(32, 4) = 35,960 of them at the bound
+#: 3-loop and 4-subset, C(32, 4) = 35,960 of them at the bound; also the most
+#: leaves of a disks comparison tree
 MAX_REPORT_POINTS = 32
 _TRIAL_CHUNK = 50             # trials a suite samples and decides together
 _LOOP_SIGNS = np.array([[1.0], [1.0], [-1.0]])   # (u_ij, u_jk, u_ik) -> u_ki = -u_ik
 
 
 def check_report_points(n: int) -> None:
-    """Raise BoundExceededError when a membership report on n points would
-    exceed MAX_REPORT_POINTS."""
+    """Raise BoundExceededError when n points exceed MAX_REPORT_POINTS."""
     if n > MAX_REPORT_POINTS:
-        raise BoundExceededError(f"{n} points exceed the membership report's "
-                                 f"point bound {MAX_REPORT_POINTS}")
+        raise BoundExceededError(f"{n} points exceed the point bound {MAX_REPORT_POINTS}")
 
 
 @functools.cache
@@ -564,30 +562,6 @@ _FOUR_BATCH_CELLS = 1 << 15
 def _perm_parity(seq: Sequence[int]) -> int:
     inv = sum(1 for a, b in itertools.combinations(seq, 2) if a > b)
     return -1 if inv % 2 else 1
-
-
-def chain_permutation(edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Vertex sequence of an ordered edge chain: (ab, bc, cd) -> (a, b, c, d).
-
-    Edge orientations are reconciled from the shared endpoints, so
-    (23, 31, 14) gives (2, 3, 1, 4)."""
-    if len(edges) != 3:
-        raise ValueError("a 3-chain has exactly three edges")
-    (a0, b0), (a1, b1), (a2, b2) = edges
-    if b0 not in (a1, b1):
-        a0, b0 = b0, a0
-    if b0 == b1:
-        a1, b1 = b1, a1
-    if a1 != b0:
-        raise ValueError(f"edges {edges!r} do not form a chain")
-    if b1 == b2:
-        a2, b2 = b2, a2
-    if a2 != b1:
-        raise ValueError(f"edges {edges!r} do not form a chain")
-    seq = (a0, b0, b1, b2)
-    if len(set(seq)) != 4:
-        raise ValueError(f"edges {edges!r} revisit a vertex")
-    return seq
 
 
 def complement_chain(seq: Sequence[int]) -> tuple[int, ...]:
@@ -798,37 +772,11 @@ def kontsevich_compose(t: RpTree | TreeMorphism,
     return SphereConfiguration(m, tree.leaf_count, rows[index])
 
 
-class KontsevichOperad(OperadInstance):
-    """Sphere configurations as an operad: circ composes along a two-vertex
-    tree.  Entries are infinite, so only the structure maps are usable; the
-    point of the wrapper is that operad_core's structure-map evaluators give
-    the stepwise/functoriality comparisons for free."""
-
-    def __init__(self, m: int):
-        self.name = f"kontsevich[{m}]"
-        self.m = m
-
-    def entry(self, n: int) -> list:
-        raise NotImplementedError("entries of the sphere operad are infinite")
-
-    def arity_of(self, x: SphereConfiguration) -> int:
-        return x.n
-
-    def circ(self, x: SphereConfiguration, i: int,
-             y: SphereConfiguration) -> SphereConfiguration:
-        if not 1 <= i <= x.n:
-            raise ValueError(f"slot {i} out of range for arity {x.n}")
-        return kontsevich_compose(graft(x.n, i, y.n), {(): x, (i - 1,): y})
-
-    def unit(self) -> SphereConfiguration:
-        return SphereConfiguration(self.m, 1, [])
-
-    def codegeneracy(self, i: int, x: SphereConfiguration) -> SphereConfiguration:
-        return kontsevich_codegeneracy(x, i)
-
-
 def _coface_rows(rows: np.ndarray, n: int, i: int) -> np.ndarray:
-    """d^i on a stack of level-n rows (..., C(n, 2), m): one gather through
+    """d^i on a stack of level-n rows (..., C(n, 2), m), the map
+    ChooseTwoOperad.coface_fn(n, i) induces: a middle index doubles point i
+    with the new mutual direction *_S, and i = 0 / n+1 adds a first / last
+    point whose direction with every other is *_S.  One gather through
     _coface_table(n, i) from the rows with a *_S row appended."""
     m = rows.shape[-1]
     base = np.broadcast_to(south(m), rows.shape[:-2] + (1, m))
@@ -836,23 +784,10 @@ def _coface_rows(rows: np.ndarray, n: int, i: int) -> np.ndarray:
 
 
 def _codegeneracy_rows(rows: np.ndarray, n: int, i: int) -> np.ndarray:
-    """s^i on a stack of level-n rows (..., C(n, 2), m): one gather through
-    _codegeneracy_table(n, i)."""
+    """s^i on a stack of level-n rows (..., C(n, 2), m), deleting point i and
+    relabeling, the map ChooseTwoOperad.codegeneracy_fn(n, i) induces: one
+    gather through _codegeneracy_table(n, i)."""
     return rows[..., _codegeneracy_table(n, i), :]
-
-
-def kontsevich_coface(s: SphereConfiguration, i: int) -> SphereConfiguration:
-    """d^i: level n -> n+1, the map ChooseTwoOperad.coface_fn(n, i) induces.
-    Middle indices double point i with the new mutual direction *_S; i = 0 /
-    n+1 insert a new first/last point whose coordinates with everything are
-    *_S: the pairs that join at the grafted multiplication hit the basepoint."""
-    return SphereConfiguration(s.m, s.n + 1, _coface_rows(s.rows, s.n, i))
-
-
-def kontsevich_codegeneracy(s: SphereConfiguration, i: int) -> SphereConfiguration:
-    """s^i: level n -> n-1, deleting point i and relabeling; the map
-    ChooseTwoOperad.codegeneracy_fn(n, i) induces."""
-    return SphereConfiguration(s.m, s.n - 1, _codegeneracy_rows(s.rows, s.n, i))
 
 
 class _SphereStack:
@@ -888,24 +823,25 @@ class _SphereStack:
 
 
 def check_sphere_cosimplicial(m: int, max_level: int = 6, per_level: int = 15,
-                              seed: int = 0) -> CheckReport:
+                              seed: int = 0, progress: Callable | None = None) -> CheckReport:
     """All cosimplicial identities, exactly, on random sphere configurations.
 
     The maps only relabel and insert constants, so equality is on the nose;
     the samples need not satisfy any membership condition.  Each level's
     per_level samples are one stack (T, C(n, 2), m), drawn by one normal
     draw that takes the samples' draws in turn, so it holds the configurations
-    random_sphere_configuration would give one at a time.  The stack is its
+    _sphere_rows would give one at a time.  The stack is its
     level's one element: every coface and codegeneracy is one gather on it,
     and each composite is one check, as it was over the list of samples.  A
-    failure's witness names the first sample that differs."""
+    failure's witness names the first sample that differs.  ``progress`` as
+    in check_cosimplicial_identities."""
     _check_dimension(m)
     rng = np.random.default_rng(seed)
     levels = {n: [_SphereStack(m, n, _sphere_rows(rng, (per_level,), n, m))]
               for n in range(max_level + 1)}
     return check_cosimplicial_identities(CosimplicialObject(
         levels.__getitem__, lambda n, i: lambda s: s.coface(i),
-        lambda n, i: lambda s: s.codegeneracy(i)), max_level)
+        lambda n, i: lambda s: s.codegeneracy(i)), max_level, progress)
 
 
 # -- random samplers ----------------------------------------------------------
@@ -915,11 +851,6 @@ def _sphere_rows(rng: np.random.Generator, lead: tuple, n: int, m: int) -> np.nd
     """A stack lead + (C(n, 2), m) of independent uniform unit rows, from one
     normal draw that fills the stack's configurations in turn."""
     return _unit_rows(rng.standard_normal(lead + (pair_count(n), m)))
-
-
-def random_sphere_configuration(rng: np.random.Generator, n: int, m: int) -> SphereConfiguration:
-    """Independent uniform unit vectors per pair (no membership conditions)."""
-    return SphereConfiguration(m, n, _sphere_rows(rng, (), n, m))
 
 
 def _sample_points(rng: np.random.Generator, n: int, m: int,
@@ -934,60 +865,24 @@ def _sample_points(rng: np.random.Generator, n: int, m: int,
             return pts
 
 
-def random_point_configuration(rng: np.random.Generator, n: int, m: int,
-                               min_sep: float = MIN_SEP) -> PointConfiguration:
-    """n points uniform in the cube, resampled until pairwise separated."""
-    return PointConfiguration(m, _sample_points(rng, n, m, min_sep))
-
-
-#: most draws random_disk_configuration is expected to make for one vertex
-#: (exit 3 above): 19 centers in R^3 come just under it and take about 2 s
-MAX_DISK_DRAWS = 250_000
-
-
-def expected_disk_draws(k: int, m: int) -> float:
-    """q(m)^-k, the expected number of draws random_disk_configuration makes
-    for k centers in R^m (m >= 1): q(m) = pi^(m/2) / (Gamma(m/2 + 1) 2^m) is
-    the chance that a point uniform in the cube [-0.7, 0.7]^m lies in the
-    0.7-ball.  The rare separation redraws are not counted."""
-    try:
-        return math.exp(k * (math.lgamma(m / 2 + 1) + m * math.log(2.0)
-                             - m / 2 * math.log(math.pi)))
-    except OverflowError:
-        return math.inf
-
-
-def check_disk_draws(tree: RpTree, m: int) -> None:
-    """Raise BoundExceededError when a vertex of tree is expected to take
-    random_disk_configuration more than MAX_DISK_DRAWS draws in R^m."""
-    k = max(tree.arity(p) for p in tree.vertices())
-    draws = expected_disk_draws(k, m)
-    if draws > MAX_DISK_DRAWS:
-        raise BoundExceededError(f"a vertex of arity {k} in R^{m} is expected to "
-                                 f"take {draws:.3g} disk draws, above the draw "
-                                 f"bound {MAX_DISK_DRAWS}")
-
-
-def random_disk_configuration(rng: np.random.Generator, n: int, m: int) -> DiskConfiguration:
-    """A valid disk configuration: random centers, radii shrunk to fit."""
-    return DiskConfiguration(m, *_draw_disks(rng, n, m))
-
-
 def _draw_disks(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The centers (n, m) and radii (n,) of random_disk_configuration's draw."""
+    """The centers (n, m) and radii (n,) of n disjoint disks in the unit ball.
+    Each center is uniform in the 0.7-ball, so every disk has room: 0.7 R g/|g|
+    with g standard normal and R the largest of m uniforms.  P(R <= r) = r^m
+    is the law of U^(1/m), drawn in exact arithmetic, where numpy's power
+    rounds differently on AVX-512 hosts.  The vertex is drawn again while two
+    centers lie within 1e-2: a radius scales with the separation, and the
+    homotopy's x_e + t r_e x' at t = LIMIT_TIME must keep the digits the
+    limit comparison reads."""
     _check_dimension(m)
+    a, b = _pair_points(n)
     while True:
-        pts = rng.uniform(-0.7, 0.7, size=(n, m))
-        if np.linalg.norm(pts, axis=1).max() > 0.7:
-            continue  # keep every center in the 0.7-ball so room stays positive
-        # 1-D np.linalg.norm sums through BLAS dot: _norms would move 1 in 8 radii by an ulp
-        sep = min((np.linalg.norm(pts[a] - pts[b])
-                   for a, b in itertools.combinations(range(n), 2)),
-                  default=math.inf)
-        if sep < 1e-2:
-            continue
-        room = np.minimum(1.0 - np.array([np.linalg.norm(p) for p in pts]), sep / 2.0)
-        return pts, room * rng.uniform(0.3, 0.95, n)  # factors drawn in turn, one per disk
+        g = rng.standard_normal((n, m))
+        pts = (0.7 * rng.random((n, m)).max(axis=1) / _norms(g.T))[:, None] * g
+        sep = np.min(_norms((pts[a] - pts[b]).T), initial=math.inf)
+        if sep >= 1e-2:
+            room = np.minimum(1.0 - _norms(pts.T), sep / 2.0)
+            return pts, room * rng.uniform(0.3, 0.95, n)  # factors drawn in turn, one per disk
 
 
 # -- Monte Carlo trial batches -------------------------------------------------
@@ -1165,17 +1060,14 @@ def _disk_table(tree: RpTree) -> tuple[np.ndarray, np.ndarray]:
     return np.array(outer), np.array(inner)
 
 
-def _slid_disks(tree: RpTree, inputs, time: float) -> tuple[np.ndarray, np.ndarray]:
-    """The leaf centers y_j(time) = x_e + time r_e x'_o (T, n, m) and radii
-    r_e r'_o (T, n) of a root-plus-one-level tree, on the stack (centers,
-    radii) of its vertex disks or, as a stack of one, on its inputs keyed by
-    vertex; a leaf right under the root keeps its root disk."""
-    if isinstance(inputs, Mapping):
-        _vertex_inputs(tree, inputs)
-        disks = [inputs[p] for p in _compose_table(tree)[0]]
-        inputs = (np.concatenate([d.centers for d in disks])[None],
-                  np.concatenate([d.radii for d in disks])[None])
-    (centers, radii), (outer, inner) = inputs, _disk_table(tree)
+def _slid_disks(tree: RpTree, disks, time: float) -> tuple[np.ndarray, np.ndarray]:
+    """The little disks' composition along a root-plus-one-level tree slid to
+    time: leaf centers y_j(time) = x_e + time r_e x'_o (T, n, m) and radii
+    r_e r'_o (T, n), on the stack (centers, radii) of its vertex disks; a
+    leaf right under the root keeps its root disk.  At time 1 this is the
+    composite, and as time -> 0 its Gauss map tends to kontsevich_compose of
+    the vertices' Gauss maps."""
+    (centers, radii), (outer, inner) = disks, _disk_table(tree)
     x, r, through = centers[:, outer], radii[:, outer], (outer == inner)[:, None]
     return (np.where(through, x, x + (time * r)[..., None] * centers[:, inner]),
             np.where(through[:, 0], r, r * radii[:, inner]))
@@ -1186,66 +1078,25 @@ def _check_time(time: float) -> None:
         raise ValueError(f"time {time} outside (0, 1]")
 
 
-def disks_compose(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
-                  tol: float = DEFAULT_TOL) -> DiskConfiguration:
-    """y_j = x_{e(j)} + r_{e(j)} x'_{o(j)}, rho_j = r_{e(j)} r'_{o(j)};
-    leaves directly under the root pass their root disk through."""
-    centers, radii = _slid_disks(t, inputs, 1.0)
-    return DiskConfiguration(centers.shape[-1], centers[0], radii[0], tol)
-
-
-def disks_homotopy(t: RpTree, inputs: Mapping[tuple, DiskConfiguration],
-                   time: float) -> SphereConfiguration:
-    """Gauss map of the slid centers y_j(time) = x_{e(j)} + time r x'_{o(j)}.
-
-    At time 1 this is gauss_map of the composed disks; as time -> 0 it
-    converges to kontsevich_compose of the centerwise projections."""
-    _check_time(time)
-    centers, _ = _slid_disks(t, inputs, time)
-    return SphereConfiguration(centers.shape[-1], t.leaf_count, _gauss_rows(centers)[0])
-
-
-def disk_projection(d: DiskConfiguration) -> SphereConfiguration:
-    """Forget radii, take the Gauss map of the centers."""
-    return SphereConfiguration(d.m, d.n, _gauss_rows(d.centers))
-
-
 def _sphere_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per configuration of two stacks of pair rows (T, P, m), the max over
     pairs of the euclidean distance between coordinates: (T,)."""
     return np.max(_norms((a - b).T), axis=0, initial=0.0)
 
 
-def sphere_distance(a: SphereConfiguration, b: SphereConfiguration) -> float:
-    """Max over pairs of the euclidean distance between coordinates."""
-    if (a.m, a.n) != (b.m, b.n):
-        raise ValueError("configurations have different shapes")
-    return float(_sphere_distances(a.rows[None], b.rows[None])[0])
-
-
-def two_level_trees(max_leaves: int) -> list[RpTree]:
-    """All root-plus-one-level shapes with at most max_leaves leaves."""
-    out = []
-    for k in range(1, max_leaves + 1):
-        for pattern in itertools.product(range(max_leaves + 1), repeat=k):
-            leaves = sum(1 if a == 0 else a for a in pattern)
-            if leaves > max_leaves:
-                continue
-            out.append(RpTree(tuple(() if a == 0 else ((),) * a for a in pattern)))
-    return out
-
-
 def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
                             end_tol: float = 1e-12, limit_tol: float = LIMIT_TOL,
                             limit_time: float = LIMIT_TIME) -> dict:
     """Both endpoint comparisons of the homotopy on random disk inputs:
-    time 1 against gauss_map of the composition, time ~ 0 against the
-    sphere-coordinate composition of the projected inputs.  The disk
-    sampler's expected draws are bounded before anything is drawn.  Each
-    trial draws its vertices' disks in _compose_table's vertex order, and a
-    chunk's maps run on the chunk's stack, as on a stack of one."""
+    time 1 against the Gauss map of the composition, time ~ 0 against the
+    sphere-coordinate composition of the projected inputs.  The homotopy at
+    time 1 is the composition by its formula, so the end gap reads one array
+    twice and is 0.0.  The tree's leaves are bounded by MAX_REPORT_POINTS
+    before anything is drawn.  Each trial draws its vertices' disks in
+    _compose_table's vertex order, and a chunk's maps run on the chunk's
+    stack, as on a stack of one."""
     _check_dimension(m)
-    check_disk_draws(tree, m)
+    check_report_points(tree.leaf_count)
     _check_time(limit_time)
     internal, index = _compose_table(tree)
     arities = tuple(map(tree.arity, internal))
@@ -1259,12 +1110,12 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
             _check_disks(disks[0][:, lo:lo + k], disks[1][:, lo:lo + k], DEFAULT_TOL)
         composed = _slid_disks(tree, disks, 1.0)
         _check_disks(*composed, DEFAULT_TOL)
-        rows = [_gauss_rows(_slid_disks(tree, disks, 1.0)[0]), _gauss_rows(composed[0]),
-                _gauss_rows(_slid_disks(tree, disks, limit_time)[0]),
+        rows = [_gauss_rows(composed[0]), _gauss_rows(_slid_disks(tree, disks, limit_time)[0]),
                 _gauss_rows(disks[0], _vertex_pairs(arities))[:, index]]
         for r in rows:
             _check_unit_rows(r, tree.leaf_count)
-        gaps = zip(_sphere_distances(*rows[:2]).tolist(), _sphere_distances(*rows[2:]).tolist())
+        gaps = zip(_sphere_distances(rows[0], rows[0]).tolist(),
+                   _sphere_distances(*rows[1:]).tolist())
         # the aggregate residual is the worse tolerance ratio (dimensionless)
         outcomes += [{"trial": k, "passed": end_gap <= end_tol and limit_gap <= limit_tol,
                       "max_residual": max(end_gap / end_tol, limit_gap / limit_tol),
@@ -1287,7 +1138,7 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
 _ERRORS = (None,
            "no differential at the marked endpoints",
            "point inside an endpoint shell is off-axis",
-           "lambda_map is undefined at the marked endpoints",
+           "lambda is undefined at the marked endpoints",
            "coincident pair ({i}, {j}) carries no direction",
            "degenerate direction for pair ({i}, {j}) at an endpoint",
            "pair ({i}, {j}) has an endpoint out of order: "
@@ -1310,9 +1161,13 @@ def _check_eps(eps: float) -> None:
 
 def _lambda_rows(x: np.ndarray, eps: float, tol: float = DEFAULT_TOL):
     """lambda of every point of the stack x (..., m) with its error codes,
-    and lambda's last-coordinate stretch rate there (see
-    lambda_jacobian_factor) with its error codes.  Neither is defined at an
-    endpoint, nor the rate off the axis inside a shell."""
+    and lambda's last-coordinate stretch rate there with its error codes.
+    lambda stretches the last coordinate near each endpoint: within distance
+    eps of *_+ or *_-, a_m becomes eps a_m / d(a), and elsewhere it is the
+    identity (the shells are disjoint as eps <= 1/6).  On the axis inside a
+    shell its differential is diag(1, .., 1, eps/d^2), which gives the rate.
+    Neither is defined at an endpoint, nor the rate off the axis inside a
+    shell, where boundary data cannot lie."""
     v = np.array(x, dtype=np.float64)
     factor, undefined = np.ones(v.shape[:-1]), np.zeros(v.shape[:-1], dtype=bool)
     done, codes = undefined.copy(), np.zeros(v.shape[:-1], dtype=np.intp)
@@ -1328,30 +1183,6 @@ def _lambda_rows(x: np.ndarray, eps: float, tol: float = DEFAULT_TOL):
             v[..., -1] = np.where(shell, eps * v[..., -1] / np.where(shell, d, 1.0),
                                   v[..., -1])
     return v, 3 * undefined, factor, codes
-
-
-def lambda_map(x: Sequence[float], eps: float = DEFAULT_EPS) -> tuple[float, ...]:
-    """Stretch the last coordinate near each endpoint: within distance eps of
-    *_+ or *_-, the last coordinate a_m becomes eps a_m / d(a); elsewhere the
-    map is the identity.  The two shells are disjoint because eps <= 1/6."""
-    _check_eps(eps)
-    v, codes, _, _ = _lambda_rows(np.array([x], dtype=np.float64), eps)
-    _raise_first(codes)
-    return tuple(v[0].tolist())
-
-
-def lambda_jacobian_factor(x: Sequence[float], eps: float = DEFAULT_EPS,
-                           tol: float = DEFAULT_TOL) -> float:
-    """The last-coordinate stretch rate of lambda at an on-axis point.
-
-    Inside an endpoint shell the differential is diagonal only on the axis
-    (all other coordinates zero), where it equals diag(1, .., 1, eps/d^2)
-    with d the distance to that endpoint; off-axis shell points violate the
-    boundary-collinearity precondition and are rejected."""
-    _check_eps(eps)
-    _, _, factor, codes = _lambda_rows(np.array([x], dtype=np.float64), eps, tol)
-    _raise_first(codes)
-    return float(factor[0])
 
 
 def _boundary_stack(configs: Sequence[PointConfiguration]):
@@ -1370,9 +1201,16 @@ def _boundary_stack(configs: Sequence[PointConfiguration]):
 
 def _pi_rows(points: np.ndarray, dirs: np.ndarray, has: np.ndarray,
              eps: float) -> np.ndarray:
-    """The rows (T, C(n, 2), m) of project_pi_k on a stack of boundary
-    configurations (see _boundary_stack), or the error of the first pair,
-    in the first configuration, that has one."""
+    """pi_k on a stack of boundary configurations (see _boundary_stack): the
+    forward directions (T, C(n, 2), m) of the lambda-stretched points, or the
+    error of the first pair, in the first configuration, that has one.
+
+    For i < j the row is u(lambda(x_j) - lambda(x_i)) when the points differ
+    and no endpoint rule applies, and *_S when x_i = *_+ or x_j = *_- (the
+    knot leaves the top endpoint southward and arrives at the bottom one).  A
+    coincident pair's stored direction is pushed through lambda's
+    differential and renormalized; at an endpoint the rescale diverges and
+    the limit keeps only the last coordinate's sign."""
     m = points.shape[-1]
     pairs = a, b = _pair_points(points.shape[1])
     top = (points == north(m)).all(axis=-1)
@@ -1395,20 +1233,6 @@ def _pi_rows(points: np.ndarray, dirs: np.ndarray, has: np.ndarray,
     return rows
 
 
-def project_pi_k(c: PointConfiguration, eps: float = DEFAULT_EPS) -> SphereConfiguration:
-    """Forward directions of the lambda-stretched configuration.
-
-    For i < j: u(lambda(x_j) - lambda(x_i)) when the points differ and no
-    endpoint rule applies; *_S when x_i = *_+ or x_j = *_- (the knot leaves
-    the top endpoint southward and arrives at the bottom one); for
-    coincident pairs, the stored direction pushed through the differential
-    of lambda (a positive rescale of the last coordinate, renormalized) —
-    at an endpoint the rescale diverges and the limit keeps only the last
-    coordinate's sign.  A stack of one for _pi_rows."""
-    _check_eps(eps)
-    return SphereConfiguration(c.m, c.n, _pi_rows(*_boundary_stack([c]), eps)[0])
-
-
 # -- insertion maps on boundary data ------------------------------------------
 
 
@@ -1418,6 +1242,8 @@ def _insertion_tables(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     them (rows n and n + 1), and on their C(n, 2) pairs listed with one more
     row: the pairs of two copies of a point, or with an inserted endpoint,
     read that last row."""
+    if not 0 <= i <= n + 1:
+        raise ValueError(f"insertion index {i} out of range for n={n}")
     rows = list(range(n))
     points = [n] + rows if i == 0 else rows + [n + 1] if i == n + 1 else \
         rows[:i] + [i - 1] + rows[i:]
@@ -1428,45 +1254,17 @@ def _insertion_tables(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _insert_stack(points: np.ndarray, dirs: np.ndarray, has: np.ndarray, i: int):
-    """e^i on a stack of boundary configurations (see _boundary_stack): the
-    points gather through _insertion_tables, and so do the pair directions,
-    a new coincident pair reading *_S."""
+    """e^i on a stack of boundary configurations (see _boundary_stack): for
+    1 <= i <= n it doubles point i with new mutual direction *_S, and e^0 and
+    e^{n+1} plant a copy of the matching marked endpoint at that end, indices
+    relabeling by sigma_i.  The points gather through _insertion_tables, and
+    so do the pair directions, a new coincident pair reading *_S."""
     t, n, m = points.shape
     point_index, pair_index = _insertion_tables(n, i)
     return (np.concatenate([points, np.broadcast_to([north(m), south(m)], (t, 2, m))],
                            axis=1)[:, point_index],
             np.concatenate([dirs, np.broadcast_to(south(m), (t, 1, m))], axis=1)[:, pair_index],
             np.concatenate([has, np.ones((t, 1), dtype=bool)], axis=1)[:, pair_index])
-
-
-def insertion_e(c: PointConfiguration, i: int) -> PointConfiguration:
-    """e^i doubles point i with new mutual direction *_S (1 <= i <= n); e^0
-    and e^{n+1} plant a copy of the corresponding marked endpoint at the
-    matching end of the configuration.  Indices relabel by sigma_i.  A stack
-    of one for _insert_stack; tangents are inserted as points are, *_S at
-    the ends."""
-    n, m = c.n, c.m
-    if not 0 <= i <= n + 1:
-        raise ValueError(f"insertion index {i} out of range for n={n}")
-    points, dirs, has = (x[0] for x in _insert_stack(*_boundary_stack([c]), i))
-    tangents = None if c.tangents is None else np.concatenate(
-        [c.tangents, [south(m)] * 2])[_insertion_tables(n, i)[0]]
-    pairs = _pair_points(n + 1)
-    keep = has & (points[pairs[0]] == points[pairs[1]]).all(axis=-1)
-    return PointConfiguration._from_rows(m, points, tangents, pairs[:, keep], dirs[keep])
-
-
-def delete_point(c: PointConfiguration, i: int) -> PointConfiguration:
-    """Forget point i (1-based), relabeling the rest downward."""
-    n = c.n
-    if not 1 <= i <= n:
-        raise ValueError(f"point index {i} out of range for n={n}")
-    keep = np.arange(n) != i - 1
-    kept = (c._pairs != i - 1).all(axis=0)
-    pairs = c._pairs[:, kept]
-    return PointConfiguration._from_rows(
-        c.m, c.points[keep], None if c.tangents is None else c.tangents[keep],
-        pairs - (pairs > i - 1), c._dirs[kept])
 
 
 def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,

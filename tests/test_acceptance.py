@@ -5,6 +5,7 @@ measured wall time, and enforces both the numeric tolerances and the
 runtime budget it was signed off with.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -17,7 +18,6 @@ from knotoperads.geometry import (
     closure_trials,
     disks_comparison_trials,
     membership_trials,
-    two_level_trees,
 )
 from knotoperads.hochschild import (
     build_complex,
@@ -33,7 +33,7 @@ from knotoperads.operad_core import (
 )
 from knotoperads.pair_operad import ChooseTwoOperad, check_s2_iso, s2_elements
 from knotoperads.poisson import PoissonOperad, basis, monomial_degree
-from knotoperads.trees import parse_tree
+from knotoperads.trees import RpTree, parse_tree
 
 
 def _report(capsys, name: str, ok: bool, elapsed: float, budget: float,
@@ -180,7 +180,10 @@ class TestAcceptance:
     def test_09_disks_homotopy_endpoints(self, capsys):
         t0 = time.perf_counter()
         ok, end_gap, limit_gap = True, 0.0, 0.0
-        trees = two_level_trees(4)
+        # every root-plus-one-level shape with at most 4 leaves
+        trees = [RpTree(tuple(((),) * a if a else () for a in pattern))
+                 for k in range(1, 5) for pattern in itertools.product(range(5), repeat=k)
+                 if sum(max(a, 1) for a in pattern) <= 4]
         for tree in trees:
             r = disks_comparison_trials(tree, 3, 100)
             ok &= r["passed"]

@@ -27,6 +27,10 @@ def artifact(capsys, *argv):
     return code, json.loads(out)
 
 
+def _random_sphere(rng, n):
+    return geometry.SphereConfiguration(3, n, geometry._sphere_rows(rng, (), n, 3))
+
+
 def _blas() -> str:
     """The failure message of the battery goldens.  The four-consistency
     residuals come out of matmuls, so the digests depend on the BLAS numpy
@@ -118,6 +122,17 @@ class TestHH:
                          "leftover": [len(block), len(block[0]) if block else 0]}
         assert sum(d["nnz"] for d in diffs) > 0
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_timings_need_json(self, capsys, tmp_path, monkeypatch, fmt):
+        # csv and text carry no stage breakdown, so asking for one is bad
+        # input, found before the table is built, and nothing is written
+        monkeypatch.setattr(hochschild, "hh_table", None)
+        out = tmp_path / "table.out"
+        code, stdout, err = run(capsys, "hh", "--degree", "2", "--max-p", "4", "--format",
+                                fmt, "--timings", "--output", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "--timings needs --format json" in err
+
     def test_integral_text_run(self, capsys):
         code, out, _ = run(capsys, "hh", "--degree", "2", "--max-p", "4",
                            "--coeff", "integral", "--format", "text")
@@ -189,7 +204,7 @@ class TestVerify:
         battery = cli._geometry_battery(20, 1e-9, 7, 0.125)
         digest = hashlib.sha256(json.dumps(battery, sort_keys=True).encode()).hexdigest()
         assert battery["passed"]
-        assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de", _blas()
+        assert digest == "1163f2868add8f2e10fd04edc81d4dd13d3bb6971a2da9cba3d538904d0f3dd3", _blas()
 
     def test_golden_failure_names_the_blas(self, monkeypatch):
         # the message is built only when a digest differs, so build it here,
@@ -207,7 +222,7 @@ class TestVerify:
         battery = cli._geometry_battery(120, 1e-9, 7, 0.125)
         digest = hashlib.sha256(json.dumps(battery, sort_keys=True).encode()).hexdigest()
         assert battery["passed"]
-        assert digest == "35ae34a73836fbaa70ea71dc2cf8bc1f865786f82c8821655127c8aa8ede4611", _blas()
+        assert digest == "31bbb3c2ad25d5d315cd4e94ddc93ffc19d0519eb41400847bd8245e823e0492", _blas()
 
     def test_geometry_battery_builds_each_stream_once(self, monkeypatch):
         # the 21 membership and closure suites share one stream per trial
@@ -289,7 +304,7 @@ class TestVerify:
         assert "verify geometry:" not in out and " done (" not in out
         results = json.loads(out)["results"]
         digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
-        assert digest == "e08ef93b119bb283baf908c1f0c6b40157798693e347c27515e1169e408151de", _blas()
+        assert digest == "1163f2868add8f2e10fd04edc81d4dd13d3bb6971a2da9cba3d538904d0f3dd3", _blas()
         path = tmp_path / "battery.json"
         assert main(args + ["--output", str(path)]) == 0
         assert path.read_text(encoding="utf-8") == out
@@ -300,6 +315,8 @@ class TestVerify:
         (["operad-axioms", "--operad", "choose-two", "--max-arity", "4"],
          "arity", 4, "263190030ed1ecbf711b52cf4126e275541d13ca52e20ad8445487fbc682281d"),
         (["cosimplicial", "--operad", "poisson", "--degree", "2", "--max-level", "4"],
+         "level", 4, "d128d5bdce1f4807d28442279c7607ac4b17ef468463f072747865dde0756dcc"),
+        (["cosimplicial", "--operad", "sphere", "--degree", "3", "--max-level", "4"],
          "level", 4, "d128d5bdce1f4807d28442279c7607ac4b17ef468463f072747865dde0756dcc"),
     ])
     def test_check_progress_goes_to_stderr_only(self, capsys, tmp_path, argv, step,
@@ -386,7 +403,6 @@ class TestVerify:
                          "--degree", str(bound), "--max-level", "3",
                          "--output", str(out))
         assert code == 0 and out.exists()
-        monkeypatch.setattr(geometry, "random_sphere_configuration", None)
         monkeypatch.setattr(geometry, "_sphere_rows", None)
         for dim in (bound + 1, 3000000000):
             out = tmp_path / f"cos{dim}.json"
@@ -516,7 +532,7 @@ class TestGeomCheck:
         assert code == 0  # below both arities: vacuous pass
 
     def test_generic_sphere_input_fails(self, capsys, tmp_path):
-        s = geometry.random_sphere_configuration(np.random.default_rng(3), 4, 3)
+        s = _random_sphere(np.random.default_rng(3), 4)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(s.to_json_obj()))
         code, art = artifact(capsys, "geom", "check", "--input", str(path))
@@ -553,7 +569,7 @@ class TestGeomCheck:
             else:
                 assert code == 3 and "point bound" in err
                 assert not out.exists()
-        s = geometry.random_sphere_configuration(rng, bound + 1, 3)
+        s = _random_sphere(rng, bound + 1)
         path = tmp_path / "sphere.json"
         path.write_text(json.dumps(s.to_json_obj()))
         code, out, err = run(capsys, "geom", "check", "--input", str(path))
@@ -578,7 +594,7 @@ class TestGeomCheck:
     def test_four_work_bound(self, capsys, tmp_path, monkeypatch):
         # C(n, 4) C(m+2, 3)^2 coefficient cells: at the bound the report is
         # written; one cell more exits 3 before either check runs
-        s = geometry.random_sphere_configuration(np.random.default_rng(5), 5, 3)
+        s = _random_sphere(np.random.default_rng(5), 5)
         path = tmp_path / "sphere.json"
         path.write_text(json.dumps(s.to_json_obj()))
         cells = 5 * 10 ** 2                   # C(5, 4) C(3 + 2, 3)^2
@@ -733,8 +749,8 @@ class TestGeomDisksCompare:
         assert art["results"]["max_end_gap"] <= 1e-12
 
     @pytest.mark.parametrize("dim,digest", [
-        ("3", "9bdcaaa69fa0a1a59971977df393d3152cdaf694fa0eb7872c16cf40db86d185"),
-        ("4", "efbdad012403de3a58a57385a0b2b6f55002b525709d4867b43f5210c79fc77f"),
+        pytest.param("3", "4d1968cbe0daab38ad3d5f1eb4337c3414f65ee8b4333400e2fc10147a24d4ba", id="3"),
+        pytest.param("4", "1bceac298c4f3f423bea32f55e687465900e85713b9804b70a4f3bd26b2df2d3", id="4"),
     ])
     def test_golden(self, capsys, dim, digest):
         # the sampled disks and both endpoint gaps are pinned to the bit
@@ -757,37 +773,29 @@ class TestGeomDisksCompare:
         assert "depth bound" in err
 
     def test_dimension_bound(self, capsys, tmp_path, monkeypatch):
-        # the rejection sampler rarely draws a center inside the 0.7-ball
-        # in high dimension, so the bound is exercised at a lowered value
-        monkeypatch.setattr(geometry, "MAX_FOUR_DIM", 4)
+        # at the bound the trials run; above it nothing is drawn
         out = tmp_path / "at-bound.json"
-        code, _, _ = run(capsys, "geom", "disks-compare", "--dim", "4",
-                         "--trials", "2", "--output", str(out))
+        code, _, _ = run(capsys, "geom", "disks-compare", "--dim",
+                         str(geometry.MAX_FOUR_DIM), "--trials", "2", "--output", str(out))
         assert code == 0 and out.exists()
-        monkeypatch.setattr(geometry, "random_disk_configuration", None)
-        for dim in ("5", "3000000000"):
+        monkeypatch.setattr(geometry, "_draw_disks", None)
+        for dim in (str(geometry.MAX_FOUR_DIM + 1), "3000000000"):
             out = tmp_path / f"over{dim}.json"
             code, _, err = run(capsys, "geom", "disks-compare", "--dim", dim,
                                "--trials", "2", "--output", str(out))
             assert code == 3 and "dimension bound" in err
             assert not out.exists()
-        monkeypatch.undo()
-        code, _, err = run(capsys, "geom", "disks-compare", "--dim",
-                           str(geometry.MAX_FOUR_DIM + 1), "--trials", "2")
-        assert code == 3 and "dimension bound" in err
 
-    def test_draw_bound(self, capsys, tmp_path, monkeypatch):
-        # expected draws of the disk sampler: 19 centers in R^3 come under
-        # the bound, 20 exceed it, as does the default tree in R^16
-        assert geometry.expected_disk_draws(19, 3) <= geometry.MAX_DISK_DRAWS
-        monkeypatch.setattr(geometry, "random_disk_configuration", None)
-        for argv in (["--tree", "(" + "* " * 20 + ")", "--dim", "3"],
-                     ["--dim", str(geometry.MAX_FOUR_DIM)]):
+    def test_point_bound(self, capsys, tmp_path, monkeypatch):
+        # a tree of more than MAX_REPORT_POINTS leaves exits 3 before any
+        # disk is drawn, whatever the dimension
+        monkeypatch.setattr(geometry, "_draw_disks", None)
+        for tree, leaves in (("(" + "* " * 33 + ")", 33), ("(" + "(* *) " * 30 + ")", 60)):
             out = tmp_path / "over.json"
-            code, _, err = run(capsys, "geom", "disks-compare", *argv,
+            code, _, err = run(capsys, "geom", "disks-compare", "--tree", tree, "--dim", "1",
                                "--trials", "1", "--output", str(out))
-            assert code == 3 and "draw bound" in err
-            assert not out.exists()
+            assert code == 3 and not out.exists()
+            assert f"{leaves} points exceed the point bound 32" in err
 
     def test_zero_dimension_is_bad_input(self, capsys):
         # in R^0 every centre coincides, so no separated sample exists

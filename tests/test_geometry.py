@@ -12,7 +12,9 @@ disk maps that the stacked kernels must match bit for bit, per-trial
 membership reports, per-vertex draws and the every-loop-and-subset suite
 body for the batched trial suites, which decide each distinct edge stack
 once, central finite differences for the endpoint-map derivative, and
-direct formula evaluation for the little disks.
+direct formula evaluation for the little disks.  The kernels meet the
+per-configuration oracles and the paper facts on stacks of one, through the
+small helpers below.
 """
 
 import hashlib
@@ -29,10 +31,98 @@ from hypothesis import strategies as st
 
 from knotoperads import cli, geometry as G
 from knotoperads.errors import BoundExceededError
-from knotoperads.operad_core import CheckReport, CosimplicialObject, \
+from knotoperads.operad_core import CheckReport, CosimplicialObject, OperadInstance, \
     check_cosimplicial_identities, structure_map, structure_map_stepwise
-from knotoperads.trees import TreeMorphism, corolla, enumerate_trees, graft, \
+from knotoperads.trees import RpTree, TreeMorphism, corolla, enumerate_trees, graft, \
     join_vertex, parse_tree
+
+
+# -- the kernels on a stack of one ---------------------------------------------
+
+
+def _random_sphere(rng, n, m):
+    return G.SphereConfiguration(m, n, G._sphere_rows(rng, (), n, m))
+
+
+def _random_points(rng, n, m, min_sep=G.MIN_SEP):
+    return G.PointConfiguration(m, G._sample_points(rng, n, m, min_sep))
+
+
+def _random_disks(rng, n, m):
+    return G.DiskConfiguration(m, *G._draw_disks(rng, n, m))
+
+
+def _coface(s, i):
+    return G.SphereConfiguration(s.m, s.n + 1, G._coface_rows(s.rows, s.n, i))
+
+
+def _codegeneracy(s, i):
+    return G.SphereConfiguration(s.m, s.n - 1, G._codegeneracy_rows(s.rows, s.n, i))
+
+
+def _lambda(x, eps=G.DEFAULT_EPS):
+    v, codes, _, _ = G._lambda_rows(np.array([x], dtype=float), eps)
+    G._raise_first(codes)
+    return tuple(v[0].tolist())
+
+
+def _jacobian(x, eps=G.DEFAULT_EPS, tol=G.DEFAULT_TOL):
+    _, _, factor, codes = G._lambda_rows(np.array([x], dtype=float), eps, tol)
+    G._raise_first(codes)
+    return float(factor[0])
+
+
+def _pi(c, eps=G.DEFAULT_EPS):
+    return G.SphereConfiguration(c.m, c.n, G._pi_rows(*G._boundary_stack([c]), eps)[0])
+
+
+def _insert(c, i):
+    """e^i keeping the directions of coincident pairs; tangents are inserted
+    as points are, *_S at the ends."""
+    points, dirs, has = (x[0] for x in G._insert_stack(*G._boundary_stack([c]), i))
+    tangents = None if c.tangents is None else np.concatenate(
+        [c.tangents, [G.south(c.m)] * 2])[G._insertion_tables(c.n, i)[0]]
+    pairs = G._pair_points(c.n + 1)
+    keep = has & (points[pairs[0]] == points[pairs[1]]).all(axis=-1)
+    return G.PointConfiguration._from_rows(c.m, points, tangents, pairs[:, keep], dirs[keep])
+
+
+def _disk_stack(tree, inputs):
+    """Disk configurations keyed by vertex as the stack of one the disk
+    kernels take, in _compose_table's vertex order."""
+    disks = [inputs[p] for p in G._compose_table(tree)[0]]
+    return (np.concatenate([d.centers for d in disks])[None],
+            np.concatenate([d.radii for d in disks])[None])
+
+
+def _compose_disks(tree, inputs):
+    centers, radii = G._slid_disks(tree, _disk_stack(tree, inputs), 1.0)
+    return G.DiskConfiguration(centers.shape[-1], centers[0], radii[0])
+
+
+def _homotopy(tree, inputs, time):
+    centers, _ = G._slid_disks(tree, _disk_stack(tree, inputs), time)
+    return G.SphereConfiguration(centers.shape[-1], tree.leaf_count,
+                                 G._gauss_rows(centers)[0])
+
+
+class _SphereOperad(OperadInstance):
+    """Sphere configurations under kontsevich_compose, for operad_core's
+    structure-map evaluators: circ composes along a graft."""
+
+    def arity_of(self, x):
+        return x.n
+
+    def circ(self, x, i, y):
+        return G.kontsevich_compose(graft(x.n, i, y.n), {(): x, (i - 1,): y})
+
+
+def _two_level_trees(max_leaves):
+    """All root-plus-one-level shapes with at most max_leaves leaves."""
+    return [RpTree(tuple(((),) * a if a else () for a in pattern))
+            for k in range(1, max_leaves + 1)
+            for pattern in itertools.product(range(max_leaves + 1), repeat=k)
+            if sum(max(a, 1) for a in pattern) <= max_leaves]
 
 
 # -- independent oracles -------------------------------------------------------
@@ -204,11 +294,11 @@ def _sphere_cosimplicial_oracle(m, max_level, per_level, seed):
     list of per_level random configurations drawn in turn, each coface and
     codegeneracy applied to each one."""
     rng = np.random.default_rng(seed)
-    levels = {n: [G.random_sphere_configuration(rng, n, m) for _ in range(per_level)]
+    levels = {n: [_random_sphere(rng, n, m) for _ in range(per_level)]
               for n in range(max_level + 1)}
     return check_cosimplicial_identities(CosimplicialObject(
-        levels.__getitem__, lambda n, i: lambda s: G.kontsevich_coface(s, i),
-        lambda n, i: lambda s: G.kontsevich_codegeneracy(s, i)), max_level)
+        levels.__getitem__, lambda n, i: lambda s: _coface(s, i),
+        lambda n, i: lambda s: _codegeneracy(s, i)), max_level)
 
 
 def _unit_oracle(points):
@@ -252,7 +342,7 @@ def _lambda_oracle(x, eps=G.DEFAULT_EPS):
     for sign in (-1.0, 1.0):
         d = _pole_distance(v, sign)
         if d == 0.0:
-            raise ValueError("lambda_map is undefined at the marked endpoints")
+            raise ValueError("lambda is undefined at the marked endpoints")
         if d < eps:
             v = v[:-1] + (eps * v[-1] / d,)
     return v
@@ -272,7 +362,7 @@ def _jacobian_oracle(x, eps=G.DEFAULT_EPS, tol=G.DEFAULT_TOL):
 
 
 def _project_oracle(c, eps=G.DEFAULT_EPS):
-    """project_pi_k pair by pair, as rows (C(n, 2), m)."""
+    """pi_k pair by pair, as rows (C(n, 2), m)."""
     m, points, dirs = c.m, _tuples(c.points), _direction_map(c)
     top, bottom = _north(m), _south(m)
     rows = []
@@ -300,7 +390,7 @@ def _project_oracle(c, eps=G.DEFAULT_EPS):
 
 
 def _projection_branches(c, eps=G.DEFAULT_EPS):
-    """Which of project_pi_k's cases the pairs of c take."""
+    """Which of pi_k's cases the pairs of c take."""
     top, bottom = _north(c.m), _south(c.m)
     out = set()
     for xi, xj in itertools.combinations(_tuples(c.points), 2):
@@ -351,6 +441,18 @@ def _insertion_oracle(c, i):
     return G.PointConfiguration(m, points, tangents, dirs)
 
 
+def _delete_oracle(c, i):
+    """Forget point i (1-based), relabeling the rest downward."""
+    def g(k):
+        return k if k < i else k - 1
+
+    points, tangents = _tuples(c.points), _tuples(c.tangents)
+    return G.PointConfiguration(
+        c.m, points[:i - 1] + points[i:],
+        None if tangents is None else tangents[:i - 1] + tangents[i:],
+        {(g(p), g(q)): v for (p, q), v in _direction_map(c).items() if i not in (p, q)})
+
+
 def _naturality_oracle(n, m, trials, seed, eps=G.DEFAULT_EPS):
     """The per-configuration naturality loop, in trial-major order."""
     rep = CheckReport(f"insertion-naturality[n={n},m={m}]")
@@ -359,7 +461,7 @@ def _naturality_oracle(n, m, trials, seed, eps=G.DEFAULT_EPS):
         base = G.SphereConfiguration(m, n, _project_oracle(c, eps))
         for i in range(n + 2):
             ok = np.array_equal(_project_oracle(_insertion_oracle(c, i), eps),
-                                G.kontsevich_coface(base, i).rows)
+                                _coface(base, i).rows)
             rep.record(ok, None if ok else {"trial": k, "index": i, "config": c.to_json_obj()})
     return rep
 
@@ -412,7 +514,7 @@ def _distance_oracle(a, b):
 def _disk_gaps_oracle(tree, m, seed, k, limit_time=G.LIMIT_TIME):
     """One trial of the disk comparison, configuration by configuration."""
     rng = G._trial_rng(seed, k)
-    inputs = {p: G.random_disk_configuration(rng, tree.arity(p), m) for p in tree.vertices()}
+    inputs = {p: _random_disks(rng, tree.arity(p), m) for p in tree.vertices()}
     at_one = _projection_oracle(m, _centers_oracle(tree, inputs, 1.0))
     composed = _projection_oracle(m, _disks_compose_oracle(tree, inputs).centers)
     at_limit = _projection_oracle(m, _centers_oracle(tree, inputs, limit_time))
@@ -485,7 +587,7 @@ def _fd_last_coordinate_rate(x, eps, h=1e-7):
     dn = list(x)
     up[-1] += h
     dn[-1] -= h
-    return (G.lambda_map(up, eps)[-1] - G.lambda_map(dn, eps)[-1]) / (2 * h)
+    return (_lambda(up, eps)[-1] - _lambda(dn, eps)[-1]) / (2 * h)
 
 
 def _basis(m, k):
@@ -536,7 +638,7 @@ class TestSphereConfiguration:
     def test_accessor_antisymmetry(self):
         s = G.SphereConfiguration(3, 2, [(0.6, 0.0, 0.8)])
         assert s.u(2, 1) == (-0.6, -0.0, -0.8)
-        s = G.random_sphere_configuration(np.random.default_rng(1), 5, 4)
+        s = _random_sphere(np.random.default_rng(1), 5, 4)
         for r, (i, j) in enumerate(itertools.combinations(range(1, 6), 2)):
             assert s.u(i, j) == tuple(s.rows[r].tolist())
             assert s.u(j, i) == tuple(-x for x in s.u(i, j))
@@ -592,7 +694,7 @@ class TestSphereConfiguration:
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(0)
-        s = G.random_sphere_configuration(rng, 4, 3)
+        s = _random_sphere(rng, 4, 3)
         assert G.SphereConfiguration.from_json_obj(s.to_json_obj()) == s
         assert set(s.to_json_obj()) == {"m", "n", "u"}
 
@@ -679,7 +781,7 @@ class TestPointConfiguration:
             with pytest.raises(ValueError, match="read-only"):
                 rows[0] = 1.0
         assert list(c.pair_directions) == [(1, 2)]
-        for made in (G.insertion_e(c, 2), G.delete_point(c, 3),
+        for made in (_insert(c, 2), _delete_oracle(c, 3),
                      G.knot_eval(G.LongTrefoil(), [-0.5, -0.5, 0.5]),
                      G.random_boundary_configuration(np.random.default_rng(1), 5, 3)):
             assert not (made.points.flags.writeable or made.tangents.flags.writeable)
@@ -781,7 +883,7 @@ class TestGaussMap:
 
     def test_random_image_is_four_consistent(self):
         rng = np.random.default_rng(4)
-        c = G.random_point_configuration(rng, 4, 3)
+        c = _random_points(rng, 4, 3)
         rep = G.check_four_consistent(G.gauss_map(c), tol=1e-9)
         assert rep["passed"]
 
@@ -800,7 +902,7 @@ class TestThreeDependent:
     def test_triangle_gauss_dependent(self):
         rng = np.random.default_rng(5)
         for m in (2, 3, 5):
-            s = G.gauss_map(G.random_point_configuration(rng, 3, m))
+            s = G.gauss_map(_random_points(rng, 3, m))
             rep = G.check_three_dependent(s)
             assert rep["passed"], rep
             assert rep["max_residual"] <= 1e-12
@@ -821,9 +923,9 @@ class TestThreeDependent:
     def test_kernel_matches_support_oracle_on_samples(self):
         # loops gathered here through the accessor, not the kernel's indexing
         rng = np.random.default_rng(41)
-        samples = [G.gauss_map(G.random_point_configuration(rng, 6, m))
+        samples = [G.gauss_map(_random_points(rng, 6, m))
                    for m in (2, 3, 5)]
-        samples += [G.random_sphere_configuration(rng, 6, m) for m in (2, 3, 4)]
+        samples += [_random_sphere(rng, 6, m) for m in (2, 3, 4)]
         for s in samples:
             triples = [(s.u(i, j), s.u(j, k), s.u(k, i))
                        for i, j, k in itertools.combinations(range(1, 7), 3)]
@@ -869,13 +971,6 @@ class TestThreeDependent:
 
 
 class TestFourConsistent:
-    def test_chain_permutation_example(self):
-        assert G.chain_permutation([(2, 3), (3, 1), (1, 4)]) == (2, 3, 1, 4)
-
-    def test_chain_permutation_rejects_non_chain(self):
-        with pytest.raises(ValueError):
-            G.chain_permutation([(1, 2), (3, 4), (1, 3)])
-
     def test_complement_chain_example(self):
         assert G.complement_chain((1, 2, 3, 4)) == (3, 1, 4, 2)
 
@@ -896,7 +991,7 @@ class TestFourConsistent:
         # the naive sum, and its l1 norm (the residual) must bound it.
         rng = np.random.default_rng(11)
         for m in (3, 4):
-            s = G.random_sphere_configuration(rng, 5, m)
+            s = _random_sphere(rng, 5, m)
             rep = G.check_four_consistent(s)
             raw = rng.standard_normal((40, m))
             unit_rows = raw / np.linalg.norm(raw, axis=1, keepdims=True)
@@ -919,19 +1014,19 @@ class TestFourConsistent:
     def test_gauss_images_pass(self):
         rng = np.random.default_rng(6)
         for n, m in [(4, 3), (5, 4), (6, 5)]:
-            s = G.gauss_map(G.random_point_configuration(rng, n, m))
+            s = G.gauss_map(_random_points(rng, n, m))
             rep = G.check_four_consistent(s, tol=1e-9)
             assert rep["passed"], rep
 
     def test_generic_configuration_fails(self):
         rng = np.random.default_rng(7)
-        s = G.random_sphere_configuration(rng, 4, 3)
+        s = _random_sphere(rng, 4, 3)
         assert not G.check_four_consistent(s)["passed"]
 
     def test_work_bound(self, monkeypatch):
         # at the bound the check runs; one coefficient cell over raises
         # before any kernel does
-        s = G.random_sphere_configuration(np.random.default_rng(47), 5, 3)
+        s = _random_sphere(np.random.default_rng(47), 5, 3)
         cells = math.comb(5, 4) * math.comb(3 + 2, 3) ** 2
         monkeypatch.setattr(G, "MAX_FOUR_CELLS", cells)
         assert len(G.membership_report(s)["four_consistent"]["subsets"]) == 5
@@ -948,15 +1043,15 @@ class TestFourConsistent:
     def test_small_arity_rejected(self):
         rng = np.random.default_rng(8)
         with pytest.raises(ValueError):
-            G.check_four_consistent(G.random_sphere_configuration(rng, 3, 3))
+            G.check_four_consistent(_random_sphere(rng, 3, 3))
 
     def test_membership_report_combines(self):
         rng = np.random.default_rng(9)
-        s = G.gauss_map(G.random_point_configuration(rng, 5, 3))
+        s = G.gauss_map(_random_points(rng, 5, 3))
         rep = G.membership_report(s)
         assert rep["passed"]
         assert rep["three_dependent"]["passed"] and rep["four_consistent"]["passed"]
-        two = G.gauss_map(G.random_point_configuration(rng, 2, 3))
+        two = G.gauss_map(_random_points(rng, 2, 3))
         rep2 = G.membership_report(two)
         assert rep2["passed"] and rep2["three_dependent"] is None
 
@@ -1026,13 +1121,13 @@ class TestFourBatchIndependence:
 class TestKontsevichCompose:
     def test_corolla_identity(self):
         rng = np.random.default_rng(10)
-        s = G.random_sphere_configuration(rng, 4, 3)
+        s = _random_sphere(rng, 4, 3)
         assert G.kontsevich_compose(corolla(4), {(): s}) == s
 
     def test_graft_example(self):
         rng = np.random.default_rng(12)
-        root = G.random_sphere_configuration(rng, 2, 3)
-        upper = G.random_sphere_configuration(rng, 2, 3)
+        root = _random_sphere(rng, 2, 3)
+        upper = _random_sphere(rng, 2, 3)
         w = G.kontsevich_compose(graft(2, 1, 2), {(): root, (0,): upper})
         assert w.u(1, 2) == upper.u(1, 2)
         assert w.u(1, 3) == root.u(1, 2)
@@ -1047,8 +1142,8 @@ class TestKontsevichCompose:
         # pure index bookkeeping, so equality is on the nose
         rng = np.random.default_rng(14)
         tree = parse_tree("((* (* *)) * *)")
-        op = G.KontsevichOperad(3)
-        inputs = {p: G.random_sphere_configuration(rng, len(tree.node_at(p)), 3)
+        op = _SphereOperad()
+        inputs = {p: _random_sphere(rng, len(tree.node_at(p)), 3)
                   for p in tree.vertices() if not tree.is_leaf(p)}
         direct = G.kontsevich_compose(tree, inputs)
         assert structure_map(op, tree, inputs) == direct
@@ -1062,54 +1157,54 @@ class TestKontsevichCompose:
         shapes = [t for k in range(7) for t in enumerate_trees(k)]
         shapes += [parse_tree(text) for text in ("((* *))", "(* ((* * *)) (*))")]
         for tree in shapes:
-            inputs = {p: G.random_sphere_configuration(rng, tree.arity(p), 4)
+            inputs = {p: _random_sphere(rng, tree.arity(p), 4)
                       for p in tree.vertices()}
             _assert_same(G.kontsevich_compose(tree, inputs),
                          _compose_oracle(tree, inputs))
         mor = graft(3, 2, 2)
-        inputs = {(): G.random_sphere_configuration(rng, 3, 3),
-                  (1,): G.random_sphere_configuration(rng, 2, 3)}
+        inputs = {(): _random_sphere(rng, 3, 3),
+                  (1,): _random_sphere(rng, 2, 3)}
         _assert_same(G.kontsevich_compose(mor, inputs), _compose_oracle(mor, inputs))
 
     def test_input_validation(self):
         rng = np.random.default_rng(15)
         t = graft(2, 1, 2).source
-        ok = {(): G.random_sphere_configuration(rng, 2, 3),
-              (0,): G.random_sphere_configuration(rng, 2, 3)}
+        ok = {(): _random_sphere(rng, 2, 3),
+              (0,): _random_sphere(rng, 2, 3)}
         with pytest.raises(ValueError, match="internal vertices"):
             G.kontsevich_compose(t, {(): ok[()]})
         with pytest.raises(ValueError, match="arity"):
             G.kontsevich_compose(t, {(): ok[()],
-                                     (0,): G.random_sphere_configuration(rng, 3, 3)})
+                                     (0,): _random_sphere(rng, 3, 3)})
         with pytest.raises(ValueError, match="dimensions"):
             G.kontsevich_compose(t, {(): ok[()],
-                                     (0,): G.random_sphere_configuration(rng, 2, 4)})
+                                     (0,): _random_sphere(rng, 2, 4)})
 
 
 class TestCofaces:
     def test_codegeneracy_inverts_middle_coface(self):
         rng = np.random.default_rng(16)
-        s = G.random_sphere_configuration(rng, 4, 3)
-        assert G.kontsevich_codegeneracy(G.kontsevich_coface(s, 1), 1) == s
+        s = _random_sphere(rng, 4, 3)
+        assert _codegeneracy(_coface(s, 1), 1) == s
 
     def test_top_coface_basepoint_row(self):
         rng = np.random.default_rng(17)
-        s = G.random_sphere_configuration(rng, 3, 3)
-        d = G.kontsevich_coface(s, 4)
+        s = _random_sphere(rng, 3, 3)
+        d = _coface(s, 4)
         for i in range(1, 4):
             assert d.u(i, 4) == _south(3)
 
     def test_bottom_coface_basepoint_row(self):
         rng = np.random.default_rng(18)
-        s = G.random_sphere_configuration(rng, 3, 4)
-        d = G.kontsevich_coface(s, 0)
+        s = _random_sphere(rng, 3, 4)
+        d = _coface(s, 0)
         for j in range(2, 5):
             assert d.u(1, j) == _south(4)
 
     def test_middle_coface_doubles(self):
         rng = np.random.default_rng(19)
-        s = G.random_sphere_configuration(rng, 3, 3)
-        d = G.kontsevich_coface(s, 2)
+        s = _random_sphere(rng, 3, 3)
+        d = _coface(s, 2)
         assert d.u(2, 3) == _south(3)
         assert d.u(1, 2) == s.u(1, 2) and d.u(1, 3) == s.u(1, 2)
         assert d.u(1, 4) == s.u(1, 3) and d.u(2, 4) == s.u(2, 3)
@@ -1118,11 +1213,11 @@ class TestCofaces:
         rng = np.random.default_rng(46)
         for n in range(8):
             for m in (1, 3):
-                s = G.random_sphere_configuration(rng, n, m)
+                s = _random_sphere(rng, n, m)
                 for i in range(n + 2):
-                    _assert_same(G.kontsevich_coface(s, i), _coface_oracle(s, i))
+                    _assert_same(_coface(s, i), _coface_oracle(s, i))
                 for i in range(1, n + 1):
-                    _assert_same(G.kontsevich_codegeneracy(s, i),
+                    _assert_same(_codegeneracy(s, i),
                                  _codegeneracy_oracle(s, i))
 
     def test_all_identities_exact(self):
@@ -1144,7 +1239,7 @@ class TestCofaces:
         stacked, single = np.random.default_rng(m), np.random.default_rng(m)
         for n in range(6):
             got = G._sphere_rows(stacked, (7,), n, m)
-            want = [G.random_sphere_configuration(single, n, m).rows for _ in range(7)]
+            want = [_random_sphere(single, n, m).rows for _ in range(7)]
             assert got.shape == (7, n * (n - 1) // 2, m)
             assert got.tobytes() == np.stack(want).tobytes()
 
@@ -1167,7 +1262,7 @@ class TestCofaces:
         assert not got.passed and got.checks == want.checks
         assert got.to_json_obj() == want.to_json_obj()
         rng = np.random.default_rng(11)
-        samples = {repr(G.random_sphere_configuration(rng, n, 3))
+        samples = {repr(_random_sphere(rng, n, 3))
                    for n in range(5) for _ in range(5)}
         for failure in got.failures:
             witness = failure["witness"]
@@ -1184,11 +1279,11 @@ class TestCofaces:
 
     def test_index_ranges(self):
         rng = np.random.default_rng(21)
-        s = G.random_sphere_configuration(rng, 2, 3)
+        s = _random_sphere(rng, 2, 3)
         with pytest.raises(ValueError):
-            G.kontsevich_coface(s, 4)
+            _coface(s, 4)
         with pytest.raises(ValueError):
-            G.kontsevich_codegeneracy(s, 0)
+            _codegeneracy(s, 0)
 
 
 # -- little disks ---------------------------------------------------------------
@@ -1210,7 +1305,7 @@ class TestDisks:
             G.DiskConfiguration(2, [(0.5, 0.0), (-0.5, 0.0, 0.0)], [0.2, 0.2])
 
     def test_read_only_arrays(self):
-        d = G.random_disk_configuration(np.random.default_rng(21), 3, 3)
+        d = _random_disks(np.random.default_rng(21), 3, 3)
         for rows in (d.centers, d.radii):
             assert rows.dtype == np.float64
             with pytest.raises(ValueError, match="read-only"):
@@ -1220,7 +1315,7 @@ class TestDisks:
     def test_unit_case_translates_and_scales(self):
         child = G.DiskConfiguration(2, [(0.4, 0.0), (-0.4, 0.0)], [0.3, 0.3])
         root = G.DiskConfiguration(2, [(0.2, 0.1)], [0.5])
-        out = G.disks_compose(parse_tree("((* *))"), {(): root, (0,): child})
+        out = _compose_disks(parse_tree("((* *))"), {(): root, (0,): child})
         for k in range(2):
             want = tuple(0.5 * c + x for c, x in zip(child.centers[k], (0.2, 0.1)))
             assert out.centers[k] == pytest.approx(want)
@@ -1229,9 +1324,9 @@ class TestDisks:
     def test_pass_through_slot(self):
         # graft(2,1,2): two disks into the first of two, third passes through
         rng = np.random.default_rng(22)
-        root = G.random_disk_configuration(rng, 2, 3)
-        child = G.random_disk_configuration(rng, 2, 3)
-        out = G.disks_compose(graft(2, 1, 2).source, {(): root, (0,): child})
+        root = _random_disks(rng, 2, 3)
+        child = _random_disks(rng, 2, 3)
+        out = _compose_disks(graft(2, 1, 2).source, {(): root, (0,): child})
         assert out.n == 3
         assert out.centers[2].tolist() == root.centers[1].tolist()
         assert out.radii[2] == root.radii[1]
@@ -1240,10 +1335,10 @@ class TestDisks:
     def test_four_disks_radii_products(self):
         rng = np.random.default_rng(23)
         t = parse_tree("((* *) (* *))")
-        root = G.random_disk_configuration(rng, 2, 3)
-        kids = {(0,): G.random_disk_configuration(rng, 2, 3),
-                (1,): G.random_disk_configuration(rng, 2, 3)}
-        out = G.disks_compose(t, {(): root, **kids})
+        root = _random_disks(rng, 2, 3)
+        kids = {(0,): _random_disks(rng, 2, 3),
+                (1,): _random_disks(rng, 2, 3)}
+        out = _compose_disks(t, {(): root, **kids})
         assert out.n == 4
         want = [root.radii[0] * kids[(0,)].radii[0],
                 root.radii[0] * kids[(0,)].radii[1],
@@ -1255,44 +1350,41 @@ class TestDisks:
         rng = np.random.default_rng(24)
         t = parse_tree("((* (* *)))")
         with pytest.raises(ValueError, match="deeper"):
-            G.disks_compose(t, {(): G.random_disk_configuration(rng, 1, 2),
-                                (0,): G.random_disk_configuration(rng, 2, 2),
-                                (0, 1): G.random_disk_configuration(rng, 2, 2)})
+            _compose_disks(t, {(): _random_disks(rng, 1, 2),
+                                (0,): _random_disks(rng, 2, 2),
+                                (0, 1): _random_disks(rng, 2, 2)})
 
     def test_homotopy_time_range(self):
-        rng = np.random.default_rng(25)
         t = parse_tree("((* *))")
-        inputs = {(): G.random_disk_configuration(rng, 1, 2),
-                  (0,): G.random_disk_configuration(rng, 2, 2)}
         for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                G.disks_homotopy(t, inputs, bad)
+            with pytest.raises(ValueError, match="outside"):
+                G.disks_comparison_trials(t, 2, 1, seed=25, limit_time=bad)
 
     def test_homotopy_endpoints(self):
         # time 1 is literally the same formula; time ~ 0 is the operad limit
         rng = np.random.default_rng(26)
         for text in ("(* (* *))", "((* *) (* *))", "((* * *) *)"):
             t = parse_tree(text)
-            inputs = {p: G.random_disk_configuration(rng, len(t.node_at(p)), 3)
+            inputs = {p: _random_disks(rng, len(t.node_at(p)), 3)
                       for p in t.vertices() if not t.is_leaf(p)}
-            at_one = G.disks_homotopy(t, inputs, 1.0)
-            assert G.sphere_distance(
-                at_one, G.disk_projection(G.disks_compose(t, inputs))) <= 1e-12
+            at_one = _homotopy(t, inputs, 1.0)
+            assert _distance_oracle(
+                at_one, _projection_oracle(3, _compose_disks(t, inputs).centers)) <= 1e-12
             limit = G.kontsevich_compose(
-                t, {p: G.disk_projection(d) for p, d in inputs.items()})
-            assert G.sphere_distance(
-                G.disks_homotopy(t, inputs, 1e-6), limit) <= 1e-4
+                t, {p: _projection_oracle(3, d.centers) for p, d in inputs.items()})
+            assert _distance_oracle(
+                _homotopy(t, inputs, 1e-6), limit) <= 1e-4
 
     def test_sweep_is_continuous(self):
         rng = np.random.default_rng(27)
         t = parse_tree("((* *) (* *))")
-        inputs = {p: G.random_disk_configuration(rng, len(t.node_at(p)), 3)
+        inputs = {p: _random_disks(rng, len(t.node_at(p)), 3)
                   for p in t.vertices() if not t.is_leaf(p)}
         prev = None
         for time in np.geomspace(1e-6, 1.0, 120):
-            s = G.disks_homotopy(t, inputs, float(time))
+            s = _homotopy(t, inputs, float(time))
             if prev is not None:
-                assert G.sphere_distance(prev, s) < 0.2
+                assert _distance_oracle(prev, s) < 0.2
             prev = s
 
     def test_comparison_trials(self):
@@ -1304,11 +1396,11 @@ class TestDisks:
     @pytest.mark.parametrize("m", [3, 4])
     def test_maps_match_oracles(self, m):
         rng = np.random.default_rng(42 + m)
-        for t in G.two_level_trees(4):
-            inputs = {p: G.random_disk_configuration(rng, t.arity(p), m) for p in t.vertices()}
-            assert G.disks_compose(t, inputs) == _disks_compose_oracle(t, inputs)
+        for t in _two_level_trees(4):
+            inputs = {p: _random_disks(rng, t.arity(p), m) for p in t.vertices()}
+            assert _compose_disks(t, inputs) == _disks_compose_oracle(t, inputs)
             for time in (1.0, 0.3, 1e-6):
-                _assert_same(G.disks_homotopy(t, inputs, time),
+                _assert_same(_homotopy(t, inputs, time),
                              _projection_oracle(m, _centers_oracle(t, inputs, time)))
 
     @pytest.mark.parametrize("text,m", [("(* (* *))", 3), ("((* *) (* *))", 3),
@@ -1321,8 +1413,8 @@ class TestDisks:
             [(k, *_disk_gaps_oracle(tree, m, 9, k)) for k in range(trials)]
 
     def test_comparison_trials_check_their_composites(self, monkeypatch):
-        # every trial's composite disks are checked as disks_compose checks
-        # its output, on the stack of the chunk
+        # every trial's composite disks are checked as a DiskConfiguration
+        # is, on the stack of the chunk
         tree, checked, check = parse_tree("((* *) (* * *))"), [], G._check_disks
         monkeypatch.setattr(G, "_check_disks", lambda c, r, tol: checked.append((c, r)))
         G.disks_comparison_trials(tree, 3, G._TRIAL_CHUNK + 3, seed=10)
@@ -1331,7 +1423,7 @@ class TestDisks:
         want = []
         for k in range(G._TRIAL_CHUNK + 3):
             rng = G._trial_rng(10, k)
-            inputs = {p: G.random_disk_configuration(rng, tree.arity(p), 3)
+            inputs = {p: _random_disks(rng, tree.arity(p), 3)
                       for p in tree.vertices()}
             want.append(_disks_compose_oracle(tree, inputs))
         assert [len(c) for c, _ in composites] == [G._TRIAL_CHUNK, 3]
@@ -1340,40 +1432,38 @@ class TestDisks:
         assert np.concatenate([r for _, r in composites]).tolist() == \
             [d.radii.tolist() for d in want]
 
-    def test_expected_draws(self):
-        # q(1) = 1, q(2) = pi/4, q(3) = pi/6: the ball's share of the cube
-        assert G.expected_disk_draws(7, 1) == pytest.approx(1.0)
-        assert G.expected_disk_draws(2, 2) == pytest.approx((4 / math.pi) ** 2)
-        assert G.expected_disk_draws(5, 3) == pytest.approx((6 / math.pi) ** 5)
-        assert G.expected_disk_draws(1, 3) == pytest.approx(
-            1 / np.mean(np.linalg.norm(np.random.default_rng(0).uniform(
-                -0.7, 0.7, size=(200_000, 3)), axis=1) <= 0.7), rel=0.01)
-        assert G.expected_disk_draws(10 ** 6, 16) == math.inf
+    @pytest.mark.parametrize("m,digest", [
+        pytest.param(1, "835ac95e717660b3d69dcdb95742698d26b8adabebfb4f8b196cf00e8d25cc42", id="1"),
+        pytest.param(3, "dc628bd19cc6a0c28cc0c0aaff0235204a0f4eadfaa97847594e88d1bbae1083", id="3"),
+        pytest.param(8, "0eb8b5a9718331420cb9048e3bf80af5ca2f36d859100a357de4fbc95e05135b", id="8")])
+    def test_raw_draws_pinned(self, m, digest):
+        # the sampler's centers and radii to the bit: numpy's normal and
+        # uniform streams and exact arithmetic, with no BLAS or libm call
+        h = hashlib.sha256()
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for n in (1, 2, 6):
+                centers, radii = G._draw_disks(rng, n, m)
+                h.update(centers.tobytes() + radii.tobytes())
+        assert h.hexdigest() == digest
 
-    def test_draw_bound(self, monkeypatch):
-        # the battery's disk suites (m = 3, arity 2) stay far below the bound
-        assert G.expected_disk_draws(2, 3) * 10 ** 4 < G.MAX_DISK_DRAWS
-        G.check_disk_draws(corolla(19), 3)
-        G.check_disk_draws(parse_tree("(* (* *))"), 10)
-        for tree, m in ((corolla(20), 3), (parse_tree("(* (* *))"), 11)):
-            with pytest.raises(BoundExceededError, match="draw bound"):
-                G.check_disk_draws(tree, m)
-        # at the bound the trials run; just over it nothing is sampled
-        tree = parse_tree("(* (* * *))")
-        bound = G.expected_disk_draws(3, 4)
-        monkeypatch.setattr(G, "MAX_DISK_DRAWS", bound)
-        assert G.disks_comparison_trials(tree, 4, 3, seed=5)["passed"]
-        monkeypatch.setattr(G, "MAX_DISK_DRAWS", math.nextafter(bound, 0.0))
+    @pytest.mark.parametrize("m", [1, 2, 3, 8])
+    def test_centers_uniform_in_the_ball(self, m):
+        # the ball of radius 0.7 2^(-1/m) holds half the 0.7-ball's volume;
+        # a center radius of another law misses that half by far
+        rng = np.random.default_rng(60 + m)
+        radii = G._norms(np.concatenate([G._draw_disks(rng, 6, m)[0] for _ in range(1000)]).T)
+        assert radii.max() <= 0.7 + 1e-15
+        assert abs(np.mean(radii < 0.7 * 2 ** (-1 / m)) - 0.5) < 0.02
+
+    def test_leaf_bound_before_any_draw(self, monkeypatch):
+        # a 32-disk vertex in R^1, the slowest tree the bound admits, runs;
+        # more leaves exit 3 before any disk is drawn
+        assert G.disks_comparison_trials(corolla(32), 1, 3, seed=1)["passed"]
         monkeypatch.setattr(G, "_draw_disks", None)
-        with pytest.raises(BoundExceededError, match="arity 3 in R\\^4"):
-            G.disks_comparison_trials(tree, 4, 3, seed=5)
-
-    def test_two_level_enumeration(self):
-        texts = {t.to_text() for t in G.two_level_trees(2)}
-        assert texts == {"(*)", "((*))", "((* *))", "(* *)",
-                         "(* (*))", "((*) *)", "((*) (*))"}
-        for t in G.two_level_trees(4):
-            assert t.leaf_count <= 4
+        for tree in (corolla(33), parse_tree("(" + "(* *) " * 17 + ")")):
+            with pytest.raises(BoundExceededError, match="point bound 32"):
+                G.disks_comparison_trials(tree, 1, 1)
 
 
 # -- endpoint maps --------------------------------------------------------------
@@ -1382,21 +1472,21 @@ class TestDisks:
 class TestLambdaMap:
     def test_far_branch_identity(self):
         x = (0.2, -0.3, 0.1)
-        assert G.lambda_map(x) == x
+        assert _lambda(x) == x
 
     def test_near_top_formula(self):
         # oracle: direct evaluation of eps a_m / d_+(a) on a sample sequence
         eps = 0.125
         for am in (0.99, 0.999, 0.9999):
-            out = G.lambda_map((0.0, 0.0, am), eps)
+            out = _lambda((0.0, 0.0, am), eps)
             assert out[:2] == (0.0, 0.0)
             assert out[2] == pytest.approx(eps * am / (1 - am), rel=1e-12)
-        seq = [G.lambda_map((0.0, 0.0, 1 - 10.0 ** -k))[2] for k in range(2, 7)]
+        seq = [_lambda((0.0, 0.0, 1 - 10.0 ** -k))[2] for k in range(2, 7)]
         assert all(a < b for a, b in zip(seq, seq[1:]))  # diverges upward
 
     def test_near_bottom_formula(self):
         eps = 0.125
-        out = G.lambda_map((0.0, 0.0, -0.999), eps)
+        out = _lambda((0.0, 0.0, -0.999), eps)
         assert out[2] == pytest.approx(eps * (-0.999) / 0.001, rel=1e-12)
 
     def test_shell_continuity(self):
@@ -1408,16 +1498,17 @@ class TestLambdaMap:
             outer = tuple(p + (eps + delta) * d
                           for p, d in zip((0, 0, 1.0), direction))
             gap = max(abs(a - b) for a, b in
-                      zip(G.lambda_map(inner, eps), G.lambda_map(outer, eps)))
+                      zip(_lambda(inner, eps), _lambda(outer, eps)))
             assert gap <= 1e-9
 
     def test_preconditions(self):
+        # eps is checked where it enters, by the naturality check and --eps
         with pytest.raises(ValueError, match="eps"):
-            G.lambda_map((0.5, 0.5, 0.5), eps=0.2)
+            G.check_insertion_naturality(3, 3, 1, eps=0.2)
         with pytest.raises(ValueError, match="undefined"):
-            G.lambda_map((0.0, 0.0, 1.0))
+            _lambda((0.0, 0.0, 1.0))
         with pytest.raises(ValueError, match="undefined"):
-            G.lambda_map((0.0, 0.0, -1.0))
+            _lambda((0.0, 0.0, -1.0))
 
 
     def test_matches_oracle_bitwise(self):
@@ -1427,7 +1518,7 @@ class TestLambdaMap:
         pts += [(0.0, 0.0, s * (1.0 - eps * f)) for s in (1.0, -1.0) for f in (0.01, 0.5, 0.99)]
         pts += [tuple(p + 0.1 * eps * d for p, d in zip((0.0, 0.0, s), rng.standard_normal(3)))
                 for s in (1.0, -1.0) for _ in range(10)]
-        assert [G.lambda_map(x, eps) for x in pts] == [_lambda_oracle(x, eps) for x in pts]
+        assert [_lambda(x, eps) for x in pts] == [_lambda_oracle(x, eps) for x in pts]
         stacked, codes, _, _ = G._lambda_rows(np.array(pts), eps)
         assert not codes.any()
         assert _hex(stacked) == _hex([_lambda_oracle(x, eps) for x in pts])
@@ -1438,15 +1529,15 @@ class TestJacobianFactor:
         eps = 0.125
         for am in (1 - eps / 2, 1 - eps / 3, -(1 - eps / 2), -(1 - eps / 5)):
             x = (0.0, 0.0, am)
-            assert G.lambda_jacobian_factor(x, eps) == pytest.approx(
+            assert _jacobian(x, eps) == pytest.approx(
                 _fd_last_coordinate_rate(x, eps), rel=1e-5)
 
     def test_far_point_is_identity(self):
-        assert G.lambda_jacobian_factor((0.1, 0.4, -0.2)) == 1.0
+        assert _jacobian((0.1, 0.4, -0.2)) == 1.0
 
     def test_off_axis_shell_rejected(self):
         with pytest.raises(ValueError, match="off-axis"):
-            G.lambda_jacobian_factor((0.01, 0.0, 0.95))
+            _jacobian((0.01, 0.0, 0.95))
 
     def test_matches_oracle(self):
         eps = 0.125
@@ -1457,17 +1548,17 @@ class TestJacobianFactor:
                 want = _jacobian_oracle(x, eps)
             except ValueError as exc:
                 with pytest.raises(ValueError, match=str(exc)):
-                    G.lambda_jacobian_factor(x, eps)
+                    _jacobian(x, eps)
             else:
-                assert G.lambda_jacobian_factor(x, eps).hex() == want.hex()
+                assert _jacobian(x, eps).hex() == want.hex()
 
 
 class TestProjectPiK:
     def test_interior_case_is_gauss_of_lambda(self):
         rng = np.random.default_rng(29)
-        c = G.random_point_configuration(rng, 4, 3)
-        got = G.project_pi_k(c)
-        lam = G.PointConfiguration(3, [G.lambda_map(p) for p in c.points])
+        c = _random_points(rng, 4, 3)
+        got = _pi(c)
+        lam = G.PointConfiguration(3, [_lambda(p) for p in c.points])
         want = G.gauss_map(lam)
         for i, j in itertools.combinations(range(1, 5), 2):
             # forward direction: u(lambda x_j - lambda x_i) = -gauss u_ij
@@ -1475,7 +1566,7 @@ class TestProjectPiK:
 
     def test_endpoint_rules(self):
         c = G.PointConfiguration(3, [(0, 0, 1.0), (0.2, 0.3, 0.1), (0, 0, -1.0)])
-        s = G.project_pi_k(c)
+        s = _pi(c)
         assert s.u(1, 2) == _south(3)
         assert s.u(2, 3) == _south(3)
         assert s.u(1, 3) == _south(3)
@@ -1485,7 +1576,7 @@ class TestProjectPiK:
         gaps = []
         for d in (1e-2, 1e-4, 1e-6):
             c = G.PointConfiguration(3, [(d, 0.0, 1.0 - 2 * d), other])
-            v = G.project_pi_k(c).u(1, 2)
+            v = _pi(c).u(1, 2)
             gaps.append(_norm(tuple(a - b for a, b in zip(v, _south(3)))))
         assert gaps[-1] <= 1e-4
         assert gaps == sorted(gaps, reverse=True)
@@ -1495,7 +1586,7 @@ class TestProjectPiK:
         c = G.PointConfiguration(3, [(0.1, 0.2, 0.3)] * 2,
                                  pair_directions={(1, 2): g})
         # far from the shells the differential is the identity
-        assert G.project_pi_k(c).u(1, 2) == _unit(g)
+        assert _pi(c).u(1, 2) == _unit(g)
 
     def test_coincident_shell_pair_rescales(self):
         eps = 0.125
@@ -1504,16 +1595,16 @@ class TestProjectPiK:
         c = G.PointConfiguration(3, [(0.0, 0.0, 1 - d)] * 2,
                                  pair_directions={(1, 2): g})
         want = _unit((g[0], g[1], (eps / d ** 2) * g[2]))
-        assert G.project_pi_k(c, eps).u(1, 2) == want
+        assert _pi(c, eps).u(1, 2) == want
 
     def test_error_cases(self):
         with pytest.raises(ValueError, match="no direction"):
-            G.project_pi_k(G.PointConfiguration(3, [(0.1, 0.2, 0.3)] * 2))
+            _pi(G.PointConfiguration(3, [(0.1, 0.2, 0.3)] * 2))
         with pytest.raises(ValueError, match="out of order"):
-            G.project_pi_k(G.PointConfiguration(
+            _pi(G.PointConfiguration(
                 3, [(0.1, 0.2, 0.3), (0.0, 0.0, 1.0)]))
         with pytest.raises(ValueError, match="degenerate"):
-            G.project_pi_k(G.PointConfiguration(
+            _pi(G.PointConfiguration(
                 3, [(0.0, 0.0, 1.0)] * 2,
                 pair_directions={(1, 2): (1.0, 0.0, 0.0)}))
 
@@ -1527,12 +1618,12 @@ class TestProjectPiK:
         rng = np.random.default_rng(50 + 10 * n + m)
         configs = [G.random_boundary_configuration(rng, n, m) for _ in range(30)]
         branches = set()
-        for stack in [configs] + [[G.insertion_e(c, i) for c in configs]
+        for stack in [configs] + [[_insert(c, i) for c in configs]
                                   for i in range(n + 2)]:
             got = G._pi_rows(*G._boundary_stack(stack), G.DEFAULT_EPS)
             want = [_project_oracle(c) for c in stack]
             assert _hex(got) == _hex(want)
-            assert [_hex(G.project_pi_k(c).rows) for c in stack[:3]] == \
+            assert [_hex(_pi(c).rows) for c in stack[:3]] == \
                 [_hex(w) for w in want[:3]]
             branches.update(*map(_projection_branches, stack))
         if n >= 4:
@@ -1549,7 +1640,7 @@ class TestProjectPiK:
         with pytest.raises(ValueError, match=r"pair \(1, 2\) has an endpoint out of order"):
             _project_oracle(bad)
         with pytest.raises(ValueError, match=r"pair \(1, 3\) carries no direction"):
-            G.project_pi_k(G.PointConfiguration(3, [(0.1, 0.2, 0.3), (0.2, 0.2, 0.2),
+            _pi(G.PointConfiguration(3, [(0.1, 0.2, 0.3), (0.2, 0.2, 0.2),
                                                     (0.1, 0.2, 0.3), (0.0, 0.0, 1.0)]))
 
 
@@ -1563,10 +1654,10 @@ class TestInsertion:
     def test_insert_then_forget(self):
         c = self._sample()
         for i in range(1, c.n + 1):
-            assert G.delete_point(G.insertion_e(c, i), i + 1) == c
-            assert G.delete_point(G.insertion_e(c, i), i) == c
-        assert G.delete_point(G.insertion_e(c, 0), 1) == c
-        assert G.delete_point(G.insertion_e(c, c.n + 1), c.n + 1) == c
+            assert _delete_oracle(_insert(c, i), i + 1) == c
+            assert _delete_oracle(_insert(c, i), i) == c
+        assert _delete_oracle(_insert(c, 0), 1) == c
+        assert _delete_oracle(_insert(c, c.n + 1), c.n + 1) == c
 
     def test_delete_point_relabels_directions(self):
         a, b = (0.1, 0.2, 0.3), (0.3, 0.2, 0.1)
@@ -1577,14 +1668,14 @@ class TestInsertion:
             def g(k):
                 return k if k < i else k - 1
             expected = {(g(p), g(q)): v for (p, q), v in dirs.items() if i not in (p, q)}
-            d = G.delete_point(c, i)
+            d = _delete_oracle(c, i)
             assert _direction_map(d) == expected
             assert _tuples(d.points) == _tuples(c.points)[:i - 1] + _tuples(c.points)[i:]
 
     def test_inserted_pair_maps_to_basepoint(self):
         c = self._sample(31)
         for i in range(1, c.n + 1):
-            s = G.project_pi_k(G.insertion_e(c, i))
+            s = _pi(_insert(c, i))
             assert s.u(i, i + 1) == _south(3)
 
     def test_naturality_exact(self):
@@ -1603,7 +1694,7 @@ class TestInsertion:
             for _ in range(8):
                 c = G.random_boundary_configuration(rng, n, m)
                 for i in range(n + 2):
-                    got, want = G.insertion_e(c, i), _insertion_oracle(c, i)
+                    got, want = _insert(c, i), _insertion_oracle(c, i)
                     assert got == want and got.to_json_obj() == want.to_json_obj()
 
     @pytest.mark.parametrize("n,m,trials", [(0, 3, 5), (3, 3, 25), (5, 4, 25),
@@ -1628,12 +1719,9 @@ class TestInsertion:
 
     def test_index_range(self):
         c = self._sample(34)
-        with pytest.raises(ValueError):
-            G.insertion_e(c, c.n + 2)
-        with pytest.raises(ValueError):
-            G.insertion_e(c, -1)
-        with pytest.raises(ValueError):
-            G.delete_point(c, 0)
+        for i in (c.n + 2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                G._insert_stack(*G._boundary_stack([c]), i)
 
 
 # -- long knots -----------------------------------------------------------------
@@ -1673,7 +1761,7 @@ class TestKnotEval:
         assert cfg.points[0].tolist() == cfg.points[1].tolist()
         assert _direction_map(cfg) == {(1, 2): _tuples(cfg.tangents)[0]}
         # and the boundary projection accepts the diagonal sample
-        G.project_pi_k(cfg)
+        _pi(cfg)
 
     def test_time_validation(self):
         with pytest.raises(ValueError, match="weakly increasing"):
@@ -1829,9 +1917,9 @@ class TestTrialRunners:
 
         def sample(rng):
             if tree is None:
-                return G.gauss_map(G.random_point_configuration(rng, n, m))
+                return G.gauss_map(_random_points(rng, n, m))
             return G.kontsevich_compose(tree, {
-                p: G.gauss_map(G.random_point_configuration(
+                p: G.gauss_map(_random_points(
                     rng, len(tree.node_at(p)), m))
                 for p in tree.vertices() if not tree.is_leaf(p)})
 
@@ -1927,14 +2015,14 @@ class TestTrialRunners:
             got = G._sample_points(np.random.default_rng(seed), n, m, min_sep)
             want = _old_point_draw(np.random.default_rng(seed), n, m, min_sep)
             assert got.shape == (n, m) and got.tobytes() == want.tobytes()
-            cfg = G.random_point_configuration(np.random.default_rng(seed), n, m, min_sep)
+            cfg = _random_points(np.random.default_rng(seed), n, m, min_sep)
             assert cfg.points.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_sphere_sampler_matches_per_pair_units(self, m):
         # one (C(n, 2), m) normal draw is the C(n, 2) draws of size m in turn
         for n in (0, 2, 5):
-            got = G.random_sphere_configuration(np.random.default_rng(m), n, m)
+            got = _random_sphere(np.random.default_rng(m), n, m)
             rng = np.random.default_rng(m)
             want = [_unit(tuple(rng.standard_normal(m))) for _ in range(n * (n - 1) // 2)]
             assert _hex(got.rows) == _hex(want)
@@ -2004,10 +2092,10 @@ class TestTrialRunners:
     def test_disk_sampler_always_valid(self):
         rng = np.random.default_rng(39)
         for _ in range(50):
-            G.random_disk_configuration(rng, int(rng.integers(1, 5)), 3)
+            _random_disks(rng, int(rng.integers(1, 5)), 3)
 
     def test_boundary_sampler_feeds_projection(self):
         rng = np.random.default_rng(40)
         for n in (1, 2, 5):
             c = G.random_boundary_configuration(rng, n, 3)
-            G.project_pi_k(c)
+            _pi(c)
