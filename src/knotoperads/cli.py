@@ -357,12 +357,15 @@ def cmd_geom_knot_eval(args) -> int:
     if curve_cls is None:
         raise ValueError(f"unknown curve {args.curve!r}")
     curve = curve_cls()
-    if args.at:
+    explicit = args.at is not None
+    if explicit:
+        if not args.at.strip():
+            raise ValueError("--at needs at least one time")
         times = tuple(float(t) for t in args.at.split(","))
     elif args.times < 1:
         raise ValueError("--times must be positive")
-    geometry.check_report_points(len(times) if args.at else args.times)  # before any draw
-    if not args.at:
+    geometry.check_report_points(len(times) if explicit else args.times)  # before any draw
+    if not explicit:
         rng = np.random.default_rng(args.seed)
         times = tuple(sorted(rng.uniform(-0.98, 0.98, args.times).tolist()))
     cfg = geometry.knot_eval(curve, times)

@@ -22,9 +22,10 @@ Conventions fixed here once and used throughout:
 - a norm sums the squares in coordinate order from 0.0 (``_dots``), and
   ``_unit_rows`` normalizes axis-aligned rows exactly (sign flip only),
   which is what makes the bookkeeping identities (cosimplicial, naturality)
-  hold to the bit; point and disk configurations are read-only row arrays
-  too, validated in one pass, and hold a direction row only for each pair
-  that carries one, so they take memory linear in their points and rows;
+  hold to the bit; point configurations are read-only row arrays too,
+  validated in one pass, and hold a direction row only for each pair that
+  carries one, so they take memory linear in their points and rows; disks
+  exist only as (centers, radii) stacks, checked by ``_check_disks``;
 - membership-side Gauss map is u_ij = u(x_i - x_j) for i < j, anti-symmetry
   extends the accessor;
 - boundary data (knot samples, pi_k outputs) uses forward directions
@@ -365,36 +366,6 @@ def _check_disks(centers: np.ndarray, radii: np.ndarray, tol: float) -> None:
     if pair[t].any():
         r = int(np.argmax(pair[t]))
         raise ValueError(f"balls {a[r] + 1} and {b[r] + 1} overlap")
-
-
-class DiskConfiguration:
-    """Disjoint round balls B(x_i, r_i) inside the unit ball of R^m: the
-    read-only float64 arrays ``centers`` (n, m) and ``radii`` (n,)."""
-
-    __slots__ = ("m", "centers", "radii")
-
-    def __init__(self, m: int, centers: Sequence[Sequence[float]],
-                 radii: Sequence[float], tol: float = DEFAULT_TOL):
-        _check_dimension(m)
-        if len(centers) != len(radii):
-            raise ValueError("one radius per center required")
-        self.m = m
-        self.centers = _finite_rows(centers, m, "center")
-        self.radii = _read_only(np.array(radii, dtype=np.float64).reshape(len(radii)))
-        _check_disks(self.centers[None], self.radii[None], tol)
-
-    @property
-    def n(self) -> int:
-        return len(self.radii)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, DiskConfiguration) and self.m == other.m
-                and np.array_equal(self.centers, other.centers)
-                and np.array_equal(self.radii, other.radii))
-
-    def __repr__(self) -> str:
-        return (f"DiskConfiguration(m={self.m}, centers={self.centers.tolist()!r}, "
-                f"radii={self.radii.tolist()!r})")
 
 
 # -- Gauss map ---------------------------------------------------------------

@@ -4,7 +4,7 @@ C^{p,q} is the degree-q slice of the arity-p entries, and the differential
 is the alternating coface sum d = sum_{i=0}^{p+1} (-1)^i d^i -- the index
 range under which the complex squares to zero.  Each column is
 ``poisson.coface_sum`` of one basis monomial: integer coefficients from the
-monomial composition kernel ``poisson.circ_monomials``, tested against the
+substitution kernel behind ``poisson.circ_monomials``, tested against the
 expression normalizer.  The normalized complex drops monomials with a
 singleton block; the fact that makes this the exact codegeneracy kernel is
 proven once per level and process with ``poisson.codegeneracy_monomial``.
@@ -442,9 +442,8 @@ def build_complex(n: int, max_p: int, normalized: bool = True,
     t0 = time.perf_counter()
     basis: dict = {}
     for p in range(max_p + 1):
-        for m in _level_monomials(n, p, normalized):
-            q = poisson.monomial_degree(m, n)
-            basis.setdefault((p, q), []).append(m)
+        for m in _level_monomials(n, p, normalized):  # arity p, len(m) blocks
+            basis.setdefault((p, (p - len(m)) * n), []).append(m)
     t1 = time.perf_counter()
     diff: dict = {}
     for p in range(max_p):

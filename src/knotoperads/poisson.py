@@ -14,10 +14,13 @@ downstream by d^2 = 0, operad axioms, and the k! dimension count):
 
 Both structure maps are written once, on integer monomials:
 ``circ_monomials`` and ``codegeneracy_monomial``.  ``circ``, ``coface`` and
-``codegeneracy`` are their (bi)linear extensions, and ``coface_sum`` (a
-column of the ``hh`` differential) sums the cofaces of one monomial through
-the same kernel.  The expression normalizer ``_expand`` serves ``normalize``
-and ``parse_element`` and is the tests' independent oracle for the kernel.
+``codegeneracy`` are their (bi)linear extensions.  ``circ_monomials``
+locates and relabels, then hands the substitution and Koszul merge to
+``_compose_at``; ``coface_sum`` (a column of the ``hh`` differential) calls
+``_compose_at`` itself for the middle cofaces, with each letter located
+once per monomial, and writes the two end cofaces in closed form.  The
+expression normalizer ``_expand`` serves ``normalize`` and
+``parse_element`` and is the tests' independent oracle for the kernel.
 
 An element's coefficients are in one canonical exact form: an ``int`` when
 integral, else a ``Fraction``, normalized once when the element is built.
@@ -282,22 +285,24 @@ def _subst_word(w: Word, t: int, sub: Monomial, n: int) -> dict[Monomial, int]:
         acc = {sub: 1}
     for v in w[t + 1:]:
         nxt: dict[Monomial, int] = {}
+        get, letter = nxt.get, (v,)
         for m, c in acc.items():
             for j in range(len(m) - 1, -1, -1):
                 a = m[j]
                 if v > a[0]:
-                    key = m[:j] + (a + (v,),) + m[j + 1:]
-                    nxt[key] = nxt.get(key, 0) + c
+                    key = m[:j] + (a + letter,) + m[j + 1:]
+                    nxt[key] = get(key, 0) + c
                 else:
                     pos, passed = j, 0
                     while pos and m[pos - 1][0] > v:
                         pos -= 1
                         passed ^= odd and not len(m[pos]) % 2
-                    for wb, x in _bracket_words(a, (v,), n).items():
-                        key = m[:pos] + (wb,) + m[pos:j] + m[j + 1:]
+                    before, after = m[:pos], m[pos:j] + m[j + 1:]
+                    for wb, x in _bracket_words(a, letter, n).items():
+                        key = before + (wb,) + after
                         if passed and not len(wb) % 2:
                             x = -x
-                        nxt[key] = nxt.get(key, 0) + c * x
+                        nxt[key] = get(key, 0) + c * x
                 if odd and not len(a) % 2:
                     c = -c  # the sign of the next j passes a
         acc = {m: c for m, c in nxt.items() if c}
@@ -308,9 +313,8 @@ def circ_monomials(ma: Monomial, i: int, mb: Monomial,
                    n: int) -> dict[Monomial, int]:
     """Partial composition ma o_i mb of normal-form monomials, with integer
     coefficients: mb, raised by i - 1, replaces x_i, and the letters of ma
-    above i rise by arity(mb) - 1.  Only the word holding x_i changes
-    (:func:`_subst_word`); the blocks before it keep the smallest minimal
-    letters, and the blocks after it merge back with Koszul signs.  Moving
+    above i rise by arity(mb) - 1.  This locates x_i (word b, index t),
+    relabels, and hands the substitution to :func:`_compose_at`.  Moving
     mb past the degree left of x_i (t brackets for index t in its word)
     costs (-1)^(|mb| left)."""
     for b, w in enumerate(ma):
@@ -321,12 +325,26 @@ def circ_monomials(ma: Monomial, i: int, mb: Monomial,
     sign = -1 if (left * monomial_degree(mb, n)) % 2 else 1
     sub = tuple([tuple([v + i - 1 for v in u]) for u in mb])
     up = tuple([tuple([v if v < i else v + kb - 1 for v in u]) for u in ma])
+    return _compose_at(up, b, t, sub, sign, n)
+
+
+def _compose_at(up: Monomial, b: int, t: int, sub: Monomial, sign: int,
+                n: int) -> dict[Monomial, int]:
+    """The relabelled monomial up with the letter at index t of its word b
+    replaced by sub, times sign.  Only that word changes
+    (:func:`_subst_word`); the blocks before it keep the smallest minimal
+    letters, and the blocks after it merge back with Koszul signs."""
     # distinct terms of the word merge to distinct monomials: no cancelling;
-    # a Koszul sign needs an odd word (n odd, even length) after x_i's word
-    out: dict[Monomial, int] = {}
+    # a Koszul sign needs an odd word (n odd, even length) after x_i's word.
+    # The terms are sorted and their words start above every word of head,
+    # so with no tail, head + term is already sorted.
     head, tail = up[:b], up[b + 1:]
+    terms = _subst_word(up[b], t, sub, n)
+    if not tail:
+        return {head + em: sign * c for em, c in terms.items()}
+    out: dict[Monomial, int] = {}
     signed = n % 2 and any(not len(u) % 2 for u in tail)
-    for em, c in _subst_word(up[b], t, sub, n).items():
+    for em, c in terms.items():
         if signed:
             mm, s = _merge(head + em, tail, n)
             out[mm] = sign * s * c
@@ -395,18 +413,25 @@ def coface(i: int, e: PoissonElement) -> PoissonElement:
 
 def coface_sum(n: int, m: Monomial) -> dict[Monomial, int]:
     """The alternating coface sum  sum_{i=0}^{p+1} (-1)^i d^i(m)  of one
-    normal-form monomial m of arity p, with integer coefficients: the
-    cofaces of :func:`coface`, each taken by :func:`circ_monomials` on m
-    itself, without building an element."""
-    p, mu = monomial_arity(m), ((1,), (2,))
-    terms = [circ_monomials(mu, 2, m, n)]
-    terms += [circ_monomials(m, i, mu, n) for i in range(1, p + 1)]
-    terms.append(circ_monomials(mu, 1, m, n))
-    out: dict[Monomial, int] = {}
-    for i, img in enumerate(terms):
+    normal-form monomial m of arity p, with integer coefficients, in one
+    pass over the cofaces of :func:`coface`.  The ends are closed forms:
+    d^0(m) = x_1 m (letters of m raised by one) and d^{p+1}(m) = m x_{p+1},
+    each with coefficient +1.  A middle coface d^i = m o_i mu carries no
+    Koszul sign, since |mu| = 0, so it goes straight to :func:`_compose_at`
+    with the alternating sign (-1)^i and x_i located by one table per
+    monomial."""
+    p = monomial_arity(m)
+    out = {((1,),) + tuple([tuple([v + 1 for v in w]) for w in m]): 1}
+    get = out.get
+    where = {v: (b, t) for b, w in enumerate(m) for t, v in enumerate(w)}
+    for i in range(1, p + 1):
+        b, t = where[i]
+        up = tuple([tuple([v if v < i else v + 1 for v in w]) for w in m])
         sign = -1 if i % 2 else 1
-        for mm, c in img.items():
-            out[mm] = out.get(mm, 0) + sign * c
+        for mm, c in _compose_at(up, b, t, ((i,), (i + 1,)), sign, n).items():
+            out[mm] = get(mm, 0) + c
+    last = m + ((p + 1,),)
+    out[last] = out.get(last, 0) + (-1 if (p + 1) % 2 else 1)
     return {mm: c for mm, c in out.items() if c}
 
 
@@ -414,6 +439,9 @@ def coface_sum(n: int, m: Monomial) -> dict[Monomial, int]:
 
 
 def _set_partitions(items: tuple) -> list:
+    """The set partitions of the ascending tuple items, each block ascending
+    and the blocks sorted by minimal letter: the block holding items[0]
+    comes first."""
     if not items:
         return [()]
     first, rest = items[0], items[1:]
@@ -421,22 +449,21 @@ def _set_partitions(items: tuple) -> list:
     for part in _set_partitions(rest):
         out.append(((first,),) + part)
         for idx in range(len(part)):
-            grown = (first,) + part[idx]
-            out.append(part[:idx] + (grown,) + part[idx + 1:])
+            out.append(((first,) + part[idx],) + part[:idx] + part[idx + 1:])
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _basis_monomials(k: int) -> tuple:
-    """Most blocks first, then lexicographically.  The words of a product
-    have distinct first letters, so plain tuple order sorts them by minimal
-    letter, and monomials with the same number of blocks compare natively."""
+    """Most blocks first, then lexicographically.  Each block's words start
+    with its minimal letter and :func:`_set_partitions` sorts the blocks by
+    it, so every product of their words is already a sorted monomial; the
+    words have distinct first letters, so plain tuple order compares them."""
     by_blocks: dict[int, list] = {}
     for part in _set_partitions(tuple(range(1, k + 1))):
         words = [[(block[0],) + perm for perm in itertools.permutations(block[1:])]
                  for block in part]
-        by_blocks.setdefault(len(part), []).extend(
-            tuple(sorted(choice)) for choice in itertools.product(*words))
+        by_blocks.setdefault(len(part), []).extend(itertools.product(*words))
     return tuple(m for b in sorted(by_blocks, reverse=True)
                  for m in sorted(by_blocks[b]))
 

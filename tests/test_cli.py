@@ -733,6 +733,15 @@ class TestGeomKnotEval:
         code, _, _ = run(capsys, "geom", "knot-eval", "--times", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("at", ["--at=", "--at= "])
+    def test_empty_times_rejected(self, capsys, tmp_path, monkeypatch, at):
+        # an empty --at is bad input, not a fall-back to seeded times
+        monkeypatch.setattr(np.random, "default_rng", None)
+        out = tmp_path / "empty.json"
+        code, _, err = run(capsys, "geom", "knot-eval", at, "--output", str(out))
+        assert code == 2 and "--at needs at least one time" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
     def test_tolerance_must_be_finite_positive(self, capsys, tol):
         with pytest.raises(SystemExit) as exc:

@@ -48,8 +48,40 @@ def _random_points(rng, n, m, min_sep=G.MIN_SEP):
     return G.PointConfiguration(m, G._sample_points(rng, n, m, min_sep))
 
 
+class _DiskConfiguration:
+    """Disjoint round balls B(x_i, r_i) inside the unit ball of R^m: the
+    read-only float64 arrays ``centers`` (n, m) and ``radii`` (n,), checked
+    by the disk kernels' own ``_check_disks`` on a stack of one.  The
+    program takes disks as stacks only, so the per-configuration type lives
+    here, for the oracles and the validation tests."""
+
+    __slots__ = ("m", "centers", "radii")
+
+    def __init__(self, m: int, centers, radii):
+        G._check_dimension(m)
+        if len(centers) != len(radii):
+            raise ValueError("one radius per center required")
+        self.m = m
+        self.centers = G._finite_rows(centers, m, "center")
+        self.radii = G._read_only(np.array(radii, dtype=np.float64).reshape(len(radii)))
+        G._check_disks(self.centers[None], self.radii[None], G.DEFAULT_TOL)
+
+    @property
+    def n(self) -> int:
+        return len(self.radii)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, _DiskConfiguration) and self.m == other.m
+                and np.array_equal(self.centers, other.centers)
+                and np.array_equal(self.radii, other.radii))
+
+    def __repr__(self) -> str:
+        return (f"_DiskConfiguration(m={self.m}, centers={self.centers.tolist()!r}, "
+                f"radii={self.radii.tolist()!r})")
+
+
 def _random_disks(rng, n, m):
-    return G.DiskConfiguration(m, *G._draw_disks(rng, n, m))
+    return _DiskConfiguration(m, *G._draw_disks(rng, n, m))
 
 
 def _coface(s, i):
@@ -97,7 +129,7 @@ def _disk_stack(tree, inputs):
 
 def _compose_disks(tree, inputs):
     centers, radii = G._slid_disks(tree, _disk_stack(tree, inputs), 1.0)
-    return G.DiskConfiguration(centers.shape[-1], centers[0], radii[0])
+    return _DiskConfiguration(centers.shape[-1], centers[0], radii[0])
 
 
 def _homotopy(tree, inputs, time):
@@ -498,7 +530,7 @@ def _disks_compose_oracle(tree, inputs):
     root = vertex_radii[()]
     radii = [root[e - 1] if vpath is None else root[e - 1] * vertex_radii[vpath][o - 1]
              for e, vpath, o in _two_level_slots(tree)]
-    return G.DiskConfiguration(inputs[()].m, _centers_oracle(tree, inputs, 1.0), radii)
+    return _DiskConfiguration(inputs[()].m, _centers_oracle(tree, inputs, 1.0), radii)
 
 
 def _projection_oracle(m, centers):
@@ -1292,17 +1324,17 @@ class TestCofaces:
 class TestDisks:
     def test_validation(self):
         with pytest.raises(ValueError, match="outside"):
-            G.DiskConfiguration(2, [(0.0, 0.0)], [1.5])
+            _DiskConfiguration(2, [(0.0, 0.0)], [1.5])
         with pytest.raises(ValueError, match="leaves the unit ball"):
-            G.DiskConfiguration(2, [(0.8, 0.0)], [0.5])
+            _DiskConfiguration(2, [(0.8, 0.0)], [0.5])
         with pytest.raises(ValueError, match="overlap"):
-            G.DiskConfiguration(2, [(0.3, 0.0), (-0.3, 0.0)], [0.5, 0.5])
+            _DiskConfiguration(2, [(0.3, 0.0), (-0.3, 0.0)], [0.5, 0.5])
         with pytest.raises(ValueError, match="non-finite"):
-            G.DiskConfiguration(2, [(math.nan, 0.0)], [0.5])
+            _DiskConfiguration(2, [(math.nan, 0.0)], [0.5])
         with pytest.raises(ValueError, match="^bad ambient dimension m=0$"):
-            G.DiskConfiguration(0, [[]], [0.5])
+            _DiskConfiguration(0, [[]], [0.5])
         with pytest.raises(ValueError, match="^center 2 has dimension 3, expected 2$"):
-            G.DiskConfiguration(2, [(0.5, 0.0), (-0.5, 0.0, 0.0)], [0.2, 0.2])
+            _DiskConfiguration(2, [(0.5, 0.0), (-0.5, 0.0, 0.0)], [0.2, 0.2])
 
     def test_read_only_arrays(self):
         d = _random_disks(np.random.default_rng(21), 3, 3)
@@ -1313,8 +1345,8 @@ class TestDisks:
         assert (d.centers.shape, d.radii.shape) == ((3, 3), (3,))
 
     def test_unit_case_translates_and_scales(self):
-        child = G.DiskConfiguration(2, [(0.4, 0.0), (-0.4, 0.0)], [0.3, 0.3])
-        root = G.DiskConfiguration(2, [(0.2, 0.1)], [0.5])
+        child = _DiskConfiguration(2, [(0.4, 0.0), (-0.4, 0.0)], [0.3, 0.3])
+        root = _DiskConfiguration(2, [(0.2, 0.1)], [0.5])
         out = _compose_disks(parse_tree("((* *))"), {(): root, (0,): child})
         for k in range(2):
             want = tuple(0.5 * c + x for c, x in zip(child.centers[k], (0.2, 0.1)))
@@ -1413,7 +1445,7 @@ class TestDisks:
             [(k, *_disk_gaps_oracle(tree, m, 9, k)) for k in range(trials)]
 
     def test_comparison_trials_check_their_composites(self, monkeypatch):
-        # every trial's composite disks are checked as a DiskConfiguration
+        # every trial's composite disks are checked as a _DiskConfiguration
         # is, on the stack of the chunk
         tree, checked, check = parse_tree("((* *) (* * *))"), [], G._check_disks
         monkeypatch.setattr(G, "_check_disks", lambda c, r, tol: checked.append((c, r)))

@@ -28,6 +28,7 @@ from knotoperads.poisson import (
     MAX_EXPANDED_TERMS,
     PoissonElement,
     PoissonOperad,
+    _basis_monomials,
     basis,
     circ,
     circ_monomials,
@@ -204,6 +205,30 @@ def _independent_dim(k: int) -> int:
     return total
 
 
+def _sorted_per_monomial_basis(k: int) -> tuple:
+    """The basis as it was first enumerated: blocks in the order the set
+    partitions grow them, each monomial sorted on its own, then the buckets
+    by block count, most blocks first, each sorted."""
+    def partitions(items):
+        if not items:
+            return [()]
+        out = []
+        for part in partitions(items[1:]):
+            out.append(((items[0],),) + part)
+            for idx in range(len(part)):
+                out.append(part[:idx] + ((items[0],) + part[idx],) + part[idx + 1:])
+        return out
+
+    by_blocks = {}
+    for part in partitions(tuple(range(1, k + 1))):
+        words = [[(block[0],) + perm for perm in itertools.permutations(block[1:])]
+                 for block in part]
+        by_blocks.setdefault(len(part), []).extend(
+            tuple(sorted(choice)) for choice in itertools.product(*words))
+    return tuple(m for b in sorted(by_blocks, reverse=True)
+                 for m in sorted(by_blocks[b]))
+
+
 class TestBasis:
     def test_dimension_is_factorial(self):
         for k in range(8):
@@ -236,6 +261,13 @@ class TestBasis:
         got = repr([basis(2, k) for k in range(8)]).encode()
         assert hashlib.sha256(got).hexdigest() == \
             "45d415aa09b1e01693144ffd7e13fdbb808741e5d38e5feff7535a2e88cece80"
+
+    def test_matches_sort_per_monomial_enumeration(self):
+        # blocks sorted by minimal letter once per partition give the same
+        # monomials in the same order as sorting every monomial
+        for k in range(9):
+            assert _basis_monomials(k) == _sorted_per_monomial_basis(k), k
+        _basis_monomials.cache_clear()  # drop the arity-8 level
 
     def test_normal_forms_linearly_independent(self):
         # oracle: associative expansions of the basis have full rank
@@ -468,12 +500,26 @@ def _expand_coface_sum(n, m):
     return total
 
 
+def _circ_coface_sum(n, m):
+    """The alternating coface sum with every coface, the ends included,
+    taken by the generic kernel circ_monomials."""
+    p = monomial_arity(m)
+    mu = ((1,), (2,))
+    images = [circ_monomials(mu, 2, m, n)]
+    images += [circ_monomials(m, i, mu, n) for i in range(1, p + 1)]
+    images.append(circ_monomials(mu, 1, m, n))
+    total = {}
+    for i, img in enumerate(images):
+        total = _acc(total, img, -1 if i % 2 else 1)
+    return total
+
+
 class TestCofaceSum:
     """coface_sum against cofaces composed through the expression normalizer
-    (_expand_circ), column by column; n = 2 and 3 cover both Koszul
-    parities."""
+    (_expand_circ), column by column; even and odd n cover both Koszul
+    parities, and n = 4, 5 a bracket degree above the smallest of each."""
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_matches_circ_on_every_monomial_to_p5(self, n):
         for p in range(6):
             for m in basis(n, p):
@@ -486,6 +532,18 @@ class TestCofaceSum:
         for m in basis(n, 6):
             if all(len(w) > 1 for w in m):
                 assert coface_sum(n, m) == _expand_coface_sum(n, m), m
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_ends_match_circ_to_p6(self, n):
+        # d^0(m) = x1 m (letters raised by one) and d^{p+1}(m) = m x_{p+1},
+        # coefficient +1, are what the generic kernel gives for mu o_2 m and
+        # mu o_1 m; the whole sum matches the all-circ_monomials sum
+        for p in range(7):
+            for m in basis(n, p):
+                raised = tuple(tuple(v + 1 for v in w) for w in m)
+                assert circ_monomials(((1,), (2,)), 2, m, n) == {((1,),) + raised: 1}
+                assert circ_monomials(((1,), (2,)), 1, m, n) == {m + ((p + 1,),): 1}
+                assert coface_sum(n, m) == _circ_coface_sum(n, m), m
 
     def test_hand_values(self):
         # d(1) = x1 - x1 cancels; d(x1) = x1x2 - x1x2 + x1x2
