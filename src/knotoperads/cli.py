@@ -7,7 +7,8 @@ identical run configurations produce byte-identical bytes.  Human-oriented
 one-liners go to stderr.
 
 Exit codes: 0 all checks passed, 1 a check failed (artifact still written),
-2 invalid usage or unreadable input, 3 resource bound exceeded.
+2 invalid usage or unreadable input, 3 resource bound exceeded.  An
+``--output`` that cannot be written is exit 2 before any work.
 """
 
 from __future__ import annotations
@@ -64,6 +65,20 @@ def _resolve_output(path):
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
+
+
+def _check_output(output) -> None:
+    """Fail before the work when --output cannot be written: its directory
+    must exist and be writable, and the path must name a file."""
+    path = _resolve_output(output)
+    if path is None:
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK | os.X_OK):
+        raise ValueError(f"cannot write --output {path!r}: {folder!r} is not a "
+                         "writable directory")
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ValueError(f"cannot write --output {path!r}: it names no file")
 
 
 def _write_text(text: str, output) -> None:
@@ -521,6 +536,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(args.output)
         return args.func(args)
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

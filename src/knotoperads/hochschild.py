@@ -4,10 +4,10 @@ C^{p,q} is the degree-q slice of the arity-p entries, and the differential
 is the alternating coface sum d = sum_{i=0}^{p+1} (-1)^i d^i -- the index
 range under which the complex squares to zero.  Each column is
 ``poisson.coface_sum`` of one basis monomial: integer coefficients from the
-substitution kernel behind ``poisson.circ_monomials``, tested against the
-expression normalizer.  The normalized complex drops monomials with a
-singleton block; the fact that makes this the exact codegeneracy kernel is
-proven once per level and process with ``poisson.codegeneracy_monomial``.
+substitution kernel behind ``poisson.circ_monomials``.  The normalized
+complex drops monomials with a singleton block; the fact that makes this the
+exact codegeneracy kernel is proven once per level and process with
+``poisson.codegeneracy_monomial``.
 
 All linear algebra is exact.  ``eliminate_units`` pivots on the +-1 entries
 first (unimodular steps: the shortest column with a unit, at its unit in the
@@ -32,7 +32,6 @@ from functools import lru_cache
 
 from . import poisson
 from .errors import BoundExceededError
-from .operad_core import CheckReport
 
 #: levels above this need an explicit opt-in (basis sizes grow like p!)
 MAX_LEVEL_BOUND = 7
@@ -79,12 +78,6 @@ class IntMatrix:
             for r, v in vec.items():
                 dense[r][c] = v
         return dense
-
-    def column(self, c: int) -> list[int]:
-        vec = [0] * self.rows
-        for r, v in self.col[c].items():
-            vec[r] = v
-        return vec
 
 
 def matmul_int(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -303,24 +296,16 @@ def eliminate_units(m: IntMatrix) -> tuple[int, list[list[int]]]:
     return units, block
 
 
-def sparse_rank(m: IntMatrix) -> int:
-    """Rank over the rationals: the unit pivots plus Bareiss on the rest."""
-    return _unit_rank(*eliminate_units(m))
-
-
 def _unit_rank(units: int, block: list[list[int]]) -> int:
-    """:func:`sparse_rank` from an elimination's result."""
+    """Rank over the rationals of a matrix from its :func:`eliminate_units`
+    result: the unit pivots plus Bareiss on the leftover block."""
     return units + rank_int(block)
 
 
-def invariant_factors(m: IntMatrix) -> tuple[int, ...]:
-    """Nonzero invariant factors: one per unit pivot, then the certified
-    Smith form of the leftover block."""
-    return _unit_factors(*eliminate_units(m))
-
-
 def _unit_factors(units: int, block: list[list[int]]) -> tuple[int, ...]:
-    """:func:`invariant_factors` from an elimination's result."""
+    """Nonzero invariant factors of a matrix from its
+    :func:`eliminate_units` result: one per unit pivot, then the certified
+    Smith form of the leftover block."""
     s = smith_normal_form(block)
     if not snf_is_valid(block, s):
         raise AssertionError("invalid Smith certificates for the leftover "
@@ -463,31 +448,12 @@ def build_complex(n: int, max_p: int, normalized: bool = True,
                     if poisson.monomial_degree(tm, n) != q:
                         raise AssertionError("coface changed the degree") from None
                     if normalized:
-                        raise ValueError("differential leaves the normalized "
-                                         f"span at p={p}, q={q}") from None
+                        raise AssertionError("differential leaves the normalized "
+                                             f"span at p={p}, q={q}") from None
                     raise AssertionError("target monomial missing") from None
             diff[(p, q)] = mat
     return CochainComplex(n, max_p, normalized, basis, diff, {
         "levels_s": t1 - t0, "assembly_s": time.perf_counter() - t1})
-
-
-def check_d_squared(c: CochainComplex) -> CheckReport:
-    """Exact verification that consecutive differentials compose to zero."""
-    tag = "normalized" if c.normalized else "full"
-    rep = CheckReport(f"d-squared[{tag},n={c.n}]<={c.max_p}")
-    for (p, q), mat in sorted(c.diff.items()):
-        nxt = c.diff.get((p + 1, q))
-        if nxt is None:
-            continue  # empty or out-of-range target level
-        comp = nxt.compose(mat)
-        ok = comp.is_zero()
-        witness = None
-        if not ok:
-            cc = next(i for i, col in enumerate(comp.col) if col)
-            r, v = next(iter(comp.col[cc].items()))
-            witness = {"p": p, "q": q, "row": r, "col": cc, "value": v}
-        rep.record(ok, witness)
-    return rep
 
 
 # -- cohomology -------------------------------------------------------------------

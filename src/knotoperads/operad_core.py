@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .trees import RpTree, TreeMorphism, contract_with_map, corolla
+from .trees import TreeMorphism, corolla
 
 Arrow = Callable
 
@@ -180,31 +180,6 @@ def structure_map(op: OperadInstance, m, elements: dict):
         return x
 
     return value(())
-
-
-def structure_map_stepwise(op: OperadInstance, tree: RpTree, elements: dict,
-                           edge_order: list):
-    """Evaluate the same structure map by contracting one internal edge at a
-    time in the given order.  Must agree with :func:`structure_map` for every
-    order (operad axioms 4)."""
-    if sorted(edge_order) != sorted(tree.internal_edges()):
-        raise ValueError("edge_order must list every internal edge exactly once")
-    t = tree
-    elems = dict(elements)
-    pending = list(edge_order)
-    while pending:
-        e = pending.pop(0)
-        parent, slot = e[:-1], e[-1] + 1
-        merged = op.circ(elems[parent], slot, elems[e])
-        t2, m = contract_with_map(t, [e])
-        new_elems = {}
-        for v in t.vertices():
-            if v == e:
-                continue
-            new_elems[m[v]] = merged if v == parent else elems[v]
-        t, elems = t2, new_elems
-        pending = [m[x] for x in pending]
-    return elems[()]
 
 
 # -- cosimplicial objects ------------------------------------------------------

@@ -19,8 +19,8 @@ locates and relabels, then hands the substitution and Koszul merge to
 ``_compose_at``; ``coface_sum`` (a column of the ``hh`` differential) calls
 ``_compose_at`` itself for the middle cofaces, with each letter located
 once per monomial, and writes the two end cofaces in closed form.  The
-expression normalizer ``_expand`` serves ``normalize`` and
-``parse_element`` and is the tests' independent oracle for the kernel.
+tests check this kernel against an independent expression normalizer, which
+no command runs (``tests/algebra_oracles.py``).
 
 An element's coefficients are in one canonical exact form: an ``int`` when
 integral, else a ``Fraction``, normalized once when the element is built.
@@ -34,21 +34,16 @@ per basis input and compare integer tables.  The bracket degree is at least
 2 (:func:`check_bracket_degree`).
 
 Value encodings: a Lie word is a tuple of variable indices read left-normed,
-(a, b, c) meaning [[x_a, x_b], x_c]; a monomial is a tuple of words; an
-expression is an int (variable index), ("p", [subexpressions]) for a
-product, or ("b", left, right) for a bracket.
+(a, b, c) meaning [[x_a, x_b], x_c]; a monomial is a tuple of words.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 import functools
 
-from .errors import BoundExceededError
 from .operad_core import OperadInstance
 
 Word = tuple[int, ...]
@@ -108,16 +103,6 @@ class PoissonElement:
         return PoissonElement(self.n, self.arity,
                               {m: v * c for m, v in self.terms.items()})
 
-    def to_text(self) -> str:
-        return element_to_text(self)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-
-def zero(n: int, arity: int) -> PoissonElement:
-    return PoissonElement(n, arity, {})
-
 
 def monomial_element(n: int, arity: int, m: Monomial, coeff=1) -> PoissonElement:
     if monomial_arity(m) != arity:
@@ -166,97 +151,6 @@ def _merge(m1: Monomial, m2: Monomial, n: int) -> tuple[Monomial, int]:
                     if u[0] > w[0] and not len(u) % 2:
                         sign = -sign
     return tuple(sorted(m1 + m2)), sign
-
-
-def _bracket_monomials(ma: Monomial, mb: Monomial, n: int) -> dict[Monomial, int]:
-    """Normal form of [ma, mb], eliminating products by the Leibniz rule."""
-    if not ma or not mb:
-        return {}
-    if len(ma) == 1 and len(mb) == 1:
-        return {(w,): c for w, c in _bracket_words(ma[0], mb[0], n).items()}
-    if len(mb) == 1:
-        # flip so the product sits on the right
-        exp = (monomial_degree(ma, n) + n) * (monomial_degree(mb, n) + n)
-        s = 1 if exp % 2 else -1
-        return {m: s * c for m, c in _bracket_monomials(mb, ma, n).items()}
-    b, rest = mb[:1], mb[1:]
-    out: dict[Monomial, int] = {}
-    for m, c in _bracket_monomials(ma, b, n).items():
-        mm, s = _merge(m, rest, n)
-        out[mm] = out.get(mm, 0) + c * s
-    # ad_ma is a derivation of degree |ma| + n for the product
-    s2 = -1 if ((monomial_degree(ma, n) + n) * monomial_degree(b, n)) % 2 else 1
-    for m, c in _bracket_monomials(ma, rest, n).items():
-        mm, s = _merge(b, m, n)
-        out[mm] = out.get(mm, 0) + s2 * c * s
-    return {m: c for m, c in out.items() if c}
-
-
-def _expr_vars(expr, seen: set) -> None:
-    if isinstance(expr, int):
-        if expr in seen:
-            raise ValueError(f"variable x{expr} appears more than once")
-        if expr < 1:
-            raise ValueError(f"variable index {expr} must be positive")
-        seen.add(expr)
-    elif expr[0] == "p":
-        for sub in expr[1]:
-            _expr_vars(sub, seen)
-    elif expr[0] == "b":
-        _expr_vars(expr[1], seen)
-        _expr_vars(expr[2], seen)
-    else:
-        raise ValueError(f"malformed expression node: {expr!r}")
-
-
-#: most terms one expression may expand to in normalize and parse_element:
-#: an expression in k variables has at most k! terms at every stage, so all
-#: expressions in up to 7 variables fit (7! = 5040)
-MAX_EXPANDED_TERMS = 10_000
-
-
-def _check_expanded_size(terms: dict) -> None:
-    if len(terms) > MAX_EXPANDED_TERMS:
-        raise BoundExceededError("expression expands to more than "
-                                 f"{MAX_EXPANDED_TERMS} terms")
-
-
-def _expand(expr, n: int) -> dict[Monomial, Fraction]:
-    if isinstance(expr, int):
-        return {((expr,),): Fraction(1)}
-    if expr[0] == "p":
-        acc: dict[Monomial, Fraction] = {(): Fraction(1)}
-        for sub in expr[1]:
-            factor = _expand(sub, n)
-            nxt: dict[Monomial, Fraction] = {}
-            for m1, c1 in acc.items():
-                for m2, c2 in factor.items():
-                    mm, s = _merge(m1, m2, n)
-                    nxt[mm] = nxt.get(mm, 0) + c1 * c2 * s
-                _check_expanded_size(nxt)
-            acc = nxt
-        return {m: c for m, c in acc.items() if c}
-    ta, tb = _expand(expr[1], n), _expand(expr[2], n)
-    out: dict[Monomial, Fraction] = {}
-    for ma, ca in ta.items():
-        for mb, cb in tb.items():
-            for m, s in _bracket_monomials(ma, mb, n).items():
-                out[m] = out.get(m, 0) + ca * cb * s
-        _check_expanded_size(out)
-    return {m: c for m, c in out.items() if c}
-
-
-def normalize(expr, n: int) -> PoissonElement:
-    """Reduce any bracket/product expression to normal-form monomials.
-
-    Variables must be distinct and form a range 1..k.
-    """
-    seen: set[int] = set()
-    _expr_vars(expr, seen)
-    k = len(seen)
-    if seen != set(range(1, k + 1)):
-        raise ValueError(f"variables must be exactly x1..x{k}, got {sorted(seen)}")
-    return PoissonElement(n, k, _expand(expr, n))
 
 
 # -- operad structure ------------------------------------------------------------
@@ -521,196 +415,3 @@ class PoissonOperad(OperadInstance):
     def codegeneracy(self, i, e):
         return codegeneracy(i, e)
 
-
-# -- text and JSON forms -------------------------------------------------------------
-
-
-def word_to_text(w: Word) -> str:
-    out = f"x{w[0]}"
-    for v in w[1:]:
-        out = f"[{out},x{v}]"
-    return out
-
-
-def monomial_to_text(m: Monomial) -> str:
-    if not m:
-        return "1"
-    return " ".join(word_to_text(w) for w in m)
-
-
-def element_to_text(e: PoissonElement) -> str:
-    if not e.terms:
-        return "0"
-    parts = []
-    for m in sorted(e.terms, key=lambda m: (monomial_arity(m) - len(m), m)):
-        c = e.terms[m]
-        mono = monomial_to_text(m)
-        if c == 1:
-            text = mono
-        elif c == -1:
-            text = f"-{mono}"
-        else:
-            text = f"{c}*{mono}"
-        parts.append(text)
-    out = parts[0]
-    for p in parts[1:]:
-        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-    return out
-
-
-_TOKEN = re.compile(r"\s*(\[|\]|,|\+|-|\*|/|x\d+|\d+)")
-
-
-def _tokenize(text: str) -> list[str]:
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ValueError(f"bad character at {text[pos:]!r}")
-            break
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-#: deepest bracket nesting parse_element accepts; the parser and the
-#: normalization recurse along it, so this keeps them well inside the
-#: interpreter's recursion limit (nesting d needs d + 1 distinct variables)
-MAX_BRACKET_DEPTH = 64
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.pos = 0
-        self.depth = 0  # brackets open at the current token
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def expect(self, t):
-        got = self.take()
-        if got != t:
-            raise ValueError(f"expected {t!r}, got {got!r}")
-
-    def _at_factor(self) -> bool:
-        t = self.peek()
-        return t == "[" or t == "1" or (t or "").startswith("x")
-
-    def factor(self):
-        t = self.peek()
-        if t == "[":
-            self.take()
-            if self.depth == MAX_BRACKET_DEPTH:
-                raise BoundExceededError("bracket nesting exceeds the depth "
-                                         f"bound {MAX_BRACKET_DEPTH}")
-            self.depth += 1
-            left = self.slot()
-            self.expect(",")
-            right = self.slot()
-            self.expect("]")
-            self.depth -= 1
-            return ("b", left, right)
-        if t == "1":  # the empty monomial
-            self.take()
-            return ("p", [])
-        if t and t.startswith("x"):
-            self.take()
-            return int(t[1:])
-        raise ValueError(f"expected a variable or bracket, got {t!r}")
-
-    def slot(self):
-        factors = [self.factor()]
-        while self._at_factor():
-            factors.append(self.factor())
-        return factors[0] if len(factors) == 1 else ("p", factors)
-
-    def coefficient(self):
-        sign = 1
-        while self.peek() in ("+", "-"):
-            if self.take() == "-":
-                sign = -sign
-        t = self.peek()
-        if t is not None and t.isdigit():
-            nxt = self.toks[self.pos + 1] if self.pos + 1 < len(self.toks) else None
-            if nxt in ("/", "*"):
-                num = int(self.take())
-                c = Fraction(num)
-                if self.peek() == "/":
-                    self.take()
-                    den = self.take()
-                    if den is None or not den.isdigit() or not int(den):
-                        raise ValueError("expected a positive integer "
-                                         f"denominator, got {den!r}")
-                    c = Fraction(num, int(den))
-                if self.peek() == "*":
-                    self.take()
-                return sign * c
-            if t != "1":  # a bare integer; only 0 survives validation later
-                self.take()
-                return Fraction(sign * int(t))
-        return Fraction(sign)
-
-    def term(self):
-        c = self.coefficient()
-        if self.peek() is None or self.peek() in ("+", "-"):
-            return c, None  # bare number, e.g. "0"
-        factors = [self.factor()]
-        while self._at_factor():
-            factors.append(self.factor())
-        return c, ("p", factors)
-
-
-def parse_element(text: str, n: int, arity: int | None = None) -> PoissonElement:
-    """Parse `coeff*monomial` sums; brackets may nest up to
-    :data:`MAX_BRACKET_DEPTH` deep (deeper text raises
-    :class:`BoundExceededError`) and are renormalized.  All terms must use
-    the same variable range 1..k."""
-    parser = _Parser(_tokenize(text))
-    parts = []
-    while parser.peek() is not None:
-        c, ast = parser.term()
-        if ast is not None:
-            parts.append(normalize(ast, n).scale(c))
-        elif c != 0:
-            raise ValueError("a bare nonzero number is not a monomial")
-    arities = {e.arity for e in parts}
-    if len(arities) > 1:
-        raise ValueError(f"mixed arities in one element: {sorted(arities)}")
-    k_vars = arities.pop() if arities else None
-    if k_vars is not None and arity is not None and arity != k_vars:
-        raise ValueError(f"declared arity {arity} but variables give {k_vars}")
-    k = k_vars if k_vars is not None else (arity if arity is not None else 0)
-    return functools.reduce(PoissonElement.add, parts, zero(n, k))
-
-
-def element_to_json_obj(e: PoissonElement) -> dict:
-    terms = []
-    for m in sorted(e.terms, key=lambda m: (monomial_arity(m) - len(m), m)):
-        c = e.terms[m]
-        terms.append({"monomial": [list(w) for w in m],
-                      "numerator": str(c.numerator),
-                      "denominator": str(c.denominator)})
-    return {"bracket_degree": e.n, "arity": e.arity, "terms": terms}
-
-
-def element_from_json_obj(obj: dict) -> PoissonElement:
-    terms = {}
-    for item in obj["terms"]:
-        m = tuple(tuple(w) for w in item["monomial"])
-        terms[m] = Fraction(int(item["numerator"]), int(item["denominator"]))
-    return PoissonElement(obj["bracket_degree"], obj["arity"], terms)
-
-
-def element_to_json(e: PoissonElement) -> str:
-    return json.dumps(element_to_json_obj(e), sort_keys=True)
-
-
-def element_from_json(text: str) -> PoissonElement:
-    return element_from_json_obj(json.loads(text))

@@ -21,7 +21,6 @@ from knotoperads.geometry import (
 )
 from knotoperads.hochschild import (
     build_complex,
-    check_d_squared,
     hh_table,
     smith_normal_form,
     snf_is_valid,
@@ -34,6 +33,8 @@ from knotoperads.operad_core import (
 from knotoperads.pair_operad import ChooseTwoOperad, check_s2_iso, s2_elements
 from knotoperads.poisson import PoissonOperad, basis, monomial_degree
 from knotoperads.trees import RpTree, parse_tree
+
+from algebra_oracles import check_d_squared
 
 
 def _report(capsys, name: str, ok: bool, elapsed: float, budget: float,

@@ -836,6 +836,25 @@ class TestOutputs:
         assert code == 0
         assert (tmp_path / "rel.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "geometry", "--trials", "200", "--seed", "1"],
+        ["hh", "--degree", "2", "--max-p", "7"],
+    ], ids=["geometry", "hh"])
+    def test_unwritable_output_exits_before_the_work(self, capsys, tmp_path,
+                                                     monkeypatch, argv):
+        def work(*args, **kwargs):
+            raise AssertionError("the work ran before --output was checked")
+
+        monkeypatch.setattr(cli, "_geometry_battery", work)
+        monkeypatch.setattr(hochschild, "hh_table", work)
+        for output in (tmp_path / "missing" / "x.json", tmp_path, ""):
+            code, out, err = run(capsys, *argv, "--output", str(output))
+            assert (code, out) == (2, "") and "--output" in err, err
+        monkeypatch.setenv("KNOTOPERADS_OUTPUT_DIR", str(tmp_path / "gone"))
+        code, _, err = run(capsys, *argv, "--output", "rel.json")
+        assert code == 2 and "gone" in err, err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_threads_usage_error(self, capsys):
         # trials run serially: there is no --threads option to set
         with pytest.raises(SystemExit) as exc:

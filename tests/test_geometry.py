@@ -32,9 +32,11 @@ from hypothesis import strategies as st
 from knotoperads import cli, geometry as G
 from knotoperads.errors import BoundExceededError
 from knotoperads.operad_core import CheckReport, CosimplicialObject, OperadInstance, \
-    check_cosimplicial_identities, structure_map, structure_map_stepwise
+    check_cosimplicial_identities, structure_map
 from knotoperads.trees import RpTree, TreeMorphism, corolla, enumerate_trees, graft, \
     join_vertex, parse_tree
+
+from algebra_oracles import structure_map_stepwise
 
 
 # -- the kernels on a stack of one ---------------------------------------------

@@ -11,18 +11,19 @@ from knotoperads import hochschild, poisson
 from knotoperads.errors import BoundExceededError
 from knotoperads.hochschild import (
     IntMatrix,
+    _unit_factors,
+    _unit_rank,
     build_complex,
-    check_d_squared,
     cohomology,
     eliminate_units,
     hh_table,
-    invariant_factors,
     matmul_int,
     rank_int,
     smith_normal_form,
     snf_is_valid,
-    sparse_rank,
 )
+
+from algebra_oracles import check_d_squared
 
 
 # -- exact linear algebra oracles -------------------------------------------------
@@ -167,7 +168,7 @@ class TestIntMatrix:
         m.set(1, 2, -1)
         m.set(0, 1, 0)
         assert m.to_dense() == [[0, 0, 0], [0, 0, -1]]
-        assert m.column(2) == [0, -1]
+        assert m.col[2] == {1: -1}
 
     def test_compose_matches_dense(self):
         rng = random.Random(5)
@@ -216,8 +217,8 @@ class TestUnitElimination:
     @staticmethod
     def _assert_matches_oracle(m):
         dense = m.to_dense()
-        assert sparse_rank(m) == rank_int(dense)
-        assert invariant_factors(m) == smith_normal_form(dense).factors
+        assert _unit_rank(*eliminate_units(m)) == rank_int(dense)
+        assert _unit_factors(*eliminate_units(m)) == smith_normal_form(dense).factors
         assert m.to_dense() == dense  # the input is left untouched
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -246,8 +247,8 @@ class TestUnitElimination:
             cperm = rnd.sample(range(m.cols), m.cols)
             pm = _int_matrix([[dense[r][c] for c in cperm] for r in rperm],
                              m.cols)
-            assert sparse_rank(pm) == rank
-            assert invariant_factors(pm) == factors
+            assert _unit_rank(*eliminate_units(pm)) == rank
+            assert _unit_factors(*eliminate_units(pm)) == factors
             _, block = eliminate_units(pm)
             assert not any(v in (1, -1) for row in block for v in row)
 
@@ -255,15 +256,16 @@ class TestUnitElimination:
     def test_empty_and_zero(self, rows, cols):
         m = IntMatrix(rows, cols)
         assert eliminate_units(m) == (0, [])
-        assert sparse_rank(m) == 0 and invariant_factors(m) == ()
+        assert _unit_rank(*eliminate_units(m)) == 0
+        assert _unit_factors(*eliminate_units(m)) == ()
 
     def test_no_unit_leaves_whole_matrix(self):
         twos = [[2] * 4 for _ in range(3)]
         assert eliminate_units(_int_matrix(twos)) == (0, twos)
-        assert invariant_factors(_int_matrix(twos)) == (2,)
+        assert _unit_factors(*eliminate_units(_int_matrix(twos))) == (2,)
         a = [[2, 4], [6, 8]]
         assert eliminate_units(_int_matrix(a)) == (0, a)
-        assert invariant_factors(_int_matrix(a)) == (2, 4)
+        assert _unit_factors(*eliminate_units(_int_matrix(a))) == (2, 4)
 
     def test_unit_pivot_leaves_schur_complement(self):
         # pivot 1 at (0, 0): the block is [[5 - 2*3]] = [[-1]], also a unit
@@ -271,8 +273,8 @@ class TestUnitElimination:
         # a torsion factor survives only in the leftover block
         units, block = eliminate_units(_int_matrix([[1, 1, 0], [1, 3, 2]]))
         assert units == 1 and block == [[2, 2]]
-        assert invariant_factors(_int_matrix([[1, 1, 0], [1, 3, 2]])) == \
-            (1, 2)
+        assert _unit_factors(*eliminate_units(
+            _int_matrix([[1, 1, 0], [1, 3, 2]]))) == (1, 2)
 
 
 # -- complex construction ----------------------------------------------------------
@@ -344,7 +346,7 @@ class TestBuildComplex:
             return {m + ((poisson.monomial_arity(m) + 1,),): 1}
 
         monkeypatch.setattr(poisson, "coface_sum", top_coface_only)
-        with pytest.raises(ValueError, match="normalized span"):
+        with pytest.raises(AssertionError, match="normalized span"):
             build_complex(2, 3)
 
     def test_codegeneracy_proof_once_per_level(self, monkeypatch):

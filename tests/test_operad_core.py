@@ -14,9 +14,10 @@ from knotoperads.operad_core import (
     check_operad_axioms,
     cosimplicial_from_operad,
     structure_map,
-    structure_map_stepwise,
 )
 from knotoperads.trees import corolla, enumerate_trees, graft, parse_tree
+
+from algebra_oracles import structure_map_stepwise
 
 
 class BrokenOperad(AssociativeOperad):

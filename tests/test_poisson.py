@@ -3,9 +3,10 @@
 The main correctness oracle (even bracket degree only, where all Koszul
 signs are +1) is the classical expansion into the free associative algebra:
 send a bracket to the commutator of expansions and a product to the sum of
-its factor orderings, concatenated.  That map is independent of normalize's
-rewriting and must agree with it term by term; it is also injective on the
-basis, which pins linear independence of the normal forms.
+its factor orderings, concatenated.  That map is independent of the
+rewriting of ``normalize`` (``algebra_oracles``) and must agree with it term
+by term; it is also injective on the basis, which pins linear independence
+of the normal forms.
 """
 
 import hashlib
@@ -13,8 +14,6 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from knotoperads import operad_core
 from knotoperads.errors import BoundExceededError
@@ -24,8 +23,6 @@ from knotoperads.operad_core import (
     cosimplicial_from_operad,
 )
 from knotoperads.poisson import (
-    MAX_BRACKET_DEPTH,
-    MAX_EXPANDED_TERMS,
     PoissonElement,
     PoissonOperad,
     _basis_monomials,
@@ -36,18 +33,14 @@ from knotoperads.poisson import (
     codegeneracy_monomial,
     coface,
     coface_sum,
-    element_from_json,
-    element_to_json,
-    element_to_text,
     monomial_arity,
     monomial_degree,
     monomial_element,
     multiplication,
-    normalize,
-    parse_element,
     unit,
-    zero,
 )
+
+from algebra_oracles import MAX_EXPANDED_TERMS, normalize
 
 # -- the associative-expansion oracle (independent of the module's rewriting) --
 
@@ -343,6 +336,19 @@ class TestNormalize:
             e = normalize(expr, 2)
             assert phi_element(e) == phi(expr), expr
 
+    def test_expanded_size_bound(self):
+        # a bracket of products nested d deep, in 2d + 1 variables, grows
+        # past MAX_EXPANDED_TERMS first at d = 6 (25,988 terms)
+        def nested(d, s=0):
+            inner = s + 3 if d == 1 else nested(d - 1, s + 2)
+            return ("b", ("p", [s + 1, inner]), s + 2)
+
+        assert len(normalize(nested(5), 2).terms) == 2612
+        assert 2612 <= MAX_EXPANDED_TERMS < 25988
+        for d in (6, 8):
+            with pytest.raises(BoundExceededError, match="terms"):
+                normalize(nested(d), 2)
+
 
 # -- circ -------------------------------------------------------------------------
 
@@ -575,7 +581,8 @@ class TestOperadInstance:
 
     def test_coordinates(self):
         op = PoissonOperad(2)
-        e = parse_element("2*x1 x2 - 1/3*[x1,x2]", 2)
+        e = PoissonElement(2, 2, {((1,), (2,)): Fraction(2),
+                                  ((1, 2),): Fraction(-1, 3)})
         coords = op.coordinates(e)
         assert coords == {((1,), (2,)): 2, ((1, 2),): Fraction(-1, 3)}
         assert type(coords[((1,), (2,))]) is int
@@ -588,122 +595,6 @@ class TestOperadInstance:
                 if all(len(w) >= 2 for w in m):
                     assert len(m) <= k // 2
                     assert monomial_degree(m, 3) * 2 >= k * 3
-
-
-# -- text and JSON ----------------------------------------------------------------------
-
-
-_FUZZ_TOKENS = ("[", "]", ",", "+", "-", "*", "/", "x1", "x3", "x9", "0", "1",
-                "2")
-
-
-@st.composite
-def _element_texts(draw):
-    """Well-formed element text (random bracket/product trees over x1..xk,
-    random coefficients, zero denominators included), then one random token
-    edit, inside a bracket wrapping that is sometimes over the depth bound."""
-    def expr(letters):
-        if len(letters) == 1:
-            return letters[0]
-        cut = draw(st.integers(1, len(letters) - 1))
-        left, right = expr(letters[:cut]), expr(letters[cut:])
-        return draw(st.sampled_from((f"{left} {right}", f"[{left},{right}]")))
-
-    k = draw(st.integers(1, 4))
-    terms = []
-    for _ in range(draw(st.integers(1, 3))):
-        num, den = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-        coeff = draw(st.sampled_from(("", "-", f"{num}*", f"-{num}/{den}*")))
-        letters = draw(st.permutations([f"x{i}" for i in range(1, k + 1)]))
-        terms.append(coeff + expr(letters))
-    tokens = " + ".join(terms).replace("[", " [ ").replace("]", " ] ") \
-        .replace(",", " , ").split()
-    at = draw(st.integers(0, len(tokens)))
-    edit = draw(st.sampled_from(("none", "drop", "insert")))
-    if edit == "drop" and at < len(tokens):
-        del tokens[at]
-    elif edit == "insert":
-        tokens.insert(at, draw(st.sampled_from(_FUZZ_TOKENS)))
-    wrap = draw(st.sampled_from((0, 0, 0, MAX_BRACKET_DEPTH,
-                                 MAX_BRACKET_DEPTH + 1, 3000)))
-    return "[" * wrap + " ".join(tokens) + "]" * wrap
-
-
-class TestFormats:
-    def test_monomial_text(self):
-        e = PoissonElement(2, 5, {((1, 2), (3,), (4, 5)): Fraction(1)})
-        assert element_to_text(e) == "[x1,x2] x3 [x4,x5]"
-
-    def test_element_text(self):
-        e = PoissonElement(2, 2, {((1,), (2,)): Fraction(3, 2),
-                                  ((1, 2),): Fraction(-1)})
-        assert element_to_text(e) == "3/2*x1 x2 - [x1,x2]"
-
-    def test_zero_text(self):
-        assert element_to_text(zero(2, 3)) == "0"
-        assert parse_element("0", 2, arity=3) == zero(2, 3)
-
-    def test_text_round_trip(self):
-        for n in (2, 3):
-            for k in range(5):
-                for m in basis(n, k):
-                    e = monomial_element(n, k, m, Fraction(-7, 3))
-                    assert parse_element(element_to_text(e), n) == e
-
-    def test_parse_renormalizes_nesting(self):
-        e = parse_element("[x3,[x4,x5]] [x1,x2]", 2)
-        direct = normalize(("p", [("b", 3, ("b", 4, 5)), ("b", 1, 2)]), 2)
-        assert e == direct
-
-    def test_parse_rejects_mixed_arity(self):
-        with pytest.raises(ValueError):
-            parse_element("x1 + x1 x2", 2)
-
-    def test_json_round_trip(self):
-        e = parse_element("3/2*x1 x2 - [x1,x2]", 3)
-        assert element_from_json(element_to_json(e)) == e
-
-    def test_bad_denominator_is_value_error(self):
-        for text in ("1/0*x1", "1/", "3/x1", "2/-1*x1"):
-            with pytest.raises(ValueError, match="denominator"):
-                parse_element(text, 2)
-
-    def test_depth_bound(self):
-        # left-nested brackets need one new variable per level and stay a
-        # single normal-form word
-        def left_nested(depth):
-            return "[" * depth + "x1," + ",".join(
-                f"x{i + 2}]" for i in range(depth))
-
-        e = parse_element(left_nested(MAX_BRACKET_DEPTH), 2)
-        assert e.arity == MAX_BRACKET_DEPTH + 1 and len(e.terms) == 1
-        for text in (left_nested(MAX_BRACKET_DEPTH + 1),
-                     "[" * 3000 + "x1,x2" + "]" * 3000):
-            with pytest.raises(BoundExceededError):
-                parse_element(text, 2)
-
-    def test_expanded_size_bound(self):
-        # a bracket of products nested d deep, in 2d + 1 variables, grows
-        # past MAX_EXPANDED_TERMS first at d = 6 (25,988 terms)
-        def nested(d, s=0):
-            inner = f"x{s + 3}" if d == 1 else nested(d - 1, s + 2)
-            return f"[x{s + 1} {inner},x{s + 2}]"
-
-        assert len(parse_element(nested(5), 2).terms) == 2612
-        assert 2612 <= MAX_EXPANDED_TERMS < 25988
-        for d in (6, 8):
-            with pytest.raises(BoundExceededError, match="terms"):
-                parse_element(nested(d), 2)
-
-    @settings(max_examples=400, deadline=None, database=None,
-              derandomize=True)
-    @given(_element_texts(), st.sampled_from((2, 3)))
-    def test_fuzz_outcomes(self, text, n):
-        try:
-            e = parse_element(text, n)
-        except (ValueError, BoundExceededError):
-            return
-        assert parse_element(element_to_text(e), n, e.arity) == e
 
 
 class TestOddDegreeSigns:
@@ -846,37 +737,31 @@ class TestCanonicalCoefficients:
                                   ((1, 2),): Fraction(1, 2)})
         assert type(e.terms[((1,), (2,))]) is int
         assert type(e.terms[((1, 2),)]) is Fraction
-        half = parse_element("1/2*x1 x2 + 2*[x1,x2]", 3)
+        half = PoissonElement(3, 2, {((1,), (2,)): Fraction(1, 2),
+                                     ((1, 2),): Fraction(2)})
         assert [type(c) for c in half.terms.values()] == [Fraction, int]
         assert all(type(c) is int for c in half.scale(2).terms.values())
+        bracket = PoissonElement(3, 2, {((1, 2),): Fraction(1)})
         assert all(type(c) is int for c in
-                   circ(multiplication(3), 1, parse_element("[x1,x2]", 3)).terms.values())
-        assert element_from_json(element_to_json(half)).terms == half.terms
+                   circ(multiplication(3), 1, bracket).terms.values())
         assert all(type(c) is int for k in range(5) for m in basis(2, k)
                    for c in monomial_element(2, k, m).terms.values())
 
-    @pytest.mark.parametrize("text, n, want_text, want_json, want_repr", [
-        ("1/2*x1 x2", 2, "1/2*x1 x2",
-         '{"arity": 2, "bracket_degree": 2, "terms": [{"denominator": "2", '
-         '"monomial": [[1], [2]], "numerator": "1"}]}',
+    @pytest.mark.parametrize("n, terms, want_repr", [
+        (2, {((1,), (2,)): Fraction(1, 2)},
          "PoissonElement(n=2, arity=2, terms={((1,), (2,)): Fraction(1, 2)})"),
-        ("3*x1 x2 - [x1,x2]", 3, "3*x1 x2 - [x1,x2]",
-         '{"arity": 2, "bracket_degree": 3, "terms": [{"denominator": "1", '
-         '"monomial": [[1], [2]], "numerator": "3"}, {"denominator": "1", '
-         '"monomial": [[1, 2]], "numerator": "-1"}]}',
+        (3, {((1,), (2,)): Fraction(3), ((1, 2),): Fraction(-1)},
          "PoissonElement(n=3, arity=2, terms={((1,), (2,)): Fraction(3, 1), "
          "((1, 2),): Fraction(-1, 1)})"),
-    ])
-    def test_forms_unchanged(self, text, n, want_text, want_json, want_repr):
-        # the text, JSON and repr (the failure witnesses) forms read as they
-        # did when every coefficient was stored as a Fraction
-        e = parse_element(text, n)
-        assert element_to_text(e) == want_text
-        assert element_to_json(e) == want_json
-        assert repr(e) == want_repr
+    ], ids=["half", "integral"])
+    def test_forms_unchanged(self, n, terms, want_repr):
+        # the repr (the failure witnesses) reads as it did when every
+        # coefficient was stored as a Fraction
+        assert repr(PoissonElement(n, 2, terms)) == want_repr
 
     def test_coordinates_copy_terms(self):
-        e = parse_element("2*x1 x2 - [x1,x2]", 2)
+        e = PoissonElement(2, 2, {((1,), (2,)): Fraction(2),
+                                  ((1, 2),): Fraction(-1)})
         coords = PoissonOperad(2).coordinates(e)
         assert coords == e.terms and coords is not e.terms
 
