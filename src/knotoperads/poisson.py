@@ -84,20 +84,9 @@ class PoissonElement:
         terms = ", ".join(f"{m!r}: {Fraction(c)!r}" for m, c in self.terms.items())
         return f"PoissonElement(n={self.n!r}, arity={self.arity!r}, terms={{{terms}}})"
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     @property
     def degrees(self) -> set[int]:
         return {monomial_degree(m, self.n) for m in self.terms}
-
-    def add(self, other: "PoissonElement") -> "PoissonElement":
-        if (self.n, self.arity) != (other.n, other.arity):
-            raise ValueError("mismatched degree or arity")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return PoissonElement(self.n, self.arity, out)
 
     def scale(self, c) -> "PoissonElement":
         return PoissonElement(self.n, self.arity,
@@ -131,11 +120,14 @@ def _nf_pair(p: Word, q: Word, parity: int) -> tuple:
     return tuple((w, c) for w, c in acc.items() if c)
 
 
-def _bracket_words(p: Word, q: Word, n: int) -> dict[Word, int]:
-    if p[0] < q[0]:
-        return dict(_nf_pair(p, q, n % 2))
-    s = 1 if (len(p) * len(q) * n) % 2 else -1
-    return {w: s * c for w, c in _nf_pair(q, p, n % 2)}
+@functools.lru_cache(maxsize=None)
+def _nf_letter(a: Word, v: int, parity: int) -> tuple:
+    """Normal form of [a, x_v] for a normal word a with v < min(a), as
+    (word, coefficient) pairs.  Antisymmetry gives -(-1)^(len(a) n) times
+    the normal form of [x_v, a]; memoized so the sign is applied once per
+    word and letter, not once per bracket."""
+    s = 1 if (len(a) * parity) % 2 else -1
+    return tuple((w, s * c) for w, c in _nf_pair((v,), a, parity))
 
 
 def _merge(m1: Monomial, m2: Monomial, n: int) -> tuple[Monomial, int]:
@@ -192,7 +184,7 @@ def _subst_word(w: Word, t: int, sub: Monomial, n: int) -> dict[Monomial, int]:
                         pos -= 1
                         passed ^= odd and not len(m[pos]) % 2
                     before, after = m[:pos], m[pos:j] + m[j + 1:]
-                    for wb, x in _bracket_words(a, letter, n).items():
+                    for wb, x in _nf_letter(a, v, odd):
                         key = before + (wb,) + after
                         if passed and not len(wb) % 2:
                             x = -x
@@ -348,13 +340,18 @@ def _set_partitions(items: tuple) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_monomials(k: int) -> tuple:
-    """Most blocks first, then lexicographically.  Each block's words start
-    with its minimal letter and :func:`_set_partitions` sorts the blocks by
-    it, so every product of their words is already a sorted monomial; the
-    words have distinct first letters, so plain tuple order compares them."""
+def _basis_monomials(k: int, least: int = 1) -> tuple:
+    """The monomials of arity k whose blocks all hold at least ``least``
+    letters; most blocks first, then lexicographically.  Each block's words
+    start with its minimal letter and :func:`_set_partitions` sorts the
+    blocks by it, so every product of their words is already a sorted
+    monomial; the words have distinct first letters, so plain tuple order
+    compares them.  The partitions are filtered before any word is built,
+    so a larger ``least`` keeps the full basis's order on fewer monomials."""
     by_blocks: dict[int, list] = {}
     for part in _set_partitions(tuple(range(1, k + 1))):
+        if any(len(block) < least for block in part):
+            continue
         words = [[(block[0],) + perm for perm in itertools.permutations(block[1:])]
                  for block in part]
         by_blocks.setdefault(len(part), []).extend(itertools.product(*words))
@@ -362,12 +359,15 @@ def _basis_monomials(k: int) -> tuple:
                  for m in sorted(by_blocks[b]))
 
 
-def basis(n: int, k: int) -> list:
+def basis(n: int, k: int, least: int = 1) -> list:
     """Normal-form monomials of arity k, ordered by degree then
-    lexicographically.  The list itself does not depend on n (degrees do)."""
+    lexicographically.  The list itself does not depend on n (degrees do).
+    With ``least`` > 1 only the monomials whose blocks all hold at least
+    that many letters, in the same order: ``least=2`` drops every monomial
+    with a singleton block."""
     if k < 0:
         raise ValueError("arity must be non-negative")
-    return list(_basis_monomials(k))
+    return list(_basis_monomials(k, least))
 
 
 def check_bracket_degree(n: int) -> None:

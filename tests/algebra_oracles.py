@@ -4,7 +4,8 @@ No command runs these; each is the independent path for a fast one:
 
 - ``normalize`` reduces any bracket/product expression to normal-form
   monomials by rewriting (``_expand`` and ``_bracket_monomials``, which
-  eliminates products by the Leibniz rule).  It is the oracle for the
+  eliminates products by the Leibniz rule down to ``_bracket_words``, the
+  bracket of two words in either order).  It is the oracle for the
   substitution kernel behind ``poisson.circ_monomials`` and
   ``poisson.coface_sum``.
 - ``check_d_squared`` composes consecutive differentials of a
@@ -25,13 +26,22 @@ from knotoperads.operad_core import CheckReport, OperadInstance
 from knotoperads.poisson import (
     Monomial,
     PoissonElement,
-    _bracket_words,
+    Word,
     _merge,
+    _nf_pair,
     monomial_degree,
 )
 from knotoperads.trees import RpTree, contract_with_map
 
 # -- the expression normalizer -------------------------------------------------
+
+
+def _bracket_words(p: Word, q: Word, n: int) -> dict[Word, int]:
+    """Normal form of [p, q] for normal words p and q on disjoint letters."""
+    if p[0] < q[0]:
+        return dict(_nf_pair(p, q, n % 2))
+    s = 1 if (len(p) * len(q) * n) % 2 else -1
+    return {w: s * c for w, c in _nf_pair(q, p, n % 2)}
 
 
 def _bracket_monomials(ma: Monomial, mb: Monomial, n: int) -> dict[Monomial, int]:

@@ -105,7 +105,8 @@ class TestHH:
         # apart from the timings it is the untimed artifact
         assert timed == artifact(capsys, *args)[1]
         diffs = stages.pop("differentials")
-        assert set(stages) == {"levels_s", "assembly_s", "elimination_s"}
+        assert set(stages) == {"levels_s", "proof_s", "assembly_s",
+                               "elimination_s"}
         assert all(s >= 0 for s in stages.values())
         # one record per differential the table eliminates: d_out and d_in
         entries = timed["results"]["entries"]

@@ -164,9 +164,9 @@ class TestSmithNormalForm:
 class TestIntMatrix:
     def test_set_and_dense(self):
         m = IntMatrix(2, 3)
-        m.set(0, 1, 5)
-        m.set(1, 2, -1)
-        m.set(0, 1, 0)
+        m.col[1][0] = 5
+        m.col[2][1] = -1
+        del m.col[1][0]
         assert m.to_dense() == [[0, 0, 0], [0, 0, -1]]
         assert m.col[2] == {1: -1}
 
@@ -176,8 +176,12 @@ class TestIntMatrix:
         b = IntMatrix(3, 5)
         for m in (a, b):
             for _ in range(6):
-                m.set(rng.randrange(m.rows), rng.randrange(m.cols),
-                      rng.randint(-3, 3))
+                r, c = rng.randrange(m.rows), rng.randrange(m.cols)
+                v = rng.randint(-3, 3)
+                if v:
+                    m.col[c][r] = v
+                else:
+                    m.col[c].pop(r, None)
         assert a.compose(b).to_dense() == matmul_int(a.to_dense(),
                                                      b.to_dense())
 
@@ -188,7 +192,7 @@ class TestIntMatrix:
     def test_is_zero(self):
         m = IntMatrix(2, 2)
         assert m.is_zero()
-        m.set(1, 1, 4)
+        m.col[1][1] = 4
         assert not m.is_zero()
 
 
@@ -196,7 +200,8 @@ def _int_matrix(dense, cols=None):
     m = IntMatrix(len(dense), len(dense[0]) if dense else cols or 0)
     for r, row in enumerate(dense):
         for c, v in enumerate(row):
-            m.set(r, c, v)
+            if v:
+                m.col[c][r] = v
     return m
 
 
@@ -361,8 +366,9 @@ class TestBuildComplex:
         hochschild._assert_codegeneracy_kernel_structure.cache_clear()
         build_complex(2, 5)
         # the proof calls s^i once per singleton block (i,): (p - 1)! basis
-        # monomials of level p >= 1 have it, so p! calls per level
-        assert len(calls) == sum(math.factorial(p) for p in range(1, 6))
+        # monomials of level p >= 1 have it, so p! calls per level, on the
+        # levels below max_p only (the top level is a codomain)
+        assert len(calls) == sum(math.factorial(p) for p in range(1, 5))
         calls.clear()
         build_complex(3, 5)
         build_complex(2, 4)
@@ -380,8 +386,10 @@ class TestBuildComplex:
         hochschild._assert_codegeneracy_kernel_structure.cache_clear()
         monkeypatch.setattr(poisson, "codegeneracy_monomial", fake)
         try:
+            # both fakes are first caught at p = 3, which the proof reaches
+            # only below the top level max_p = 4
             with pytest.raises(AssertionError, match="partial bijection"):
-                build_complex(2, 3)
+                build_complex(2, 4)
         finally:
             hochschild._assert_codegeneracy_kernel_structure.cache_clear()
 
@@ -389,11 +397,57 @@ class TestBuildComplex:
         # outside oracle: a monomial without a singleton block is a
         # permutation without fixed points, read through its cycles; the
         # derangement numbers D(p) are OEIS A000166
-        got = [len(hochschild._level_monomials(2, p, True)) for p in range(8)]
+        got = [len(hochschild._level_monomials(2, p, 7, True))
+               for p in range(8)]
         assert got == [1, 0, 1, 2, 9, 44, 265, 1854]
         for p in range(8):
-            assert list(hochschild._level_monomials(3, p, True)) == [
+            assert list(hochschild._level_monomials(3, p, 7, True)) == [
                 m for m in poisson.basis(3, p) if min(map(len, m), default=2) > 1]
+
+    def test_top_level_equals_filtered_basis_to_p8(self):
+        # the top level is enumerated from the partitions into blocks of
+        # size >= 2, never filtered from the basis; D(8) = 14,833
+        try:
+            tops = [hochschild._level_monomials(2, p, p, True)
+                    for p in range(9)]
+            assert [len(t) for t in tops] == [
+                1, 0, 1, 2, 9, 44, 265, 1854, 14833]
+            for p, top in enumerate(tops):
+                assert top == [m for m in poisson.basis(2, p)
+                               if min(map(len, m), default=2) > 1], p
+        finally:
+            poisson._basis_monomials.cache_clear()  # drop the arity-8 levels
+
+    def test_codegeneracy_proof_holds_to_p8(self):
+        # called directly, the proof still passes on every level a top
+        # level skips, and keeps exactly the directly enumerated monomials
+        hochschild._assert_codegeneracy_kernel_structure.cache_clear()
+        try:
+            for p in range(9):
+                assert hochschild._assert_codegeneracy_kernel_structure(p) \
+                    == tuple(poisson.basis(2, p, least=2)), p
+        finally:
+            hochschild._assert_codegeneracy_kernel_structure.cache_clear()
+            poisson._basis_monomials.cache_clear()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_top_level_missing_an_image_monomial_raises(self, monkeypatch, n):
+        # the top level is not proven to be the kernel; the span check is
+        # what catches a top level that lacks a term of some image
+        c = build_complex(n, 5)
+        q, d = next((q, d) for (p, q), d in sorted(c.diff.items())
+                    if p == 4 and any(d.col))
+        dropped = c.basis[(5, q)][next(r for col in d.col for r in col)]
+        real = hochschild._level_monomials
+
+        def without(n, p, max_p, normalized):
+            mons = real(n, p, max_p, normalized)
+            return [m for m in mons if m != dropped] if p == max_p else mons
+
+        monkeypatch.setattr(hochschild, "_level_monomials", without)
+        with pytest.raises(AssertionError,
+                           match=f"leaves the normalized span at p=4, q={q}$"):
+            build_complex(n, 5)
 
     def test_coface_changing_the_degree_raises(self, monkeypatch):
         # one block of all p + 1 letters has degree p n, which only the
@@ -517,7 +571,7 @@ class TestCohomology:
         d_in, d_out = c.diff[(p, q)], c.diff[(p + 1, q)]
         # adding 1 at row r of d_in adds column r of d_out to d_out d_in
         r = next(r for r, col in enumerate(d_out.col) if col)
-        d_in.set(r, 0, d_in.col[0].get(r, 0) + 1)
+        d_in.col[0][r] = d_in.col[0].get(r, 0) + 1
         with pytest.raises(AssertionError, match="not a cocycle"):
             cohomology(c, p + 1, q, "integral")
 
