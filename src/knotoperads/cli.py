@@ -8,7 +8,9 @@ one-liners go to stderr.
 
 Exit codes: 0 all checks passed, 1 a check failed (artifact still written),
 2 invalid usage or unreadable input, 3 resource bound exceeded.  An
-``--output`` that cannot be written is exit 2 before any work.
+``--output`` that cannot be written is exit 2 before any work.  Bad input
+is a ``ValueError`` (or a file ``OSError``); any other exception, a
+``KeyError`` included, is a program fault and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -346,7 +348,33 @@ def cmd_geom_check(args) -> int:
 def _parse_path(key: str) -> tuple:
     if key in ("", "()"):
         return ()
-    return tuple(int(part) for part in key.split(","))
+    try:
+        return tuple(int(part) for part in key.split(","))
+    except ValueError:
+        raise ValueError(f"'inputs' key {key!r} is not a vertex path of the "
+                         "form 'i,j,...'") from None
+
+
+def _vertex_keys(tree: trees.RpTree, inputs: dict) -> dict:
+    """Each internal vertex path of tree -> its key in ``inputs``.  A key
+    that is no vertex path, two keys of one vertex, and missing or extra
+    vertices (up to three of each named) are bad input."""
+    keys: dict = {}
+    for key in inputs:
+        path = _parse_path(key)
+        if path in keys:
+            raise ValueError(f"'inputs' keys {keys[path]!r} and {key!r} name "
+                             f"the same vertex {path}")
+        keys[path] = key
+    internal = tree.vertices()
+    missing = [path for path in internal if path not in keys]
+    extra = sorted(set(keys).difference(internal))
+    if missing or extra:
+        named = [f"{what} vertices {paths[:3]}"
+                 for what, paths in (("missing", missing), ("extra", extra)) if paths]
+        raise ValueError(f"inputs must be keyed by the internal vertices "
+                         f"{internal}: {', '.join(named)}")
+    return keys
 
 
 def cmd_geom_compose(args) -> int:
@@ -356,8 +384,9 @@ def cmd_geom_compose(args) -> int:
     if not isinstance(data.get("inputs"), dict):
         raise ValueError("'inputs' must be an object keyed by vertex path")
     tree = trees.parse_tree(data["tree"])
-    inputs = {_parse_path(k): geometry.SphereConfiguration.from_json_obj(v)
-              for k, v in data["inputs"].items()}
+    keys = _vertex_keys(tree, data["inputs"])  # before any configuration is read
+    inputs = {path: geometry.SphereConfiguration.from_json_obj(data["inputs"][key])
+              for path, key in keys.items()}
     composed = geometry.kontsevich_compose(tree, inputs)
     report = geometry.membership_report(composed, tol=args.tol)
     params = {"input": os.path.basename(args.input), "tol": args.tol}
@@ -541,7 +570,7 @@ def main(argv=None) -> int:
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

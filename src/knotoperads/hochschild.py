@@ -339,7 +339,8 @@ class CochainComplex:
 
     ``basis[(p, q)]`` is the ordered monomial basis of C^{p,q} and
     ``diff[(p, q)]`` the matrix of d: C^{p,q} -> C^{p+1,q} over it.  The
-    differential dict covers every populated slice with p < max_p.
+    differential dict covers every populated slice with p < max_p, and
+    ``assembly_seconds`` the seconds each of them took to assemble.
     """
 
     n: int
@@ -348,6 +349,7 @@ class CochainComplex:
     basis: dict = field(repr=False)
     diff: dict = field(repr=False)
     seconds: dict = field(default_factory=dict, repr=False)
+    assembly_seconds: dict = field(default_factory=dict, repr=False)
 
     def dim(self, p: int, q: int) -> int:
         return len(self.basis.get((p, q), ()))
@@ -434,7 +436,8 @@ def build_complex(n: int, max_p: int, normalized: bool = True,
     ``seconds`` times the levels (``levels_s``: every full basis, or the
     normalized top level), the proof (``proof_s``: the full bases below
     max_p, which only the proof reads, and its pass over them) and the
-    assembly (``assembly_s``).
+    assembly (``assembly_s``), the sum of ``assembly_seconds``: each
+    differential's columns and the index of its target slice, by bidegree.
     """
     if max_p < 0:
         raise ValueError("max_p must be non-negative")
@@ -452,30 +455,31 @@ def build_complex(n: int, max_p: int, normalized: bool = True,
             basis.setdefault((p, (p - len(m)) * n), []).append(m)
     t2 = time.perf_counter()
     diff: dict = {}
-    for p in range(max_p):
-        idx = {q: {m: i for i, m in enumerate(mons)}
-               for (pp, q), mons in basis.items() if pp == p + 1}
-        for (pp, q), mons in basis.items():
-            if pp != p:
-                continue
-            mat = IntMatrix(len(basis.get((p + 1, q), ())), len(mons))
-            tmap = idx.get(q, {})
-            for j, m in enumerate(mons):
-                col = poisson.coface_sum(n, m)
-                try:
-                    mat.col[j] = {tmap[tm]: cv for tm, cv in col.items()}
-                except KeyError:  # the first term not indexed decides
-                    tm = next(tm for tm in col if tm not in tmap)
-                    if poisson.monomial_degree(tm, n) != q:
-                        raise AssertionError("coface changed the degree") from None
-                    if normalized:
-                        raise AssertionError("differential leaves the normalized "
-                                             f"span at p={p}, q={q}") from None
-                    raise AssertionError("target monomial missing") from None
-            diff[(p, q)] = mat
+    assembly: dict = {}
+    for (p, q), mons in basis.items():  # in level order, as built
+        if p == max_p:
+            continue
+        t = time.perf_counter()
+        targets = basis.get((p + 1, q), ())
+        tmap = {m: i for i, m in enumerate(targets)}
+        mat = IntMatrix(len(targets), len(mons))
+        for j, m in enumerate(mons):
+            col = poisson.coface_sum(n, m)
+            try:
+                mat.col[j] = {tmap[tm]: cv for tm, cv in col.items()}
+            except KeyError:  # the first term not indexed decides
+                tm = next(tm for tm in col if tm not in tmap)
+                if poisson.monomial_degree(tm, n) != q:
+                    raise AssertionError("coface changed the degree") from None
+                if normalized:
+                    raise AssertionError("differential leaves the normalized "
+                                         f"span at p={p}, q={q}") from None
+                raise AssertionError("target monomial missing") from None
+        diff[(p, q)] = mat
+        assembly[(p, q)] = time.perf_counter() - t
     return CochainComplex(n, max_p, normalized, basis, diff, {
         "levels_s": t2 - t1, "proof_s": t1 - t0,
-        "assembly_s": time.perf_counter() - t2})
+        "assembly_s": sum(assembly.values())}, assembly)
 
 
 # -- cohomology -------------------------------------------------------------------
@@ -606,7 +610,7 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
     """Cohomology over every computable interior bidegree p < max_p, each
     differential eliminated once (see :func:`_cohomology`).  ``stages`` has
     the seconds per stage and each eliminated differential's shape, nonzeros,
-    unit pivots and leftover block."""
+    unit pivots, leftover block and assembly seconds."""
     if max_p < 2:
         raise ValueError("max_p must be at least 2")
     if coefficients not in ("rational", "integral"):
@@ -627,7 +631,8 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
     stages["differentials"] = [
         {"p": p, "q": q, "rows": d.rows, "cols": d.cols,
          "nnz": sum(map(len, d.col)), "unit_pivots": units,
-         "leftover": [len(block), len(block[0]) if block else 0]}
+         "leftover": [len(block), len(block[0]) if block else 0],
+         "assembly_s": round(c.assembly_seconds.get((p, q), 0.0), 6)}
         for (p, q), (units, block) in sorted(eliminated.items()) if p >= 0
         for d in [_differential(c, p, q)]]
     return CohomologyTable(n, max_p, normalized, coefficients, entries, stages)

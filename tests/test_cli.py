@@ -113,6 +113,13 @@ class TestHH:
         assert [(d["p"], d["q"]) for d in diffs] == sorted(
             {(p, e["q"]) for e in entries for p in (e["p"], e["p"] - 1)
              if p >= 0})
+        # each differential's assembly seconds, which add up to the stage's
+        # (each rounded to 6 places)
+        seconds = [d.pop("assembly_s") for d in diffs]
+        assert all(s >= 0 for s in seconds)
+        assert sum(seconds) == pytest.approx(stages["assembly_s"],
+                                             abs=1e-6 * (len(diffs) + 1))
+        assert sum(seconds) > 0
         c = hochschild.build_complex(2, 6)
         for d in diffs:
             mat = hochschild._differential(c, d["p"], d["q"])
@@ -645,6 +652,9 @@ class TestGeomCheck:
         assert "error" in err
 
 
+SPHERE2 = {"m": 3, "n": 2, "u": {"1,2": [0.0, 0.0, 1.0]}}
+
+
 class TestGeomCompose:
     def test_compose_two_level(self, capsys, tmp_path):
         doc = {"tree": "(* (* *))",
@@ -675,8 +685,24 @@ class TestGeomCompose:
                "u": {"1,2": [0.0, 0.0, 1.0]}}}}
         path = tmp_path / "comp.json"
         path.write_text(json.dumps(doc))
-        code, _, _ = run(capsys, "geom", "compose", "--input", str(path))
-        assert code == 2
+        code, out, err = run(capsys, "geom", "compose", "--input", str(path))
+        assert code == 2 and out == ""
+        assert ("inputs must be keyed by the internal vertices [()]: "
+                "missing vertices [()], extra vertices [(2,)]") in err
+
+    @pytest.mark.parametrize("inputs,message", [
+        ({"": SPHERE2, "()": {}}, "keys '' and '()' name the same vertex ()"),
+        ({"x": {}}, "'inputs' key 'x' is not a vertex path"),
+        ({"": SPHERE2, "1": {}}, "[()]: extra vertices [(1,)]"),
+    ])
+    def test_vertex_paths_checked(self, capsys, tmp_path, inputs, message):
+        # checked against the tree before any configuration is read: {} is
+        # not one, and reading it would fail with another message
+        path = tmp_path / "comp.json"
+        path.write_text(json.dumps({"tree": "(* *)", "inputs": inputs}))
+        code, out, err = run(capsys, "geom", "compose", "--input", str(path))
+        assert code == 2 and out == ""
+        assert message in err
 
 
 class TestGeomKnotEval:
@@ -855,6 +881,17 @@ class TestOutputs:
         code, _, err = run(capsys, *argv, "--output", "rel.json")
         assert code == 2 and "gone" in err, err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fault", [KeyError, AssertionError])
+    def test_program_fault_is_not_bad_input(self, capsys, monkeypatch, fault):
+        # only ValueError and file OSError are bad input (exit 2); a fault of
+        # the program surfaces as itself, with its traceback
+        def work(*args, **kwargs):
+            raise fault("a program fault")
+
+        monkeypatch.setattr(hochschild, "hh_table", work)
+        with pytest.raises(fault):
+            main(["hh", "--degree", "2", "--max-p", "3"])
 
     def test_negative_threads_usage_error(self, capsys):
         # trials run serially: there is no --threads option to set

@@ -26,6 +26,9 @@ from knotoperads.poisson import (
     PoissonElement,
     PoissonOperad,
     _basis_monomials,
+    _compose_at,
+    _nf_letter,
+    _subst_word,
     basis,
     circ,
     circ_monomials,
@@ -551,12 +554,77 @@ class TestCofaceSum:
                 assert circ_monomials(((1,), (2,)), 1, m, n) == {m + ((p + 1,),): 1}
                 assert coface_sum(n, m) == _circ_coface_sum(n, m), m
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_coface_sum_oracle_to_p6(self, n):
+        # with the normalized monomials above, every monomial of level 6:
+        # the ones with a singleton block
+        for m in basis(n, 6):
+            if any(len(w) == 1 for w in m):
+                assert coface_sum(n, m) == _expand_coface_sum(n, m), m
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shared_accumulator_equals_separate_calls(self, n):
+        # the middle cofaces added into one column equal the sum of fresh
+        # _compose_at calls, each of which holds no zero
+        for p in range(6):
+            for m in basis(n, p, least=2):
+                column, total = {}, {}
+                for i in range(1, p + 1):
+                    b = next(b for b, w in enumerate(m) if i in w)
+                    up = tuple(tuple(v if v < i else v + 1 for v in w) for w in m)
+                    args = (up, b, m[b].index(i), ((i,), (i + 1,)),
+                            -1 if i % 2 else 1, n)
+                    fresh = _compose_at(*args)
+                    assert all(fresh.values()), (m, i)
+                    total = _acc(total, fresh)
+                    assert _compose_at(*args, column) is column
+                assert {mm: c for mm, c in column.items() if c} == total, m
+
     def test_hand_values(self):
         # d(1) = x1 - x1 cancels; d(x1) = x1x2 - x1x2 + x1x2
         assert coface_sum(2, ()) == {}
         assert coface_sum(2, ((1,),)) == {((1,), (2,)): 1}
         # the bracket is a cocycle: its four cofaces cancel term by term
         assert coface_sum(2, ((1, 2),)) == {}
+
+
+def _letter_keys(state, v: int, parity: int) -> set:
+    """Every monomial the next letter v writes from the terms of state,
+    whatever its coefficient: one word of each term takes v, and the
+    product is re-sorted by minimal letter."""
+    keys = set()
+    for m in state:
+        for j, a in enumerate(m):
+            words = [a + (v,)] if v > a[0] else [wb for wb, _ in _nf_letter(a, v, parity)]
+            keys.update(tuple(sorted(m[:j] + (wb,) + m[j + 1:])) for wb in words)
+    return keys
+
+
+class TestSubstWord:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_subst_word_drops_zeros(self, n):
+        # the coface substitutions x_i -> x_i x_{i+1} into every normal word
+        # to length 6.  The terms after letter k are the result on the
+        # prefix w[:k + 1], so a monomial that letter k writes but the
+        # prefix result lacks has cancelled to exactly zero
+        cancelled = {"last": [], "inner": []}
+        for length in range(2, 7):
+            for rest in itertools.permutations(range(2, length + 1)):
+                for t, i in enumerate((1,) + rest):
+                    w = tuple(v if v < i else v + 1 for v in (1,) + rest)
+                    sub = ((i,), (i + 1,))
+                    prev = _subst_word(w[:t + 1], t, sub, n)
+                    for k in range(t + 1, length):
+                        got = _subst_word(w[:k + 1], t, sub, n)
+                        assert all(got.values()), (w, t, k)
+                        if _letter_keys(prev, w[k], n % 2) - set(got):
+                            where = "last" if k == length - 1 else "inner"
+                            cancelled[where].append((w, t, k))
+                        prev = got
+        # (1, 5, 6, 3, 2) at t = 1 cancels at its last letter, and
+        # (1, 5, 6, 3, 2, 7) before a later letter reads the zero
+        assert ((1, 5, 6, 3, 2), 1, 4) in cancelled["last"]
+        assert ((1, 5, 6, 3, 2, 7), 1, 4) in cancelled["inner"]
 
 
 # -- operad instance ------------------------------------------------------------------
