@@ -609,12 +609,15 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
              level_bound: int = MAX_LEVEL_BOUND) -> CohomologyTable:
     """Cohomology over every computable interior bidegree p < max_p, each
     differential eliminated once (see :func:`_cohomology`).  ``stages`` has
-    the seconds per stage and each eliminated differential's shape, nonzeros,
-    unit pivots, leftover block and assembly seconds."""
+    the seconds per stage, each eliminated differential's shape, nonzeros,
+    unit pivots, leftover block and assembly seconds, and the hits and
+    misses of the normal-form memos during the call (``caches``)."""
     if max_p < 2:
         raise ValueError("max_p must be at least 2")
     if coefficients not in ("rational", "integral"):
         raise ValueError(f"unknown coefficients {coefficients!r}")
+    memos = {"nf_pair": poisson._nf_pair, "nf_letter": poisson._nf_letter}
+    before = {name: f.cache_info() for name, f in memos.items()}
     c = build_complex(n, max_p, normalized, level_bound)
     entries, eliminated = [], {}
     for p in range(max_p):
@@ -635,4 +638,8 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
          "assembly_s": round(c.assembly_seconds.get((p, q), 0.0), 6)}
         for (p, q), (units, block) in sorted(eliminated.items()) if p >= 0
         for d in [_differential(c, p, q)]]
+    stages["caches"] = {
+        name: {"hits": info.hits - before[name].hits,
+               "misses": info.misses - before[name].misses}
+        for name, f in memos.items() for info in [f.cache_info()]}
     return CohomologyTable(n, max_p, normalized, coefficients, entries, stages)

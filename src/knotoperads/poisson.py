@@ -15,15 +15,18 @@ downstream by d^2 = 0, operad axioms, and the k! dimension count):
 Both structure maps are written once, on integer monomials:
 ``circ_monomials`` and ``codegeneracy_monomial``.  ``circ``, ``coface`` and
 ``codegeneracy`` are their (bi)linear extensions.  ``circ_monomials``
-locates and relabels, then hands the substitution and Koszul merge to
-``_compose_at``, which returns a fresh dict; ``coface_sum`` (a column of the
-``hh`` differential) calls ``_compose_at`` itself for the middle cofaces,
-with each letter located once per monomial and the column as the one
-accumulator they all add into, and writes the two end cofaces in closed
-form.  Zeros are dropped once per substitution (``_subst_word``, on return)
-and once per column, not after every step.  The tests check this kernel
-against an independent expression normalizer, which no command runs
-(``tests/algebra_oracles.py``).
+locates and relabels, then hands the substitution to ``_compose_at``: the
+word holding x_i is rewritten (``_subst_word``) and merged back among the
+other blocks with Koszul signs (``_place``).  ``coface_sum`` (a column of
+the ``hh`` differential) writes the two end cofaces in closed form and the
+middle ones in one left-to-right scan per word, adding together the cofaces
+that every remaining letter relabels alike, so that terms cancelling across
+cofaces cancel before later letters expand them.  Both rewrite a word one
+letter at a time with the same step, ``_step_letter``.  Zeros are dropped
+once per substitution (``_subst_word``, on return) and once per column, not
+after every step.  The tests check this kernel against an independent
+expression normalizer, which no command runs, and the column scan against
+the cofaces expanded one at a time (``tests/algebra_oracles.py``).
 
 An element's coefficients are in one canonical exact form: an ``int`` when
 integral, else a ``Fraction``, normalized once when the element is built.
@@ -42,6 +45,7 @@ Value encodings: a Lie word is a tuple of variable indices read left-normed,
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -151,20 +155,53 @@ def _merge(m1: Monomial, m2: Monomial, n: int) -> tuple[Monomial, int]:
 # -- operad structure ------------------------------------------------------------
 
 
+def _step_letter(acc: dict, v: int, odd: int, out: dict) -> None:
+    """Add [M, x_v] for every term c M of acc into out.  x_v acts from the
+    right as a derivation of degree n, on the block A_j with the sign
+    (-1)^(n |A_{j+1} ... A_r|).  [A_j, v] is A_j with v appended when
+    v > min(A_j); else its words start with v and move left past the blocks
+    with larger minimal letters.  Only degree parities matter: a length-k
+    word is odd iff n is odd, k even.  A term of acc that cancelled to zero
+    is skipped, and out may cancel to zero in turn."""
+    get, letter = out.get, (v,)
+    for m, c in acc.items():
+        if not c:
+            continue
+        blocks = list(m)
+        for j in range(len(m) - 1, -1, -1):
+            a = m[j]
+            if v > a[0]:
+                blocks[j] = a + letter
+                key = tuple(blocks)
+                blocks[j] = a
+                out[key] = get(key, 0) + c
+            else:
+                pos, passed = j, 0
+                while pos and m[pos - 1][0] > v:
+                    pos -= 1
+                    passed ^= odd and not len(m[pos]) % 2
+                before, after = m[:pos], m[pos:j] + m[j + 1:]
+                for wb, x in _nf_letter(a, v, odd):
+                    key = before + (wb,) + after
+                    if passed and not len(wb) % 2:
+                        x = -x
+                    out[key] = get(key, 0) + c * x
+            if odd and not len(a) % 2:
+                c = -c  # the sign of the next j passes a
+
+
 def _subst_word(w: Word, t: int, sub: Monomial, n: int) -> dict[Monomial, int]:
     """Normal form of the word w with its letter at index t replaced by the
     product sub of normal words.  For t > 0 the head H = w[:t] holds min(w),
     and each term of [H, B_1 ... B_s] brackets H into one B_j; that word
     holds min(w) and moves to the front, for the Koszul sign of B_j passing
-    B_1 ... B_{j-1}.  Each later letter v then acts from the right as a
-    derivation of degree n, on A_j with the sign (-1)^(n |A_{j+1} ... A_r|).
-    [A_j, v] is A_j with v appended when v > min(A_j); else its words start
-    with v and move left past the blocks with larger minimal letters.  Only
-    degree parities matter: a length-k word is odd iff n is odd, k even.
+    B_1 ... B_{j-1}.  Each later letter then acts as a derivation
+    (:func:`_step_letter`).
 
     A term that cancels to zero after one letter stays in the dict and is
     skipped when the next letter reads it.  Cancellation is rare (400 of the
-    29,680 terms after a letter in ``build_complex(2, 7)``, and the same at
+    29,680 terms after a letter when each middle coface of
+    ``build_complex(2, 7)`` is substituted on its own, and the same at
     n = 3), so the zeros are dropped once, on return: every returned
     coefficient is nonzero."""
     odd = n % 2
@@ -180,31 +217,7 @@ def _subst_word(w: Word, t: int, sub: Monomial, n: int) -> dict[Monomial, int]:
         acc = {sub: 1}
     for v in w[t + 1:]:
         nxt: dict[Monomial, int] = {}
-        get, letter = nxt.get, (v,)
-        for m, c in acc.items():
-            if not c:
-                continue
-            blocks = list(m)
-            for j in range(len(m) - 1, -1, -1):
-                a = m[j]
-                if v > a[0]:
-                    blocks[j] = a + letter
-                    key = tuple(blocks)
-                    blocks[j] = a
-                    nxt[key] = get(key, 0) + c
-                else:
-                    pos, passed = j, 0
-                    while pos and m[pos - 1][0] > v:
-                        pos -= 1
-                        passed ^= odd and not len(m[pos]) % 2
-                    before, after = m[:pos], m[pos:j] + m[j + 1:]
-                    for wb, x in _nf_letter(a, v, odd):
-                        key = before + (wb,) + after
-                        if passed and not len(wb) % 2:
-                            x = -x
-                        nxt[key] = get(key, 0) + c * x
-                if odd and not len(a) % 2:
-                    c = -c  # the sign of the next j passes a
+        _step_letter(acc, v, odd, nxt)
         acc = nxt
     if 0 in acc.values():
         acc = {m: c for m, c in acc.items() if c}
@@ -231,22 +244,25 @@ def circ_monomials(ma: Monomial, i: int, mb: Monomial,
 
 
 def _compose_at(up: Monomial, b: int, t: int, sub: Monomial, sign: int,
-                n: int, out: dict | None = None) -> dict[Monomial, int]:
+                n: int) -> dict[Monomial, int]:
     """The relabelled monomial up with the letter at index t of its word b
-    replaced by sub, times sign, added into ``out`` (a fresh dict when
-    None) and returned.  Only that word changes (:func:`_subst_word`); the
-    blocks before it keep the smallest minimal letters, and the blocks after
-    it merge back with Koszul signs.  Into a fresh dict no two terms meet,
-    so it holds no zero; a shared accumulator, such as the column of
-    :func:`coface_sum`, may cancel to zero and is filtered by its owner."""
-    # distinct terms of the word merge to distinct monomials; a Koszul sign
-    # needs an odd word (n odd, even length) after x_i's word.  The terms
-    # are sorted and their words start above every word of head, so with no
-    # tail, head + term is already sorted.
-    head, tail = up[:b], up[b + 1:]
-    terms = _subst_word(up[b], t, sub, n)
-    if out is None:
-        out = {}
+    replaced by sub, times sign.  Only that word changes
+    (:func:`_subst_word`); :func:`_place` merges its terms back among the
+    other blocks.  Distinct terms of the word merge to distinct monomials,
+    so the result holds no zero."""
+    out: dict[Monomial, int] = {}
+    _place(up[:b], _subst_word(up[b], t, sub, n), up[b + 1:], sign, n, out)
+    return out
+
+
+def _place(head: Monomial, terms: dict, tail: Monomial, sign: int, n: int,
+           out: dict) -> None:
+    """Add sign times head E tail, sorted with its Koszul sign, into out
+    for every term E of terms.  The blocks of head have the smallest
+    minimal letters, so they stay in front; the blocks of tail merge in.  A
+    Koszul sign needs an odd word (n odd, even length) in tail.  Every word
+    of a term starts above every word of head, so with no tail, head + E is
+    already sorted."""
     get = out.get
     if not tail:
         for em, c in terms.items():
@@ -260,7 +276,6 @@ def _compose_at(up: Monomial, b: int, t: int, sub: Monomial, sign: int,
         for em, c in terms.items():
             mm = tuple(sorted(head + em + tail))
             out[mm] = get(mm, 0) + sign * c
-    return out
 
 
 def codegeneracy_monomial(i: int, m: Monomial) -> Monomial | None:
@@ -323,26 +338,59 @@ def coface(i: int, e: PoissonElement) -> PoissonElement:
 
 def coface_sum(n: int, m: Monomial) -> dict[Monomial, int]:
     """The alternating coface sum  sum_{i=0}^{p+1} (-1)^i d^i(m)  of one
-    normal-form monomial m of arity p, with integer coefficients, in one
-    pass over the cofaces of :func:`coface`.  The ends are closed forms:
+    normal-form monomial m of arity p, with integer coefficients: a column
+    of the ``hh`` differential.  The ends are closed forms:
     d^0(m) = x_1 m (letters of m raised by one) and d^{p+1}(m) = m x_{p+1},
     each with coefficient +1.  A middle coface d^i = m o_i mu carries no
-    Koszul sign, since |mu| = 0, so :func:`_compose_at` adds it, with the
-    alternating sign (-1)^i, straight into the one column dict; the zeros
-    are dropped once, at the end.  x_i is located by one table per monomial,
-    and the relabelled monomial of d^i differs from that of d^(i+1) in x_i's
-    letter alone, so each coface after the first rewrites one word."""
-    p = monomial_arity(m)
-    up = tuple([tuple([v + 1 for v in w]) for w in m])
-    out = {((1,),) + up: 1}
-    where = {v: (b, t) for b, w in enumerate(m) for t, v in enumerate(w)}
-    for i in range(1, p + 1):
-        # up: letters of m below i kept, the others raised by one; the
-        # letter at (b, t), x_i's, is the one the substitution replaces
-        b, t = where[i]
-        _compose_at(up, b, t, ((i,), (i + 1,)), -1 if i % 2 else 1, n, out)
-        w = up[b]
-        up = up[:b] + (w[:t] + (i,) + w[t + 1:],) + up[b + 1:]
+    Koszul sign, since |mu| = 0, only the alternating (-1)^i.
+
+    The middle cofaces are taken one word W of m at a time, in one scan of
+    W from the left.  Coface i, the letter at index t, starts as
+    (-1)^i [H, x_i x_(i+1)], H the prefix W[:t] with its letters above i
+    raised by one.  Every later letter u of W then acts on it as the
+    derivation [., x_u'] (:func:`_step_letter`), u' = u + 1 when u > i, else
+    u.  So two cofaces see the same steps from here on exactly when no free
+    letter (one of W not yet scanned, or one of another word) lies between
+    them, and the same relabelling of the other words too.  Their partial
+    sums are added into one group, keyed by its rank: the number of free
+    letters below its cofaces.  As u is scanned, the groups just below and
+    above it merge, and the new coface u joins the merged group.  Each
+    letter steps each group once, into its target group's dict; the step is
+    linear, so terms that cancel across cofaces cancel before later letters
+    expand them.  After W's last letter each group merges among the other
+    words, relabelled by its rank (:func:`_place`); for a one-word m, the
+    last letter writes straight into the column.  Zeros are dropped once, at
+    the end."""
+    p, odd = monomial_arity(m), n % 2
+    out = {((1,),) + tuple([tuple([v + 1 for v in w]) for w in m]): 1}
+    for b, word in enumerate(m):
+        passive = m[:b] + m[b + 1:]
+        free, groups = list(range(1, p + 1)), {}
+        for t, u in enumerate(word):
+            k = bisect.bisect_left(free, u)
+            del free[k]
+            direct = not passive and t == len(word) - 1
+            nxt: dict[int, dict] = {}
+            for r, acc in groups.items():
+                # rank r <= k: the cofaces lie below u, which they raise
+                into = out if direct else nxt.setdefault(r if r <= k else r - 1, {})
+                _step_letter(acc, u + 1 if r <= k else u, odd, into)
+            if t:
+                # [H, x_u x_(u+1)] = [H, x_u] x_(u+1) + [H, x_(u+1)] x_u: both
+                # letters are even and above min(H), so each bracket appends
+                head = tuple([v if v < u else v + 1 for v in word[:t]])
+                new = ((head + (u,), (u + 1,)), (head + (u + 1,), (u,)))
+            else:
+                new = (((u,), (u + 1,)),)
+            into = out if direct else nxt.setdefault(k, {})
+            for key in new:
+                into[key] = into.get(key, 0) + (-1 if u % 2 else 1)
+            groups = nxt
+        for r, acc in groups.items():
+            # free holds the other words' letters; those above the group rise
+            low = free[r] if r < len(free) else p + 1
+            up = tuple([tuple([v if v < low else v + 1 for v in w]) for w in passive])
+            _place(up[:b], acc, up[b:], 1, n, out)
     last = m + ((p + 1,),)
     out[last] = out.get(last, 0) + (-1 if (p + 1) % 2 else 1)
     return {mm: c for mm, c in out.items() if c}

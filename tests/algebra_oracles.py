@@ -8,6 +8,9 @@ No command runs these; each is the independent path for a fast one:
   bracket of two words in either order).  It is the oracle for the
   substitution kernel behind ``poisson.circ_monomials`` and
   ``poisson.coface_sum``.
+- ``coface_sum_per_coface`` expands each middle coface on its own through
+  ``poisson._compose_at`` and adds them up, against the grouped column scan
+  of ``poisson.coface_sum``.
 - ``check_d_squared`` composes consecutive differentials of a
   ``hochschild.CochainComplex`` exactly.
 - ``structure_map_stepwise`` evaluates a structure map one internal edge at
@@ -27,8 +30,10 @@ from knotoperads.poisson import (
     Monomial,
     PoissonElement,
     Word,
+    _compose_at,
     _merge,
     _nf_pair,
+    monomial_arity,
     monomial_degree,
 )
 from knotoperads.trees import RpTree, contract_with_map
@@ -135,6 +140,34 @@ def normalize(expr, n: int) -> PoissonElement:
     if seen != set(range(1, k + 1)):
         raise ValueError(f"variables must be exactly x1..x{k}, got {sorted(seen)}")
     return PoissonElement(n, k, _expand(expr, n))
+
+
+# -- the coface sum, one coface at a time -------------------------------------
+
+
+def coface_sum_per_coface(n: int, m: Monomial) -> dict[Monomial, int]:
+    """The alternating coface sum of ``poisson.coface_sum``, each middle
+    coface d^i = m o_i mu expanded on its own by ``poisson._compose_at`` and
+    then added into the column.  The ends are the same closed forms.  x_i is
+    located by one table per monomial, and the relabelled monomial of d^i
+    differs from that of d^(i+1) in x_i's letter alone, so each coface after
+    the first rewrites one word."""
+    p = monomial_arity(m)
+    up = tuple([tuple([v + 1 for v in w]) for w in m])
+    out = {((1,),) + up: 1}
+    where = {v: (b, t) for b, w in enumerate(m) for t, v in enumerate(w)}
+    for i in range(1, p + 1):
+        # up: letters of m below i kept, the others raised by one; the
+        # letter at (b, t), x_i's, is the one the substitution replaces
+        b, t = where[i]
+        terms = _compose_at(up, b, t, ((i,), (i + 1,)), -1 if i % 2 else 1, n)
+        for mm, c in terms.items():
+            out[mm] = out.get(mm, 0) + c
+        w = up[b]
+        up = up[:b] + (w[:t] + (i,) + w[t + 1:],) + up[b + 1:]
+    last = m + ((p + 1,),)
+    out[last] = out.get(last, 0) + (-1 if (p + 1) % 2 else 1)
+    return {mm: c for mm, c in out.items() if c}
 
 
 # -- d^2 = 0 ---------------------------------------------------------------------

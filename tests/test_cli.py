@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from knotoperads import __version__, cli, geometry, hochschild
+from knotoperads import __version__, cli, geometry, hochschild, poisson
 from knotoperads.cli import (MAX_COSIMPLICIAL_LEVEL, MAX_OPERAD_ARITY,
                               MAX_S2_ISO_LEVEL, main)
 
@@ -105,6 +105,7 @@ class TestHH:
         # apart from the timings it is the untimed artifact
         assert timed == artifact(capsys, *args)[1]
         diffs = stages.pop("differentials")
+        caches = stages.pop("caches")
         assert set(stages) == {"levels_s", "proof_s", "assembly_s",
                                "elimination_s"}
         assert all(s >= 0 for s in stages.values())
@@ -129,6 +130,21 @@ class TestHH:
                          "unit_pivots": units,
                          "leftover": [len(block), len(block[0]) if block else 0]}
         assert sum(d["nnz"] for d in diffs) > 0
+        # the memos' hits and misses over the command: from empty memos the
+        # misses are the entries they end with, and a second run misses none.
+        # _nf_letter does not recurse, so the second run repeats each of its
+        # calls as a hit
+        memos = {"nf_pair": poisson._nf_pair, "nf_letter": poisson._nf_letter}
+        assert set(caches) == set(memos)
+        for f in memos.values():
+            f.cache_clear()
+        first = artifact(capsys, *args, "--timings")[1]["results"]["stages"]["caches"]
+        for name, f in memos.items():
+            assert first[name]["misses"] == f.cache_info().currsize > 0
+            assert first[name]["hits"] > 0
+        again = artifact(capsys, *args, "--timings")[1]["results"]["stages"]["caches"]
+        assert again["nf_pair"]["misses"] == again["nf_letter"]["misses"] == 0
+        assert again["nf_letter"]["hits"] == sum(first["nf_letter"].values())
 
     @pytest.mark.parametrize("fmt", ["csv", "text"])
     def test_timings_need_json(self, capsys, tmp_path, monkeypatch, fmt):

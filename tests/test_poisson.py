@@ -43,7 +43,7 @@ from knotoperads.poisson import (
     unit,
 )
 
-from algebra_oracles import MAX_EXPANDED_TERMS, normalize
+from algebra_oracles import MAX_EXPANDED_TERMS, coface_sum_per_coface, normalize
 
 # -- the associative-expansion oracle (independent of the module's rewriting) --
 
@@ -562,23 +562,48 @@ class TestCofaceSum:
             if any(len(w) == 1 for w in m):
                 assert coface_sum(n, m) == _expand_coface_sum(n, m), m
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_per_coface_oracle_to_p6(self, n):
+        # the grouped scan against each middle coface expanded on its own:
+        # every monomial to p = 5 and every normalized one of level 6.  Each
+        # coface the oracle adds is a fresh _compose_at dict with no zero
+        for p in range(7):
+            for m in basis(n, p, least=1 if p < 6 else 2):
+                assert coface_sum(n, m) == coface_sum_per_coface(n, m), m
+                if p < 6:
+                    for i in range(1, p + 1):
+                        b = next(b for b, w in enumerate(m) if i in w)
+                        up = tuple(tuple(v if v < i else v + 1 for v in w) for w in m)
+                        assert all(_compose_at(up, b, m[b].index(i), ((i,), (i + 1,)),
+                                               1, n).values()), (m, i)
+
     @pytest.mark.parametrize("n", [2, 3])
-    def test_shared_accumulator_equals_separate_calls(self, n):
-        # the middle cofaces added into one column equal the sum of fresh
-        # _compose_at calls, each of which holds no zero
-        for p in range(6):
-            for m in basis(n, p, least=2):
-                column, total = {}, {}
-                for i in range(1, p + 1):
-                    b = next(b for b, w in enumerate(m) if i in w)
-                    up = tuple(tuple(v if v < i else v + 1 for v in w) for w in m)
-                    args = (up, b, m[b].index(i), ((i,), (i + 1,)),
-                            -1 if i % 2 else 1, n)
-                    fresh = _compose_at(*args)
-                    assert all(fresh.values()), (m, i)
-                    total = _acc(total, fresh)
-                    assert _compose_at(*args, column) is column
-                assert {mm: c for mm, c in column.items() if c} == total, m
+    def test_matches_per_coface_oracle_level7(self, n):
+        # all D(7) = 1,854 normalized monomials of level 7, the columns of
+        # the last differential of hh at max_p 8; n = 3 has Koszul signs
+        mons = basis(n, 7, least=2)
+        assert len(mons) == 1854
+        for m in mons:
+            assert coface_sum(n, m) == coface_sum_per_coface(n, m), m
+
+    @pytest.mark.parametrize("n, want", [
+        (2, {((1, 6), (2, 4), (3, 5)): -1, ((1, 4), (2, 6), (3, 5)): -1,
+             ((1, 3), (2, 5), (4, 6)): -1, ((1, 4), (2, 5), (3, 6)): -1}),
+        (3, {((1, 6), (2, 4), (3, 5)): 1, ((1, 4), (2, 6), (3, 5)): -1,
+             ((1, 3), (2, 5), (4, 6)): 1, ((1, 4), (2, 5), (3, 6)): 1}),
+    ])
+    def test_passive_letters_split_groups(self, n, want):
+        # in (1 3 5)(2 4) the letters 2 and 4 of the other word lie between
+        # the cofaces 1, 3 and 5, so they stay in three groups to the end and
+        # each relabels (2 4) its own way; in (1 3)(2 4) each word keeps two
+        # groups and the column cancels to zero; in (1 3)(2) the singleton
+        # block splits the word's two cofaces
+        cases = {((1, 3, 5), (2, 4)): want, ((1, 3), (2, 4)): {},
+                 ((1, 3), (2,)): {((1, 4), (2,), (3,)): -1}}
+        for m, value in cases.items():
+            assert coface_sum(n, m) == value, m
+            assert coface_sum_per_coface(n, m) == value, m
+            assert _expand_coface_sum(n, m) == value, m
 
     def test_hand_values(self):
         # d(1) = x1 - x1 cancels; d(x1) = x1x2 - x1x2 + x1x2
