@@ -118,8 +118,9 @@ def _tolerance(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the trial and level counts: a run of zero trials
-    or levels checks nothing and must not read as a pass."""
+    """argparse type of the trial, level and arity counts: a run of zero
+    trials or levels, or up to arity 0, checks next to nothing and must not
+    read as a pass."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -136,8 +137,8 @@ def _seed(text: str) -> int:
 
 
 def _eps(text: str) -> float:
-    """argparse type of --eps: geometry._check_eps's domain (0, 1/6], checked
-    before the battery's first suite runs."""
+    """argparse type of --eps: geometry._check_eps's domain (2**-53, 1/6],
+    checked before the battery's first suite runs."""
     value = float(text)
     try:
         geometry._check_eps(value)
@@ -163,10 +164,9 @@ def cmd_hh(args) -> int:
         "format": args.format,
         "seed": None,  # deterministic command, recorded for schema uniformity
     }
-    artifact = _artifact("hh", params, table.to_json_obj(timings=args.timings))
     if args.format == "json":
-        _write_text(json.dumps(artifact, sort_keys=True, indent=2) + "\n",
-                    args.output)
+        _emit(_artifact("hh", params, table.to_json_obj(timings=args.timings)),
+              args.output)
     else:
         # CSV/text carry the provenance header as comment lines so the
         # byte-identity and embedding invariants hold in every format.
@@ -485,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          "poisson"), default="choose-two")
     ax.add_argument("--degree", type=int, default=2,
                     help="bracket degree (poisson only)")
-    ax.add_argument("--max-arity", type=int, default=4, dest="max_arity")
+    ax.add_argument("--max-arity", type=_positive_int, default=4,
+                    dest="max_arity")
     ax.add_argument("--output", default=None)
     ax.set_defaults(func=cmd_verify)
 

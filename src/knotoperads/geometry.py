@@ -46,12 +46,13 @@ import numpy as np
 from .errors import BoundExceededError
 from .pair_operad import ChooseTwoOperad, b_elements, \
     b_structure_map, b_tree_elements, pair_count
-from .trees import RpTree, TreeMorphism
+from .trees import RpTree
 from .operad_core import CheckReport, CosimplicialObject, check_cosimplicial_identities
 
 DEFAULT_TOL = 1e-9
 DEFAULT_EPS = 0.125          # endpoint shell width, must stay <= 1/6
 EPS_MAX = 1.0 / 6.0
+EPS_MIN = 2.0 ** -53         # at and below it 1 - eps/2 rounds to 1.0
 LIMIT_TIME = 1e-6            # disks homotopy time for the t -> 0 comparison
 LIMIT_TOL = 1e-4
 UNIT_NORM_TOL = 1e-6         # slack for unit vectors arriving from JSON
@@ -731,12 +732,11 @@ def _vertex_inputs(tree: RpTree, inputs: Mapping[tuple, object]) -> int:
     return ms.pop()
 
 
-def kontsevich_compose(t: RpTree | TreeMorphism,
+def kontsevich_compose(tree: RpTree,
                        inputs: Mapping[tuple, SphereConfiguration]) -> SphereConfiguration:
     """w_ij = u^v_{a,b}, where b_structure_map(tree) sends (i, j) to the
     pair (a, b) of child slots at vertex v: the join vertex of leaves i and
     j and the slots the two leaves lie over."""
-    tree = t.source if isinstance(t, TreeMorphism) else t
     m = _vertex_inputs(tree, inputs)
     internal, index = _compose_table(tree)
     rows = np.concatenate([inputs[p].rows for p in internal])
@@ -1126,8 +1126,11 @@ def _raise_first(codes: np.ndarray, pairs: np.ndarray | None = None) -> None:
 
 
 def _check_eps(eps: float) -> None:
-    if not 0.0 < eps <= EPS_MAX:
-        raise ValueError(f"eps must lie in (0, 1/6], got {eps}")
+    """eps must lie in (2**-53, 1/6]: at most 1/6 keeps the endpoint shells
+    disjoint, and above 2**-53 the sampler's on-axis shell point 1 - eps/2
+    stays off the endpoint in floating point."""
+    if not EPS_MIN < eps <= EPS_MAX:
+        raise ValueError(f"eps must lie in (2**-53, 1/6], got {eps}")
 
 
 def _lambda_rows(x: np.ndarray, eps: float, tol: float = DEFAULT_TOL):

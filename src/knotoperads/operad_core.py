@@ -1,9 +1,12 @@
-"""Non-symmetric operads over rooted planar trees.
+"""Non-symmetric operads, their cosimplicial objects and the exhaustive
+checks of both.
 
 An operad instance assigns a finite element list to each arity, a partial
 composition ``circ(x, i, y)`` plugging y into the i-th slot of x (slots are
 1-based), a unit in arity 1, and optionally a multiplication in arity 2.
-Structure maps for arbitrary contraction morphisms are assembled from circ.
+The structure map of a tree contraction is a composite of ``circ``s, so the
+unit, sequential and parallel laws checked here make every contraction
+order agree.
 
 An operad with multiplication yields a cosimplicial object: level n is the
 arity-n entry, cofaces insert the multiplication, codegeneracies contract a
@@ -31,8 +34,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from typing import Callable
-
-from .trees import TreeMorphism, corolla
 
 Arrow = Callable
 
@@ -70,10 +71,6 @@ class CheckReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    def summary(self) -> str:
-        state = "PASS" if self.passed else "FAIL"
-        return f"{state} {self.name} ({self.checks} checks, {len(self.failures)} failures)"
 
 
 class OperadInstance:
@@ -148,38 +145,6 @@ class AssociativeOperad(OperadInstance):
         if not 1 <= i <= x:
             raise ValueError(f"leaf {i} out of range for arity {x}")
         return x - 1
-
-
-# -- structure maps ----------------------------------------------------------
-
-
-def structure_map(op: OperadInstance, m, elements: dict):
-    """Evaluate the structure map of a full contraction onto a corolla.
-
-    ``m`` is the contraction morphism (or just its source tree; the target
-    must be the corolla either way).  ``elements`` assigns an operad element
-    to every non-leaf vertex path.  Children are plugged in rightmost-first
-    so remaining slot indices never shift.
-    """
-    if isinstance(m, TreeMorphism):
-        tree = m.source
-        if m.target != corolla(tree.leaf_count):
-            raise ValueError("structure_map needs a morphism onto a corolla")
-    else:
-        tree = m
-
-    def value(vpath):
-        node = tree.node_at(vpath)
-        x = elements[vpath]
-        if op.arity_of(x) != len(node):
-            raise ValueError(
-                f"element at {vpath!r} has arity {op.arity_of(x)}, vertex has {len(node)}")
-        for idx in reversed(range(len(node))):
-            if node[idx] != ():
-                x = op.circ(x, idx + 1, value(vpath + (idx,)))
-        return x
-
-    return value(())
 
 
 # -- cosimplicial objects ------------------------------------------------------

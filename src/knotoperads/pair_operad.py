@@ -22,7 +22,7 @@ from .operad_core import (
     check_cosimplicial_identities,
     cosimplicial_from_operad,
 )
-from .trees import RpTree, TreeMorphism, enumerate_trees, pair_joins, to_corolla
+from .trees import RpTree, _join, contract_with_map, enumerate_trees, pair_joins
 
 BASEPOINT = "+"
 
@@ -61,25 +61,25 @@ def b_structure_map(tree: RpTree) -> dict:
     return fn
 
 
-def b_morphism_map(f: TreeMorphism) -> dict:
-    """The function induced by an arbitrary contraction, target to source.
+def b_morphism_map(tree: RpTree, edges) -> tuple[dict, RpTree]:
+    """The function induced by contracting the internal ``edges`` of tree,
+    target to source, and the contracted tree.
 
     A pair of child edges at a target vertex pulls back to two source edges;
     the image element sits at their join, which necessarily contracts onto
     the target vertex.
     """
-    inv = {q: p for p, q in f.edge_map.items()}
-    tgt = f.target
+    edges = frozenset(edges)
+    tgt, mapping = contract_with_map(tree, edges)
+    # each target edge is the image of exactly one surviving source edge
+    inv = {q: p for p, q in mapping.items() if p not in edges}
     fn = {BASEPOINT: BASEPOINT}
     for w in tgt.vertices():
         k = tgt.arity(w)
         for a, b in itertools.combinations(range(1, k + 1), 2):
-            ea, eb = inv[w + (a - 1,)], inv[w + (b - 1,)]
-            common = 0
-            while common < min(len(ea), len(eb)) and ea[common] == eb[common]:
-                common += 1
-            fn[(w, (a, b))] = (ea[:common], (ea[common] + 1, eb[common] + 1))
-    return fn
+            v, c, d = _join(inv[w + (a - 1,)], inv[w + (b - 1,)])
+            fn[(w, (a, b))] = (v, (c, d))
+    return fn, tgt
 
 
 # -- the simplicial two-sphere ------------------------------------------------
@@ -204,15 +204,14 @@ def check_b_functoriality(max_leaves: int = 5, progress=None) -> CheckReport:
     for n in range(max_leaves + 1):
         for t in enumerate_trees(n, limit=max_leaves):
             full = b_structure_map(t)
-            via = b_morphism_map(to_corolla(t))
+            internal = t.internal_edges()
+            via, _ = b_morphism_map(t, internal)
             ok = all(via[((), p)] == full[p] for p in _pairs(n))
             rep.record(ok, {"tree": t.to_text(), "law": "corolla-agreement"})
-            internal = t.internal_edges()
             for r in range(len(internal) + 1):
                 for sub in itertools.combinations(internal, r):
-                    f = TreeMorphism(t, frozenset(sub))
-                    bg = b_structure_map(f.target)
-                    bf = b_morphism_map(f)
+                    bf, target = b_morphism_map(t, sub)
+                    bg = b_structure_map(target)
                     comp = {p: bf[bg[p]] for p in bg}
                     ok = comp == full
                     rep.record(ok, None if ok else {

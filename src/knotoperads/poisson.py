@@ -13,8 +13,9 @@ downstream by d^2 = 0, operad axioms, and the k! dimension count):
     Koszul        swapping adjacent product blocks costs (-1)^(|a||b|)
 
 Both structure maps are written once, on integer monomials:
-``circ_monomials`` and ``codegeneracy_monomial``.  ``circ``, ``coface`` and
-``codegeneracy`` are their (bi)linear extensions.  ``circ_monomials``
+``circ_monomials`` and ``codegeneracy_monomial``.  ``circ`` and
+``codegeneracy`` are their (bi)linear extensions; the cofaces of an element
+are those of :func:`knotoperads.operad_core.cosimplicial_from_operad`.  ``circ_monomials``
 locates and relabels, then hands the substitution to ``_compose_at``: the
 word holding x_i is rewritten (``_subst_word``) and merged back among the
 other blocks with Koszul signs (``_place``).  ``coface_sum`` (a column of
@@ -321,19 +322,6 @@ def multiplication(n: int) -> PoissonElement:
 
 def unit(n: int) -> PoissonElement:
     return monomial_element(n, 1, ((1,),))
-
-
-def coface(i: int, e: PoissonElement) -> PoissonElement:
-    """Cosimplicial coface: multiply by a fresh first/last variable at the
-    ends, insert the two-variable product in the middle."""
-    mu = multiplication(e.n)
-    if i == 0:
-        return circ(mu, 2, e)
-    if i == e.arity + 1:
-        return circ(mu, 1, e)
-    if 1 <= i <= e.arity:
-        return circ(e, i, mu)
-    raise ValueError(f"coface index {i} out of range for arity {e.arity}")
 
 
 def coface_sum(n: int, m: Monomial) -> dict[Monomial, int]:

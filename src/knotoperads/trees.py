@@ -1,4 +1,4 @@
-"""Rooted planar trees and their edge-contraction morphisms.
+"""Rooted planar trees, their text form, edge contraction and enumeration.
 
 A tree is stored as nested tuples of ordered children.  A childless node
 below the root is a leaf; the root vertex itself may be childless (the
@@ -7,16 +7,16 @@ child indices from the root, with ``()`` naming the root vertex.  An edge is
 identified with the path of the vertex at its far (deeper) end, so edge
 paths are always nonempty.
 
-Planar labels handed to callers (leaf numbers, the two labels returned by
-:func:`join_vertex`) are 1-based.
+A contraction morphism is given by its source tree and the set of internal
+edges it contracts; :func:`contract_with_map` returns its target and the
+map of vertex paths.  Planar labels handed to callers (leaf numbers, the
+child labels of :func:`pair_joins`) are 1-based.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError
@@ -24,7 +24,6 @@ from .errors import BoundExceededError
 Path = tuple[int, ...]
 
 LEAF_TOKEN = "*"
-LEAF_JSON = "leaf"
 
 #: deepest vertex nesting parse_tree accepts, well inside the interpreter's
 #: recursion limit that the recursive tree walks below run under
@@ -102,73 +101,13 @@ class RpTree:
     def leaf_count(self) -> int:
         return len(self.leaf_paths())
 
-    def is_reduced(self) -> bool:
-        """True iff no vertex has exactly one child, except the 1-corolla."""
-        if self.root == ((),):
-            return True
-        return all(len(self.node_at(v)) != 1 for v in self.vertices())
-
-    # -- text / JSON forms -------------------------------------------------
+    # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
         return _format_node(self.root)
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def to_json_obj(self) -> dict:
-        def conv(node: tuple, is_root: bool):
-            if not is_root and node == ():
-                return LEAF_JSON
-            return {"children": [conv(c, False) for c in node]}
-
-        return conv(self.root, True)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_json_obj(obj) -> "RpTree":
-        """Inverse of :meth:`to_json_obj`.  Vertices may nest at most
-        :data:`MAX_TREE_DEPTH` deep, as in :func:`parse_tree`; deeper input
-        raises :class:`BoundExceededError`."""
-        if obj == LEAF_JSON:
-            raise ValueError("the root vertex cannot be a leaf")
-
-        def children(item):
-            if not isinstance(item, dict) or set(item) != {"children"} \
-                    or not isinstance(item["children"], (list, tuple)):
-                raise ValueError("malformed tree JSON node: "
-                                 f"{reprlib.repr(item)}")
-            return iter(item["children"])
-
-        end = object()
-        # one (unread children, converted children) pair per open vertex
-        stack = [(children(obj), [])]
-        while True:
-            pending, done = stack[-1]
-            item = next(pending, end)
-            if item is end:
-                stack.pop()
-                if not stack:
-                    return RpTree(tuple(done))
-                stack[-1][1].append(tuple(done))
-            elif item == LEAF_JSON:
-                done.append(())
-            elif len(stack) == MAX_TREE_DEPTH:
-                raise BoundExceededError(
-                    f"tree nesting exceeds the depth bound {MAX_TREE_DEPTH}")
-            else:
-                stack.append((children(item), []))
-
-    @staticmethod
-    def from_json(text: str) -> "RpTree":
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise BoundExceededError(
-                "tree JSON nested beyond the decoder's depth limit") from None
-        return RpTree.from_json_obj(obj)
 
 
 def _validate_node(node) -> None:
@@ -274,115 +213,35 @@ def _rebuild(node: tuple, old_path: Path, new_path: Path,
     return tuple(out)
 
 
-def contract(tree: RpTree, edges: Iterable[Path]) -> RpTree:
-    return contract_with_map(tree, edges)[0]
-
-
-@dataclass(frozen=True)
-class TreeMorphism:
-    """An edge-contraction morphism, determined by its source tree and the
-    set of (internal) edges it contracts."""
-
-    source: RpTree
-    contracted: frozenset[Path] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "contracted", frozenset(tuple(e) for e in self.contracted))
-        target, mapping = contract_with_map(self.source, self.contracted)
-        object.__setattr__(self, "_target", target)
-        object.__setattr__(self, "_vertex_map", mapping)
-
-    @property
-    def target(self) -> RpTree:
-        return self._target
-
-    @property
-    def vertex_map(self) -> dict[Path, Path]:
-        """Source vertex path -> target vertex path (total, incl. leaves)."""
-        return dict(self._vertex_map)
-
-    @property
-    def edge_map(self) -> dict[Path, Path]:
-        """Surviving source edge -> target edge (a bijection)."""
-        return {p: q for p, q in self._vertex_map.items()
-                if p and p not in self.contracted}
-
-    def then(self, other: "TreeMorphism") -> "TreeMorphism":
-        """The composite ``other after self`` (source = self.source)."""
-        if other.source != self.target:
-            raise ValueError("morphisms are not composable")
-        inv = {q: p for p, q in self.edge_map.items()}
-        lifted = frozenset(inv[e] for e in other.contracted)
-        return TreeMorphism(self.source, self.contracted | lifted)
-
-    def is_identity(self) -> bool:
-        return not self.contracted
-
-
-def to_corolla(tree: RpTree) -> TreeMorphism:
-    """The morphism contracting every internal edge."""
-    return TreeMorphism(tree, frozenset(tree.internal_edges()))
-
-
-def join_vertex(tree: RpTree, i: int, j: int) -> tuple[Path, int, int]:
-    """The deepest vertex through which leaves i and j (1-based, i != j) both
-    pass, together with the 1-based planar labels of the child edges of that
-    vertex the two leaves lie over.
-
-    Symmetric in i and j up to swapping the returned labels; planarity gives
-    label(i) < label(j) whenever i < j.
-    """
-    leaves = tree.leaf_paths()
-    if i == j or not (1 <= i <= len(leaves) and 1 <= j <= len(leaves)):
-        raise ValueError(f"need distinct leaf labels in 1..{len(leaves)}, got ({i}, {j})")
-    return _join(leaves[i - 1], leaves[j - 1])
-
-
 def pair_joins(tree: RpTree) -> dict[tuple[int, int], tuple[Path, int, int]]:
-    """join_vertex(tree, i, j) for every leaf pair i < j, keyed by (i, j) in
-    combinations order, from one walk for the leaf paths."""
+    """The join of every leaf pair i < j (1-based), keyed by (i, j) in
+    combinations order, from one walk for the leaf paths: the deepest vertex
+    through which both leaves pass, and the 1-based labels of its child
+    edges that they lie over (the first below the second, by planarity)."""
     leaves = tree.leaf_paths()
     return {(i + 1, j + 1): _join(leaves[i], leaves[j])
             for i, j in itertools.combinations(range(len(leaves)), 2)}
 
 
 def _join(p: Path, q: Path) -> tuple[Path, int, int]:
-    """The common prefix of two distinct leaf paths, and the 1-based labels of
-    the child edges below it that they take."""
+    """The common prefix of two paths that part before either ends (two
+    distinct leaves, say), and the 1-based labels of the child edges below
+    it that they take."""
     common = 0
     while common < min(len(p), len(q)) and p[common] == q[common]:
         common += 1
     return p[:common], p[common] + 1, q[common] + 1
 
 
-def graft(n: int, i: int, m: int) -> TreeMorphism:
-    """The two-vertex composition tree: an m-corolla grafted onto leaf i of
-    an n-corolla, with its unique internal edge contracted.
-
-    Target is the (n+m-1)-corolla.  m = 0 is not representable at tree level
-    (a childless non-root vertex reads as a leaf), so m >= 1 is required.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("graft needs n >= 1 and m >= 1")
-    if not (1 <= i <= n):
-        raise ValueError(f"graft position must satisfy 1 <= i <= {n}, got {i}")
-    children = [()] * n
-    children[i - 1] = ((),) * m
-    return TreeMorphism(RpTree(tuple(children)), frozenset({(i - 1,)}))
-
-
 # -- enumeration ------------------------------------------------------------
 
 
-def enumerate_trees(n: int, reduced: bool = True, limit: int = 6) -> list[RpTree]:
+def enumerate_trees(n: int, limit: int = 6) -> list[RpTree]:
     """All reduced trees with n leaves, in a deterministic order.
 
     Reduced means no vertex has exactly one child (the 1-corolla is the
-    conventional exception).  The non-reduced family is infinite, so
-    ``reduced=False`` is rejected.
+    conventional exception); the non-reduced family is infinite.
     """
-    if not reduced:
-        raise ValueError("non-reduced trees form an infinite family")
     if n < 0:
         raise ValueError("leaf count must be non-negative")
     if n > limit:

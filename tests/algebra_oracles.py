@@ -13,8 +13,12 @@ No command runs these; each is the independent path for a fast one:
   of ``poisson.coface_sum``.
 - ``check_d_squared`` composes consecutive differentials of a
   ``hochschild.CochainComplex`` exactly.
-- ``structure_map_stepwise`` evaluates a structure map one internal edge at
-  a time, against ``operad_core.structure_map``.
+- ``structure_map`` evaluates the structure map of a tree's full
+  contraction by plugging children in recursively, and
+  ``structure_map_stepwise`` evaluates the same map one internal edge at a
+  time, in any order: the contraction-order independence that the operad
+  axioms of ``operad_core.check_operad_axioms`` imply.  ``graft`` and
+  ``join_vertex`` build the trees and leaf joins these tests use.
 
 The module name does not match ``test_*.py``, so pytest does not collect it.
 """
@@ -36,7 +40,7 @@ from knotoperads.poisson import (
     monomial_arity,
     monomial_degree,
 )
-from knotoperads.trees import RpTree, contract_with_map
+from knotoperads.trees import Path, RpTree, contract_with_map
 
 # -- the expression normalizer -------------------------------------------------
 
@@ -192,12 +196,67 @@ def check_d_squared(c: CochainComplex) -> CheckReport:
     return rep
 
 
-# -- structure maps edge by edge -------------------------------------------------
+# -- trees and structure maps ------------------------------------------------
+
+
+def graft(n: int, i: int, m: int) -> RpTree:
+    """The two-vertex composition tree: an m-corolla grafted onto leaf i of
+    an n-corolla; contracting its one internal edge gives the
+    (n+m-1)-corolla.
+
+    m = 0 is not representable at tree level (a childless non-root vertex
+    reads as a leaf), so m >= 1 is required.
+    """
+    if n < 1 or m < 1:
+        raise ValueError("graft needs n >= 1 and m >= 1")
+    if not (1 <= i <= n):
+        raise ValueError(f"graft position must satisfy 1 <= i <= {n}, got {i}")
+    children = [()] * n
+    children[i - 1] = ((),) * m
+    return RpTree(tuple(children))
+
+
+def join_vertex(tree: RpTree, i: int, j: int) -> tuple[Path, int, int]:
+    """The deepest vertex through which leaves i and j (1-based, i != j) both
+    pass, together with the 1-based planar labels of the child edges of that
+    vertex the two leaves lie over: ``trees.pair_joins`` one pair at a time.
+
+    Symmetric in i and j up to swapping the returned labels; planarity gives
+    label(i) < label(j) whenever i < j.
+    """
+    leaves = tree.leaf_paths()
+    if i == j or not (1 <= i <= len(leaves) and 1 <= j <= len(leaves)):
+        raise ValueError(f"need distinct leaf labels in 1..{len(leaves)}, got ({i}, {j})")
+    p, q = leaves[i - 1], leaves[j - 1]
+    common = 0  # a leaf has no children, so two leaf paths part before either ends
+    while p[common] == q[common]:
+        common += 1
+    return p[:common], p[common] + 1, q[common] + 1
+
+
+def structure_map(op: OperadInstance, tree: RpTree, elements: dict):
+    """Evaluate the structure map of the full contraction of tree onto a
+    corolla.  ``elements`` assigns an operad element to every non-leaf vertex
+    path.  Children are plugged in rightmost-first so remaining slot indices
+    never shift."""
+
+    def value(vpath):
+        node = tree.node_at(vpath)
+        x = elements[vpath]
+        if op.arity_of(x) != len(node):
+            raise ValueError(
+                f"element at {vpath!r} has arity {op.arity_of(x)}, vertex has {len(node)}")
+        for idx in reversed(range(len(node))):
+            if node[idx] != ():
+                x = op.circ(x, idx + 1, value(vpath + (idx,)))
+        return x
+
+    return value(())
 
 
 def structure_map_stepwise(op: OperadInstance, tree: RpTree, elements: dict,
                            edge_order: list):
-    """Evaluate the same structure map as ``operad_core.structure_map`` by
+    """Evaluate the same structure map as :func:`structure_map` by
     contracting one internal edge at a time in the given order.  Must agree
     with it for every order (operad axioms 4)."""
     if sorted(edge_order) != sorted(tree.internal_edges()):

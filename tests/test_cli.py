@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import time
 import tracemalloc
 from collections import Counter
@@ -289,6 +290,12 @@ class TestVerify:
         ["verify", "geometry", "--eps", "nan"],
         ["verify", "geometry", "--eps", "inf"],
         ["verify", "geometry", "--eps", "wide"],
+        # at and below 2**-53 the sampler's on-axis shell point 1 - eps/2
+        # rounds onto the endpoint: these used to run the membership and
+        # closure suites, then exit 2 on a pair with no direction
+        ["verify", "geometry", "--eps", "1.1e-16"],
+        ["verify", "geometry", "--eps", "1e-17"],
+        ["verify", "geometry", "--eps", repr(2.0 ** -53)],
         ["verify", "geometry", "--seed", "-1"],
         ["verify", "geometry", "--seed", "1.5"],
         ["verify", "cosimplicial", "--operad", "sphere", "--seed", "-1"],
@@ -307,12 +314,17 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert f"argument {argv[-2]}:" in out.err and out.out == ""
 
     def test_eps_and_seed_domains(self):
         assert cli._eps(repr(geometry.EPS_MAX)) == geometry.EPS_MAX
         assert cli._eps("0.125") == geometry.DEFAULT_EPS
-        assert cli._eps("1e-300") == 1e-300
+        assert cli._eps("1.2e-16") == 1.2e-16
+        floor = math.nextafter(geometry.EPS_MIN, 1.0)
+        assert cli._eps(repr(floor)) == floor
+        with pytest.raises(ValueError, match=r"\(2\*\*-53, 1/6\]"):
+            geometry.check_insertion_naturality(2, 3, 1, eps=geometry.EPS_MIN)
         assert cli._seed("0") == 0 and cli._seed(str(2 ** 70)) == 2 ** 70
 
     def test_geometry_progress_goes_to_stderr_only(self, capsys, tmp_path):
@@ -359,6 +371,22 @@ class TestVerify:
         assert main(args + ["--output", str(path)]) == 0
         assert path.read_text(encoding="utf-8") == out
 
+    @pytest.mark.parametrize("argv, checks, digest", [
+        (["s2-iso", "--max-level", "8"],
+         596, "0cb1bed5b151665491d90467520903f33f601607f9bf4e22b47817f0e359eb9f"),
+        (["operad-axioms", "--operad", "choose-two", "--max-arity", "5"],
+         336, "e26bfd76dcdca108480ad5838d2a662cea73c567752efba3b0cad71d27813db1"),
+    ])
+    def test_benchmark_size_results_pinned(self, capsys, argv, checks, digest):
+        # the choose-two commands of the verify-algebra benchmark workload,
+        # at its sizes: the tree contractions behind them keep every byte
+        code, out, _ = run(capsys, "verify", *argv)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["checks"] == checks
+        assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()
+                              ).hexdigest() == digest
+
     def test_same_config_byte_identical(self, capsys):
         args = ["verify", "geometry", "--trials", "5", "--seed", "42"]
         code1, out1, _ = run(capsys, *args)
@@ -372,12 +400,18 @@ class TestVerify:
         ["geom", "disks-compare", "--trials", "0"],
         ["geom", "disks-compare", "--trials", "-2"],
         ["verify", "cosimplicial", "--max-level", "0"],
+        ["verify", "operad-axioms", "--operad", "choose-two", "--max-arity", "0"],
+        ["verify", "operad-axioms", "--operad", "associative", "--max-arity", "0"],
+        ["verify", "operad-axioms", "--operad", "poisson", "--max-arity", "0"],
     ])
     def test_empty_run_is_usage_error(self, capsys, argv):
-        # zero trials or levels check nothing, so they must not report PASS
+        # zero trials or levels check nothing, and the laws up to arity 0 a
+        # check or two, so they must not report PASS
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert f"argument {argv[-2]}:" in out.err and out.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "geometry", "--probes", "20"],
@@ -396,14 +430,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("operad", ["choose-two", "poisson"])
     def test_negative_arity_is_usage_error(self, capsys, operad):
-        code, out, err = run(capsys, "verify", "operad-axioms", "--operad",
-                             operad, "--max-arity", "-1")
-        assert code == 2
-        assert "non-negative" in err and out == ""
-        # arity 0 still checks the unit laws
-        code, art = artifact(capsys, "verify", "operad-axioms", "--operad",
-                             operad, "--max-arity", "0")
-        assert code == 0 and art["results"]["checks"] > 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "operad-axioms", "--operad", operad,
+                  "--max-arity", "-1"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "argument --max-arity:" in out.err and out.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["verify", "s2-iso", "--max-level", str(MAX_S2_ISO_LEVEL + 1)],

@@ -32,11 +32,10 @@ from hypothesis import strategies as st
 from knotoperads import cli, geometry as G
 from knotoperads.errors import BoundExceededError
 from knotoperads.operad_core import CheckReport, CosimplicialObject, OperadInstance, \
-    check_cosimplicial_identities, structure_map
-from knotoperads.trees import RpTree, TreeMorphism, corolla, enumerate_trees, graft, \
-    join_vertex, parse_tree
+    check_cosimplicial_identities
+from knotoperads.trees import RpTree, corolla, enumerate_trees, parse_tree
 
-from algebra_oracles import structure_map_stepwise
+from algebra_oracles import graft, join_vertex, structure_map, structure_map_stepwise
 
 
 # -- the kernels on a stack of one ---------------------------------------------
@@ -278,11 +277,10 @@ def _from_pairs(m, n, w):
         m, n, [w[pair] for pair in itertools.combinations(range(1, n + 1), 2)])
 
 
-def _compose_oracle(t, inputs):
+def _compose_oracle(tree, inputs):
     """w_ij = u^v_{a,b} where v is the join vertex of leaves i and j and
     (a, b) are the child slots of v the two leaves lie over: the pair
     bookkeeping the row gather replaced."""
-    tree = t.source if isinstance(t, TreeMorphism) else t
     ms = {cfg.m for cfg in inputs.values()}
     w = {}
     for i, j in itertools.combinations(range(1, tree.leaf_count + 1), 2):
@@ -1168,7 +1166,7 @@ class TestKontsevichCompose:
         assert w.u(2, 3) == root.u(1, 2)
 
     def test_closure_of_membership(self):
-        rep = G.closure_trials(graft(3, 2, 3).source, 3, 60, seed=13, tol=1e-9)
+        rep = G.closure_trials(graft(3, 2, 3), 3, 60, seed=13, tol=1e-9)
         assert rep["passed"], rep
 
     def test_functoriality_exact(self):
@@ -1195,14 +1193,14 @@ class TestKontsevichCompose:
                       for p in tree.vertices()}
             _assert_same(G.kontsevich_compose(tree, inputs),
                          _compose_oracle(tree, inputs))
-        mor = graft(3, 2, 2)
+        tree = graft(3, 2, 2)
         inputs = {(): _random_sphere(rng, 3, 3),
                   (1,): _random_sphere(rng, 2, 3)}
-        _assert_same(G.kontsevich_compose(mor, inputs), _compose_oracle(mor, inputs))
+        _assert_same(G.kontsevich_compose(tree, inputs), _compose_oracle(tree, inputs))
 
     def test_input_validation(self):
         rng = np.random.default_rng(15)
-        t = graft(2, 1, 2).source
+        t = graft(2, 1, 2)
         ok = {(): _random_sphere(rng, 2, 3),
               (0,): _random_sphere(rng, 2, 3)}
         with pytest.raises(ValueError, match="internal vertices"):
@@ -1360,7 +1358,7 @@ class TestDisks:
         rng = np.random.default_rng(22)
         root = _random_disks(rng, 2, 3)
         child = _random_disks(rng, 2, 3)
-        out = _compose_disks(graft(2, 1, 2).source, {(): root, (0,): child})
+        out = _compose_disks(graft(2, 1, 2), {(): root, (0,): child})
         assert out.n == 3
         assert out.centers[2].tolist() == root.centers[1].tolist()
         assert out.radii[2] == root.radii[1]

@@ -1,7 +1,6 @@
-"""Tests for rooted planar trees, contraction morphisms, and enumeration."""
+"""Tests for rooted planar trees, contraction, and enumeration."""
 
 import itertools
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -11,17 +10,14 @@ from knotoperads.errors import BoundExceededError
 from knotoperads.trees import (
     MAX_TREE_DEPTH,
     RpTree,
-    TreeMorphism,
-    contract,
     contract_with_map,
     corolla,
     enumerate_trees,
-    graft,
-    join_vertex,
     pair_joins,
     parse_tree,
-    to_corolla,
 )
+
+from algebra_oracles import graft, join_vertex
 
 
 # -- independent counting oracle ---------------------------------------------
@@ -46,6 +42,15 @@ def _reduced_count(n: int) -> int:
 def all_trees(max_leaves):
     for n in range(max_leaves + 1):
         yield from enumerate_trees(n)
+
+
+def _is_reduced(t):
+    """No vertex has exactly one child, except in the 1-corolla."""
+    return t.root == ((),) or all(t.arity(v) != 1 for v in t.vertices())
+
+
+def _contract(t, edges):
+    return contract_with_map(t, edges)[0]
 
 
 # -- parsing and formatting ----------------------------------------------------
@@ -101,40 +106,6 @@ class TestTextForm:
         assert corolla(3).to_text() == "(* * *)"
 
 
-class TestJsonForm:
-    def test_round_trip(self):
-        for t in all_trees(4):
-            assert RpTree.from_json(t.to_json()) == t
-
-    def test_shape(self):
-        obj = parse_tree("(* (* *))").to_json_obj()
-        assert obj == {"children": ["leaf", {"children": ["leaf", "leaf"]}]}
-
-    def test_rejects_leaf_root(self):
-        with pytest.raises(ValueError):
-            RpTree.from_json_obj("leaf")
-
-    def test_rejects_malformed_nodes(self):
-        for obj in ([], {"children": [None]}, {"children": 5},
-                    {"children": ["leaf"], "extra": 1},
-                    {"children": ["leaf", "twig"]}):
-            with pytest.raises(ValueError):
-                RpTree.from_json_obj(obj)
-
-    def test_depth_bound(self):
-        def nested(depth):
-            return '{"children": [' * depth + "]}" * depth
-
-        t = RpTree.from_json(nested(MAX_TREE_DEPTH))
-        assert t == parse_tree("(" * MAX_TREE_DEPTH + ")" * MAX_TREE_DEPTH)
-        assert RpTree.from_json(t.to_json()) == t
-        with pytest.raises(BoundExceededError):
-            RpTree.from_json_obj(json.loads(nested(MAX_TREE_DEPTH + 1)))
-        for depth in (MAX_TREE_DEPTH + 1, 3000):
-            with pytest.raises(BoundExceededError):
-                RpTree.from_json(nested(depth))
-
-
 # -- structure queries ---------------------------------------------------------
 
 class TestStructure:
@@ -161,10 +132,11 @@ class TestStructure:
         ]
 
     def test_is_reduced(self):
-        assert corolla(1).is_reduced()
-        assert parse_tree("(* (* *))").is_reduced()
-        assert not parse_tree("((* *))").is_reduced()
-        assert not parse_tree("(* ((* *)))").is_reduced()
+        # the predicate the enumeration tests below rely on
+        assert _is_reduced(corolla(1))
+        assert _is_reduced(parse_tree("(* (* *))"))
+        assert not _is_reduced(parse_tree("((* *))"))
+        assert not _is_reduced(parse_tree("(* ((* *)))"))
 
 
 # -- contraction ----------------------------------------------------------------
@@ -172,13 +144,13 @@ class TestStructure:
 class TestContraction:
     def test_single_edge(self):
         t = parse_tree("(* (* *))")
-        assert contract(t, [(1,)]) == corolla(3)
+        assert _contract(t, [(1,)]) == corolla(3)
 
     def test_splice_preserves_planar_order(self):
         t = parse_tree("((* *) (* * *))")
-        assert contract(t, [(0,)]) == parse_tree("(* * (* * *))")
-        assert contract(t, [(1,)]) == parse_tree("((* *) * * *)")
-        assert contract(t, [(0,), (1,)]) == corolla(5)
+        assert _contract(t, [(0,)]) == parse_tree("(* * (* * *))")
+        assert _contract(t, [(1,)]) == parse_tree("((* *) * * *)")
+        assert _contract(t, [(0,), (1,)]) == corolla(5)
 
     def test_vertex_map(self):
         t = parse_tree("(* (* (* *)))")
@@ -194,54 +166,46 @@ class TestContraction:
     def test_rejects_leaf_and_root(self):
         t = parse_tree("(* *)")
         with pytest.raises(ValueError):
-            contract(t, [(0,)])
+            _contract(t, [(0,)])
         with pytest.raises(ValueError):
-            contract(t, [()])
+            _contract(t, [()])
 
     def test_two_step_equals_one_step(self):
-        # contracting A then (the image of) B matches contracting A | B,
-        # both on trees and on vertex maps
+        # contracting A then the images of B matches contracting A | B, both
+        # on trees and on vertex maps; a surviving edge maps to an edge
         for t in all_trees(5):
             internal = t.internal_edges()
             for r in range(len(internal) + 1):
                 for sub in itertools.combinations(internal, r):
+                    whole, hm = contract_with_map(t, sub)
                     for k in range(len(sub) + 1):
                         for a in itertools.combinations(sub, k):
-                            b = [e for e in sub if e not in a]
-                            f = TreeMorphism(t, frozenset(a))
-                            g = TreeMorphism(
-                                f.target,
-                                frozenset(f.edge_map[e] for e in b))
-                            h = TreeMorphism(t, frozenset(sub))
-                            assert f.then(g) == h
-                            fm, gm, hm = f.vertex_map, g.vertex_map, h.vertex_map
+                            mid, fm = contract_with_map(t, a)
+                            b = [fm[e] for e in sub if e not in a]
+                            assert all(mid.node_at(e) != () for e in b)
+                            end, gm = contract_with_map(mid, b)
+                            assert end == whole
                             for v in fm:
                                 assert gm[fm[v]] == hm[v]
 
 
 class TestMorphism:
     def test_identity(self):
+        # contracting nothing is the identity, on the tree and on paths
         t = parse_tree("(* (* *))")
-        f = TreeMorphism(t)
-        assert f.is_identity()
-        assert f.target == t
-        assert f.edge_map == {e: e for e in t.edges()}
+        target, m = contract_with_map(t, [])
+        assert target == t
+        assert m == {v: v for v in [()] + t.edges()}
 
     def test_to_corolla(self):
         for t in all_trees(5):
             if t.leaf_count == 0:
                 continue
-            f = to_corolla(t)
-            assert f.target == corolla(t.leaf_count)
+            target, m = contract_with_map(t, t.internal_edges())
+            assert target == corolla(t.leaf_count)
             # leaf order is preserved
-            images = [f.vertex_map[l] for l in t.leaf_paths()]
-            assert images == f.target.leaf_paths()
-
-    def test_then_requires_composable(self):
-        t = parse_tree("(* (* *))")
-        f = TreeMorphism(t, frozenset({(1,)}))
-        with pytest.raises(ValueError):
-            f.then(f)
+            images = [m[l] for l in t.leaf_paths()]
+            assert images == target.leaf_paths()
 
 
 # -- join_vertex -----------------------------------------------------------------
@@ -306,17 +270,17 @@ class TestJoinVertex:
 
 class TestGraft:
     def test_source_and_target(self):
-        f = graft(3, 2, 2)
-        assert f.source == parse_tree("(* (* *) *)")
-        assert f.target == corolla(4)
+        t = graft(3, 2, 2)
+        assert t == parse_tree("(* (* *) *)")
+        assert _contract(t, [(1,)]) == corolla(4)
 
     def test_leaf_arithmetic(self):
         for n in range(1, 5):
             for m in range(1, 5):
                 for i in range(1, n + 1):
-                    f = graft(n, i, m)
-                    assert f.source.leaf_count == n + m - 1
-                    assert f.target == corolla(n + m - 1)
+                    t = graft(n, i, m)
+                    assert t.leaf_count == n + m - 1
+                    assert _contract(t, [(i - 1,)]) == corolla(n + m - 1)
 
     def test_rejects_m_zero(self):
         with pytest.raises(ValueError):
@@ -339,7 +303,7 @@ class TestEnumeration:
         for n in range(6):
             seen = set()
             for t in enumerate_trees(n):
-                assert t.is_reduced()
+                assert _is_reduced(t)
                 assert t.leaf_count == n
                 seen.add(t)
             assert len(seen) == _reduced_count(n)
@@ -348,7 +312,3 @@ class TestEnumeration:
         with pytest.raises(BoundExceededError):
             enumerate_trees(7)
         assert len(enumerate_trees(7, limit=7)) == _reduced_count(7)
-
-    def test_non_reduced_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_trees(3, reduced=False)
