@@ -118,9 +118,9 @@ def _tolerance(text: str) -> float:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of the trial, level and arity counts: a run of zero
-    trials or levels, or up to arity 0, checks next to nothing and must not
-    read as a pass."""
+    """argparse type of the trial, level, arity and sample-time counts: a run
+    of zero trials, levels or times, or up to arity 0, checks next to
+    nothing and must not read as a pass."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
@@ -142,6 +142,17 @@ def _eps(text: str) -> float:
     value = float(text)
     try:
         geometry._check_eps(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _t_min(text: str) -> float:
+    """argparse type of --t-min: geometry._check_time's domain [1e-10, 1],
+    checked before any disk is drawn."""
+    value = float(text)
+    try:
+        geometry._check_time(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return value
@@ -406,8 +417,6 @@ def cmd_geom_knot_eval(args) -> int:
         if not args.at.strip():
             raise ValueError("--at needs at least one time")
         times = tuple(float(t) for t in args.at.split(","))
-    elif args.times < 1:
-        raise ValueError("--times must be positive")
     geometry.check_report_points(len(times) if explicit else args.times)  # before any draw
     if not explicit:
         rng = np.random.default_rng(args.seed)
@@ -535,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "check its Gauss image")
     gk.add_argument("--curve", choices=sorted(geometry.BUILTIN_CURVES),
                     default="trefoil")
-    gk.add_argument("--times", type=int, default=4,
+    gk.add_argument("--times", type=_positive_int, default=4,
                     help="number of seeded random sample times")
     gk.add_argument("--at", default=None,
                     help="explicit comma-separated times, overrides --times "
@@ -550,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     gd.add_argument("--tree", default="(* (* *))")
     gd.add_argument("--dim", type=int, default=3)
     gd.add_argument("--trials", type=_positive_int, default=100)
-    gd.add_argument("--t-min", type=float, default=geometry.LIMIT_TIME,
+    gd.add_argument("--t-min", type=_t_min, default=geometry.LIMIT_TIME,
                     dest="t_min")
     gd.add_argument("--end-tol", type=_tolerance, default=1e-12, dest="end_tol")
     gd.add_argument("--limit-tol", type=_tolerance, default=geometry.LIMIT_TOL,

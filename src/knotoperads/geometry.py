@@ -54,6 +54,7 @@ DEFAULT_EPS = 0.125          # endpoint shell width, must stay <= 1/6
 EPS_MAX = 1.0 / 6.0
 EPS_MIN = 2.0 ** -53         # at and below it 1 - eps/2 rounds to 1.0
 LIMIT_TIME = 1e-6            # disks homotopy time for the t -> 0 comparison
+LIMIT_TIME_MIN = 1e-10       # below it slid leaves may round onto each other
 LIMIT_TOL = 1e-4
 UNIT_NORM_TOL = 1e-6         # slack for unit vectors arriving from JSON
 MIN_SEP = 1e-3               # least distance between sampled points
@@ -1045,8 +1046,13 @@ def _slid_disks(tree: RpTree, disks, time: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _check_time(time: float) -> None:
-    if not 0.0 < time <= 1.0:
-        raise ValueError(f"time {time} outside (0, 1]")
+    """time must lie in [1e-10, 1].  _draw_disks keeps centers 1e-2 apart
+    and radii above 1.5e-3, so two leaves under one vertex differ by at
+    least 1.5e-5 time, which clears the spacing of floats below 1 for every
+    m <= MAX_FOUR_DIM only once time passes about sqrt(m) 7.4e-12; smaller
+    times may round the leaves onto each other."""
+    if not LIMIT_TIME_MIN <= time <= 1.0:
+        raise ValueError(f"time {time} outside [1e-10, 1]")
 
 
 def _sphere_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -5,11 +5,11 @@ is the alternating coface sum d = sum_{i=0}^{p+1} (-1)^i d^i -- the index
 range under which the complex squares to zero.  Each column is
 ``poisson.coface_sum`` of one basis monomial: integer coefficients from the
 substitution kernel behind ``poisson.circ_monomials``.  The normalized
-complex drops monomials with a singleton block; the fact that makes this the
-exact codegeneracy kernel is proven with ``poisson.codegeneracy_monomial``
-once per process for each level below max_p.  The top level max_p is only
-the codomain of the last differential, so it is enumerated directly as the
-monomials without a singleton block (see :func:`build_complex`).
+complex keeps the monomials without a singleton block.  Every level's basis
+comes from one enumerator, ``poisson.basis_slices``, one slice per
+bidegree; the fact that makes the normalized levels the exact codegeneracy
+kernel is proven with ``poisson.codegeneracy_monomial`` once per process
+for each level below max_p, whose cohomology reads them as kernels.
 
 All linear algebra is exact.  ``eliminate_units`` pivots on the +-1 entries
 first (unimodular steps: the shortest column with a unit, at its unit in the
@@ -35,7 +35,7 @@ from functools import lru_cache
 from . import poisson
 from .errors import BoundExceededError
 
-#: levels above this need an explicit opt-in (basis sizes grow like p!)
+#: highest max_p of a build (exit 3 above; basis sizes grow like p!)
 MAX_LEVEL_BOUND = 7
 
 
@@ -361,31 +361,19 @@ class CochainComplex:
         return sorted(self.basis)
 
 
-def _level_monomials(n: int, p: int, max_p: int, normalized: bool):
-    """The basis monomials of level p in a complex built to max_p: the whole
-    basis, or in the normalized complex those without a singleton block --
-    proven to be the codegeneracy kernel below max_p, and enumerated
-    directly at max_p, where the level is only a codomain."""
-    if not normalized:
-        return poisson.basis(n, p)
-    if p == max_p:
-        return poisson.basis(n, p, least=2)
-    return _assert_codegeneracy_kernel_structure(p)
-
-
 @lru_cache(maxsize=None)
-def _assert_codegeneracy_kernel_structure(p: int) -> tuple:
-    """The basis monomials of level p without a singleton block, in basis
-    order, proven to span the exact kernel of all codegeneracies.
+def _assert_codegeneracy_kernel_structure(p: int) -> None:
+    """Prove that the basis monomials of level p without a singleton block
+    span the exact kernel of all codegeneracies.
 
     ``poisson.codegeneracy_monomial(i, m)`` is None exactly when (i,) is not
-    a block of m, and else one monomial with coefficient one.  So one pass
-    keeps the monomials without a singleton block, which every s^i kills,
-    and applies s^i only where (i,) is a block (p! calls).  If every image
-    is a basis monomial of level p - 1 and each s^i is injective on the
-    monomials it does not kill, a combination lies in every kernel iff it is
-    supported on the kept monomials, so the intersection is exact.  A
-    codegeneracy deletes a singleton block, which leaves p - b (b blocks)
+    a block of m, and else one monomial with coefficient one.  So every s^i
+    kills the monomials without a singleton block, and one pass applies s^i
+    only where (i,) is a block (p! calls).  If every image is a basis
+    monomial of level p - 1 and each s^i is injective on the monomials it
+    does not kill, a combination lies in every kernel iff it is supported on
+    the monomials without a singleton block, so the intersection is exact.
+    A codegeneracy deletes a singleton block, which leaves p - b (b blocks)
     and so q = (p - b) n unchanged: the argument holds slice by slice.
 
     Neither the basis nor a codegeneracy reads the bracket degree, so the
@@ -395,64 +383,51 @@ def _assert_codegeneracy_kernel_structure(p: int) -> tuple:
     levels whose cohomology it reads as kernels.
     """
     n = 2  # any bracket degree: the proof does not depend on it
-    kept, by_leaf = [], [[] for _ in range(p + 1)]
+    by_leaf = [[] for _ in range(p + 1)]
     for m in poisson.basis(n, p):
-        single = False
         for w in m:
             if len(w) == 1:
                 by_leaf[w[0]].append(m)
-                single = True
-        if not single:
-            kept.append(m)
     below = set(poisson.basis(n, max(p - 1, 0)))
     for i in range(1, p + 1):
         images = [poisson.codegeneracy_monomial(i, m) for m in by_leaf[i]]
         if len(set(images)) < len(images) or not below.issuperset(images):
             raise AssertionError(f"codegeneracy {i} at p={p} is not a "
                                  "partial bijection onto basis monomials")
-    return tuple(kept)
 
 
-def build_complex(n: int, max_p: int, normalized: bool = True,
-                  level_bound: int = MAX_LEVEL_BOUND) -> CochainComplex:
-    """Assemble bases and differentials for levels p <= max_p.
+def build_complex(n: int, max_p: int, normalized: bool = True) -> CochainComplex:
+    """Assemble bases and differentials for levels p <= max_p, up to
+    ``MAX_LEVEL_BOUND``.
 
-    Normalized slices keep only monomials in the kernel of every
-    codegeneracy (no single-variable block); the restricted differential is
-    checked to land back in that span.  Each term is looked up in the index
-    of slice (p + 1, q), so only a term missing there has its degree
-    checked.
+    Every level's basis is ``poisson.basis_slices`` of it: blocks of at
+    least one letter, or in the normalized complex at least two (no
+    singleton block, so in the kernel of every codegeneracy), and slice b
+    sits at q = (p - b) n.  The restricted differential is checked to land
+    back in that span: each term is looked up in the index of slice
+    (p + 1, q), so only a term missing there has its degree checked.  The
+    kernel proof runs on the levels p < max_p alone; level max_p is only the
+    codomain of the last differential, and the rank and invariant factors
+    of a map into a span do not depend on whether that span is a kernel.
 
-    The kernel proof runs on the levels p < max_p alone.  HH^{p,q} with
-    p < max_p reads N^{p-1} and N^p as codegeneracy kernels, and those are
-    proven.  It reads N^{max_p} only as the target of d: C^{max_p-1,q} ->
-    C^{max_p,q}, and the rank and invariant factors of a map into the span
-    of the monomials without a singleton block do not depend on whether
-    that span is the kernel.  So level max_p is enumerated directly
-    (``poisson.basis`` with ``least=2``: D(7) = 1,854 monomials at p = 7,
-    not 7! = 5,040), and the per-term index lookup still raises "leaves the
-    normalized span" for an image term outside it.
-
-    ``seconds`` times the levels (``levels_s``: every full basis, or the
-    normalized top level), the proof (``proof_s``: the full bases below
-    max_p, which only the proof reads, and its pass over them) and the
-    assembly (``assembly_s``), the sum of ``assembly_seconds``: each
-    differential's columns and the index of its target slice, by bidegree.
+    ``seconds`` times the levels (``levels_s``: every level's basis), the
+    proof (``proof_s``: the full bases below max_p, which only the proof
+    reads, and its pass over them) and the assembly (``assembly_s``), the
+    sum of ``assembly_seconds``: each differential's columns and the index
+    of its target slice, by bidegree.
     """
     if max_p < 0:
         raise ValueError("max_p must be non-negative")
-    if max_p > level_bound:
+    if max_p > MAX_LEVEL_BOUND:
         raise BoundExceededError(
-            f"max_p={max_p} exceeds the level bound {level_bound}")
+            f"max_p={max_p} exceeds the level bound {MAX_LEVEL_BOUND}")
     t0 = time.perf_counter()
     if normalized:
         for p in range(max_p):
             _assert_codegeneracy_kernel_structure(p)
     t1 = time.perf_counter()
-    basis: dict = {}
-    for p in range(max_p + 1):
-        for m in _level_monomials(n, p, max_p, normalized):  # len(m) blocks
-            basis.setdefault((p, (p - len(m)) * n), []).append(m)
+    basis = {(p, (p - b) * n): list(mons) for p in range(max_p + 1)
+             for b, mons in poisson.basis_slices(p, 2 if normalized else 1)}
     t2 = time.perf_counter()
     diff: dict = {}
     assembly: dict = {}
@@ -605,8 +580,7 @@ class CohomologyTable:
 
 
 def hh_table(n: int, max_p: int, coefficients: str = "rational",
-             normalized: bool = True,
-             level_bound: int = MAX_LEVEL_BOUND) -> CohomologyTable:
+             normalized: bool = True) -> CohomologyTable:
     """Cohomology over every computable interior bidegree p < max_p, each
     differential eliminated once (see :func:`_cohomology`).  ``stages`` has
     the seconds per stage, each eliminated differential's shape, nonzeros,
@@ -618,7 +592,7 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
         raise ValueError(f"unknown coefficients {coefficients!r}")
     memos = {"nf_pair": poisson._nf_pair, "nf_letter": poisson._nf_letter}
     before = {name: f.cache_info() for name, f in memos.items()}
-    c = build_complex(n, max_p, normalized, level_bound)
+    c = build_complex(n, max_p, normalized)
     entries, eliminated = [], {}
     for p in range(max_p):
         for q in c.q_values(p):

@@ -403,14 +403,16 @@ def _set_partitions(items: tuple) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_monomials(k: int, least: int = 1) -> tuple:
+def basis_slices(k: int, least: int = 1) -> tuple:
     """The monomials of arity k whose blocks all hold at least ``least``
-    letters; most blocks first, then lexicographically.  Each block's words
-    start with its minimal letter and :func:`_set_partitions` sorts the
-    blocks by it, so every product of their words is already a sorted
-    monomial; the words have distinct first letters, so plain tuple order
-    compares them.  The partitions are filtered before any word is built,
-    so a larger ``least`` keeps the full basis's order on fewer monomials."""
+    letters, as (b, monomials) pairs by block count b: most blocks first,
+    each slice sorted lexicographically.  A slice is one bidegree, q =
+    (k - b) n.  Each block's words start with its minimal letter and
+    :func:`_set_partitions` sorts the blocks by it, so every product of
+    their words is already a sorted monomial; the words have distinct first
+    letters, so plain tuple order compares them.  The partitions are
+    filtered before any word is built, so a larger ``least`` keeps the full
+    basis's order on fewer monomials."""
     by_blocks: dict[int, list] = {}
     for part in _set_partitions(tuple(range(1, k + 1))):
         if any(len(block) < least for block in part):
@@ -418,19 +420,20 @@ def _basis_monomials(k: int, least: int = 1) -> tuple:
         words = [[(block[0],) + perm for perm in itertools.permutations(block[1:])]
                  for block in part]
         by_blocks.setdefault(len(part), []).extend(itertools.product(*words))
-    return tuple(m for b in sorted(by_blocks, reverse=True)
-                 for m in sorted(by_blocks[b]))
+    return tuple((b, tuple(sorted(by_blocks[b])))
+                 for b in sorted(by_blocks, reverse=True))
 
 
 def basis(n: int, k: int, least: int = 1) -> list:
     """Normal-form monomials of arity k, ordered by degree then
-    lexicographically.  The list itself does not depend on n (degrees do).
-    With ``least`` > 1 only the monomials whose blocks all hold at least
-    that many letters, in the same order: ``least=2`` drops every monomial
-    with a singleton block."""
+    lexicographically: the slices of :func:`basis_slices`, concatenated.
+    The list itself does not depend on n (degrees do).  With ``least`` > 1
+    only the monomials whose blocks all hold at least that many letters, in
+    the same order: ``least=2`` drops every monomial with a singleton
+    block."""
     if k < 0:
         raise ValueError("arity must be non-negative")
-    return list(_basis_monomials(k, least))
+    return [m for _, mons in basis_slices(k, least) for m in mons]
 
 
 def check_bracket_degree(n: int) -> None:

@@ -12,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from knotoperads import __version__, cli, geometry, hochschild, poisson
+from knotoperads import __version__, cli, geometry, hochschild, poisson, trees
 from knotoperads.cli import (MAX_COSIMPLICIAL_LEVEL, MAX_OPERAD_ARITY,
                               MAX_S2_ISO_LEVEL, main)
 
@@ -805,8 +805,11 @@ class TestGeomKnotEval:
             assert not out.exists()
 
     def test_zero_times_rejected(self, capsys):
-        code, _, _ = run(capsys, "geom", "knot-eval", "--times", "0")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["geom", "knot-eval", "--times", "0"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert "argument --times:" in out.err and out.out == ""
 
     @pytest.mark.parametrize("at", ["--at=", "--at= "])
     def test_empty_times_rejected(self, capsys, tmp_path, monkeypatch, at):
@@ -887,6 +890,35 @@ class TestGeomDisksCompare:
                            "--trials", "2")
         assert code == 2
         assert "dimension" in err
+
+    @pytest.mark.parametrize("t_min", ["1e-11", "1e-320", "0", "1.5", "nan"])
+    def test_t_min_outside_domain_exits_before_any_draw(self, capsys, tmp_path,
+                                                        monkeypatch, t_min):
+        # below 1e-10 the slid leaves under one vertex may round onto each
+        # other: at 1e-15 the default tree used to exit 2 ("points 2 and 3
+        # coincide") on seeds 0 and 2, after every draw
+        monkeypatch.setattr(geometry, "_draw_disks", None)
+        out = tmp_path / "t-min.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["geom", "disks-compare", "--t-min", t_min, "--output", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --t-min:" in captured.err and captured.out == ""
+        assert not out.exists()
+        with pytest.raises(ValueError, match=r"outside \[1e-10, 1\]"):
+            geometry.disks_comparison_trials(trees.parse_tree("(* (* *))"), 3, 1,
+                                             limit_time=float(t_min))
+
+    @pytest.mark.parametrize("t_min", [repr(geometry.LIMIT_TIME_MIN), None])
+    def test_t_min_floor_and_default_run(self, capsys, t_min):
+        # at the floor the trials run to a verdict on every seed tried; the
+        # limit gap may then exceed --limit-tol, a failed check (exit 1)
+        argv = ["geom", "disks-compare", "--trials", "20", "--seed", "2"]
+        if t_min is not None:
+            argv += ["--t-min", t_min]
+        code, art = artifact(capsys, *argv)
+        assert code == (0 if art["results"]["passed"] else 1)
+        assert art["parameters"]["t_min"] == float(t_min or geometry.LIMIT_TIME)
 
     @pytest.mark.parametrize("flag", ["--end-tol", "--limit-tol"])
     def test_nan_tolerance_rejected(self, capsys, flag):

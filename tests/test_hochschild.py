@@ -339,10 +339,11 @@ class TestBuildComplex:
         for (p, q) in c.bidegrees():
             assert 2 * q >= p * c.n, (p, q)
 
-    def test_level_bound(self):
-        with pytest.raises(BoundExceededError):
+    def test_level_bound(self, monkeypatch):
+        with pytest.raises(BoundExceededError, match="level bound 7"):
             build_complex(2, 8)
-        build_complex(2, 8, normalized=False, level_bound=8)
+        monkeypatch.setattr(hochschild, "MAX_LEVEL_BOUND", 8)
+        build_complex(2, 8, normalized=False)
 
     def test_leaving_normalized_span_raises(self, monkeypatch):
         # d^{p+1} alone appends a singleton block, which no normalized
@@ -396,55 +397,67 @@ class TestBuildComplex:
     def test_normalized_levels_are_derangements(self):
         # outside oracle: a monomial without a singleton block is a
         # permutation without fixed points, read through its cycles; the
-        # derangement numbers D(p) are OEIS A000166
-        got = [len(hochschild._level_monomials(2, p, 7, True))
-               for p in range(8)]
-        assert got == [1, 0, 1, 2, 9, 44, 265, 1854]
-        for p in range(8):
-            assert list(hochschild._level_monomials(3, p, 7, True)) == [
-                m for m in poisson.basis(3, p) if min(map(len, m), default=2) > 1]
+        # derangement numbers D(p) are OEIS A000166.  Every level, the top
+        # one too, is its slices in basis order, each at its own degree
+        for n in (2, 3):
+            c = build_complex(n, 7)
+            levels = [[m for q in c.q_values(p) for m in c.basis[(p, q)]]
+                      for p in range(8)]
+            assert [len(level) for level in levels] == [
+                1, 0, 1, 2, 9, 44, 265, 1854]
+            for p, level in enumerate(levels):
+                assert level == [m for m in poisson.basis(n, p)
+                                 if min(map(len, m), default=2) > 1], p
+            for (p, q), mons in c.basis.items():
+                assert {poisson.monomial_degree(m, n) for m in mons} == {q}
 
     def test_top_level_equals_filtered_basis_to_p8(self):
-        # the top level is enumerated from the partitions into blocks of
-        # size >= 2, never filtered from the basis; D(8) = 14,833
+        # every normalized level, the top one included, is enumerated from
+        # the partitions into blocks of size >= 2, never filtered from the
+        # basis; slice by slice it is the filtered full slice.  D(8) = 14,833
         try:
-            tops = [hochschild._level_monomials(2, p, p, True)
-                    for p in range(9)]
-            assert [len(t) for t in tops] == [
+            levels = [poisson.basis_slices(p, 2) for p in range(9)]
+            assert [sum(len(mons) for _, mons in slices)
+                    for slices in levels] == [
                 1, 0, 1, 2, 9, 44, 265, 1854, 14833]
-            for p, top in enumerate(tops):
-                assert top == [m for m in poisson.basis(2, p)
-                               if min(map(len, m), default=2) > 1], p
+            for p, slices in enumerate(levels):
+                full = [(b, tuple(m for m in mons
+                                  if min(map(len, m), default=2) > 1))
+                        for b, mons in poisson.basis_slices(p)]
+                assert list(slices) == [(b, mons) for b, mons in full if mons], p
         finally:
-            poisson._basis_monomials.cache_clear()  # drop the arity-8 levels
+            poisson.basis_slices.cache_clear()  # drop the arity-8 levels
 
     def test_codegeneracy_proof_holds_to_p8(self):
-        # called directly, the proof still passes on every level a top
-        # level skips, and keeps exactly the directly enumerated monomials
+        # called directly, the proof passes on every level to p = 8, the
+        # levels a top level skips included
         hochschild._assert_codegeneracy_kernel_structure.cache_clear()
         try:
             for p in range(9):
                 assert hochschild._assert_codegeneracy_kernel_structure(p) \
-                    == tuple(poisson.basis(2, p, least=2)), p
+                    is None, p
         finally:
             hochschild._assert_codegeneracy_kernel_structure.cache_clear()
-            poisson._basis_monomials.cache_clear()
+            poisson.basis_slices.cache_clear()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_top_level_missing_an_image_monomial_raises(self, monkeypatch, n):
         # the top level is not proven to be the kernel; the span check is
-        # what catches a top level that lacks a term of some image
+        # what catches a top slice that lacks a term of some image
         c = build_complex(n, 5)
         q, d = next((q, d) for (p, q), d in sorted(c.diff.items())
                     if p == 4 and any(d.col))
         dropped = c.basis[(5, q)][next(r for col in d.col for r in col)]
-        real = hochschild._level_monomials
+        real = poisson.basis_slices
 
-        def without(n, p, max_p, normalized):
-            mons = real(n, p, max_p, normalized)
-            return [m for m in mons if m != dropped] if p == max_p else mons
+        def without(k, least=1):
+            slices = real(k, least)
+            if (k, least) != (5, 2):
+                return slices
+            return tuple((b, tuple(m for m in mons if m != dropped))
+                         for b, mons in slices)
 
-        monkeypatch.setattr(hochschild, "_level_monomials", without)
+        monkeypatch.setattr(poisson, "basis_slices", without)
         with pytest.raises(AssertionError,
                            match=f"leaves the normalized span at p=4, q={q}$"):
             build_complex(n, 5)
@@ -562,6 +575,22 @@ class TestCohomology:
         if n == 2:
             for k, dim in self.A_FR.items():
                 assert t.entry(2 * k, 2 * k).rank == dim, k
+
+    # measured here at max_p 8, not checked against the literature: each
+    # p = 7 entry as (q, dim, rank, torsion), the rational ranks the same;
+    # snf_is_valid certifies every torsion factor inside _unit_factors
+    @pytest.mark.parametrize("n,column", [
+        (2, [(8, 210, 5, (2,)), (10, 924, 0, ()), (12, 720, 0, ())]),
+        (3, [(12, 210, 1, (30,)), (15, 924, 1, (5,)), (18, 720, 0, ())]),
+    ])
+    def test_integral_column_p7(self, monkeypatch, n, column):
+        monkeypatch.setattr(hochschild, "MAX_LEVEL_BOUND", 8)
+        try:
+            t = hh_table(n, 8, "integral")
+        finally:
+            poisson.basis_slices.cache_clear()  # drop the arity-8 levels
+        assert [(e.q, e.dim, e.rank, e.torsion)
+                for e in t.entries if e.p == 7] == column
 
     def test_incoming_image_not_a_cocycle_raises(self):
         c = build_complex(2, 6)  # d: C^{4,6} -> C^{5,6} -> C^{6,6}

@@ -25,11 +25,11 @@ from knotoperads.operad_core import (
 from knotoperads.poisson import (
     PoissonElement,
     PoissonOperad,
-    _basis_monomials,
     _compose_at,
     _nf_letter,
     _subst_word,
     basis,
+    basis_slices,
     circ,
     circ_monomials,
     codegeneracy,
@@ -200,10 +200,10 @@ def _independent_dim(k: int) -> int:
     return total
 
 
-def _sorted_per_monomial_basis(k: int) -> tuple:
-    """The basis as it was first enumerated: blocks in the order the set
-    partitions grow them, each monomial sorted on its own, then the buckets
-    by block count, most blocks first, each sorted."""
+def _sorted_per_monomial_slices(k: int) -> tuple:
+    """The basis slices as the basis was first enumerated: blocks in the
+    order the set partitions grow them, each monomial sorted on its own,
+    then (b, bucket) by block count b, most blocks first, each sorted."""
     def partitions(items):
         if not items:
             return [()]
@@ -220,8 +220,8 @@ def _sorted_per_monomial_basis(k: int) -> tuple:
                  for block in part]
         by_blocks.setdefault(len(part), []).extend(
             tuple(sorted(choice)) for choice in itertools.product(*words))
-    return tuple(m for b in sorted(by_blocks, reverse=True)
-                 for m in sorted(by_blocks[b]))
+    return tuple((b, tuple(sorted(by_blocks[b])))
+                 for b in sorted(by_blocks, reverse=True))
 
 
 class TestBasis:
@@ -259,10 +259,13 @@ class TestBasis:
 
     def test_matches_sort_per_monomial_enumeration(self):
         # blocks sorted by minimal letter once per partition give the same
-        # monomials in the same order as sorting every monomial
+        # slices, in the same order, as sorting every monomial; basis() is
+        # their concatenation
         for k in range(9):
-            assert _basis_monomials(k) == _sorted_per_monomial_basis(k), k
-        _basis_monomials.cache_clear()  # drop the arity-8 level
+            slices = basis_slices(k)
+            assert slices == _sorted_per_monomial_slices(k), k
+            assert basis(2, k) == [m for _, mons in slices for m in mons], k
+        basis_slices.cache_clear()  # drop the arity-8 level
 
     def test_normal_forms_linearly_independent(self):
         # oracle: associative expansions of the basis have full rank
