@@ -148,7 +148,7 @@ def _eps(text: str) -> float:
 
 
 def _t_min(text: str) -> float:
-    """argparse type of --t-min: geometry._check_time's domain [1e-10, 1],
+    """argparse type of --t-min: geometry._check_time's domain [1e-8, 1],
     checked before any disk is drawn."""
     value = float(text)
     try:

@@ -23,10 +23,14 @@ tables (bi)linearly with dict sums; every table entry still comes from the
 operad's own maps.  A table maps each basis key to its image and holds
 nonzero images only: a missing key is the zero vector.  Table images are
 shared, never copied or mutated, so a one-term input (the common case: a
-basis element) reads its image straight from the table.  A failed check
-rebuilds its witness from the elements, so the report does not depend on
-which path ran.  Operads without the hook (``coordinates = None``) are
-checked on their elements.
+basis element, or a one-term column of a composite) reads its image
+straight from the table.  The operad laws hold basis elements by their
+keys and compose through three maps: basis ∘ basis, one table read, and
+value ∘ basis and basis ∘ value, the linear extensions, where a value is a
+composite in coordinates.  A failed check rebuilds its witness from the
+elements, so the report does not depend on which path ran.  Operads
+without the hook (``coordinates = None``) are checked on their elements,
+through the same law loop with ``circ`` as all three maps.
 """
 
 from __future__ import annotations
@@ -243,21 +247,29 @@ def _arrow_table(coordinates: Callable, keys: list, inputs: list,
     return {k: img for k, x in zip(keys, inputs) if (img := coordinates(f(x)))}
 
 
+#: the zero vector, for a basis key a table leaves out; never mutated
+_ZERO: dict = {}
+
+
+def _scale(img: dict, c) -> dict:
+    """c times the coordinate dict img: img itself when c is 1, so a one-term
+    input reads its image straight from a table.  One nonzero term cannot
+    cancel, so the result needs no zero filter."""
+    return img if c == 1 else {m: c * b for m, b in img.items()}
+
+
 def _apply(table: dict, col: dict) -> dict:
     """The linear extension of a basis table, applied to a coordinate dict.
 
     A one-term column returns its table image itself, scaled only when its
-    coefficient is not 1; one nonzero term cannot cancel, so it needs no
-    zero filter.  Callers never mutate a table image or a result."""
+    coefficient is not 1 (:func:`_scale`).  Callers never mutate a table
+    image or a result."""
     if len(col) == 1:
         (key, a), = col.items()
-        img = table.get(key)
-        if img is None:
-            return {}
-        return img if a == 1 else {m: a * b for m, b in img.items()}
+        return _scale(table[key], a) if key in table else {}
     out: dict = {}
     for key, a in col.items():
-        for img, b in table.get(key, {}).items():
+        for img, b in table.get(key, _ZERO).items():
             out[img] = out.get(img, 0) + a * b
     return {img: c for img, c in out.items() if c}
 
@@ -273,15 +285,22 @@ def _composite_table(c: CosimplicialObject, inputs: list, f1: Arrow,
     table runs over end-level elements.  With ``tables`` (the linear path,
     keyed by arrow: see :func:`_arrow_table`) the composite is built column
     by column from the two arrows' tables, in coordinates, as a table of the
-    same form: {basis key: nonzero image}.
+    same form: {basis key: nonzero image}.  A one-term column reads its image
+    straight from the second table.
     """
     if c.direction == "backward":
         return [f1(f2(y)) for y in inputs]
     if tables is None:
         return [f2(f1(x)) for x in inputs]
-    second = tables[f2]
-    return {key: img for key, col in tables[f1].items()
-            if (img := _apply(second, col))}
+    second, out = tables[f2], {}
+    for key, col in tables[f1].items():
+        if len(col) == 1:
+            (k, a), = col.items()
+            if k in second:
+                out[key] = _scale(second[k], a)
+        elif img := _apply(second, col):
+            out[key] = img
+    return out
 
 
 def check_cosimplicial_identities(c: CosimplicialObject, max_level: int,
@@ -381,7 +400,8 @@ def check_operad_axioms(op: OperadInstance, max_arity: int,
     arity p+q+r-2 stays within max_arity.  Operads defining their own
     ``axiom_report`` (the opposite-category ones) are dispatched there.
     With the linear hook every law is evaluated in coordinates, on a table
-    of ``op.circ`` over basis pairs built lazily during the check.
+    of ``op.circ`` over basis pairs built lazily during the check
+    (:func:`_circ_maps`).
     ``progress(p)``, when given, is called once the laws whose outer element
     has arity p are all checked (the unit laws count for p = 0).
     A negative max_arity would check nothing and raises ``ValueError``.
@@ -392,18 +412,22 @@ def check_operad_axioms(op: OperadInstance, max_arity: int,
         return op.axiom_report(max_arity, progress)
     rep = CheckReport(f"operad-axioms[{op.name}]<={max_arity}")
     entries = [op.entry(n) for n in range(max_arity + 1)]
+    unit = op.unit()
     if op.coordinates is None:
-        circ, value = op.circ, _identity
+        handles, e, value, maps = entries, unit, _identity, (op.circ,) * 3
     else:
-        circ, value = _circ_table(op, entries), op.coordinates
-    e = value(op.unit())
+        handles = [[_basis_key(op.coordinates, x) for x in ent] for ent in entries]
+        e, value = _basis_key(op.coordinates, unit), op.coordinates
+        maps = _circ_maps(op, [unit] + [x for ent in entries for x in ent],
+                          [e] + [k for keys in handles for k in keys])
+    circ = maps[0]
     for n in range(max_arity + 1):
-        for x in entries[n]:
+        for x, hx in zip(entries[n], handles[n]):
             vx = value(x)
-            ok = circ(e, 1, vx) == vx
+            ok = circ(e, 1, hx) == vx
             rep.record(ok, None if ok else {"law": "left-unit", "x": repr(x)})
             for i in range(1, n + 1):
-                ok = circ(vx, i, e) == vx
+                ok = circ(hx, i, e) == vx
                 rep.record(ok, None if ok else {
                     "law": "right-unit", "x": repr(x), "slot": i})
     if progress is not None:
@@ -411,7 +435,7 @@ def check_operad_axioms(op: OperadInstance, max_arity: int,
     for p in range(1, max_arity + 1):
         for q in range(1, max_arity + 2 - p):
             for r in range(1, max_arity + 3 - p - q):
-                _check_triple(op, rep, entries, circ, value, p, q, r)
+                _check_triple(op, rep, entries, handles, maps, p, q, r)
         if progress is not None:
             progress(p)
     return rep
@@ -421,37 +445,35 @@ def _identity(x):
     return x
 
 
-def _circ_table(op: OperadInstance, entries: list) -> Callable:
-    """Partial composition in coordinates: the bilinear extension of
-    ``op.circ`` on basis pairs, each pair and slot composed once.  As in
-    :func:`_apply`, two one-term inputs return the table image itself,
-    scaled only when the product of their coefficients is not 1."""
-    coordinates = op.coordinates
-    basis = {_basis_key(coordinates, x): x
-             for x in [op.unit()] + [x for ent in entries for x in ent]}
-    table: dict = {}
+def _circ_maps(op: OperadInstance, elements: list, keys: list) -> tuple:
+    """Partial composition in coordinates, as the three maps of
+    :func:`_check_triple`, on the basis ``elements`` with their ``keys``.
+    ``bb(a, i, b)`` composes two basis keys: one read of a table of
+    ``op.circ``, each pair and slot composed once, when first asked.
+    ``vb(u, i, b)`` and ``bv(a, i, v)`` are its linear extensions in the
+    coordinate dict u or v; a one-term dict returns the table image itself,
+    scaled only when its coefficient is not 1 (:func:`_scale`)."""
+    coordinates, basis, table = op.coordinates, dict(zip(keys, elements)), {}
 
-    def image(a, i: int, b) -> dict:
+    def bb(a, i: int, b) -> dict:
         img = table.get((a, i, b))
         if img is None:
             img = table[a, i, b] = coordinates(op.circ(basis[a], i, basis[b]))
         return img
 
-    def circ(u: dict, i: int, v: dict) -> dict:
-        if len(u) == 1 and len(v) == 1:
-            (a, ca), = u.items()
-            (b, cb), = v.items()
-            img, c = image(a, i, b), ca * cb
-            return img if c == 1 else {m: c * x for m, x in img.items()}
-        out: dict = {}
-        for a, ca in u.items():
-            for b, cb in v.items():
-                c = ca * cb
-                for m, x in image(a, i, b).items():
-                    out[m] = out.get(m, 0) + c * x
-        return {m: c for m, c in out.items() if c}
+    def vb(u: dict, i: int, b) -> dict:
+        if len(u) == 1:
+            (a, c), = u.items()
+            return _scale(bb(a, i, b), c)
+        return _apply({a: bb(a, i, b) for a in u}, u)
 
-    return circ
+    def bv(a, i: int, v: dict) -> dict:
+        if len(v) == 1:
+            (b, c), = v.items()
+            return _scale(bb(a, i, b), c)
+        return _apply({b: bb(a, i, b) for b in v}, v)
+
+    return bb, vb, bv
 
 
 def _negate(v):
@@ -459,29 +481,32 @@ def _negate(v):
 
 
 def _check_triple(op: OperadInstance, rep: CheckReport, entries: list,
-                  circ: Callable, value: Callable, p: int, q: int, r: int) -> None:
-    for x in entries[p]:
-        vx = value(x)
-        for y in entries[q]:
-            vy = value(y)
-            for z in entries[r]:
-                vz = value(z)
+                  handles: list, maps: tuple, p: int, q: int, r: int) -> None:
+    """The sequential and parallel laws on the basis triples of arities p, q
+    and r.  ``handles`` name the entries for the three ``maps``: basis ∘
+    basis, value ∘ basis and basis ∘ value, where a value is a composite.
+    On the linear path the handles are basis keys and the maps those of
+    :func:`_circ_maps`; on the element path they are the entries themselves
+    and every map is ``op.circ``."""
+    bb, vb, bv = maps
+    for x, hx in zip(entries[p], handles[p]):
+        for y, hy in zip(entries[q], handles[q]):
+            for z, hz in zip(entries[r], handles[r]):
                 # the two insertion orders of the parallel law transpose y
                 # past z, which costs a sign when both are odd
                 odd = p > 1 and (op.degree(y) * op.degree(z)) % 2
                 for i in range(1, p + 1):
-                    xy = circ(vx, i, vy)
+                    xy = bb(hx, i, hy)
                     for j in range(1, q + 1):
                         # sequential: plug z inside the grafted y
-                        ok = (circ(xy, i + j - 1, vz)
-                              == circ(vx, i, circ(vy, j, vz)))
+                        ok = vb(xy, i + j - 1, hz) == bv(hx, i, bb(hy, j, hz))
                         rep.record(ok, None if ok else {
                             "law": "sequential", "x": repr(x), "y": repr(y),
                             "z": repr(z), "i": i, "j": j})
                     for k in range(i + 1, p + 1):
                         # parallel: graft y and z at disjoint slots
-                        lhs = circ(xy, k + q - 1, vz)
-                        rhs = circ(circ(vx, k, vz), i, vy)
+                        lhs = vb(xy, k + q - 1, hz)
+                        rhs = vb(bb(hx, k, hz), i, hy)
                         ok = lhs == (_negate(rhs) if odd else rhs)
                         rep.record(ok, None if ok else {
                             "law": "parallel", "x": repr(x), "y": repr(y),

@@ -14,6 +14,7 @@ Value encodings:
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .operad_core import (
@@ -201,9 +202,11 @@ def check_b_functoriality(max_leaves: int = 5, progress=None) -> CheckReport:
     when given, is called once the trees with n leaves are all checked.
     """
     rep = CheckReport(f"b-functoriality<={max_leaves}")
+    # each tree's structure map, computed once per check
+    structure_map = functools.cache(b_structure_map)
     for n in range(max_leaves + 1):
         for t in enumerate_trees(n, limit=max_leaves):
-            full = b_structure_map(t)
+            full = structure_map(t)
             internal = t.internal_edges()
             via, _ = b_morphism_map(t, internal)
             ok = all(via[((), p)] == full[p] for p in _pairs(n))
@@ -211,7 +214,7 @@ def check_b_functoriality(max_leaves: int = 5, progress=None) -> CheckReport:
             for r in range(len(internal) + 1):
                 for sub in itertools.combinations(internal, r):
                     bf, target = b_morphism_map(t, sub)
-                    bg = b_structure_map(target)
+                    bg = structure_map(target)
                     comp = {p: bf[bg[p]] for p in bg}
                     ok = comp == full
                     rep.record(ok, None if ok else {

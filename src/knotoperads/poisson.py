@@ -25,14 +25,20 @@ that every remaining letter relabels alike, so that terms cancelling across
 cofaces cancel before later letters expand them.  Both rewrite a word one
 letter at a time with the same step, ``_step_letter``.  Zeros are dropped
 once per substitution (``_subst_word``, on return) and once per column, not
-after every step.  The tests check this kernel against an independent
+after every step; ``_place`` skips a group's cancelled terms before it
+sorts or merges them.  The tests check this kernel against an independent
 expression normalizer, which no command runs, and the column scan against
 the cofaces expanded one at a time (``tests/algebra_oracles.py``).
 
 An element's coefficients are in one canonical exact form: an ``int`` when
 integral, else a ``Fraction``, normalized once when the element is built.
 So the structure maps on integral elements do integer arithmetic only, and
-``repr`` still prints every coefficient as a ``Fraction``.
+``repr`` still prints every coefficient as a ``Fraction``.  A result that
+is canonical by construction skips that normalization: ``circ`` of two
+one-term elements whose coefficients multiply to an ``int`` (the nonzero
+ints of ``circ_monomials``, scaled), every ``codegeneracy`` (the
+coefficients of its input, on distinct monomials) and the basis elements of
+``PoissonOperad.entry``.
 
 ``PoissonOperad`` fills the linear hook ``coordinates`` of
 :mod:`knotoperads.operad_core` with a copy of an element's terms, so the
@@ -99,6 +105,14 @@ class PoissonElement:
     def scale(self, c) -> "PoissonElement":
         return PoissonElement(self.n, self.arity,
                               {m: v * c for m, v in self.terms.items()})
+
+
+def _element(n: int, arity: int, terms: dict) -> PoissonElement:
+    """The element with these terms, taken as they are: every coefficient
+    must already be nonzero and in the form of :func:`_exact`."""
+    e = object.__new__(PoissonElement)
+    e.n, e.arity, e.terms = n, arity, terms
+    return e
 
 
 def monomial_element(n: int, arity: int, m: Monomial, coeff=1) -> PoissonElement:
@@ -259,24 +273,29 @@ def _compose_at(up: Monomial, b: int, t: int, sub: Monomial, sign: int,
 def _place(head: Monomial, terms: dict, tail: Monomial, sign: int, n: int,
            out: dict) -> None:
     """Add sign times head E tail, sorted with its Koszul sign, into out
-    for every term E of terms.  The blocks of head have the smallest
-    minimal letters, so they stay in front; the blocks of tail merge in.  A
-    Koszul sign needs an odd word (n odd, even length) in tail.  Every word
-    of a term starts above every word of head, so with no tail, head + E is
+    for every nonzero term E of terms; a zero term (a group of
+    :func:`coface_sum` keeps cancelled ones) is skipped before it is
+    sorted or merged.  The blocks of head have the smallest minimal
+    letters, so they stay in front; the blocks of tail merge in.  A Koszul
+    sign needs an odd word (n odd, even length) in tail.  Every word of a
+    term starts above every word of head, so with no tail, head + E is
     already sorted."""
     get = out.get
     if not tail:
         for em, c in terms.items():
-            mm = head + em
-            out[mm] = get(mm, 0) + sign * c
+            if c:
+                mm = head + em
+                out[mm] = get(mm, 0) + sign * c
     elif n % 2 and any(not len(u) % 2 for u in tail):
         for em, c in terms.items():
-            mm, s = _merge(head + em, tail, n)
-            out[mm] = get(mm, 0) + sign * s * c
+            if c:
+                mm, s = _merge(head + em, tail, n)
+                out[mm] = get(mm, 0) + sign * s * c
     else:
         for em, c in terms.items():
-            mm = tuple(sorted(head + em + tail))
-            out[mm] = get(mm, 0) + sign * c
+            if c:
+                mm = tuple(sorted(head + em + tail))
+                out[mm] = get(mm, 0) + sign * c
 
 
 def codegeneracy_monomial(i: int, m: Monomial) -> Monomial | None:
@@ -296,13 +315,24 @@ def circ(a: PoissonElement, i: int, b: PoissonElement) -> PoissonElement:
         raise ValueError(f"slot {i} out of range for arity {a.arity}")
     if a.n != b.n:
         raise ValueError("mismatched bracket degree")
+    arity = a.arity + b.arity - 1
+    if len(a.terms) == len(b.terms) == 1:
+        # one term each: circ_monomials' nonzero ints, scaled by an int,
+        # need no normalizing
+        (ma, ca), = a.terms.items()
+        (mb, cb), = b.terms.items()
+        c = ca * cb
+        if type(c) is int:
+            out = circ_monomials(ma, i, mb, a.n)
+            return _element(a.n, arity, out if c == 1 else
+                            {m: c * x for m, x in out.items()})
     out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             c = ca * cb
             for m, x in circ_monomials(ma, i, mb, a.n).items():
                 out[m] = out.get(m, 0) + c * x
-    return PoissonElement(a.n, a.arity + b.arity - 1, out)
+    return PoissonElement(a.n, arity, out)
 
 
 def codegeneracy(i: int, e: PoissonElement) -> PoissonElement:
@@ -310,8 +340,9 @@ def codegeneracy(i: int, e: PoissonElement) -> PoissonElement:
     :func:`codegeneracy_monomial`."""
     if not 1 <= i <= e.arity:
         raise ValueError(f"leaf {i} out of range for arity {e.arity}")
-    # distinct monomials contract to distinct ones: nothing to add up
-    return PoissonElement(e.n, e.arity - 1, {
+    # distinct monomials contract to distinct ones: nothing to add up, and
+    # the coefficients are e's own, already canonical
+    return _element(e.n, e.arity - 1, {
         kept: c for m, c in e.terms.items()
         if (kept := codegeneracy_monomial(i, m)) is not None})
 
@@ -458,7 +489,7 @@ class PoissonOperad(OperadInstance):
         return dict(e.terms)
 
     def entry(self, k: int) -> list:
-        return [monomial_element(self.n, k, m) for m in basis(self.n, k)]
+        return [_element(self.n, k, {m: 1}) for m in basis(self.n, k)]
 
     def arity_of(self, e: PoissonElement) -> int:
         return e.arity

@@ -46,7 +46,7 @@ VALID = {
     "--end-tol": ["1e-12", "0.5"],
     "--limit-tol": ["1e-4"],
     "--eps": ["0.125", "1e-3"],
-    "--t-min": ["1e-6", "1e-10", "1"],
+    "--t-min": ["1e-6", "1e-8", "1"],
     "--seed": ["0", "3"],
     "--degree": ["2", "3"],
     "--tree": ["(* (* *))", "((* *) (* *))", "(* *)", "((* *) * *)"],

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotoperads import operad_core
+from knotoperads import operad_core, poisson
 from knotoperads.errors import BoundExceededError
 from knotoperads.operad_core import (
     check_cosimplicial_identities,
@@ -873,6 +873,57 @@ class TestCanonicalCoefficients:
                                   ((1, 2),): Fraction(-1)})
         coords = PoissonOperad(2).coordinates(e)
         assert coords == e.terms and coords is not e.terms
+
+
+def _items_and_types(e: PoissonElement) -> tuple:
+    return e.n, e.arity, list(e.terms.items()), [type(c) for c in e.terms.values()]
+
+
+def _one_term_mismatches(n: int) -> list:
+    """Where circ or codegeneracy on one-term elements differs from the
+    element built and normalized from circ_monomials or
+    codegeneracy_monomial, in terms, their order or coefficient types:
+    every basis pair and slot of arities up to 4, some scaled pairs up to
+    arity 3, and every basis element and leaf up to arity 5."""
+    bad = []
+    for p, q in itertools.product(range(1, 5), repeat=2):
+        for ma, mb in itertools.product(basis(n, p), basis(n, q)):
+            a, b = monomial_element(n, p, ma), monomial_element(n, q, mb)
+            scales = [(1, 1)] + ([(-1, 2), (Fraction(1, 2), 2),
+                                  (Fraction(1, 2), Fraction(2, 3))]
+                                 if p + q <= 4 else [])
+            for (ca, cb), i in itertools.product(scales, range(1, p + 1)):
+                got = circ(a.scale(ca), i, b.scale(cb))
+                want = PoissonElement(n, p + q - 1, {
+                    m: ca * cb * x for m, x in circ_monomials(ma, i, mb, n).items()})
+                if _items_and_types(got) != _items_and_types(want):
+                    bad.append(("circ", ma, i, mb, ca, cb))
+    for k in range(1, 6):
+        for m in basis(n, k):
+            for i in range(1, k + 1):
+                kept = codegeneracy_monomial(i, m)
+                want = PoissonElement(n, k - 1, {} if kept is None else {kept: 1})
+                got = codegeneracy(i, monomial_element(n, k, m))
+                if _items_and_types(got) != _items_and_types(want):
+                    bad.append(("codegeneracy", i, m))
+    return bad
+
+
+class TestOneTermPaths:
+    """circ and codegeneracy build one-term results without normalizing
+    them again; they must equal the normalized elements."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_match_normalized_elements(self, n):
+        assert _one_term_mismatches(n) == []
+
+    def test_wrong_sign_in_one_term_branch_is_caught(self, monkeypatch):
+        # a mutant: the results built without normalizing carry the wrong sign
+        build = poisson._element
+        monkeypatch.setattr(poisson, "_element", lambda n, k, terms: build(
+            n, k, {m: -c for m, c in terms.items()}))
+        kinds = {bad[0] for bad in _one_term_mismatches(2)}
+        assert kinds == {"circ", "codegeneracy"}
 
 
 class TestNonzeroColumnTables:
