@@ -20,17 +20,21 @@ element to ``{basis key: exact coefficient}`` over its entry basis.  The
 checks then apply ``circ`` and the codegeneracies only to basis elements,
 once per basis input and arrow (or basis pair and slot), and extend those
 tables (bi)linearly with dict sums; every table entry still comes from the
-operad's own maps.  A table maps each basis key to its image and holds
-nonzero images only: a missing key is the zero vector.  Table images are
-shared, never copied or mutated, so a one-term input (the common case: a
-basis element, or a one-term column of a composite) reads its image
-straight from the table.  The operad laws hold basis elements by their
-keys and compose through three maps: basis ∘ basis, one table read, and
-value ∘ basis and basis ∘ value, the linear extensions, where a value is a
-composite in coordinates.  A failed check rebuilds its witness from the
-elements, so the report does not depend on which path ran.  Operads
-without the hook (``coordinates = None``) are checked on their elements,
-through the same law loop with ``circ`` as all three maps.
+operad's own maps.  Each check wraps the hook once (:func:`_interned`) so
+that its basis keys become small ints, numbered as first seen: the basis
+handles, the tables and every dict a law or identity compares are keyed by
+those ints, and no lookup hashes a hook key again.  A table maps each basis
+key to its image and holds nonzero images only: a missing key is the zero
+vector.  Table images are shared, never copied or mutated, so a one-term
+input (the common case: a basis element, or a one-term column of a
+composite) reads its image straight from the table.  The operad laws hold
+basis elements by their keys and compose through three maps: basis ∘
+basis, one table read, and value ∘ basis and basis ∘ value, the linear
+extensions, where a value is a composite in coordinates.  A failed check
+rebuilds its witness from the elements, so the report does not depend on
+which path ran.  Operads without the hook (``coordinates = None``) are
+checked on their elements, through the same law loop with ``circ`` as all
+three maps.
 """
 
 from __future__ import annotations
@@ -89,7 +93,9 @@ class OperadInstance:
     ``coordinates`` is the optional linear hook (see the module docstring):
     a callable ``x -> {basis key: coefficient}`` under which every entry
     element is one basis key with coefficient 1, keys being distinct across
-    arities, and ``circ`` and ``codegeneracy`` are (bi)linear.
+    arities, and ``circ`` and ``codegeneracy`` are (bi)linear.  Keys need
+    only be hashable: the checks replace them by ints of their own, per
+    check, and never hand those back to the operad.
     """
 
     name = "operad"
@@ -240,6 +246,17 @@ def _basis_key(coordinates: Callable, x):
     return next(iter(coords))
 
 
+def _interned(coordinates: Callable) -> Callable:
+    """The hook ``coordinates`` with each basis key replaced by a small
+    int, numbered in the order the keys are first seen.  One check wraps the
+    hook once, so its keys are distinct across arities as the hook's are,
+    and every table and compared dict of that check hashes ints, not the
+    hook's keys."""
+    ids: dict = {}
+    return lambda x: {ids.setdefault(k, len(ids)): c
+                      for k, c in coordinates(x).items()}
+
+
 def _arrow_table(coordinates: Callable, keys: list, inputs: list,
                  f: Arrow) -> dict:
     """{basis key of x: coordinates of f(x)} over the basis ``inputs`` with
@@ -323,8 +340,9 @@ def check_cosimplicial_identities(c: CosimplicialObject, max_level: int,
     linear = c.coordinates is not None
     keys = tables = None
     if linear:
-        keys = [[_basis_key(c.coordinates, x) for x in level] for level in levels]
-        tables = {f: _arrow_table(c.coordinates, keys[n], levels[n], f)
+        coordinates = _interned(c.coordinates)
+        keys = [[_basis_key(coordinates, x) for x in level] for level in levels]
+        tables = {f: _arrow_table(coordinates, keys[n], levels[n], f)
                   for n in range(max_level + 1) for _, _, _, f in arrows[n]}
     # per group: its first composite and label, the identity's table where
     # the ordinal map is one (else None), and the (ok, witness) records of the
@@ -416,9 +434,10 @@ def check_operad_axioms(op: OperadInstance, max_arity: int,
     if op.coordinates is None:
         handles, e, value, maps = entries, unit, _identity, (op.circ,) * 3
     else:
-        handles = [[_basis_key(op.coordinates, x) for x in ent] for ent in entries]
-        e, value = _basis_key(op.coordinates, unit), op.coordinates
-        maps = _circ_maps(op, [unit] + [x for ent in entries for x in ent],
+        value = _interned(op.coordinates)
+        handles = [[_basis_key(value, x) for x in ent] for ent in entries]
+        e = _basis_key(value, unit)
+        maps = _circ_maps(op, value, [unit] + [x for ent in entries for x in ent],
                           [e] + [k for keys in handles for k in keys])
     circ = maps[0]
     for n in range(max_arity + 1):
@@ -445,15 +464,16 @@ def _identity(x):
     return x
 
 
-def _circ_maps(op: OperadInstance, elements: list, keys: list) -> tuple:
-    """Partial composition in coordinates, as the three maps of
+def _circ_maps(op: OperadInstance, coordinates: Callable, elements: list,
+               keys: list) -> tuple:
+    """Partial composition in ``coordinates``, as the three maps of
     :func:`_check_triple`, on the basis ``elements`` with their ``keys``.
     ``bb(a, i, b)`` composes two basis keys: one read of a table of
     ``op.circ``, each pair and slot composed once, when first asked.
     ``vb(u, i, b)`` and ``bv(a, i, v)`` are its linear extensions in the
     coordinate dict u or v; a one-term dict returns the table image itself,
     scaled only when its coefficient is not 1 (:func:`_scale`)."""
-    coordinates, basis, table = op.coordinates, dict(zip(keys, elements)), {}
+    basis, table = dict(zip(keys, elements)), {}
 
     def bb(a, i: int, b) -> dict:
         img = table.get((a, i, b))

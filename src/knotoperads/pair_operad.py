@@ -180,15 +180,16 @@ class ChooseTwoOperad(OperadInstance):
         for n in range(1, max_arity + 1):
             # unit below: unary root over an n-vertex induces the identity
             fn = b_structure_map(RpTree((((),) * n,)))
-            rep.record(all(fn[p] == ((0,), p) for p in _pairs(n)),
-                       {"law": "left-unit", "n": n})
+            ok = all(fn[p] == ((0,), p) for p in _pairs(n))
+            rep.record(ok, None if ok else {"law": "left-unit", "n": n})
             for i in range(1, n + 1):
                 # unit in slot i: unary vertex under the root, still identity
                 children = [()] * n
                 children[i - 1] = ((),)
                 fn = b_structure_map(RpTree(tuple(children)))
-                rep.record(all(fn[p] == ((), p) for p in _pairs(n)),
-                           {"law": "right-unit", "n": n, "slot": i})
+                ok = all(fn[p] == ((), p) for p in _pairs(n))
+                rep.record(ok, None if ok else {
+                    "law": "right-unit", "n": n, "slot": i})
         rep.merge(check_b_functoriality(max_arity, progress))
         return rep
 
@@ -209,8 +210,12 @@ def check_b_functoriality(max_leaves: int = 5, progress=None) -> CheckReport:
             full = structure_map(t)
             internal = t.internal_edges()
             via, _ = b_morphism_map(t, internal)
-            ok = all(via[((), p)] == full[p] for p in _pairs(n))
-            rep.record(ok, {"tree": t.to_text(), "law": "corolla-agreement"})
+            pairs = _pairs(n)
+            ok = all(via[((), p)] == full[p] for p in pairs)
+            rep.record(ok, None if ok else {
+                "tree": t.to_text(), "law": "corolla-agreement",
+                "witness": _first_mismatch({p: via[((), p)] for p in pairs},
+                                           {p: full[p] for p in pairs})})
             for r in range(len(internal) + 1):
                 for sub in itertools.combinations(internal, r):
                     bf, target = b_morphism_map(t, sub)
@@ -241,24 +246,27 @@ def check_s2_iso(max_n: int = 8) -> CheckReport:
     rep = CheckReport(f"s2-iso<={max_n}")
     cos = cosimplicial_from_operad(ChooseTwoOperad())
     for n in range(max_n + 1):
-        rep.record(list(cos.level_elements(n)) == s2_elements(n),
-                   {"level": n, "map": "elements", "index": None,
-                    "witness": "level cardinality or order mismatch"})
+        ok = list(cos.level_elements(n)) == s2_elements(n)
+        rep.record(ok, None if ok else {
+            "level": n, "map": "elements", "index": None,
+            "witness": "level cardinality or order mismatch"})
     for n in range(1, max_n + 1):
         for i in range(n + 1):
             want = s2_face(n, i)
             face = cos.coface(n - 1, i)
             got = {x: face(x) for x in b_elements(n)}
-            rep.record(got == want,
-                       {"level": n, "map": "face", "index": i,
-                        "witness": _first_mismatch(got, want)})
+            ok = got == want
+            rep.record(ok, None if ok else {
+                "level": n, "map": "face", "index": i,
+                "witness": _first_mismatch(got, want)})
     for n in range(max_n):
         for i in range(1, n + 2):
             want = s2_degeneracy(n, i - 1)
             degeneracy = cos.codegeneracy(n + 1, i)
             got = {x: degeneracy(x) for x in b_elements(n)}
-            rep.record(got == want,
-                       {"level": n, "map": "degeneracy", "index": i,
-                        "witness": _first_mismatch(got, want)})
+            ok = got == want
+            rep.record(ok, None if ok else {
+                "level": n, "map": "degeneracy", "index": i,
+                "witness": _first_mismatch(got, want)})
     rep.merge(check_cosimplicial_identities(cos, max_n))
     return rep

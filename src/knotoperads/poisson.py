@@ -246,15 +246,21 @@ def circ_monomials(ma: Monomial, i: int, mb: Monomial,
     above i rise by arity(mb) - 1.  This locates x_i (word b, index t),
     relabels, and hands the substitution to :func:`_compose_at`.  Moving
     mb past the degree left of x_i (t brackets for index t in its word)
-    costs (-1)^(|mb| left)."""
+    costs (-1)^(|mb| left), which is -1 only when n is odd, |mb| is odd
+    (arity(mb) - len(mb) odd) and so is the left parity, the sum of
+    len(u) - 1 over the words u before word b, plus t.  A relabelling that
+    moves no letter is skipped: mb's at i = 1, ma's when arity(mb) = 1.  At
+    arity(mb) = 0 the letters of ma above i drop by one."""
     for b, w in enumerate(ma):
         if i in w:
             break
-    kb, t = monomial_arity(mb), w.index(i)
-    left = monomial_degree(ma[:b], n) + t * n
-    sign = -1 if (left * monomial_degree(mb, n)) % 2 else 1
-    sub = tuple([tuple([v + i - 1 for v in u]) for u in mb])
-    up = tuple([tuple([v if v < i else v + kb - 1 for v in u]) for u in ma])
+    kb, t, sign = monomial_arity(mb), w.index(i), 1
+    if n % 2 and (kb - len(mb)) % 2 and \
+            (sum([len(u) for u in ma[:b]]) - b + t) % 2:
+        sign = -1
+    sub = mb if i == 1 else tuple([tuple([v + i - 1 for v in u]) for u in mb])
+    up = ma if kb == 1 else \
+        tuple([tuple([v if v < i else v + kb - 1 for v in u]) for u in ma])
     return _compose_at(up, b, t, sub, sign, n)
 
 

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from knotoperads import pair_operad
 from knotoperads.operad_core import check_operad_axioms, cosimplicial_from_operad
 from knotoperads.pair_operad import (
     BASEPOINT,
@@ -182,3 +183,47 @@ class TestOperadAxioms:
         rep = check_operad_axioms(ChooseTwoOperad(), max_arity=5)
         assert rep.passed
         assert "choose-two" in rep.name
+
+
+class TestWitnesses:
+    def test_built_only_on_failure(self, monkeypatch):
+        calls, first_mismatch = [], pair_operad._first_mismatch
+
+        def counted(got, want):
+            calls.append(1)
+            return first_mismatch(got, want)
+
+        monkeypatch.setattr(pair_operad, "_first_mismatch", counted)
+        assert check_s2_iso(8).passed
+        assert check_operad_axioms(ChooseTwoOperad(), max_arity=5).passed
+        assert calls == []
+        # a wrong face still reports the witness it always has
+        face = pair_operad.s2_face
+
+        def wrong_face(n, i):
+            fn = face(n, i)
+            if (n, i) == (3, 1):
+                fn[(1, 3)] = BASEPOINT
+            return fn
+
+        monkeypatch.setattr(pair_operad, "s2_face", wrong_face)
+        rep = check_s2_iso(8)
+        assert rep.checks == 596 and len(calls) == 1
+        assert rep.failures == [{
+            "level": 3, "map": "face", "index": 1,
+            "witness": {"input": "(1, 3)", "got": "(1, 2)", "want": "'+'"}}]
+
+    def test_corolla_agreement_failure_has_witness(self, monkeypatch):
+        structure_map = pair_operad.b_structure_map
+
+        def wrong(tree):
+            fn = structure_map(tree)
+            if tree == corolla(3):
+                fn[(1, 2)] = ((), (2, 3))
+            return fn
+
+        monkeypatch.setattr(pair_operad, "b_structure_map", wrong)
+        rep = check_b_functoriality(3)
+        assert {"tree": corolla(3).to_text(), "law": "corolla-agreement",
+                "witness": {"input": "(1, 2)", "got": "((), (1, 2))",
+                            "want": "((), (2, 3))"}} in rep.failures

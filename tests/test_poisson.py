@@ -413,6 +413,29 @@ class TestCirc:
                             assert circ(a, i, b).terms == want
 
     @pytest.mark.parametrize("n", [2, 3])
+    def test_circ_monomials_edge_cases(self, n):
+        # the cases whose relabelling or sign circ_monomials shortcuts:
+        # mb = () (letters above i drop by one) and mb = the unit at every
+        # slot, and the first and last slots under larger mb; at n = 3 odd
+        # mb are inserted both where the left degree is odd (sign -1) and
+        # where it is even
+        cases = []
+        for k in range(1, 5):
+            for ma in basis(n, k):
+                cases += [(ma, i, mb) for i in range(1, k + 1)
+                          for mb in ((), ((1,),))]
+                cases += [(ma, i, mb) for i in sorted({1, k})
+                          for kb in (2, 3) for mb in basis(n, kb)]
+        for ma, i, mb in cases:
+            got = circ_monomials(ma, i, mb, n)
+            want = _expand_circ(ma, i, mb, n)
+            assert {m: (c, type(c)) for m, c in got.items()} == \
+                {m: (c, type(c)) for m, c in want.items()}, (ma, i, mb)
+        odd_signs = {_subst_sign(ma, i, mb, n) for ma, i, mb in cases
+                     if monomial_degree(mb, n) % 2}
+        assert odd_signs == ({1, -1} if n % 2 else set())
+
+    @pytest.mark.parametrize("n", [2, 3])
     def test_substitution_oracle_three_blocks_into_word(self, n):
         # arity 6 is the first where a substituted block moves left past
         # another odd one: x3 -> [x3,x4] x5 x6 in [[x1,x3],x2] puts x2
@@ -811,6 +834,22 @@ class TestLinearPath:
         assert digest.hexdigest() == \
             "92ce51285b8360a5b951c3c3a1124463d37df9b41ce41265edbcc9d26eb5e15e"
 
+    @pytest.mark.parametrize("check", ["axioms", "cosimplicial"])
+    def test_tables_keyed_by_interned_ints(self, check, monkeypatch):
+        # each check numbers the hook's monomial keys 0, 1, 2, ... in the
+        # order first seen, one number per monomial, and keeps the
+        # coefficients; the hook itself still returns monomial keys
+        calls = _record_interned(monkeypatch)
+        fast, slow = _both_paths(PoissonOperad, 3, check, 4)
+        assert fast.passed and fast.checks == slow.checks
+        ids = {}
+        for coords, img, _ in calls:
+            assert all(type(m) is tuple for m in coords)
+            assert list(img.values()) == list(coords.values())
+            for m, k in zip(coords, img):
+                assert ids.setdefault(m, k) == k
+        assert sorted(ids.values()) == list(range(len(ids)))
+
     def test_circ_tabulated_once_per_basis_pair(self):
         calls = []
 
@@ -926,6 +965,26 @@ class TestOneTermPaths:
         assert kinds == {"circ", "codegeneracy"}
 
 
+def _record_interned(monkeypatch) -> list:
+    """Patch the checks' key interning to record, for every hook call, the
+    hook's own coordinates, the interned dict handed to the check and a
+    copy of it taken at once."""
+    calls, interned = [], operad_core._interned
+
+    def recording(coordinates):
+        hook = interned(coordinates)
+
+        def record(x):
+            img = hook(x)
+            calls.append((coordinates(x), img, dict(img)))
+            return img
+
+        return record
+
+    monkeypatch.setattr(operad_core, "_interned", recording)
+    return calls
+
+
 class TestNonzeroColumnTables:
     def test_tables_hold_nonzero_columns_only(self, monkeypatch):
         # the codegeneracies kill every monomial whose leaf sits in a
@@ -958,18 +1017,11 @@ class TestNonzeroColumnTables:
         assert img == {"a": 2, "b": -1}
 
     @pytest.mark.parametrize("check", ["axioms", "cosimplicial"])
-    def test_table_images_never_mutated(self, check):
-        # every table image is a dict the hook returned; the one-term
-        # shortcuts hand those very dicts on, so any later write to a result
-        # would corrupt the tables
-        images = []
-
-        class Recording(PoissonOperad):
-            def coordinates(self, e):
-                img = super().coordinates(e)
-                images.append((img, dict(img)))
-                return img
-
-        fast, slow = _both_paths(Recording, 3, check, 4)
+    def test_table_images_never_mutated(self, check, monkeypatch):
+        # every table image is a dict the check's interned hook returned;
+        # the one-term shortcuts hand those very dicts on, so any later
+        # write to a result would corrupt the tables
+        calls = _record_interned(monkeypatch)
+        fast, slow = _both_paths(PoissonOperad, 3, check, 4)
         assert fast.passed and fast.checks == slow.checks
-        assert images and all(img == copy for img, copy in images)
+        assert calls and all(img == copy for _, img, copy in calls)
