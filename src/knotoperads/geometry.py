@@ -847,14 +847,36 @@ def _draw_disks(rng: np.random.Generator, n: int, m: int) -> tuple[np.ndarray, n
     homotopy's x_e + t r_e x' at t = LIMIT_TIME must keep the digits the
     limit comparison reads."""
     _check_dimension(m)
-    a, b = _pair_points(n)
     while True:
-        g = rng.standard_normal((n, m))
-        pts = (0.7 * rng.random((n, m)).max(axis=1) / _norms(g.T))[:, None] * g
-        sep = np.min(_norms((pts[a] - pts[b]).T), initial=math.inf)
+        (pts,), (sep,), (room,) = _disk_centers(rng.standard_normal((1, n, m)),
+                                                rng.random((1, n, m)))
         if sep >= 1e-2:
-            room = np.minimum(1.0 - _norms(pts.T), sep / 2.0)
             return pts, room * rng.uniform(0.3, 0.95, n)  # factors drawn in turn, one per disk
+
+
+def _disk_centers(g: np.ndarray, u: np.ndarray):
+    """_draw_disks' centers (T, n, m) from a stack of draws, normal g and
+    uniform u (T, n, m), each configuration's least center distance (T,),
+    and each disk's room (T, n): to the unit sphere, or half that distance."""
+    pts = (0.7 * u.max(axis=-1) / _norms(g.T).T)[..., None] * g
+    a, b = _pair_points(g.shape[1])
+    sep = np.min(_norms((pts[:, a] - pts[:, b]).T), axis=0, initial=math.inf)
+    return pts, sep, np.minimum(1.0 - _norms(pts.T).T, sep[:, None] / 2.0)
+
+
+def _draw_disk_chunk(rngs: list, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The disks _draw_disks draws from each stream of rngs, as the stacks
+    (T, n, m) and (T, n).  Every stream's first draw is decided on the
+    chunk's stack and those that pass draw their radius factors; a stream
+    whose first draw is rejected carries on in _draw_disks."""
+    g, u = zip(*[(rng.standard_normal((n, m)), rng.random((n, m))) for rng in rngs])
+    pts, sep, radii = _disk_centers(np.array(g), np.array(u))
+    for t, (rng, ok) in enumerate(zip(rngs, (sep >= 1e-2).tolist())):
+        if ok:
+            radii[t] *= rng.uniform(0.3, 0.95, n)
+        else:
+            pts[t], radii[t] = _draw_disks(rng, n, m)
+    return pts, radii
 
 
 # -- Monte Carlo trial batches -------------------------------------------------
@@ -893,26 +915,34 @@ def _vertex_pairs(arities: tuple[int, ...]) -> np.ndarray:
     return _read_only(out)
 
 
-# The leading random() doubles of the trial streams of one seed, with each
-# stream to grow them: {seed: {k: (stream, prefix)}}.  The suites of a battery
-# share a seed and visit its chunks in turn, so the memo keeps every trial of
-# the current seed and drops them all when another seed arrives.
+# The trial streams of one seed and their leading random() doubles, a row per
+# trial: {seed: (streams, prefixes)}.  The suites of a battery share a seed
+# and visit its chunks in turn, so the memo keeps every trial of the current
+# seed and drops them all when another seed arrives.
 _PREFIXES: dict = {}
 
 
-def _stream_prefix(seed: int, k: int, size: int) -> np.ndarray:
-    """The first size doubles _trial_rng(seed, k).random() gives, read-only:
-    the stream is built once per trial, and its prefix grown when a longer
-    one is asked for."""
-    memo = _PREFIXES.get(seed)
-    if memo is None:
+def _stream_prefixes(seed: int, ks: range, size: int) -> np.ndarray:
+    """The first size doubles _trial_rng(seed, k).random() gives, a row per
+    trial k of ks, as one read-only slice of the seed's prefixes: each stream
+    is built once, and the rows grow when a later trial or a longer prefix is
+    asked for."""
+    if seed not in _PREFIXES:
         _PREFIXES.clear()
-        memo = _PREFIXES[seed] = {}
-    rng, prefix = memo.get(k) or (_trial_rng(seed, k), np.empty(0))
-    if len(prefix) < size:
-        prefix = _read_only(np.concatenate([prefix, rng.random(size - len(prefix))]))
-        memo[k] = rng, prefix
-    return prefix[:size]
+        _PREFIXES[seed] = [], np.empty((0, 0))
+    streams, rows = _PREFIXES[seed]
+    (have, drawn), width = rows.shape, max(size, rows.shape[1])
+    if ks.stop > have or width > drawn:
+        streams += [_trial_rng(seed, k) for k in range(have, ks.stop)]
+        grown = np.empty((len(streams), width))
+        grown[:have, :drawn] = rows
+        for t, rng in enumerate(streams):
+            start = drawn if t < have else 0
+            if start < width:
+                grown[t, start:] = rng.random(width - start)
+        rows = _read_only(grown)
+        _PREFIXES[seed] = streams, rows
+    return rows[ks.start:ks.stop, :size]
 
 
 def _draw_points(seed: int, ks: range, arities: tuple[int, ...], m: int,
@@ -922,14 +952,13 @@ def _draw_points(seed: int, ks: range, arities: tuple[int, ...], m: int,
     trial gives them when every vertex's first draw is separated: numpy fills
     it from the stream as it fills the vertices' draws in turn.  That draw is
     -1 + 2 u over the stream's leading random() doubles u, bit for bit (each
-    double is the stream's next 64-bit output scaled, and 2 u is exact), so it
-    is read off the memo of stream prefixes that every suite of the seed
-    shares.  The trials one separation test over the chunk rejects are drawn
-    again vertex by vertex from a fresh stream."""
+    double is the stream's next 64-bit output scaled, and 2 u is exact), so
+    the chunk is one slice of the memo of stream prefixes that every suite of
+    the seed shares.  The trials one separation test over the chunk rejects
+    are drawn again vertex by vertex from a fresh stream."""
     _check_dimension(m)
     size = sum(arities) * m
-    pts = -1.0 + 2.0 * np.stack([_stream_prefix(seed, k, size) for k in ks])
-    pts = pts.reshape(len(ks), sum(arities), m)
+    pts = (-1.0 + 2.0 * _stream_prefixes(seed, ks, size)).reshape(len(ks), sum(arities), m)
     a, b = _vertex_pairs(arities)
     apart = (_norms((pts[:, a] - pts[:, b]).T) >= min_sep).all(axis=0)
     for t in np.flatnonzero(~apart).tolist():
@@ -1074,8 +1103,9 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
     time 1 is the composition by its formula, so the end gap reads one array
     twice and is 0.0.  The tree's leaves are bounded by MAX_REPORT_POINTS
     before anything is drawn.  Each trial draws its vertices' disks in
-    _compose_table's vertex order, and a chunk's maps run on the chunk's
-    stack, as on a stack of one."""
+    _compose_table's vertex order, a chunk's trials one vertex at a time (see
+    _draw_disk_chunk), and a chunk's maps run on the chunk's stack, as on a
+    stack of one."""
     _check_dimension(m)
     check_report_points(tree.leaf_count)
     _check_time(limit_time)
@@ -1083,12 +1113,11 @@ def disks_comparison_trials(tree: RpTree, m: int, trials: int, seed: int = 0,
     arities = tuple(map(tree.arity, internal))
     outcomes = []
     for ks in _chunks(trials):
-        draws = [[_draw_disks(rng, a, m) for a in arities]
-                 for rng in (_trial_rng(seed, k) for k in ks)]
-        disks = (np.array([np.concatenate([c for c, _ in d]) for d in draws]),
-                 np.array([np.concatenate([r for _, r in d]) for d in draws]))
-        for lo, k in zip(itertools.accumulate(arities, initial=0), arities):
-            _check_disks(disks[0][:, lo:lo + k], disks[1][:, lo:lo + k], DEFAULT_TOL)
+        rngs = [_trial_rng(seed, k) for k in ks]
+        vertices = [_draw_disk_chunk(rngs, a, m) for a in arities]
+        for centers, radii in vertices:
+            _check_disks(centers, radii, DEFAULT_TOL)
+        disks = tuple(np.concatenate(x, axis=1) for x in zip(*vertices))
         composed = _slid_disks(tree, disks, 1.0)
         _check_disks(*composed, DEFAULT_TOL)
         rows = [_gauss_rows(composed[0]), _gauss_rows(_slid_disks(tree, disks, limit_time)[0]),
@@ -1169,25 +1198,16 @@ def _lambda_rows(x: np.ndarray, eps: float, tol: float = DEFAULT_TOL):
     return v, 3 * undefined, factor, codes
 
 
-def _boundary_stack(configs: Sequence[PointConfiguration]):
-    """The points (T, n, m), pair direction rows (T, C(n, 2), m) and their
-    mask (T, C(n, 2)) of point configurations of one shape; a pair with no
-    direction reads 0."""
-    n, m = configs[0].n, configs[0].m
-    dirs = np.zeros((len(configs), pair_count(n), m))
-    has = np.zeros(dirs.shape[:2], dtype=bool)
-    t = np.repeat(np.arange(len(configs)), [len(c._dirs) for c in configs])
-    rows = _pair_row(n, *np.concatenate([c._pairs for c in configs], axis=1))
-    dirs[t, rows] = np.concatenate([c._dirs for c in configs])
-    has[t, rows] = True
-    return np.stack([c.points for c in configs]), dirs, has
+# A boundary stack is T configurations of n points as the arrays: points
+# (T, n, m), a direction row per pair (T, C(n, 2), m), and the mask (T, C(n, 2))
+# of the pairs that carry one; a pair with no direction reads 0.
 
 
 def _pi_rows(points: np.ndarray, dirs: np.ndarray, has: np.ndarray,
              eps: float) -> np.ndarray:
-    """pi_k on a stack of boundary configurations (see _boundary_stack): the
-    forward directions (T, C(n, 2), m) of the lambda-stretched points, or the
-    error of the first pair, in the first configuration, that has one.
+    """pi_k on a boundary stack (points, dirs, has): the forward directions
+    (T, C(n, 2), m) of the lambda-stretched points, or the error of the first
+    pair, in the first configuration, that has one.
 
     For i < j the row is u(lambda(x_j) - lambda(x_i)) when the points differ
     and no endpoint rule applies, and *_S when x_i = *_+ or x_j = *_- (the
@@ -1238,11 +1258,11 @@ def _insertion_tables(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _insert_stack(points: np.ndarray, dirs: np.ndarray, has: np.ndarray, i: int):
-    """e^i on a stack of boundary configurations (see _boundary_stack): for
-    1 <= i <= n it doubles point i with new mutual direction *_S, and e^0 and
-    e^{n+1} plant a copy of the matching marked endpoint at that end, indices
-    relabeling by sigma_i.  The points gather through _insertion_tables, and
-    so do the pair directions, a new coincident pair reading *_S."""
+    """e^i on a boundary stack (points, dirs, has): for 1 <= i <= n it
+    doubles point i with new mutual direction *_S, and e^0 and e^{n+1} plant
+    a copy of the matching marked endpoint at that end, indices relabeling by
+    sigma_i.  The points gather through _insertion_tables, and so do the pair
+    directions, a new coincident pair reading *_S."""
     t, n, m = points.shape
     point_index, pair_index = _insertion_tables(n, i)
     return (np.concatenate([points, np.broadcast_to([north(m), south(m)], (t, 2, m))],
@@ -1251,68 +1271,140 @@ def _insert_stack(points: np.ndarray, dirs: np.ndarray, has: np.ndarray, i: int)
             np.concatenate([has, np.ones((t, 1), dtype=bool)], axis=1)[:, pair_index])
 
 
+def _interior_points(rng: np.random.Generator, cands: np.ndarray, eps: float) -> np.ndarray:
+    """The k interior points of a boundary configuration, taken in turn from
+    the candidates cands (k, m) and then from further uniform draws: a
+    candidate is kept when it lies at least 1.5 eps from both poles and 1e-3
+    from every point kept before it.  Each candidate keeps at most one point,
+    so drawing the k - kept still missing at once draws what drawing one at
+    a time would."""
+    k, m = cands.shape
+    poles = np.array([north(m), south(m)])
+    pts: list = []
+    while True:
+        for cand in cands:
+            near = (_norms((cand - poles).T) < eps * 1.5).any()
+            if not near and not (pts and (_norms((cand - np.array(pts)).T) < 1e-3).any()):
+                pts.append(cand)
+        if len(pts) == k:
+            return np.array(pts).reshape(k, m)
+        cands = rng.uniform(-1.0, 1.0, (k - len(pts), m))
+
+
+def _draw_boundary_chunk(rngs: list, n: int, m: int, eps: float):
+    """The configurations random_boundary_configuration draws from each
+    stream of rngs, as a boundary stack with its tangents: (points, dirs,
+    has, tangents (T, n, m)), unchecked.
+
+    A stream's k interior candidates come from one uniform draw (k, m), the
+    doubles of k draws of one, and the chunk's candidates are tested
+    together; a stream that must reject one carries on in _interior_points.
+    Then each stream draws the rest of its configuration in turn, and the
+    tangents and stored directions are normalized on the stack."""
+    count, pairs = len(rngs), pair_count(n)
+    points, ends = np.zeros((count, n, m)), []
+    for t, rng in enumerate(rngs):
+        lead = int(rng.integers(0, 2)) if n >= 2 else 0
+        trail = int(rng.integers(0, 2)) if n - lead >= 2 else 0
+        ends.append((lead, n - trail))   # the interior rows
+        points[t, lead:n - trail] = rng.uniform(-1.0, 1.0, (n - lead - trail, m))
+    row, (a, b) = np.arange(n), _pair_points(n)
+    first, end = np.array(ends, dtype=np.intp).reshape(count, 2).T[..., None]
+    interior = (first <= row) & (row < end)
+    poles = np.array([north(m), south(m)])
+    near = (_norms((points[:, :, None] - poles).T).T < eps * 1.5).any(axis=-1)
+    close = _norms((points[:, b] - points[:, a]).T).T < 1e-3
+    rejected = ((near & interior).any(axis=1)
+                | (close & interior[:, a] & interior[:, b]).any(axis=1)).tolist()
+    dirs, has = np.zeros((count, pairs, m)), np.zeros((count, pairs), dtype=bool)
+    tangents = np.empty((count, n, m))
+    for t, (rng, (lo, hi)) in enumerate(zip(rngs, ends)):
+        pts, k, pair = points[t, lo:hi], hi - lo, None
+        if rejected[t]:
+            pts[:] = _interior_points(rng, pts.copy(), eps)
+        if k >= 2 and rng.random() < 0.5:
+            # duplicate one interior point; the pair needs a direction
+            which = int(rng.integers(0, k - 1))
+            pts[which + 1] = pts[which]
+            pair = lo + which
+        elif k >= 1 and rng.random() < 0.3:
+            # an on-axis near-endpoint coincident pair takes the rescale path
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            pts[:2] = 0.0
+            pts[:2, -1] = sign * (1.0 - eps / 2.0)
+            pair = lo if k >= 2 else None
+        if pair is not None:
+            r = _pair_row(n, pair, pair + 1)
+            dirs[t, r], has[t, r] = rng.standard_normal(m), True
+        tangents[t] = rng.standard_normal((n, m))
+    points[row < first] = north(m)
+    points[row >= end] = south(m)
+    dirs[has] = _unit_rows(dirs[has])
+    return points, dirs, has, _unit_rows(tangents)
+
+
+def _boundary_configuration(stack, t: int) -> PointConfiguration:
+    """Configuration t of a boundary stack with its tangents, validated."""
+    points, dirs, has, tangents = stack
+    pairs = _pair_points(points.shape[1])[:, has[t]]
+    return PointConfiguration._from_rows(points.shape[2], points[t], tangents[t], pairs,
+                                         dirs[t, has[t]])
+
+
+def _check_boundary_stack(points: np.ndarray, dirs: np.ndarray, has: np.ndarray,
+                          tangents: np.ndarray) -> None:
+    """Raise the ValueError PointConfiguration raises on the first
+    configuration of a boundary stack that it rejects: one with a point not
+    finite, a tangent or a stored direction not a finite unit vector within
+    UNIT_NORM_TOL, or a direction on two distinct points."""
+    n = points.shape[1]
+    a, b = _pair_points(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.concatenate([tangents, dirs], axis=1)
+        unit = np.abs(_norms(rows.T).T - 1.0) <= UNIT_NORM_TOL   # false on a NaN too
+    bad = (~np.isfinite(points).all(axis=(1, 2)) | ~unit[:, :n].all(axis=1)
+           | (has & (~unit[:, n:] | (points[:, a] != points[:, b]).any(axis=-1))).any(axis=1))
+    if bad.any():
+        _boundary_configuration((points, dirs, has, tangents), int(np.argmax(bad)))
+        raise AssertionError("PointConfiguration took a configuration the stack check rejects")
+
+
 def random_boundary_configuration(rng: np.random.Generator, n: int, m: int,
                                   eps: float = DEFAULT_EPS) -> PointConfiguration:
     """A valid pi_k input hitting all the map's cases: optional leading *_+
     and trailing *_- copies, interior points clear of the endpoint shells,
     an occasional coincident interior pair with a stored direction, and an
-    occasional on-axis shell point exercising the Jacobian rescale."""
-    top, bottom = north(m), south(m)
-    lead = int(rng.integers(0, 2)) if n >= 2 else 0
-    trail = int(rng.integers(0, 2)) if n - lead >= 2 else 0
-    k = n - lead - trail
-    poles = np.array([top, bottom])
-    pts: list = []
-    while len(pts) < k:
-        cand = rng.uniform(-1.0, 1.0, size=m)
-        if (_norms((cand - poles).T) < eps * 1.5).any():
-            continue
-        if pts and (_norms((cand - np.array(pts)).T) < 1e-3).any():
-            continue
-        pts.append(cand)
-    pair, dirs = [[], []], []
-    if k >= 2 and rng.random() < 0.5:
-        # duplicate one interior point; the pair needs a direction
-        which = int(rng.integers(0, k - 1))
-        pts[which + 1] = pts[which]
-        pair, dirs = [[lead + which], [lead + which + 1]], _unit_rows(rng.standard_normal((1, m)))
-    elif k >= 1 and rng.random() < 0.3:
-        # an on-axis near-endpoint coincident pair takes the rescale path
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        axis = np.zeros(m)
-        axis[-1] = sign * (1.0 - eps / 2.0)
-        pts[0] = axis
-        if k >= 2:
-            pts[1] = axis
-            pair, dirs = [[lead], [lead + 1]], _unit_rows(rng.standard_normal((1, m)))
-    points = [top] * lead + pts + [bottom] * trail
-    tangents = _unit_rows(rng.standard_normal((n, m)))
-    return PointConfiguration._from_rows(m, points, tangents, pair, dirs)
+    occasional on-axis shell point exercising the Jacobian rescale.  Drawn
+    as a chunk of one stream (see _draw_boundary_chunk)."""
+    return _boundary_configuration(_draw_boundary_chunk([rng], n, m, eps), 0)
 
 
 def check_insertion_naturality(n: int, m: int, trials: int, seed: int = 0,
                                eps: float = DEFAULT_EPS) -> CheckReport:
     """pi_k(e^i(c)) == d^i(pi_k(c)), exactly, for 0 <= i <= n+1.  Each trial
-    draws its configuration from its own stream; a chunk's configurations
-    are stacked, and both sides are evaluated on the stack for every i."""
+    draws its configuration from its own stream, a chunk's trials together
+    (see _draw_boundary_chunk), and the chunk's stack is validated as every
+    PointConfiguration is.  Both sides run on the stack, all n + 2
+    insertions in one pi_k call, and a configuration is built only for a
+    failure's witness."""
     _check_eps(eps)
     rep = CheckReport(f"insertion-naturality[n={n},m={m}]")
     for ks in _chunks(trials):
-        configs = [random_boundary_configuration(_trial_rng(seed, k), n, m, eps)
-                   for k in ks]
-        stack = _boundary_stack(configs)
-        base = _pi_rows(*stack, eps)
+        stack = _draw_boundary_chunk([_trial_rng(seed, k) for k in ks], n, m, eps)
+        _check_boundary_stack(*stack)
+        base = _pi_rows(*stack[:3], eps)
         _check_unit_rows(base, n)
         base = np.concatenate([base, np.broadcast_to(south(m), (len(ks), 1, m))], axis=1)
-        same = []
-        for i in range(n + 2):
-            lhs = _pi_rows(*_insert_stack(*stack, i), eps)
-            _check_unit_rows(lhs, n + 1)
-            same.append((lhs == base[:, _coface_table(n, i)]).all(axis=(1, 2)).tolist())
-        for t, (k, c) in enumerate(zip(ks, configs)):
-            for i in range(n + 2):
-                rep.record(same[i][t], None if same[i][t] else
-                           {"trial": k, "index": i, "config": c.to_json_obj()})
+        inserted = zip(*(_insert_stack(*stack[:3], i) for i in range(n + 2)))
+        lhs = _pi_rows(*map(np.concatenate, inserted), eps)
+        _check_unit_rows(lhs, n + 1)
+        rhs = np.concatenate([base[:, _coface_table(n, i)] for i in range(n + 2)])
+        same = (lhs == rhs).all(axis=(1, 2)).reshape(n + 2, len(ks)).T.tolist()
+        for t, k in enumerate(ks):
+            for i, ok in enumerate(same[t]):
+                rep.record(ok, None if ok else {
+                    "trial": k, "index": i,
+                    "config": _boundary_configuration(stack, t).to_json_obj()})
     return rep
 
 

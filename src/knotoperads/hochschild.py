@@ -490,14 +490,16 @@ def cohomology(c: CochainComplex, p: int, q: int,
 def _cohomology(c: CochainComplex, p: int, q: int, coefficients: str,
                 eliminated: dict):
     """:func:`cohomology` on checked arguments.  ``eliminated`` maps the
-    bidegree of a differential to its :func:`eliminate_units` result, so a
-    table that shares it eliminates each differential once: d_out at p is
-    d_in at p + 1.  The ranks (Bareiss) and the invariant factors (Smith)
-    are read off the small leftover blocks."""
+    bidegree of a differential to its :func:`eliminate_units` result and the
+    seconds that call took, so a table that shares it eliminates each
+    differential once: d_out at p is d_in at p + 1.  The ranks (Bareiss) and
+    the invariant factors (Smith) are read off the small leftover blocks."""
     def reduced(pp: int) -> tuple[int, list[list[int]]]:
         if (pp, q) not in eliminated:
-            eliminated[pp, q] = eliminate_units(_differential(c, pp, q))
-        return eliminated[pp, q]
+            t = time.perf_counter()
+            units, block = eliminate_units(_differential(c, pp, q))
+            eliminated[pp, q] = units, block, time.perf_counter() - t
+        return eliminated[pp, q][:2]
 
     rank = c.dim(p, q) - _unit_rank(*reduced(p))
     if coefficients == "rational":
@@ -584,8 +586,9 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
     """Cohomology over every computable interior bidegree p < max_p, each
     differential eliminated once (see :func:`_cohomology`).  ``stages`` has
     the seconds per stage, each eliminated differential's shape, nonzeros,
-    unit pivots, leftover block and assembly seconds, and the hits and
-    misses of the normal-form memos during the call (``caches``)."""
+    unit pivots, leftover block, assembly seconds and the seconds of its
+    :func:`eliminate_units` call, and the hits and misses of the normal-form
+    memos during the call (``caches``)."""
     if max_p < 2:
         raise ValueError("max_p must be at least 2")
     if coefficients not in ("rational", "integral"):
@@ -609,8 +612,9 @@ def hh_table(n: int, max_p: int, coefficients: str = "rational",
         {"p": p, "q": q, "rows": d.rows, "cols": d.cols,
          "nnz": sum(map(len, d.col)), "unit_pivots": units,
          "leftover": [len(block), len(block[0]) if block else 0],
-         "assembly_s": round(c.assembly_seconds.get((p, q), 0.0), 6)}
-        for (p, q), (units, block) in sorted(eliminated.items()) if p >= 0
+         "assembly_s": round(c.assembly_seconds.get((p, q), 0.0), 6),
+         "elimination_s": round(took, 6)}
+        for (p, q), (units, block, took) in sorted(eliminated.items()) if p >= 0
         for d in [_differential(c, p, q)]]
     stages["caches"] = {
         name: {"hits": info.hits - before[name].hits,

@@ -122,6 +122,11 @@ class TestHH:
         assert sum(seconds) == pytest.approx(stages["assembly_s"],
                                              abs=1e-6 * (len(diffs) + 1))
         assert sum(seconds) > 0
+        # and the seconds of its eliminate_units call, part of the
+        # elimination stage (each rounded to 6 places)
+        seconds = [d.pop("elimination_s") for d in diffs]
+        assert all(s >= 0 for s in seconds)
+        assert sum(seconds) <= stages["elimination_s"] + 1e-6 * (len(diffs) + 1)
         c = hochschild.build_complex(2, 6)
         for d in diffs:
             mat = hochschild._differential(c, d["p"], d["q"])
@@ -146,6 +151,18 @@ class TestHH:
         again = artifact(capsys, *args, "--timings")[1]["results"]["stages"]["caches"]
         assert again["nf_pair"]["misses"] == again["nf_letter"]["misses"] == 0
         assert again["nf_letter"]["hits"] == sum(first["nf_letter"].values())
+
+    def test_elimination_seconds_only_with_timings(self, capsys):
+        # each differential record carries the time of its own elimination
+        # under --timings; the default artifact names no such key
+        args = ["hh", "--degree", "3", "--max-p", "5", "--coeff", "integral"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0 and "elimination_s" not in out
+        code, timed = artifact(capsys, *args, "--timings")
+        assert code == 0
+        diffs = timed["results"]["stages"]["differentials"]
+        assert diffs and all(d["elimination_s"] >= 0 for d in diffs)
+        assert run(capsys, *args)[1] == out
 
     @pytest.mark.parametrize("fmt", ["csv", "text"])
     def test_timings_need_json(self, capsys, tmp_path, monkeypatch, fmt):

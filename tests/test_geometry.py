@@ -105,14 +105,27 @@ def _jacobian(x, eps=G.DEFAULT_EPS, tol=G.DEFAULT_TOL):
     return float(factor[0])
 
 
+def _boundary_stack(configs):
+    """The boundary stack (points, dirs, has) of point configurations of one
+    shape, the form the endpoint maps take."""
+    n, m = configs[0].n, configs[0].m
+    dirs = np.zeros((len(configs), G.pair_count(n), m))
+    has = np.zeros(dirs.shape[:2], dtype=bool)
+    t = np.repeat(np.arange(len(configs)), [len(c._dirs) for c in configs])
+    rows = G._pair_row(n, *np.concatenate([c._pairs for c in configs], axis=1))
+    dirs[t, rows] = np.concatenate([c._dirs for c in configs])
+    has[t, rows] = True
+    return np.stack([c.points for c in configs]), dirs, has
+
+
 def _pi(c, eps=G.DEFAULT_EPS):
-    return G.SphereConfiguration(c.m, c.n, G._pi_rows(*G._boundary_stack([c]), eps)[0])
+    return G.SphereConfiguration(c.m, c.n, G._pi_rows(*_boundary_stack([c]), eps)[0])
 
 
 def _insert(c, i):
     """e^i keeping the directions of coincident pairs; tangents are inserted
     as points are, *_S at the ends."""
-    points, dirs, has = (x[0] for x in G._insert_stack(*G._boundary_stack([c]), i))
+    points, dirs, has = (x[0] for x in G._insert_stack(*_boundary_stack([c]), i))
     tangents = None if c.tangents is None else np.concatenate(
         [c.tangents, [G.south(c.m)] * 2])[G._insertion_tables(c.n, i)[0]]
     pairs = G._pair_points(c.n + 1)
@@ -358,6 +371,57 @@ def _old_point_draw(rng, n, m, min_sep=1e-3):
             return pts
 
 
+def _old_boundary_draw(rng, n, m, eps=G.DEFAULT_EPS):
+    """The boundary sampler the chunk sampler replaced, one candidate per
+    draw: its configuration, and the kinds of rejection ("pole", "point")
+    among its first k candidates, the ones a chunk draws at once."""
+    top, bottom = G.north(m), G.south(m)
+    lead = int(rng.integers(0, 2)) if n >= 2 else 0
+    trail = int(rng.integers(0, 2)) if n - lead >= 2 else 0
+    k = n - lead - trail
+    poles = np.array([top, bottom])
+    pts, drawn, rejected = [], 0, set()
+    while len(pts) < k:
+        cand = rng.uniform(-1.0, 1.0, size=m)
+        drawn += 1
+        if (G._norms((cand - poles).T) < eps * 1.5).any():
+            rejected |= {"pole"} if drawn <= k else set()
+            continue
+        if pts and (G._norms((cand - np.array(pts)).T) < 1e-3).any():
+            rejected |= {"point"} if drawn <= k else set()
+            continue
+        pts.append(cand)
+    dirs = {}
+    if k >= 2 and rng.random() < 0.5:
+        which = int(rng.integers(0, k - 1))
+        pts[which + 1] = pts[which]
+        dirs[(lead + which + 1, lead + which + 2)] = G._unit_rows(rng.standard_normal((1, m)))[0]
+    elif k >= 1 and rng.random() < 0.3:
+        sign = 1.0 if rng.random() < 0.5 else -1.0
+        axis = np.zeros(m)
+        axis[-1] = sign * (1.0 - eps / 2.0)
+        pts[0] = axis
+        if k >= 2:
+            pts[1] = axis
+            dirs[(lead + 1, lead + 2)] = G._unit_rows(rng.standard_normal((1, m)))[0]
+    tangents = G._unit_rows(rng.standard_normal((n, m)))
+    return G.PointConfiguration(m, [top] * lead + pts + [bottom] * trail, tangents,
+                                dirs), rejected
+
+
+def _old_disk_draw(rng, n, m):
+    """The disk sampler's rejection loop as first written, one vertex on one
+    stream: its centers and radii, and how many draws it took."""
+    a, b = G._pair_points(n)
+    for tries in itertools.count(1):
+        g = rng.standard_normal((n, m))
+        pts = (0.7 * rng.random((n, m)).max(axis=1) / G._norms(g.T))[:, None] * g
+        sep = np.min(G._norms((pts[a] - pts[b]).T), initial=math.inf)
+        if sep >= 1e-2:
+            room = np.minimum(1.0 - G._norms(pts.T), sep / 2.0)
+            return pts, room * rng.uniform(0.3, 0.95, n), tries
+
+
 def _assert_same(got, want):
     """Equal shapes and the same float bits in every row."""
     assert (got.m, got.n) == (want.m, want.n)
@@ -486,10 +550,11 @@ def _delete_oracle(c, i):
 
 
 def _naturality_oracle(n, m, trials, seed, eps=G.DEFAULT_EPS):
-    """The per-configuration naturality loop, in trial-major order."""
+    """The per-configuration naturality loop, in trial-major order, on the
+    per-candidate boundary sampler."""
     rep = CheckReport(f"insertion-naturality[n={n},m={m}]")
     for k in range(trials):
-        c = G.random_boundary_configuration(G._trial_rng(seed, k), n, m, eps)
+        c, _ = _old_boundary_draw(G._trial_rng(seed, k), n, m, eps)
         base = G.SphereConfiguration(m, n, _project_oracle(c, eps))
         for i in range(n + 2):
             ok = np.array_equal(_project_oracle(_insertion_oracle(c, i), eps),
@@ -1652,7 +1717,7 @@ class TestProjectPiK:
         branches = set()
         for stack in [configs] + [[_insert(c, i) for c in configs]
                                   for i in range(n + 2)]:
-            got = G._pi_rows(*G._boundary_stack(stack), G.DEFAULT_EPS)
+            got = G._pi_rows(*_boundary_stack(stack), G.DEFAULT_EPS)
             want = [_project_oracle(c) for c in stack]
             assert _hex(got) == _hex(want)
             assert [_hex(_pi(c).rows) for c in stack[:3]] == \
@@ -1668,7 +1733,7 @@ class TestProjectPiK:
         good = G.PointConfiguration(3, [(0.1, 0.2, 0.3), (0.3, 0.2, 0.1), (0.0, 0.0, -1.0)])
         bad = G.PointConfiguration(3, [(0.1, 0.2, 0.3), (0.0, 0.0, 1.0), (0.1, 0.2, 0.3)])
         with pytest.raises(ValueError, match=r"pair \(1, 2\) has an endpoint out of order"):
-            G._pi_rows(*G._boundary_stack([good, bad, good]), G.DEFAULT_EPS)
+            G._pi_rows(*_boundary_stack([good, bad, good]), G.DEFAULT_EPS)
         with pytest.raises(ValueError, match=r"pair \(1, 2\) has an endpoint out of order"):
             _project_oracle(bad)
         with pytest.raises(ValueError, match=r"pair \(1, 3\) carries no direction"):
@@ -1753,7 +1818,7 @@ class TestInsertion:
         c = self._sample(34)
         for i in (c.n + 2, -1):
             with pytest.raises(ValueError, match="out of range"):
-                G._insert_stack(*G._boundary_stack([c]), i)
+                G._insert_stack(*_boundary_stack([c]), i)
 
 
 # -- long knots -----------------------------------------------------------------
@@ -1835,6 +1900,124 @@ class TestKnotEval:
 # -- trial batches ---------------------------------------------------------------
 
 
+class TestChunkSamplers:
+    """Each chunk sampler draws, stream by stream, what the per-trial sampler
+    draws, also where a first draw is rejected and the trial carries on
+    alone; and the stacked naturality check keeps every check of the
+    per-configuration loop.  The rejected trials are found by scanning seeds
+    and trial indices in R^1 and R^2, where the program's own thresholds
+    reject often."""
+
+    def test_boundary_chunks_match_per_candidate_loop(self):
+        rejected = set()
+        for m, n, seed in itertools.product((1, 2), (3, 6), range(3)):
+            for ks in G._chunks(120):
+                want, why = zip(*(_old_boundary_draw(G._trial_rng(seed, k), n, m)
+                                  for k in ks))
+                got = G._draw_boundary_chunk([G._trial_rng(seed, k) for k in ks],
+                                             n, m, G.DEFAULT_EPS)
+                assert [x.tobytes() for x in got] == [
+                    x.tobytes() for x in _boundary_stack(want)
+                    + (np.stack([c.tangents for c in want]),)]
+                assert [G._boundary_configuration(got, t) for t in range(len(ks))] == \
+                    list(want)
+                rejected.update(*why)
+        assert rejected == {"pole", "point"}
+
+    def test_disk_chunks_match_per_vertex_loop(self):
+        redrawn = 0
+        for m, arities, seed in itertools.product((1, 2), ((2, 3), (3, 1, 2)), range(2)):
+            for ks in G._chunks(120):
+                rngs = [G._trial_rng(seed, k) for k in ks]
+                got = [G._draw_disk_chunk(rngs, a, m) for a in arities]
+                for t, k in enumerate(ks):
+                    old, new = G._trial_rng(seed, k), G._trial_rng(seed, k)
+                    for (centers, radii), a in zip(got, arities):
+                        want_c, want_r, tries = _old_disk_draw(old, a, m)
+                        assert [x.tobytes() for x in G._draw_disks(new, a, m)] == \
+                            [centers[t].tobytes(), radii[t].tobytes()] == \
+                            [want_c.tobytes(), want_r.tobytes()]
+                        redrawn += tries > 1
+        assert redrawn > 0
+
+    def test_point_chunks_match_per_vertex_loop(self, monkeypatch):
+        monkeypatch.setattr(G, "_PREFIXES", {})
+        redrawn = 0
+        for arities, seed in itertools.product(((6,), (4, 2, 2)), range(3)):
+            for ks in G._chunks(120):
+                got = G._draw_points(seed, ks, arities, 1, G.MIN_SEP)
+                for t, k in enumerate(ks):
+                    rng = G._trial_rng(seed, k)
+                    want = np.concatenate([_old_point_draw(rng, a, 1, G.MIN_SEP)
+                                           for a in arities])
+                    assert got[t].tobytes() == want.tobytes()
+                    first = G._trial_rng(seed, k).uniform(-1.0, 1.0, want.shape)
+                    redrawn += first.tobytes() != want.tobytes()
+        assert redrawn > 0
+
+    def test_one_wrong_coface_entry_gives_the_per_insertion_witnesses(self, monkeypatch):
+        # d^2 at n = 4 reads *_S for the pair (1, 2): the stacked check
+        # records the failures and the witnesses of the per-insertion loop
+        table = G._coface_table
+
+        def patched(n, i):
+            if (n, i) != (4, 2):
+                return table(n, i)
+            wrong = table(n, i).copy()
+            wrong[0] = G.pair_count(n)
+            return wrong
+
+        monkeypatch.setattr(G, "_coface_table", patched)
+        trials = G._TRIAL_CHUNK + 10
+        got = G.check_insertion_naturality(4, 3, trials, seed=37)
+        want = _naturality_oracle(4, 3, trials, 37)
+        assert not got.passed and got.to_json() == want.to_json()
+        assert got.checks == trials * 6 and len(got.failures) == got.max_failures
+        first = got.failures[0]
+        assert first["index"] == 2 and set(first) == {"trial", "index", "config"}
+        c, _ = _old_boundary_draw(G._trial_rng(37, first["trial"]), 4, 3)
+        assert first["config"] == c.to_json_obj()
+
+    @pytest.mark.parametrize("flaw", ["tangent", "tangent-nan", "direction", "point",
+                                      "distinct"])
+    def test_stack_check_raises_the_configuration_error(self, flaw, monkeypatch):
+        # a chunk's stack is checked as every PointConfiguration is, before
+        # pi_k runs, and the first configuration it rejects raises the text
+        # its PointConfiguration raises, not a later one's
+        rngs = [G._trial_rng(38, k) for k in range(20)]
+        stack = [x.copy() for x in G._draw_boundary_chunk(rngs, 5, 3, G.DEFAULT_EPS)]
+        points, dirs, has, tangents = stack
+        G._check_boundary_stack(*stack)
+        t, later = np.flatnonzero(has.any(axis=1))[1:3].tolist()
+        r = int(np.flatnonzero(has[t])[0])
+        a, b = G._pair_points(5)[:, r]
+        if flaw == "tangent":
+            tangents[t, 3] *= 1.5
+        elif flaw == "tangent-nan":
+            tangents[t, 0, 1] = np.nan
+        elif flaw == "direction":
+            dirs[t, r] *= 2.0
+        elif flaw == "point":
+            points[t, 2, 0] = np.inf
+        else:
+            points[t, b, 0] += 0.25
+        points[later, 0, 0] = np.nan
+        with pytest.raises(ValueError) as want:
+            G.PointConfiguration(3, points[t], tangents[t], {(a + 1, b + 1): dirs[t, r]})
+        with pytest.raises(ValueError) as got:
+            G._check_boundary_stack(*stack)
+        assert str(got.value) == str(want.value)
+
+        def never(*args):
+            raise AssertionError("pi_k ran on a stack that fails the check")
+
+        monkeypatch.setattr(G, "_draw_boundary_chunk", lambda rngs, n, m, eps: stack)
+        monkeypatch.setattr(G, "_pi_rows", never)
+        with pytest.raises(ValueError) as got:
+            G.check_insertion_naturality(5, 3, 20, seed=38)
+        assert str(got.value) == str(want.value)
+
+
 class TestStreamPrefixes:
     """The suites read each trial's first uniform draw off a memo of its
     stream's leading random() doubles.  That is exact only while numpy fills
@@ -1854,17 +2037,20 @@ class TestStreamPrefixes:
                 assert got.tobytes() == want.tobytes()
 
     def test_memo_gives_the_stream_prefix(self, monkeypatch):
+        # rows grown in width, cut, grown in trials and in width together:
+        # every slice holds each trial's own leading doubles
         monkeypatch.setattr(G, "_PREFIXES", {})
         longest = G.MAX_REPORT_POINTS * G.MAX_FOUR_DIM
-        for size in (18, 5, 40, longest, 30):   # grown, cut, grown again, cut
-            got = G._stream_prefix(3, 7, size)
-            assert got.tobytes() == G._trial_rng(3, 7).random(size).tobytes()
+        for ks, size in ((range(0, 3), 18), (range(1, 3), 5), (range(0, 3), 40),
+                         (range(2, 9), longest), (range(5, 7), 30)):
+            got = G._stream_prefixes(3, ks, size)
+            assert got.tobytes() == np.stack(
+                [G._trial_rng(3, k).random(size) for k in ks]).tobytes()
             with pytest.raises(ValueError):
-                got[0] = 0.0
-        G._stream_prefix(3, 8, 4)
-        assert list(G._PREFIXES) == [3] and sorted(G._PREFIXES[3]) == [7, 8]
-        G._stream_prefix(4, 7, 4)
-        assert list(G._PREFIXES) == [4] and list(G._PREFIXES[4]) == [7]
+                got[0, 0] = 0.0
+        assert list(G._PREFIXES) == [3] and len(G._PREFIXES[3][0]) == 9
+        G._stream_prefixes(4, range(0, 2), 4)
+        assert list(G._PREFIXES) == [4] and G._PREFIXES[4][1].shape == (2, 4)
 
     def test_memo_holds_every_trial_of_the_seed(self, monkeypatch):
         # the suites visit a seed's chunks in turn, so a memo that kept fewer
@@ -1875,7 +2061,8 @@ class TestStreamPrefixes:
                             lambda seed, k: built.append(k) or trial_rng(seed, k))
         G.membership_trials(6, 3, 2 * G._TRIAL_CHUNK + 3, seed=5)
         G.closure_trials(parse_tree("((* *) (* *) * *)"), 5, 2 * G._TRIAL_CHUNK + 3, seed=5)
-        assert sorted(G._PREFIXES[5]) == built == list(range(2 * G._TRIAL_CHUNK + 3))
+        assert built == list(range(2 * G._TRIAL_CHUNK + 3))
+        assert len(G._PREFIXES[5][0]) == len(G._PREFIXES[5][1]) == len(built)
 
     def test_suites_do_not_depend_on_memo_history(self, monkeypatch):
         # a suite run alone gives the bytes it gives after suites of another
