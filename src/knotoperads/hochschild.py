@@ -357,9 +357,6 @@ class CochainComplex:
     def q_values(self, p: int) -> list[int]:
         return sorted(q for (pp, q) in self.basis if pp == p)
 
-    def bidegrees(self) -> list[tuple[int, int]]:
-        return sorted(self.basis)
-
 
 @lru_cache(maxsize=None)
 def _assert_codegeneracy_kernel_structure(p: int) -> None:
@@ -540,9 +537,6 @@ class CohomologyTable:
     coefficients: str
     entries: list
     stages: dict = field(default_factory=dict)
-
-    def entry(self, p: int, q: int):
-        return next((e for e in self.entries if (e.p, e.q) == (p, q)), None)
 
     def to_json_obj(self, timings: bool = False) -> dict:
         out = []

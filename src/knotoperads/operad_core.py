@@ -12,7 +12,8 @@ An operad with multiplication yields a cosimplicial object: level n is the
 arity-n entry, cofaces insert the multiplication, codegeneracies contract a
 leaf.  Some operads live in the opposite category of finite pointed sets;
 their structure maps are stored as honest functions in the target-to-source
-direction and flagged with ``direction = "backward"``.  The one place the
+direction, and their cosimplicial object is flagged with
+``direction = "backward"``.  The one place the
 resulting composition reversal is applied is :func:`_composite_table`.
 
 A linear operad may fill the optional hook ``coordinates(x)``, which maps an
@@ -95,11 +96,12 @@ class OperadInstance:
     element is one basis key with coefficient 1, keys being distinct across
     arities, and ``circ`` and ``codegeneracy`` are (bi)linear.  Keys need
     only be hashable: the checks replace them by ints of their own, per
-    check, and never hand those back to the operad.
+    check, and never hand those back to the operad.  The returned dict is
+    read-only: the hook may hand out an element's own storage, and the
+    checks build dicts of their own from it.
     """
 
     name = "operad"
-    direction = "forward"
     coordinates = None
 
     def entry(self, n: int) -> list:

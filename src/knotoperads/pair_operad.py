@@ -131,13 +131,9 @@ class ChooseTwoOperad(OperadInstance):
     """
 
     name = "choose-two"
-    direction = "backward"
 
     def entry(self, n: int) -> list:
         return b_elements(n)
-
-    def multiplication(self):
-        return (1, 2)
 
     def coface_fn(self, n: int, i: int) -> dict:
         """Backward function of the i-th coface, keyed by level n+1.

@@ -1,4 +1,4 @@
-"""Degree-n Poisson operad over exact rationals.
+"""Degree-n Poisson operad over the integers.
 
 Arity k is spanned by monomials in which each variable x1..xk appears
 exactly once: products of Lie bracket words, the bracket carrying degree n.
@@ -30,18 +30,17 @@ sorts or merges them.  The tests check this kernel against an independent
 expression normalizer, which no command runs, and the column scan against
 the cofaces expanded one at a time (``tests/algebra_oracles.py``).
 
-An element's coefficients are in one canonical exact form: an ``int`` when
-integral, else a ``Fraction``, normalized once when the element is built.
-So the structure maps on integral elements do integer arithmetic only, and
-``repr`` still prints every coefficient as a ``Fraction``.  A result that
-is canonical by construction skips that normalization: ``circ`` of two
-one-term elements whose coefficients multiply to an ``int`` (the nonzero
-ints of ``circ_monomials``, scaled), every ``codegeneracy`` (the
-coefficients of its input, on distinct monomials) and the basis elements of
+The operad is defined over Z, and every coefficient of an element is an
+``int``; ``repr`` prints each as the text ``Fraction(c, 1)``, as failure
+witnesses have always read.  Building an element drops its zero
+coefficients once.  A result with no zero by construction skips that
+filter: ``circ`` of two one-term elements (the nonzero ints of
+``circ_monomials``, scaled), every ``codegeneracy`` (the coefficients of
+its input, on distinct monomials) and the basis elements of
 ``PoissonOperad.entry``.
 
 ``PoissonOperad`` fills the linear hook ``coordinates`` of
-:mod:`knotoperads.operad_core` with a copy of an element's terms, so the
+:mod:`knotoperads.operad_core` with an element's own terms, so the
 operad-axiom and cosimplicial checks call ``circ`` and ``codegeneracy`` once
 per basis input and compare integer tables.  The bracket degree is at least
 2 (:func:`check_bracket_degree`).
@@ -55,7 +54,6 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 import functools
 
 from .operad_core import OperadInstance
@@ -72,30 +70,26 @@ def monomial_arity(m: Monomial) -> int:
     return sum(len(w) for w in m)
 
 
-def _exact(c):
-    """The canonical form of a nonzero exact coefficient: an ``int`` when it
-    is integral, else a ``Fraction``."""
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 @dataclass
 class PoissonElement:
-    """A rational combination of normal-form monomials of one arity, each
-    coefficient nonzero and in the form of :func:`_exact`."""
+    """An integer combination of normal-form monomials of one arity, each
+    coefficient a nonzero ``int``.  Any other coefficient type, ``bool``
+    included, raises ``TypeError``."""
 
     n: int
     arity: int
     terms: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.terms = {m: c if type(c) is int else _exact(c)
-                      for m, c in self.terms.items() if c != 0}
+        for c in self.terms.values():
+            if type(c) is not int:
+                raise TypeError(f"coefficient {c!r} is not an int")
+        self.terms = {m: c for m, c in self.terms.items() if c}
 
     def __repr__(self) -> str:
-        # the dataclass form with every coefficient a Fraction, as failure
-        # witnesses have always printed it
-        terms = ", ".join(f"{m!r}: {Fraction(c)!r}" for m, c in self.terms.items())
+        # the dataclass form with every coefficient printed as a Fraction,
+        # as failure witnesses have always read
+        terms = ", ".join(f"{m!r}: Fraction({c}, 1)" for m, c in self.terms.items())
         return f"PoissonElement(n={self.n!r}, arity={self.arity!r}, terms={{{terms}}})"
 
     @property
@@ -109,7 +103,7 @@ class PoissonElement:
 
 def _element(n: int, arity: int, terms: dict) -> PoissonElement:
     """The element with these terms, taken as they are: every coefficient
-    must already be nonzero and in the form of :func:`_exact`."""
+    must already be a nonzero ``int``."""
     e = object.__new__(PoissonElement)
     e.n, e.arity, e.terms = n, arity, terms
     return e
@@ -323,15 +317,14 @@ def circ(a: PoissonElement, i: int, b: PoissonElement) -> PoissonElement:
         raise ValueError("mismatched bracket degree")
     arity = a.arity + b.arity - 1
     if len(a.terms) == len(b.terms) == 1:
-        # one term each: circ_monomials' nonzero ints, scaled by an int,
-        # need no normalizing
+        # one term each: circ_monomials' nonzero ints, scaled by a nonzero
+        # int, hold no zero
         (ma, ca), = a.terms.items()
         (mb, cb), = b.terms.items()
         c = ca * cb
-        if type(c) is int:
-            out = circ_monomials(ma, i, mb, a.n)
-            return _element(a.n, arity, out if c == 1 else
-                            {m: c * x for m, x in out.items()})
+        out = circ_monomials(ma, i, mb, a.n)
+        return _element(a.n, arity, out if c == 1 else
+                        {m: c * x for m, x in out.items()})
     out: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
@@ -347,7 +340,7 @@ def codegeneracy(i: int, e: PoissonElement) -> PoissonElement:
     if not 1 <= i <= e.arity:
         raise ValueError(f"leaf {i} out of range for arity {e.arity}")
     # distinct monomials contract to distinct ones: nothing to add up, and
-    # the coefficients are e's own, already canonical
+    # the coefficients are e's own, already nonzero
     return _element(e.n, e.arity - 1, {
         kept: c for m, c in e.terms.items()
         if (kept := codegeneracy_monomial(i, m)) is not None})
@@ -483,8 +476,8 @@ class PoissonOperad(OperadInstance):
     """Basis-driven operad instance at a fixed bracket degree n >= 2.
 
     It fills the linear hook of :mod:`knotoperads.operad_core`:
-    ``coordinates(e)`` is a copy of ``e.terms``, keyed by normal-form
-    monomial, already in canonical form."""
+    ``coordinates(e)`` is ``e.terms`` itself, keyed by normal-form
+    monomial; the checks only read it."""
 
     def __init__(self, n: int):
         check_bracket_degree(n)
@@ -492,7 +485,7 @@ class PoissonOperad(OperadInstance):
         self.name = f"poisson[n={n}]"
 
     def coordinates(self, e: PoissonElement) -> dict:
-        return dict(e.terms)
+        return e.terms
 
     def entry(self, k: int) -> list:
         return [_element(self.n, k, {m: 1}) for m in basis(self.n, k)]

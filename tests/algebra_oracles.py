@@ -25,8 +25,6 @@ The module name does not match ``test_*.py``, so pytest does not collect it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from knotoperads.errors import BoundExceededError
 from knotoperads.hochschild import CochainComplex
 from knotoperads.operad_core import CheckReport, OperadInstance
@@ -106,14 +104,14 @@ def _check_expanded_size(terms: dict) -> None:
                                  f"{MAX_EXPANDED_TERMS} terms")
 
 
-def _expand(expr, n: int) -> dict[Monomial, Fraction]:
+def _expand(expr, n: int) -> dict[Monomial, int]:
     if isinstance(expr, int):
-        return {((expr,),): Fraction(1)}
+        return {((expr,),): 1}
     if expr[0] == "p":
-        acc: dict[Monomial, Fraction] = {(): Fraction(1)}
+        acc: dict[Monomial, int] = {(): 1}
         for sub in expr[1]:
             factor = _expand(sub, n)
-            nxt: dict[Monomial, Fraction] = {}
+            nxt: dict[Monomial, int] = {}
             for m1, c1 in acc.items():
                 for m2, c2 in factor.items():
                     mm, s = _merge(m1, m2, n)
@@ -122,7 +120,7 @@ def _expand(expr, n: int) -> dict[Monomial, Fraction]:
             acc = nxt
         return {m: c for m, c in acc.items() if c}
     ta, tb = _expand(expr[1], n), _expand(expr[2], n)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     for ma, ca in ta.items():
         for mb, cb in tb.items():
             for m, s in _bracket_monomials(ma, mb, n).items():

@@ -11,6 +11,9 @@ of the normal forms.
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -704,11 +707,10 @@ class TestOperadInstance:
 
     def test_coordinates(self):
         op = PoissonOperad(2)
-        e = PoissonElement(2, 2, {((1,), (2,)): Fraction(2),
-                                  ((1, 2),): Fraction(-1, 3)})
+        e = PoissonElement(2, 2, {((1,), (2,)): 2, ((1, 2),): -3})
         coords = op.coordinates(e)
-        assert coords == {((1,), (2,)): 2, ((1, 2),): Fraction(-1, 3)}
-        assert type(coords[((1,), (2,))]) is int
+        assert coords == {((1,), (2,)): 2, ((1, 2),): -3}
+        assert coords is e.terms
 
     def test_normalized_monomials_degree_bound(self):
         # no singleton block forces every block size >= 2, so
@@ -880,38 +882,87 @@ class TestLinearPath:
 
 
 class TestCanonicalCoefficients:
-    def test_int_exactly_when_integral(self):
-        e = PoissonElement(2, 2, {((1,), (2,)): Fraction(4, 2),
-                                  ((1, 2),): Fraction(1, 2)})
-        assert type(e.terms[((1,), (2,))]) is int
-        assert type(e.terms[((1, 2),)]) is Fraction
-        half = PoissonElement(3, 2, {((1,), (2,)): Fraction(1, 2),
-                                     ((1, 2),): Fraction(2)})
-        assert [type(c) for c in half.terms.values()] == [Fraction, int]
-        assert all(type(c) is int for c in half.scale(2).terms.values())
-        bracket = PoissonElement(3, 2, {((1, 2),): Fraction(1)})
-        assert all(type(c) is int for c in
-                   circ(multiplication(3), 1, bracket).terms.values())
-        assert all(type(c) is int for k in range(5) for m in basis(2, k)
-                   for c in monomial_element(2, k, m).terms.values())
+    """Every coefficient is an ``int``: the operad is defined over Z."""
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(2), 2.0, True, False],
+                             ids=["half", "integral-fraction", "float", "true", "false"])
+    def test_rejects_non_int_coefficients(self, c):
+        with pytest.raises(TypeError, match="is not an int"):
+            PoissonElement(2, 2, {((1,), (2,)): 1, ((1, 2),): c})
+        with pytest.raises(TypeError, match="is not an int"):
+            monomial_element(2, 2, ((1, 2),), c)
+
+    @pytest.mark.parametrize("c", [Fraction(2), 2.0], ids=["fraction", "float"])
+    def test_scale_by_non_int_rejected(self, c):
+        with pytest.raises(TypeError, match="is not an int"):
+            monomial_element(2, 2, ((1, 2),)).scale(c)
+
+    def test_zero_coefficients_dropped(self):
+        e = PoissonElement(3, 2, {((1,), (2,)): 0, ((1, 2),): -2})
+        assert e.terms == {((1, 2),): -2}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_maps_give_int_coefficients(self, n):
+        # one-term and bilinear circ, codegeneracy and scale, on basis
+        # elements and on sums of them with scaled coefficients
+        elements = [monomial_element(n, k, m).scale(s)
+                    for k in range(4) for m in basis(n, k) for s in (1, -3)]
+        sums = [_sum(monomial_element(n, k, basis(n, k)[0], 2),
+                     monomial_element(n, k, basis(n, k)[-1], -1)) for k in (2, 3)]
+        results = []
+        for a, b in itertools.product(elements + sums, repeat=2):
+            results += [circ(a, i, b) for i in range(1, a.arity + 1)]
+        for e in elements + sums:
+            results += [codegeneracy(i, e) for i in range(1, e.arity + 1)]
+            results.append(e.scale(-2))
+        assert any(len(e.terms) > 1 for e in results)
+        assert all(type(c) is int for e in results for c in e.terms.values())
+
+    def test_cli_import_loads_no_fractions(self):
+        # nothing a command runs needs fractions, nor the decimal module
+        # that fractions imports; a fresh interpreter shows what loads
+        src = os.path.dirname(os.path.dirname(os.path.abspath(poisson.__file__)))
+        code = ("import sys, knotoperads.cli; "
+                "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
     @pytest.mark.parametrize("n, terms, want_repr", [
-        (2, {((1,), (2,)): Fraction(1, 2)},
-         "PoissonElement(n=2, arity=2, terms={((1,), (2,)): Fraction(1, 2)})"),
-        (3, {((1,), (2,)): Fraction(3), ((1, 2),): Fraction(-1)},
+        (3, {((1,), (2,)): 3, ((1, 2),): -1},
          "PoissonElement(n=3, arity=2, terms={((1,), (2,)): Fraction(3, 1), "
          "((1, 2),): Fraction(-1, 1)})"),
-    ], ids=["half", "integral"])
+    ], ids=["integral"])
     def test_forms_unchanged(self, n, terms, want_repr):
         # the repr (the failure witnesses) reads as it did when every
         # coefficient was stored as a Fraction
         assert repr(PoissonElement(n, 2, terms)) == want_repr
 
-    def test_coordinates_copy_terms(self):
-        e = PoissonElement(2, 2, {((1,), (2,)): Fraction(2),
-                                  ((1, 2),): Fraction(-1)})
-        coords = PoissonOperad(2).coordinates(e)
-        assert coords == e.terms and coords is not e.terms
+    def test_checks_leave_terms_unchanged(self):
+        # the hook hands out each element's own terms: the checks must only
+        # read them, for the basis elements and every map's result alike
+        seen = []
+
+        class Recording(PoissonOperad):
+            def entry(self, k):
+                return record(super().entry(k))
+
+            def circ(self, a, i, b):
+                return record([super().circ(a, i, b)])[0]
+
+            def codegeneracy(self, i, e):
+                return record([super().codegeneracy(i, e)])[0]
+
+        def record(elements):
+            seen.extend((e, dict(e.terms)) for e in elements)
+            return elements
+
+        assert check_operad_axioms(Recording(2), 4).passed
+        assert check_cosimplicial_identities(
+            cosimplicial_from_operad(Recording(2)), 5).passed
+        assert len(seen) > 1000
+        assert all(e.terms == before for e, before in seen)
 
 
 def _items_and_types(e: PoissonElement) -> tuple:
@@ -928,9 +979,7 @@ def _one_term_mismatches(n: int) -> list:
     for p, q in itertools.product(range(1, 5), repeat=2):
         for ma, mb in itertools.product(basis(n, p), basis(n, q)):
             a, b = monomial_element(n, p, ma), monomial_element(n, q, mb)
-            scales = [(1, 1)] + ([(-1, 2), (Fraction(1, 2), 2),
-                                  (Fraction(1, 2), Fraction(2, 3))]
-                                 if p + q <= 4 else [])
+            scales = [(1, 1)] + ([(-1, 2), (3, -2)] if p + q <= 4 else [])
             for (ca, cb), i in itertools.product(scales, range(1, p + 1)):
                 got = circ(a.scale(ca), i, b.scale(cb))
                 want = PoissonElement(n, p + q - 1, {
